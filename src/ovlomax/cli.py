@@ -255,8 +255,9 @@ def _print_report_text(rep) -> None:
         print(f"  note: {w}")
 
 
-def _print_report_csv(rep) -> None:
-    print("method,source,measure,point,variance,bias,ci_lo,ci_hi,ci_corr_lo,ci_corr_hi")
+def _print_report_csv(rep, header: bool = True) -> None:
+    if header:
+        print("method,source,measure,point,variance,bias,ci_lo,ci_hi,ci_corr_lo,ci_corr_hi")
     for m in rep.measures:
         cells = [
             rep.method, rep.formula_source, m.measure,
@@ -366,9 +367,8 @@ def cmd_realdata(args) -> int:
         }
         print(json.dumps(out, indent=2))
     elif args.fmt == "csv":
-        _print_report_csv(reports[0])
-        for rep in reports[1:]:
-            _print_report_rows_csv(rep)
+        for k, rep in enumerate(reports):
+            _print_report_csv(rep, header=k == 0)
     else:
         print(f"bundled data: {d1.label} (n={d1.n}) vs {d2.label} (n={d2.n})")
         print()
@@ -378,22 +378,6 @@ def cmd_realdata(args) -> int:
         print("no ranked-set design accompanies this example, so the 'rss' method")
         print("needs field data collected under an actual ranked design.")
     return EXIT_OK
-
-
-def _print_report_rows_csv(rep) -> None:
-    # body rows only, for appending a second method under one header
-    for m in rep.measures:
-        cells = [
-            rep.method, rep.formula_source, m.measure,
-            f"{m.point:.10g}",
-            "" if m.variance is None else f"{m.variance:.10g}",
-            "" if m.bias is None else f"{m.bias:.10g}",
-            "" if m.interval is None else f"{m.interval.lo:.10g}",
-            "" if m.interval is None else f"{m.interval.hi:.10g}",
-            "" if m.interval_corrected is None else f"{m.interval_corrected.lo:.10g}",
-            "" if m.interval_corrected is None else f"{m.interval_corrected.hi:.10g}",
-        ]
-        print(",".join(cells))
 
 
 def main(argv=None) -> int:

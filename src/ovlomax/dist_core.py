@@ -19,7 +19,6 @@ __all__ = [
     "GammaLaw",
     "FisherFLaw",
     "ExponentialLaw",
-    "StdNormalLaw",
     "log_transform",
     "std_normal_quantile",
     "srs_alpha_law",
@@ -46,7 +45,7 @@ def _positive_scalar(name: str, value) -> float:
 
 def _positive_array(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise DomainError(f"{name} must be positive and finite")
     return arr
 
@@ -116,10 +115,12 @@ class InverseLomax:
         """
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise DomainError("n must be a positive integer")
-        u = rng.random(n)
+        return self.from_uniform(rng.random(n))
+
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Inverse transform of a block of uniforms in [0, 1), any shape."""
         # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
-        u = np.maximum(u, _TINY)
-        return self._quantile_core(u)
+        return self._quantile_core(np.maximum(u, _TINY))
 
     def sample_via_exponential(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Alternative sampler through T ~ Exponential(mean alpha), X = beta/(e^T - 1).
@@ -230,19 +231,6 @@ class ExponentialLaw:
     def cdf(self, t) -> float | np.ndarray:
         arr = np.asarray(t, dtype=float)
         return _as_input_shape(-np.expm1(-arr / self.mean_value), t)
-
-
-@dataclass(frozen=True)
-class StdNormalLaw:
-    """Standard normal; kept for interface symmetry with the other laws."""
-
-    @property
-    def mean(self) -> float:
-        return 0.0
-
-    @property
-    def variance(self) -> float:
-        return 1.0
 
 
 def srs_alpha_law(alpha: float, n: int) -> GammaLaw:

@@ -12,7 +12,9 @@ Three estimation pipelines share one backbone.  Writing ``t_j = log(1 + 1/x_j)``
 
 The shape ratio feeds the closed-form overlap coefficients, and first/second
 order delta expansions in the ratio give variances, biases, and normal-theory
-intervals.
+intervals.  :func:`assess` evaluates all of that for a whole block of ratios
+at once; the study engine calls it once per cell, and the per-sample and
+per-measure functions here are length-one views of the same code.
 
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
@@ -37,6 +39,7 @@ from .overlap import (
     OverlapTriple,
     overlap_curvature,
     overlap_grad_sq,
+    overlap_value,
 )
 from .sampling import RankedSample, RssDesign, SrsDesign
 
@@ -50,20 +53,23 @@ __all__ = [
     "SOURCES",
     "AlphaEstimate",
     "RatioEstimate",
-    "DeltaMethodReport",
     "ConfidenceInterval",
+    "Assessment",
     "DegenerateDesignError",
     "MethodMismatchError",
     "harmonic",
+    "shape_estimates",
     "mle_alpha_srs",
     "alpha_rss",
     "alpha_bayes_jeffreys",
+    "corrected_ratio",
     "ratio_estimate",
     "ovl_point",
     "ratio_variance_factor",
     "delta_variance",
     "delta_bias",
     "confidence_interval",
+    "assess",
 ]
 
 METHOD_SRS = "srs"
@@ -113,23 +119,33 @@ class RatioEstimate:
 
 
 @dataclass(frozen=True)
-class DeltaMethodReport:
-    """Delta-method summary of one overlap coefficient at the estimated ratio."""
-
-    measure: str
-    point: float
-    variance: float | None
-    bias: float | None
-    formula_source: str
-
-
-@dataclass(frozen=True)
 class ConfidenceInterval:
     lo: float
     hi: float
     level: float
     bias_corrected: bool
     clamped: bool
+
+
+@dataclass(eq=False)
+class Assessment:
+    """Delta-method summary of one overlap coefficient over a block of ratios.
+
+    Every array holds one entry per ratio.  ``lo``/``hi``/``clamped`` belong
+    to the interval centred on ``point``, the ``*_corrected`` fields to the
+    one centred on ``point - bias``; those are None when the block was
+    assessed without bias correction.
+    """
+
+    point: np.ndarray
+    variance: np.ndarray
+    bias: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    clamped: np.ndarray
+    lo_corrected: np.ndarray | None
+    hi_corrected: np.ndarray | None
+    clamped_corrected: np.ndarray | None
 
 
 def harmonic(r: int) -> float:
@@ -139,35 +155,46 @@ def harmonic(r: int) -> float:
     return float(sum(1.0 / i for i in range(1, int(r) + 1)))
 
 
-def _validate_sample(sample) -> np.ndarray:
+def _plain_estimate(method: str, sample) -> AlphaEstimate:
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("sample must be a nonempty one-dimensional collection")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("sample values must be positive and finite")
-    return arr
+    value = float(shape_estimates(method, arr))  # checks positive and finite
+    return AlphaEstimate(value=value, method=method, design=SrsDesign(arr.size))
+
+
+def shape_estimates(method: str, x) -> np.ndarray:
+    """Shape estimate of every sample along the last axis of ``x``.
+
+    ``srs`` and ``rss`` average the transforms (for ``rss`` the last axis
+    holds the retained values rank-major, as in ``RankedSample.values``);
+    ``bayes`` divides their sum by ``n + 1``.  Values must be positive and
+    finite; the whole block is checked once.
+    """
+    t = np.asarray(log_transform(x))
+    if method == METHOD_BAYES:
+        return np.sum(t, axis=-1) / (t.shape[-1] + 1)
+    if method in (METHOD_SRS, METHOD_RSS):
+        return np.mean(t, axis=-1)
+    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def mle_alpha_srs(sample) -> AlphaEstimate:
     """Maximum-likelihood shape estimate from a simple random sample."""
-    arr = _validate_sample(sample)
-    value = float(np.mean(log_transform(arr)))
-    return AlphaEstimate(value=value, method=METHOD_SRS, design=SrsDesign(arr.size))
+    return _plain_estimate(METHOD_SRS, sample)
 
 
 def alpha_rss(ranked: RankedSample) -> AlphaEstimate:
     """Unbiased shape estimate from a ranked set sample (mean over all
     retained transforms; the rank sum telescopes, so no rank weights appear)."""
-    value = float(np.mean(log_transform(ranked.values)))
+    value = float(shape_estimates(METHOD_RSS, ranked.values.reshape(-1)))
     return AlphaEstimate(value=value, method=METHOD_RSS, design=ranked.design)
 
 
 def alpha_bayes_jeffreys(sample) -> AlphaEstimate:
     """Posterior mode under the Jeffreys prior 1/alpha: sum(t_j)/(n+1),
     i.e. n/(n+1) times the maximum-likelihood estimate."""
-    arr = _validate_sample(sample)
-    value = float(np.sum(log_transform(arr)) / (arr.size + 1))
-    return AlphaEstimate(value=value, method=METHOD_BAYES, design=SrsDesign(arr.size))
+    return _plain_estimate(METHOD_BAYES, sample)
 
 
 def _validate_source(source: str) -> str:
@@ -217,6 +244,25 @@ def ratio_variance_factor(
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DERIVED):
+    """Apply the method's mean correction to raw ratios (scalar or array).
+
+    ``rss`` publishes no correction; ``srs`` scales by ``(n2 - 1)/n2``; the
+    Bayes constants depend on the formula source.
+    """
+    if method == METHOD_RSS:
+        return raw
+    if method == METHOD_SRS:
+        n2 = design2.n
+        return raw * (n2 - 1) / n2
+    if method == METHOD_BAYES:
+        n1, n2 = design1.n, design2.n
+        if source == SOURCE_DERIVED:
+            return raw * (n1 + 1) * (n2 - 1) / (n1 * (n2 + 1))
+        return raw * n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
+    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def ratio_estimate(
     a1: AlphaEstimate, a2: AlphaEstimate, source: str = SOURCE_DERIVED
 ) -> RatioEstimate:
@@ -226,21 +272,7 @@ def ratio_estimate(
         raise MethodMismatchError(f"cannot mix methods {a1.method!r} and {a2.method!r}")
     method = a1.method
     raw = a1.value / a2.value
-
-    if method == METHOD_RSS:
-        unbiased = raw
-    elif method == METHOD_SRS:
-        n2 = a2.design.n
-        unbiased = raw * (n2 - 1) / n2
-    elif method == METHOD_BAYES:
-        n1, n2 = a1.design.n, a2.design.n
-        if source == SOURCE_DERIVED:
-            unbiased = raw * (n1 + 1) * (n2 - 1) / (n1 * (n2 + 1))
-        else:
-            unbiased = raw * n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
-    else:
-        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
+    unbiased = corrected_ratio(raw, method, a1.design, a2.design, source)
     try:
         factor = ratio_variance_factor(method, a1.design, a2.design, source)
     except DegenerateDesignError:
@@ -320,6 +352,92 @@ def _published_bias_constant(
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _elementwise(shape, measure: str, r: np.ndarray) -> np.ndarray:
+    # the printed shapes stay scalar ``math`` code, evaluated per element
+    return np.array([shape(measure, x) for x in r.tolist()], dtype=float)
+
+
+def _normal_z(level) -> float:
+    level = float(level)
+    if not (0.0 < level < 1.0):
+        raise DomainError("confidence level must lie strictly inside (0, 1)")
+    return std_normal_quantile(1.0 - (1.0 - level) / 2.0)
+
+
+def _check_terms(variance, bias, bias_corrected: bool) -> None:
+    if not np.isfinite(variance).all() or (variance < 0.0).any():
+        raise DomainError("variance must be finite and nonnegative")
+    if bias_corrected and not np.isfinite(bias).all():
+        raise DomainError("bias must be finite to centre a bias-corrected interval")
+
+
+def _clamped_bounds(center, half):
+    """Normal-theory bounds clamped to [0, 1] and their clamp flags, elementwise."""
+    lo, hi = center - half, center + half
+    # clip both ends into [0, 1]; monotone, so lo <= hi survives even when a
+    # bias-corrected centre lands entirely outside the unit interval
+    clamped_lo = np.minimum(np.maximum(lo, 0.0), 1.0)
+    clamped_hi = np.minimum(np.maximum(hi, 0.0), 1.0)
+    return clamped_lo, clamped_hi, (clamped_lo != lo) | (clamped_hi != hi)
+
+
+def assess(
+    ratios,
+    method: str,
+    design1: SrsDesign | RssDesign,
+    design2: SrsDesign | RssDesign,
+    source: str = SOURCE_DERIVED,
+    level: float = 0.95,
+    bias_corrected: bool = True,
+) -> dict:
+    """Delta-method assessment of all three coefficients at each corrected ratio.
+
+    Returns ``{measure: Assessment}`` in :data:`MEASURES` order, one entry per
+    element of the one-dimensional ``ratios``.  ``derived`` evaluates
+    Var(ratio) * (dg/dR)**2 and Var(ratio) * d2g/dR2 / 2 (at R=1 the Weitzman
+    variance keeps its two-sided kink limit exp(-2) * Var(ratio) and its bias
+    is 0); ``as-published`` reproduces the printed expressions with their own
+    constants, whose Weitzman bias has no finite value at R=1 (NaN).
+
+    Raises :class:`DomainError` when a ratio is not positive and finite, a
+    variance is not finite and nonnegative, or, with ``bias_corrected``, a
+    bias is not finite.  Without ``bias_corrected`` the corrected-interval
+    fields are None.
+    """
+    r = np.asarray(ratios, dtype=float)  # overlap_value checks positive and finite
+    if r.ndim != 1:
+        raise DomainError("ratios must be a one-dimensional array")
+    z = _normal_z(level)
+    factor = ratio_variance_factor(method, design1, design2, source)
+    terms = []
+    for measure in MEASURES:
+        point = overlap_value(measure, r)
+        if source == SOURCE_DERIVED:
+            variance = factor * r * r * overlap_grad_sq(measure, r)
+            bias = 0.5 * factor * r * r * overlap_curvature(measure, r)
+        else:
+            variance = factor * _elementwise(_published_var_shape, measure, r)
+            constant = _published_bias_constant(measure, method, design1, design2)
+            bias = constant * _elementwise(_published_bias_shape, measure, r)
+        terms.append((point, variance, bias))
+    # one (measure, ratio) array per quantity, so the interval arithmetic and
+    # its checks run once for all three measures
+    point, variance, bias = (np.array(q) for q in zip(*terms))
+    _check_terms(variance, bias, bias_corrected)
+    half = z * np.sqrt(variance)
+    plain = _clamped_bounds(point, half)
+    corrected = _clamped_bounds(point - bias, half) if bias_corrected else ((None,) * 3,) * 3
+    rows = zip(point, variance, bias, *plain, *corrected)
+    return dict(zip(MEASURES, (Assessment(*row) for row in rows)))
+
+
+def _assess_one(measure, ratio, method, design1, design2, source) -> Assessment:
+    if measure not in MEASURES:
+        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    block = assess([float(ratio)], method, design1, design2, source, bias_corrected=False)
+    return block[measure]
+
+
 def delta_variance(
     measure: str,
     ratio: float,
@@ -328,20 +446,9 @@ def delta_variance(
     design2: SrsDesign | RssDesign,
     source: str = SOURCE_DERIVED,
 ) -> float:
-    """First-order variance of an overlap coefficient at the given ratio.
-
-    ``derived`` evaluates (dg/dR)**2 * Var(ratio); at R=1 the Matusita and
-    divergence coefficients have zero slope, while the Weitzman coefficient
-    keeps its two-sided kink limit exp(-2) * Var(ratio).
-    """
-    _validate_source(source)
-    r = float(ratio)
-    if not math.isfinite(r) or r <= 0.0:
-        raise DomainError("ratio must be positive and finite")
-    factor = ratio_variance_factor(method, design1, design2, source)
-    if source == SOURCE_DERIVED:
-        return factor * r * r * float(overlap_grad_sq(measure, r))
-    return factor * _published_var_shape(measure, r)
+    """First-order variance of an overlap coefficient at the given ratio;
+    see :func:`assess`."""
+    return float(_assess_one(measure, ratio, method, design1, design2, source).variance[0])
 
 
 def delta_bias(
@@ -352,22 +459,9 @@ def delta_bias(
     design2: SrsDesign | RssDesign,
     source: str = SOURCE_DERIVED,
 ) -> float:
-    """Second-order bias of an overlap coefficient at the given ratio.
-
-    ``derived`` evaluates Var(ratio) * d2g/dR2 / 2.  ``as-published``
-    reproduces the printed expressions with their own constants; for the
-    Weitzman coefficient the printed bracket has no finite value at R=1 and
-    NaN is returned there.
-    """
-    _validate_source(source)
-    r = float(ratio)
-    if not math.isfinite(r) or r <= 0.0:
-        raise DomainError("ratio must be positive and finite")
-    if source == SOURCE_DERIVED:
-        factor = ratio_variance_factor(method, design1, design2, source)
-        return 0.5 * factor * r * r * float(overlap_curvature(measure, r))
-    constant = _published_bias_constant(measure, method, design1, design2)
-    return constant * _published_bias_shape(measure, r)
+    """Second-order bias of an overlap coefficient at the given ratio; NaN for
+    the as-published Weitzman coefficient at R=1.  See :func:`assess`."""
+    return float(_assess_one(measure, ratio, method, design1, design2, source).bias[0])
 
 
 def confidence_interval(
@@ -379,27 +473,18 @@ def confidence_interval(
 ) -> ConfidenceInterval:
     """Normal-theory interval for an overlap coefficient, clamped to [0, 1].
 
-    With ``bias_corrected`` the interval is centred on ``point - bias``;
-    otherwise ``bias`` is ignored.
+    With ``bias_corrected`` the interval is centred on ``point - bias`` and a
+    non-finite bias raises :class:`DomainError`; otherwise ``bias`` is ignored.
     """
-    point = float(point)
-    variance = float(variance)
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie strictly inside (0, 1)")
-    if not math.isfinite(variance) or variance < 0.0:
-        raise DomainError("variance must be finite and nonnegative")
-    center = point - float(bias) if bias_corrected else point
-    half = std_normal_quantile(1.0 - (1.0 - level) / 2.0) * math.sqrt(variance)
-    lo, hi = center - half, center + half
-    # clip both ends into [0, 1]; monotone, so lo <= hi survives even when a
-    # bias-corrected centre lands entirely outside the unit interval
-    clamped_lo = min(max(lo, 0.0), 1.0)
-    clamped_hi = min(max(hi, 0.0), 1.0)
+    z = _normal_z(level)
+    point, variance, bias = np.float64(point), np.float64(variance), np.float64(bias)
+    _check_terms(variance, bias, bias_corrected)
+    center = point - bias if bias_corrected else point
+    lo, hi, clamped = _clamped_bounds(center, z * np.sqrt(variance))
     return ConfidenceInterval(
-        lo=clamped_lo,
-        hi=clamped_hi,
-        level=level,
+        lo=float(lo),
+        hi=float(hi),
+        level=float(level),
         bias_corrected=bool(bias_corrected),
-        clamped=(clamped_lo != lo) or (clamped_hi != hi),
+        clamped=bool(clamped),
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .dist_core import DomainError
+from .dist_core import DomainError, _as_input_shape, _positive_array
 
 __all__ = [
     "MEASURES",
@@ -52,23 +52,10 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def _validate_ratio(ratio) -> np.ndarray:
-    arr = np.asarray(ratio, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("shape ratio must be positive and finite")
-    return arr
-
-
-def _shaped(out: np.ndarray, like) -> float | np.ndarray:
-    if np.isscalar(like) or np.ndim(like) == 0:
-        return float(out)
-    return out
-
-
 def matusita_rho(ratio) -> float | np.ndarray:
     """Matusita overlap 2*sqrt(R)/(R+1); equals 1 iff R == 1."""
-    r = _validate_ratio(ratio)
-    return _shaped(2.0 * np.sqrt(r) / (r + 1.0), ratio)
+    r = _positive_array("shape ratio", ratio)
+    return _as_input_shape(2.0 * np.sqrt(r) / (r + 1.0), ratio)
 
 
 def weitzman_delta(ratio) -> float | np.ndarray:
@@ -77,20 +64,20 @@ def weitzman_delta(ratio) -> float | np.ndarray:
     Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
     cancellation-free limit path rather than the raw power.
     """
-    r = _validate_ratio(ratio)
+    r = _positive_array("shape ratio", ratio)
     e = r - 1.0
     safe = np.where(e == 0.0, 1.0, e)
     # R**(1/(1-R)) = exp(log(R)/(1-R)) = exp(-log1p(R-1)/(R-1))
     power = np.exp(-np.log1p(e) / safe)
     out = np.where(e == 0.0, 1.0, 1.0 - power * np.abs(e) / r)
-    return _shaped(out, ratio)
+    return _as_input_shape(out, ratio)
 
 
 def kl_lambda(ratio) -> float | np.ndarray:
     """Divergence overlap R/(R**2 - R + 1) = 1/(1 + J) for the symmetrized
     divergence J = (R-1)**2 / R of the transformed exponential pair."""
-    r = _validate_ratio(ratio)
-    return _shaped(r / (r * r - r + 1.0), ratio)
+    r = _positive_array("shape ratio", ratio)
+    return _as_input_shape(r / (r * r - r + 1.0), ratio)
 
 
 _VALUES = {"rho": matusita_rho, "delta": weitzman_delta, "lambda": kl_lambda}
@@ -144,7 +131,7 @@ def _delta_power_a(r: np.ndarray) -> np.ndarray:
 def overlap_grad(measure: str, ratio) -> float | np.ndarray:
     """dg/dR.  For delta the derivative is piecewise (a kink at R=1, where
     the one-sided slopes are +-exp(-1)); exactly at R=1 it returns NaN."""
-    r = _validate_ratio(ratio)
+    r = _positive_array("shape ratio", ratio)
     if measure == "rho":
         out = (1.0 - r) / (np.sqrt(r) * (1.0 + r) ** 2)
     elif measure == "lambda":
@@ -158,20 +145,20 @@ def overlap_grad(measure: str, ratio) -> float | np.ndarray:
         out = np.where(e == 0.0, np.nan, out)
     else:
         raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return _shaped(out, ratio)
+    return _as_input_shape(out, ratio)
 
 
 def overlap_grad_sq(measure: str, ratio) -> float | np.ndarray:
     """(dg/dR)**2 with the delta kink closed by its two-sided limit exp(-2)."""
-    r = _validate_ratio(ratio)
+    r = _positive_array("shape ratio", ratio)
     if measure == "delta":
         e = r - 1.0
         safe = np.where(e == 0.0, 1.0, e)
         a = _delta_power_a(r)
         out = np.where(e == 0.0, math.exp(-2.0), (a * np.log1p(e) / safe) ** 2)
-        return _shaped(out, ratio)
+        return _as_input_shape(out, ratio)
     g = overlap_grad(measure, r)
-    return _shaped(np.asarray(g) ** 2, ratio)
+    return _as_input_shape(np.asarray(g) ** 2, ratio)
 
 
 def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
@@ -181,7 +168,7 @@ def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
     exactly at R=1 the symmetric value 0 is returned so that bias
     corrections at the symmetry point leave the estimate unshifted.
     """
-    r = _validate_ratio(ratio)
+    r = _positive_array("shape ratio", ratio)
     if measure == "rho":
         out = (3.0 * r * r - 6.0 * r - 1.0) / (2.0 * r**1.5 * (1.0 + r) ** 3)
     elif measure == "lambda":
@@ -198,7 +185,7 @@ def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
         out = np.where(e == 0.0, 0.0, out)
     else:
         raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return _shaped(out, ratio)
+    return _as_input_shape(out, ratio)
 
 
 # ---------------------------------------------------------------------------

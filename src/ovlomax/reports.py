@@ -30,13 +30,12 @@ from .estimators import (
     METHODS,
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
-    SOURCES,
     ConfidenceInterval,
     alpha_bayes_jeffreys,
     alpha_rss,
+    assess,
     confidence_interval,
-    delta_bias,
-    delta_variance,
+    corrected_ratio,
     mle_alpha_srs,
     ratio_estimate,
 )
@@ -277,6 +276,37 @@ def _alpha_for(method: str, sample) -> float:
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _interval(lo, hi, clamped, level, bias_corrected) -> ConfidenceInterval:
+    return ConfidenceInterval(lo=float(lo[0]), hi=float(hi[0]), level=float(level),
+                              bias_corrected=bias_corrected, clamped=bool(clamped[0]))
+
+
+def _measure_reports(rhat: float, est, level: float, warnings: list) -> list:
+    args = ([rhat], est.method, est.design1, est.design2, est.source, level)
+    try:
+        block = assess(*args)
+    except DomainError:
+        # only a non-finite bias passes once bias correction is off; any
+        # other failure raises again here
+        block = assess(*args, bias_corrected=False)
+    reports = []
+    for meas, a in block.items():
+        point, var, bias = float(a.point[0]), float(a.variance[0]), float(a.bias[0])
+        if a.lo_corrected is not None:
+            corrected = _interval(a.lo_corrected, a.hi_corrected, a.clamped_corrected, level, True)
+        elif math.isfinite(bias):
+            corrected = confidence_interval(point, var, bias, level, bias_corrected=True)
+        else:
+            corrected = None
+            warnings.append(
+                f"{est.source} {meas} bias is not finite at corrected ratio {rhat:.9g}: "
+                "no bias-corrected interval"
+            )
+        plain = _interval(a.lo, a.hi, a.clamped, level, False)
+        reports.append(MeasureReport(meas, point, var, bias, plain, corrected))
+    return reports
+
+
 def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DERIVED,
                           level: float = 0.95) -> EstimateReport:
     """Estimate the overlap coefficients from two observed samples.
@@ -285,10 +315,10 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     :class:`RankedSample` objects for ``rss``.  The report always carries the
     point estimates; variance, bias, and intervals are omitted (with a
     warning) when the second design is too small for the ratio variance to
-    exist.
+    exist.  A measure whose bias is not finite (the as-published Weitzman
+    bias at a corrected ratio of one) keeps its plain interval, has no
+    bias-corrected one, and adds a warning.
     """
-    if source not in SOURCES:
-        raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must lie strictly inside (0, 1)")
 
@@ -299,7 +329,7 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     warnings = []
 
     other = SOURCE_AS_PUBLISHED if source == SOURCE_DERIVED else SOURCE_DERIVED
-    other_rhat = ratio_estimate(a1, a2, other).unbiased
+    other_rhat = corrected_ratio(est.raw, method, est.design1, est.design2, other)
     if abs(other_rhat - rhat) > 1e-9 * max(1.0, abs(rhat)):
         warnings.append(
             "formula sources disagree on the corrected ratio: "
@@ -312,28 +342,17 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
             "simple-random corrected ratio"
         )
 
-    reports = []
-    variance_available = est.variance is not None
-    if not variance_available:
+    if est.variance is None:
         warnings.append(
             f"n2 = {est.design2.n} < 3: ratio variance is undefined, "
             "point estimates only"
         )
-    for meas in MEASURES:
-        point = float(overlap_value(meas, rhat))
-        if variance_available:
-            var = delta_variance(meas, rhat, method, est.design1, est.design2, source)
-            bias = delta_bias(meas, rhat, method, est.design1, est.design2, source)
-            iv = confidence_interval(point, var, 0.0, level, bias_corrected=False)
-            ivc = confidence_interval(point, var, bias, level, bias_corrected=True)
-        else:
-            var = bias = iv = ivc = None
-        reports.append(
-            MeasureReport(
-                measure=meas, point=point, variance=var, bias=bias,
-                interval=iv, interval_corrected=ivc,
-            )
-        )
+        reports = [
+            MeasureReport(meas, float(overlap_value(meas, rhat)), None, None, None, None)
+            for meas in MEASURES
+        ]
+    else:
+        reports = _measure_reports(rhat, est, level, warnings)
 
     return EstimateReport(
         method=method,
@@ -379,7 +398,9 @@ def real_data_summary(source: str = SOURCE_DERIVED, level: float = 0.95) -> dict
     ``methods``; no ranked-set design is stated for this example.
     """
     d1, d2 = bundled_counts()
-    base = build_estimate_report(d1.values, d2.values, METHOD_SRS, source, level)
+    reports = {method: build_estimate_report(d1.values, d2.values, method, source, level)
+               for method in (METHOD_SRS, METHOD_BAYES)}
+    base = reports[METHOD_SRS]
     out = {
         "alpha1": base.alpha1,
         "alpha2": base.alpha2,
@@ -388,8 +409,7 @@ def real_data_summary(source: str = SOURCE_DERIVED, level: float = 0.95) -> dict
         "estimates": {m.measure: m.point for m in base.measures},
         "methods": {},
     }
-    for method in (METHOD_SRS, METHOD_BAYES):
-        rep = build_estimate_report(d1.values, d2.values, method, source, level)
+    for method, rep in reports.items():
         out["methods"][method] = {
             "bias": {m.measure: abs(m.bias) for m in rep.measures},
             "variance": {m.measure: m.variance for m in rep.measures},

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dist_core import DomainError, InverseLomax
 
-__all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss"]
+__all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss", "rss_retained"]
 
 
 def _positive_int(name: str, v) -> int:
@@ -90,9 +90,19 @@ def draw_rss(d: InverseLomax, design: RssDesign, rng: np.random.Generator) -> Ra
     degenerates to a simple random sample of size ``m`` drawing the same
     values as :func:`draw_srs` would.
     """
+    raw = d.sample(design.m * design.r * design.r, rng)
+    return RankedSample(values=rss_retained(raw, design), design=design)
+
+
+def rss_retained(raw: np.ndarray, design: RssDesign) -> np.ndarray:
+    """Retained order statistics of ranked set draws, over any leading axes.
+
+    The last axis of ``raw`` holds one sample's ``r*r*m`` raw values laid out
+    as ``(cycle, rank-set, draw)``.  The result has shape ``(..., r, m)`` in C
+    order, rank-major like :attr:`RankedSample.values`.
+    """
     r, m = design.r, design.m
-    raw = d.sample(m * r * r, rng).reshape(m, r, r)
-    ordered = np.sort(raw, axis=2)
+    ordered = np.sort(raw.reshape(raw.shape[:-1] + (m, r, r)), axis=-1)
     idx = np.arange(r)
-    retained = ordered[:, idx, idx]  # (m, r): cycle k, set i -> i-th order stat
-    return RankedSample(values=retained.T.copy(), design=design)
+    retained = ordered[..., idx, idx]  # (..., m, r): cycle k, set i -> i-th order stat
+    return np.ascontiguousarray(np.swapaxes(retained, -1, -2))

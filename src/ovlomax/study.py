@@ -32,7 +32,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,16 +44,15 @@ from .estimators import (
     METHODS,
     SOURCE_DERIVED,
     SOURCES,
-    alpha_bayes_jeffreys,
-    alpha_rss,
-    confidence_interval,
+    assess,
+    confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
+    corrected_ratio,
     delta_bias,
     delta_variance,
-    mle_alpha_srs,
-    ratio_estimate,
+    shape_estimates,
 )
 from .overlap import MEASURES, overlap_value
-from .sampling import RssDesign, SrsDesign, draw_rss, draw_srs
+from .sampling import RssDesign, SrsDesign, rss_retained
 
 __all__ = [
     "DEFAULT_R_VALUES",
@@ -81,24 +80,6 @@ __all__ = [
 DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
-
-STUDY_CSV_COLUMNS = (
-    "method",
-    "measure",
-    "R",
-    "r1",
-    "r2",
-    "m",
-    "reps",
-    "abs_bias",
-    "signed_bias",
-    "mse",
-    "coverage",
-    "ci_length",
-    "efficiency",
-    "formula_source",
-    "seed",
-)
 
 
 class ConfigError(ValueError):
@@ -166,7 +147,7 @@ class StudyConfig:
             raise ConfigError("cycles must be a sequence of integers") from None
         if not self.cycles or any(m < 1 for m in self.cycles):
             raise ConfigError("cycles must be integers >= 1")
-        if not isinstance(self.replications, int) or self.replications < 1:
+        if type(self.replications) is not int or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
         self.alpha2 = float(self.alpha2)
         if not math.isfinite(self.alpha2) or self.alpha2 <= 0:
@@ -174,7 +155,7 @@ class StudyConfig:
         self.level_alpha0 = float(self.level_alpha0)
         if not (0.0 < self.level_alpha0 < 1.0):
             raise ConfigError("level_alpha0 must lie strictly inside (0, 1)")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if type(self.master_seed) is not int or self.master_seed < 0:
             raise ConfigError("master_seed must be a nonnegative integer")
         if self.formula_source not in SOURCES:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
@@ -247,6 +228,13 @@ class StudyRow:
     seed: int
 
 
+STUDY_CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
+# reads one CSV cell back into a StudyRow field, keyed by the field's annotation
+# (a string here, under ``from __future__ import annotations``)
+_CSV_PARSERS = {"str": str, "int": int, "float": float,
+                "float | None": lambda text: None if text == "" else float(text)}
+
+
 @dataclass(frozen=True)
 class EfficiencyCell:
     """Analytic (and optionally simulated) MSE ratio for one grid cell."""
@@ -287,28 +275,46 @@ def analytic_efficiency(measure, R, r1, r2, m, source=SOURCE_DERIVED) -> float:
     return srs / rss
 
 
+def _mse_block(r_values, method, design1, design2, source) -> dict:
+    block = assess(r_values, method, design1, design2, source, bias_corrected=False)
+    return {meas: a.variance + a.bias * a.bias for meas, a in block.items()}
+
+
 def efficiency_grid(
     r_values=DEFAULT_R_VALUES,
     set_sizes=DEFAULT_SET_SIZES,
     cycles=(8, 40),
     source=SOURCE_DERIVED,
+    empirical: dict | None = None,
 ) -> list:
-    cells = []
+    """Analytic efficiency cells, ordered by cycle count, measure, R, (r1, r2).
+
+    ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
+    to a simulated efficiency that is carried along in the cells.
+    """
+    r_values = [float(R) for R in r_values]
+    eff = {}
     for m in cycles:
-        for measure in MEASURES:
-            for R in r_values:
-                for r1, r2 in set_sizes:
-                    cells.append(
-                        EfficiencyCell(
-                            measure=measure,
-                            R=float(R),
-                            r1=int(r1),
-                            r2=int(r2),
-                            m=int(m),
-                            analytic_eff=analytic_efficiency(measure, R, r1, r2, m, source),
-                        )
-                    )
-    return cells
+        for r1, r2 in set_sizes:
+            srs = _mse_block(r_values, METHOD_SRS, SrsDesign(r1 * m), SrsDesign(r2 * m), source)
+            rss = _mse_block(r_values, METHOD_RSS, RssDesign(r1, m), RssDesign(r2, m), source)
+            eff[m, r1, r2] = {meas: srs[meas] / rss[meas] for meas in MEASURES}
+    empirical = empirical or {}
+    return [
+        EfficiencyCell(
+            measure=measure,
+            R=R,
+            r1=int(r1),
+            r2=int(r2),
+            m=int(m),
+            analytic_eff=float(eff[m, r1, r2][measure][k]),
+            empirical_eff=empirical.get((measure, _round6(R), int(r1), int(r2), int(m))),
+        )
+        for m in cycles
+        for measure in MEASURES
+        for k, R in enumerate(r_values)
+        for r1, r2 in set_sizes
+    ]
 
 
 def efficiency_cells_from_result(cfg: "StudyConfig", result: "StudyResult") -> list:
@@ -319,27 +325,8 @@ def efficiency_cells_from_result(cfg: "StudyConfig", result: "StudyResult") -> l
         for row in result.rows
         if row.method == METHOD_RSS
     }
-    cells = []
-    for m in cfg.cycles:
-        for measure in MEASURES:
-            for R in cfg.r_values:
-                for r1, r2 in cfg.set_sizes:
-                    cells.append(
-                        EfficiencyCell(
-                            measure=measure,
-                            R=float(R),
-                            r1=int(r1),
-                            r2=int(r2),
-                            m=int(m),
-                            analytic_eff=analytic_efficiency(
-                                measure, R, r1, r2, m, cfg.formula_source
-                            ),
-                            empirical_eff=empirical.get(
-                                (measure, _round6(R), int(r1), int(r2), int(m))
-                            ),
-                        )
-                    )
-    return cells
+    return efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
+                           empirical=empirical)
 
 
 # ---------------------------------------------------------------------------
@@ -357,66 +344,49 @@ def _enumerate_cells(cfg: StudyConfig) -> list:
     ]
 
 
-def _run_cell(cfg: StudyConfig, namespace: int, cell_index: int, cell, keep_reps=False):
+def _run_cell(cfg: StudyConfig, namespace: int, cell_index: int, cell):
+    """Simulate one cell: each replication only fills its row of uniforms from
+    its own stream; drawing, estimation and assessment then run once over the
+    whole ``(replications, draws)`` block."""
     R, r1, r2, m, method = cell
-    n1, n2 = r1 * m, r2 * m
-    if method != METHOD_RSS and n2 < 3:
-        return {"skipped": f"n2 = {n2} < 3: srs/bayes variance formulas undefined"}
+    if method == METHOD_RSS:
+        designs = (RssDesign(r1, m), RssDesign(r2, m))
+    else:
+        designs = (SrsDesign(r1 * m), SrsDesign(r2 * m))
+        if designs[1].n < 3:
+            return {"skipped": f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"}
+    # raw uniforms per sample: n, or r draws for each retained rss value
+    draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
-    alpha1 = R * cfg.alpha2
-    d1 = InverseLomax(alpha1)
-    d2 = InverseLomax(cfg.alpha2)
-    level = 1.0 - cfg.level_alpha0
-    truth = {meas: float(overlap_value(meas, R)) for meas in MEASURES}
     reps = cfg.replications
-
-    err = {meas: np.empty(reps) for meas in MEASURES}
-    cov_u = {meas: np.empty(reps) for meas in MEASURES}
-    len_u = {meas: np.empty(reps) for meas in MEASURES}
-    cov_c = {meas: np.empty(reps) for meas in MEASURES}
-    len_c = {meas: np.empty(reps) for meas in MEASURES}
-    ratios = np.empty(reps) if keep_reps else None
-
+    uniforms = np.empty((reps, sum(draws)))
     for rep in range(reps):
-        rng = _seeds.stream(cfg.master_seed, namespace, cell_index, rep)
+        _seeds.stream(cfg.master_seed, namespace, cell_index, rep).random(out=uniforms[rep])
+
+    alphas = []
+    dists = (InverseLomax(R * cfg.alpha2), InverseLomax(cfg.alpha2))
+    for dist, design, u in zip(dists, designs, np.split(uniforms, [draws[0]], axis=1)):
+        x = dist.from_uniform(u)
         if method == METHOD_RSS:
-            a1 = alpha_rss(draw_rss(d1, RssDesign(r1, m), rng))
-            a2 = alpha_rss(draw_rss(d2, RssDesign(r2, m), rng))
-        else:
-            x1 = draw_srs(d1, SrsDesign(n1), rng)
-            x2 = draw_srs(d2, SrsDesign(n2), rng)
-            if method == METHOD_SRS:
-                a1, a2 = mle_alpha_srs(x1), mle_alpha_srs(x2)
-            else:
-                a1, a2 = alpha_bayes_jeffreys(x1), alpha_bayes_jeffreys(x2)
-        est = ratio_estimate(a1, a2, cfg.formula_source)
-        rhat = est.unbiased
-        if ratios is not None:
-            ratios[rep] = rhat
-        for meas in MEASURES:
-            point = float(overlap_value(meas, rhat))
-            var = delta_variance(meas, rhat, method, est.design1, est.design2, cfg.formula_source)
-            bias = delta_bias(meas, rhat, method, est.design1, est.design2, cfg.formula_source)
-            ci_u = confidence_interval(point, var, 0.0, level, bias_corrected=False)
-            ci_c = confidence_interval(point, var, bias, level, bias_corrected=True)
-            err[meas][rep] = point - truth[meas]
-            cov_u[meas][rep] = 1.0 if ci_u.lo <= truth[meas] <= ci_u.hi else 0.0
-            len_u[meas][rep] = ci_u.hi - ci_u.lo
-            cov_c[meas][rep] = 1.0 if ci_c.lo <= truth[meas] <= ci_c.hi else 0.0
-            len_c[meas][rep] = ci_c.hi - ci_c.lo
+            x = rss_retained(x, design).reshape(reps, design.n)
+        alphas.append(shape_estimates(method, x))
+    ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
+    block = assess(ratios, method, *designs, cfg.formula_source, 1.0 - cfg.level_alpha0)
 
     out = {"measures": {}}
-    for meas in MEASURES:
+    for meas, a in block.items():
+        truth = float(overlap_value(meas, R))
+        err = a.point - truth
         out["measures"][meas] = {
-            "signed_bias": float(np.mean(err[meas])),
-            "mse": float(np.mean(err[meas] ** 2)),
-            "coverage": float(np.mean(cov_u[meas])),
-            "ci_length": float(np.mean(len_u[meas])),
-            "coverage_corrected": float(np.mean(cov_c[meas])),
-            "ci_length_corrected": float(np.mean(len_c[meas])),
+            "signed_bias": float(np.mean(err)),
+            "mse": float(np.mean(err**2)),
+            "coverage": float(np.mean((a.lo <= truth) & (truth <= a.hi))),
+            "ci_length": float(np.mean(a.hi - a.lo)),
+            "coverage_corrected": float(
+                np.mean((a.lo_corrected <= truth) & (truth <= a.hi_corrected))
+            ),
+            "ci_length_corrected": float(np.mean(a.hi_corrected - a.lo_corrected)),
         }
-    if keep_reps:
-        out["ratios"] = ratios
     return out
 
 
@@ -513,32 +483,21 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
 # ---------------------------------------------------------------------------
 
 
-def emit_rows_csv(rows) -> str:
-    """Pinned long-format schema, LF line endings, six significant digits."""
+def _emit_csv(items, kind) -> str:
+    # one column per dataclass field, numbers at six significant digits
+    names = [f.name for f in fields(kind)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(STUDY_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.method,
-                row.measure,
-                _fmt(row.R),
-                row.r1,
-                row.r2,
-                row.m,
-                row.reps,
-                _fmt(row.abs_bias),
-                _fmt(row.signed_bias),
-                _fmt(row.mse),
-                _fmt(row.coverage),
-                _fmt(row.ci_length),
-                _fmt(row.efficiency),
-                row.formula_source,
-                row.seed,
-            ]
-        )
+    writer.writerow(names)
+    for item in items:
+        values = (getattr(item, name) for name in names)
+        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in values])
     return buf.getvalue()
+
+
+def emit_rows_csv(rows) -> str:
+    """Pinned long-format schema, LF line endings, six significant digits."""
+    return _emit_csv(rows, StudyRow)
 
 
 def parse_rows_csv(text: str) -> list:
@@ -547,30 +506,8 @@ def parse_rows_csv(text: str) -> list:
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
         raise ConfigError(f"unexpected study CSV header: {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            StudyRow(
-                method=rec[0],
-                measure=rec[1],
-                R=float(rec[2]),
-                r1=int(rec[3]),
-                r2=int(rec[4]),
-                m=int(rec[5]),
-                reps=int(rec[6]),
-                abs_bias=float(rec[7]),
-                signed_bias=float(rec[8]),
-                mse=float(rec[9]),
-                coverage=float(rec[10]),
-                ci_length=float(rec[11]),
-                efficiency=None if rec[12] == "" else float(rec[12]),
-                formula_source=rec[13],
-                seed=int(rec[14]),
-            )
-        )
-    return rows
+    parsers = [_CSV_PARSERS[f.type] for f in fields(StudyRow)]
+    return [StudyRow(*(parse(cell) for parse, cell in zip(parsers, rec))) for rec in reader if rec]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +540,7 @@ def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None)
     raise DomainError(f"unknown layout {layout!r}; expected 'eff_table' or 'bias_table'")
 
 
-def _expected_grid(grid, items, attrs):
+def _expected_grid(grid, items):
     if grid is not None:
         r_values = [float(r) for r in grid["r_values"]]
         set_sizes = [(int(a), int(b)) for a, b in grid["set_sizes"]]
@@ -618,7 +555,7 @@ def _expected_grid(grid, items, attrs):
 
 
 def _emit_eff_table(cells, fmt, grid):
-    r_values, set_sizes, cycles = _expected_grid(grid, cells, None)
+    r_values, set_sizes, cycles = _expected_grid(grid, cells)
     present = {(c.measure, c.R, c.r1, c.r2, c.m): c for c in cells}
     expected = [
         (meas, float(R), r1, r2, m)
@@ -634,28 +571,9 @@ def _emit_eff_table(cells, fmt, grid):
     )
 
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["measure", "R", "r1", "r2", "m", "analytic_eff", "empirical_eff"])
-        for key in expected:
-            c = present[key]
-            writer.writerow(
-                [c.measure, _fmt(c.R), c.r1, c.r2, c.m, _fmt(c.analytic_eff), _fmt(c.empirical_eff)]
-            )
-        return buf.getvalue()
+        return _emit_csv([present[k] for k in expected], EfficiencyCell)
     if fmt == "json":
-        records = [
-            {
-                "measure": present[k].measure,
-                "R": present[k].R,
-                "r1": present[k].r1,
-                "r2": present[k].r2,
-                "m": present[k].m,
-                "analytic_eff": present[k].analytic_eff,
-                "empirical_eff": present[k].empirical_eff,
-            }
-            for k in expected
-        ]
+        records = [asdict(present[k]) for k in expected]
         return json.dumps({"layout": "eff_table", "cells": records}, indent=2) + "\n"
     if fmt != "text":
         raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
@@ -682,8 +600,8 @@ def _emit_eff_table(cells, fmt, grid):
 
 
 def _emit_bias_table(rows, fmt, grid):
-    r_values, set_sizes, cycles = _expected_grid(grid, rows, None)
-    methods = [m for m in METHODS]
+    r_values, set_sizes, cycles = _expected_grid(grid, rows)
+    methods = METHODS
     present = {(r.method, r.measure, r.R, r.r1, r.r2, r.m): r for r in rows}
     expected = [
         (method, meas, float(R), r1, r2, m)
@@ -808,17 +726,19 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
         m = int(m_key)
         table = f"efficiency_m{m}"
         block = fixtures["efficiency"][m_key]
-        for R_key in sorted(block, key=float):
+        r_keys = sorted(block, key=float)
+        computed = {
+            (c.measure, c.R, c.r1, c.r2): c.analytic_eff
+            for c in efficiency_grid([float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)
+        }
+        for R_key in r_keys:
             R = float(R_key)
             for meas in MEASURES:
                 values = block[R_key][meas]
                 for i, r1 in enumerate((2, 3, 4, 5)):
                     for j, r2 in enumerate((2, 3, 4, 5)):
-                        printed = float(values[i][j])
-                        computed = analytic_efficiency(meas, R, r1, r2, m, source)
-                        rows.append(
-                            (table, f"measure={meas}:R={_fmt(R)}:r1={r1}:r2={r2}", printed, computed)
-                        )
+                        rows.append((table, f"measure={meas}:R={_fmt(R)}:r1={r1}:r2={r2}",
+                                     float(values[i][j]), computed[meas, R, r1, r2]))
 
     real = fixtures["real_data"]
     summary = real_data_summary(source)

@@ -10,10 +10,12 @@ from ovlomax.estimators import (
     METHOD_SRS,
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
+    SOURCES,
     DegenerateDesignError,
     MethodMismatchError,
     alpha_bayes_jeffreys,
     alpha_rss,
+    assess,
     confidence_interval,
     delta_bias,
     delta_variance,
@@ -275,3 +277,75 @@ class TestConfidenceInterval:
             confidence_interval(0.5, -0.01)
         with pytest.raises(DomainError):
             confidence_interval(0.5, math.nan)
+
+    def test_non_finite_bias_rejected_when_corrected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                confidence_interval(0.5, 0.01, bad, bias_corrected=True)
+
+    def test_non_finite_bias_ignored_when_not_corrected(self):
+        iv = confidence_interval(0.5, 0.01, math.nan, bias_corrected=False)
+        assert iv == confidence_interval(0.5, 0.01)
+
+
+DESIGNS = {
+    METHOD_SRS: (SrsDesign(12), SrsDesign(20)),
+    METHOD_BAYES: (SrsDesign(12), SrsDesign(20)),
+    METHOD_RSS: (RssDesign(3, 4), RssDesign(2, 5)),
+}
+FIELDS = ("point", "variance", "bias", "lo", "hi", "clamped",
+          "lo_corrected", "hi_corrected", "clamped_corrected")
+
+
+def _bits(arrays) -> bytes:
+    return np.concatenate([np.asarray(a).ravel() for a in arrays]).tobytes()
+
+
+class TestAssess:
+    RATIOS = np.exp(np.random.default_rng(3).uniform(np.log(0.02), np.log(50.0), 200))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("method", sorted(DESIGNS))
+    def test_block_equals_single_ratio_calls_bit_for_bit(self, method, source):
+        d1, d2 = DESIGNS[method]
+        block = assess(self.RATIOS, method, d1, d2, source, 0.9)
+        singles = [assess([r], method, d1, d2, source, 0.9) for r in self.RATIOS]
+        assert list(block) == list(MEASURES)
+        for meas in MEASURES:
+            for name in FIELDS:
+                got = getattr(block[meas], name)
+                assert got.shape == self.RATIOS.shape
+                assert got.tobytes() == _bits(getattr(s[meas], name) for s in singles)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("method", sorted(DESIGNS))
+    def test_scalar_functions_are_views_of_the_block(self, method, source):
+        d1, d2 = DESIGNS[method]
+        ratios = self.RATIOS[:20]
+        block = assess(ratios, method, d1, d2, source, 0.9)
+        for meas in MEASURES:
+            a = block[meas]
+            for k, r in enumerate(ratios):
+                var = delta_variance(meas, r, method, d1, d2, source)
+                bias = delta_bias(meas, r, method, d1, d2, source)
+                assert (var, bias) == (a.variance[k], a.bias[k])
+                for corrected, lo, hi in ((False, a.lo, a.hi),
+                                          (True, a.lo_corrected, a.hi_corrected)):
+                    iv = confidence_interval(a.point[k], var, bias, 0.9, corrected)
+                    assert (iv.lo, iv.hi) == (lo[k], hi[k])
+
+    def test_published_weitzman_bias_at_one_needs_correction_off(self):
+        d = SrsDesign(20)
+        with pytest.raises(DomainError):
+            assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
+        block = assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED,
+                       bias_corrected=False)
+        assert math.isnan(block["delta"].bias[1])
+        assert block["delta"].lo_corrected is None
+        assert np.all(block["delta"].lo <= block["delta"].hi)
+
+    @pytest.mark.parametrize("ratios", [[[0.5]], [0.5, 0.0], [math.nan], [0.5, math.inf]])
+    def test_rejects_bad_ratios(self, ratios):
+        d = SrsDesign(20)
+        with pytest.raises(DomainError):
+            assess(ratios, METHOD_SRS, d, d)

@@ -196,6 +196,20 @@ class TestBuildEstimateReport:
         for m in rep.measures:
             assert m.variance is not None
 
+    def test_published_weitzman_bias_nan_drops_its_corrected_interval(self, rng):
+        # identical ranked samples give a corrected ratio of exactly one, where
+        # the printed Weitzman bias bracket has no finite value
+        s = draw_rss(InverseLomax(0.8), RssDesign(r=3, m=4), rng)
+        rep = build_estimate_report(s, s, "rss", source="as-published")
+        assert rep.ratio_unbiased == 1.0
+        delta = rep.measure("delta")
+        assert math.isnan(delta.bias)
+        assert delta.interval is not None
+        assert delta.interval_corrected is None
+        for name in ("rho", "lambda"):
+            assert rep.measure(name).interval_corrected is not None
+        assert any("delta" in w and "not finite" in w for w in rep.warnings)
+
     def test_method_sample_type_mismatch(self, rng):
         d = InverseLomax(0.8)
         s = draw_rss(d, RssDesign(r=2, m=3), rng)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from ovlomax.dist_core import DomainError, InverseLomax, log_transform
-from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss, draw_srs
+from ovlomax.sampling import (
+    RankedSample,
+    RssDesign,
+    SrsDesign,
+    draw_rss,
+    draw_srs,
+    rss_retained,
+)
 
 
 class TestDesigns:
@@ -51,6 +58,22 @@ class TestDrawRss:
         ref_rng = np.random.default_rng(9)
         ref_rng.random(3 * 3 * 4)
         assert probe == ref_rng.random()
+
+    def test_block_of_uniform_rows_matches_per_row_draws(self):
+        # one row of uniforms per stream, transformed as a block, gives the
+        # samples each stream would have drawn on its own
+        d, design = InverseLomax(0.7), RssDesign(r=3, m=4)
+        k = design.m * design.r**2
+        u = np.empty((6, k))
+        for row in range(6):
+            np.random.default_rng(row).random(out=u[row])
+        block = rss_retained(d.from_uniform(u), design)
+        assert block.shape == (6, 3, 4) and block.flags.c_contiguous
+        for row in range(6):
+            single = draw_rss(d, design, np.random.default_rng(row)).values
+            assert block[row].tobytes() == single.tobytes()
+            plain = draw_srs(d, SrsDesign(k), np.random.default_rng(row))
+            assert d.from_uniform(u[row]).tobytes() == plain.tobytes()
 
     def test_degenerate_design_equals_srs(self):
         d = InverseLomax(0.8)

@@ -78,6 +78,9 @@ class TestStudyConfig:
             {"formula_source": "exact"},
             {"figure_r_grid": ()},
             {"figure_r_grid": (0.5, 0.0)},
+            {"replications": True},
+            {"master_seed": True},
+            {"master_seed": False},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
