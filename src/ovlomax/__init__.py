@@ -17,179 +17,20 @@ two differ.
 
 __version__ = "0.1.0"
 
-from .dist_core import (
-    DomainError,
-    ExponentialLaw,
-    FisherFLaw,
-    GammaLaw,
-    InverseLomax,
-    bayes_alpha_law,
-    log_transform,
-    ratio_f_law,
-    srs_alpha_law,
-    std_normal_quantile,
-)
-from .estimators import (
-    METHOD_BAYES,
-    METHOD_RSS,
-    METHOD_SRS,
-    METHODS,
-    SOURCE_AS_PUBLISHED,
-    SOURCE_DERIVED,
-    SOURCES,
-    AlphaEstimate,
-    Assessment,
-    ConfidenceInterval,
-    DegenerateDesignError,
-    MethodMismatchError,
-    RatioEstimate,
-    alpha_bayes_jeffreys,
-    alpha_rss,
-    assess,
-    confidence_interval,
-    delta_bias,
-    delta_variance,
-    harmonic,
-    mle_alpha_srs,
-    ovl_point,
-    ratio_estimate,
-    ratio_variance_factor,
-)
-from .overlap import (
-    MEASURES,
-    OverlapTriple,
-    QuadratureError,
-    kl_lambda,
-    kl_symmetrized,
-    matusita_rho,
-    overlap_curvature,
-    overlap_grad,
-    overlap_grad_sq,
-    overlap_value,
-    ovl_by_quadrature,
-    weitzman_delta,
-)
-from .reports import (
-    Dataset,
-    DatasetParseError,
-    EstimateReport,
-    MeasureReport,
-    build_estimate_report,
-    bundled_counts,
-    parse_dataset,
-    parse_ranked_dataset,
-    real_data_summary,
-)
-from .sampling import RankedSample, RssDesign, SrsDesign, draw_rss, draw_srs
-from .study import (
-    DEFAULT_FIGURE_R_GRID,
-    DEFAULT_R_VALUES,
-    DEFAULT_SET_SIZES,
-    STUDY_CSV_COLUMNS,
-    ConfigError,
-    EfficiencyCell,
-    MissingCellError,
-    StudyConfig,
-    StudyResult,
-    StudyRow,
-    analytic_efficiency,
-    analytic_mse,
-    discrepancy_report,
-    efficiency_cells_from_result,
-    efficiency_grid,
-    emit_figure_data,
-    emit_rows_csv,
-    emit_tables,
-    parse_rows_csv,
-    run_study,
-)
+from . import dist_core, estimators, overlap, reports, sampling, study
+from .dist_core import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .overlap import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .study import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # distribution layer
-    "DomainError",
-    "InverseLomax",
-    "log_transform",
-    "std_normal_quantile",
-    "GammaLaw",
-    "FisherFLaw",
-    "ExponentialLaw",
-    "srs_alpha_law",
-    "bayes_alpha_law",
-    "ratio_f_law",
-    # overlap coefficients
-    "MEASURES",
-    "OverlapTriple",
-    "QuadratureError",
-    "matusita_rho",
-    "weitzman_delta",
-    "kl_lambda",
-    "overlap_value",
-    "overlap_grad",
-    "overlap_grad_sq",
-    "overlap_curvature",
-    "kl_symmetrized",
-    "ovl_by_quadrature",
-    # sampling designs
-    "SrsDesign",
-    "RssDesign",
-    "RankedSample",
-    "draw_srs",
-    "draw_rss",
-    # estimation
-    "METHODS",
-    "METHOD_SRS",
-    "METHOD_RSS",
-    "METHOD_BAYES",
-    "SOURCES",
-    "SOURCE_DERIVED",
-    "SOURCE_AS_PUBLISHED",
-    "AlphaEstimate",
-    "RatioEstimate",
-    "ConfidenceInterval",
-    "Assessment",
-    "DegenerateDesignError",
-    "MethodMismatchError",
-    "mle_alpha_srs",
-    "alpha_rss",
-    "alpha_bayes_jeffreys",
-    "harmonic",
-    "ratio_estimate",
-    "ratio_variance_factor",
-    "ovl_point",
-    "delta_variance",
-    "delta_bias",
-    "confidence_interval",
-    "assess",
-    # data analysis
-    "Dataset",
-    "DatasetParseError",
-    "parse_dataset",
-    "parse_ranked_dataset",
-    "MeasureReport",
-    "EstimateReport",
-    "build_estimate_report",
-    "bundled_counts",
-    "real_data_summary",
-    # study engine
-    "ConfigError",
-    "MissingCellError",
-    "StudyConfig",
-    "StudyRow",
-    "StudyResult",
-    "EfficiencyCell",
-    "STUDY_CSV_COLUMNS",
-    "DEFAULT_R_VALUES",
-    "DEFAULT_SET_SIZES",
-    "DEFAULT_FIGURE_R_GRID",
-    "analytic_mse",
-    "analytic_efficiency",
-    "efficiency_cells_from_result",
-    "efficiency_grid",
-    "run_study",
-    "emit_rows_csv",
-    "parse_rows_csv",
-    "emit_tables",
-    "emit_figure_data",
-    "discrepancy_report",
+    *dist_core.__all__,
+    *overlap.__all__,
+    *sampling.__all__,
+    *estimators.__all__,
+    *reports.__all__,
+    *study.__all__,
 ]

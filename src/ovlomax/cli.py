@@ -305,35 +305,29 @@ def cmd_simulate(args) -> int:
 
     result = run_study(cfg, workers=args.workers)
     plain = emit_rows_csv(result.rows)
-    corrected = emit_rows_csv(result.rows_corrected)
+    if not args.out_dir:
+        print(plain, end="")
+        return EXIT_OK
+
+    # every text is built before the first write, so a failure leaves no files
     meta = dict(result.metadata)
     meta["skipped_cells"] = result.skipped
-
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "study.csv").write_text(plain, encoding="utf-8")
-        (out / "study_bias_corrected.csv").write_text(corrected, encoding="utf-8")
-        cells = efficiency_cells_from_result(cfg, result)
-        (out / "efficiency.csv").write_text(
-            emit_tables(cells, "eff_table", "csv"), encoding="utf-8"
-        )
-        (out / "discrepancy.csv").write_text(
-            discrepancy_report(cfg.formula_source), encoding="utf-8"
-        )
-        (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-        written = ["study.csv", "study_bias_corrected.csv", "efficiency.csv",
-                   "discrepancy.csv", "metadata.json"]
-        if not args.no_figures:
-            (out / "figure_data.csv").write_text(
-                emit_figure_data(cfg, workers=args.workers), encoding="utf-8"
-            )
-            written.append("figure_data.csv")
-        print(f"wrote {', '.join(written)} to {out}")
-        if result.skipped:
-            print(f"skipped {len(result.skipped)} cell(s); see metadata.json")
-    else:
-        print(plain, end="")
+    texts = {
+        "study.csv": plain,
+        "study_bias_corrected.csv": emit_rows_csv(result.rows_corrected),
+        "efficiency.csv": emit_tables(efficiency_cells_from_result(cfg, result), "eff_table", "csv"),
+        "discrepancy.csv": discrepancy_report(cfg.formula_source),
+        "metadata.json": json.dumps(meta, indent=2) + "\n",
+    }
+    if not args.no_figures:
+        texts["figure_data.csv"] = emit_figure_data(cfg, workers=args.workers)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    print(f"wrote {', '.join(texts)} to {out}")
+    if result.skipped:
+        print(f"skipped {len(result.skipped)} cell(s); see metadata.json")
     return EXIT_OK
 
 

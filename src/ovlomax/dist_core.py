@@ -43,6 +43,12 @@ def _positive_scalar(name: str, value) -> float:
     return value
 
 
+def _positive_int(name: str, v) -> int:
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return int(v)
+
+
 def _positive_array(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
@@ -113,9 +119,7 @@ class InverseLomax:
         Deterministic given the generator state: exactly ``n`` uniforms are
         consumed, in order.
         """
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError("n must be a positive integer")
-        return self.from_uniform(rng.random(n))
+        return self.from_uniform(rng.random(_positive_int("n", n)))
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse transform of a block of uniforms in [0, 1), any shape."""
@@ -128,9 +132,7 @@ class InverseLomax:
         Same law as :meth:`sample` (cross-checked in the test suite), but a
         different draw path; useful as an independent oracle.
         """
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError("n must be a positive integer")
-        t = rng.exponential(scale=self.alpha, size=n)
+        t = rng.exponential(scale=self.alpha, size=_positive_int("n", n))
         return np.maximum(self.beta / np.expm1(np.maximum(t, _TINY)), _TINY)
 
 
@@ -192,10 +194,7 @@ class FisherFLaw:
 
     def __post_init__(self):
         for name in ("d1", "d2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise DomainError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
 
     @property
     def mean(self) -> float:
@@ -236,19 +235,17 @@ class ExponentialLaw:
 def srs_alpha_law(alpha: float, n: int) -> GammaLaw:
     """Sampling law of the simple-random-sample shape estimate: Gamma(n, alpha/n)."""
     alpha = _positive_scalar("alpha", alpha)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _positive_int("n", n)
     return GammaLaw(n, alpha / n)
 
 
 def bayes_alpha_law(alpha: float, n: int) -> GammaLaw:
     """Sampling law of the Jeffreys posterior-mode estimate: Gamma(n, alpha/(n+1))."""
     alpha = _positive_scalar("alpha", alpha)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _positive_int("n", n)
     return GammaLaw(n, alpha / (n + 1))
 
 
 def ratio_f_law(n1: int, n2: int) -> FisherFLaw:
     """Sampling law of the scaled shape ratio: (alpha2/alpha1) * ratio ~ F(2*n1, 2*n2)."""
-    return FisherFLaw(2 * int(n1), 2 * int(n2))
+    return FisherFLaw(2 * _positive_int("n1", n1), 2 * _positive_int("n2", n2))

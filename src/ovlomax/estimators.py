@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DomainError, log_transform, std_normal_quantile
+from .dist_core import DomainError, _positive_int, log_transform, std_normal_quantile
 from .overlap import (
     MEASURES,
     OverlapTriple,
@@ -150,9 +150,7 @@ class Assessment:
 
 def harmonic(r: int) -> float:
     """H_r = 1 + 1/2 + ... + 1/r."""
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise DomainError("r must be a positive integer")
-    return float(sum(1.0 / i for i in range(1, int(r) + 1)))
+    return float(sum(1.0 / i for i in range(1, _positive_int("r", r) + 1)))
 
 
 def _plain_estimate(method: str, sample) -> AlphaEstimate:

@@ -144,6 +144,14 @@ def parse_ranked_dataset(text: str) -> RankedSample:
 # ---------------------------------------------------------------------------
 
 
+def _interval_dict(iv: ConfidenceInterval | None) -> dict | None:
+    return None if iv is None else dict(vars(iv))
+
+
+def _interval_from(d: dict | None) -> ConfidenceInterval | None:
+    return None if d is None else ConfidenceInterval(**d)
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     measure: str
@@ -154,47 +162,13 @@ class MeasureReport:
     interval_corrected: ConfidenceInterval | None
 
     def to_dict(self) -> dict:
-        def ci(iv):
-            if iv is None:
-                return None
-            return {
-                "lo": iv.lo,
-                "hi": iv.hi,
-                "level": iv.level,
-                "bias_corrected": iv.bias_corrected,
-                "clamped": iv.clamped,
-            }
-
-        return {
-            "measure": self.measure,
-            "point": self.point,
-            "variance": self.variance,
-            "bias": self.bias,
-            "interval": ci(self.interval),
-            "interval_corrected": ci(self.interval_corrected),
-        }
+        return {**vars(self), "interval": _interval_dict(self.interval),
+                "interval_corrected": _interval_dict(self.interval_corrected)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeasureReport":
-        def ci(obj):
-            if obj is None:
-                return None
-            return ConfidenceInterval(
-                lo=obj["lo"],
-                hi=obj["hi"],
-                level=obj["level"],
-                bias_corrected=obj["bias_corrected"],
-                clamped=obj["clamped"],
-            )
-
-        return cls(
-            measure=d["measure"],
-            point=d["point"],
-            variance=d["variance"],
-            bias=d["bias"],
-            interval=ci(d["interval"]),
-            interval_corrected=ci(d["interval_corrected"]),
-        )
+        return cls(**{**d, "interval": _interval_from(d["interval"]),
+                      "interval_corrected": _interval_from(d["interval_corrected"])})
 
 
 @dataclass(frozen=True)
@@ -221,37 +195,13 @@ class EstimateReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "formula_source": self.formula_source,
-            "level": self.level,
-            "n1": self.n1,
-            "n2": self.n2,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "ratio_raw": self.ratio_raw,
-            "ratio_unbiased": self.ratio_unbiased,
-            "ratio_variance": self.ratio_variance,
-            "measures": [m.to_dict() for m in self.measures],
-            "warnings": list(self.warnings),
-        }
+        return {**vars(self), "measures": [m.to_dict() for m in self.measures],
+                "warnings": list(self.warnings)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimateReport":
-        return cls(
-            method=d["method"],
-            formula_source=d["formula_source"],
-            level=d["level"],
-            n1=d["n1"],
-            n2=d["n2"],
-            alpha1=d["alpha1"],
-            alpha2=d["alpha2"],
-            ratio_raw=d["ratio_raw"],
-            ratio_unbiased=d["ratio_unbiased"],
-            ratio_variance=d["ratio_variance"],
-            measures=tuple(MeasureReport.from_dict(m) for m in d["measures"]),
-            warnings=tuple(d["warnings"]),
-        )
+        return cls(**{**d, "measures": tuple(MeasureReport.from_dict(m) for m in d["measures"]),
+                      "warnings": tuple(d["warnings"])})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DomainError, InverseLomax
+from .dist_core import DomainError, InverseLomax, _positive_int
 
 __all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss", "rss_retained"]
-
-
-def _positive_int(name: str, v) -> int:
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return int(v)
 
 
 @dataclass(frozen=True)

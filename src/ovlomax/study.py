@@ -44,11 +44,10 @@ from .estimators import (
     METHODS,
     SOURCE_DERIVED,
     SOURCES,
+    DegenerateDesignError,
     assess,
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
-    delta_bias,
-    delta_variance,
     shape_estimates,
 )
 from .overlap import MEASURES, overlap_value
@@ -99,6 +98,20 @@ def _round6(x: float) -> float:
     return float(f"{float(x):.6g}")
 
 
+def _ratio_grid(name: str, values) -> tuple:
+    try:
+        grid = tuple(float(r) for r in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a sequence of numbers") from None
+    if not grid or any(not math.isfinite(r) or r <= 0 for r in grid):
+        raise ConfigError(f"{name} must be nonempty, positive, and finite")
+    return grid
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -129,12 +142,7 @@ class StudyConfig:
         self.validate()
 
     def validate(self) -> None:
-        try:
-            self.r_values = tuple(float(r) for r in self.r_values)
-        except (TypeError, ValueError):
-            raise ConfigError("r_values must be a sequence of numbers") from None
-        if not self.r_values or any(not math.isfinite(r) or r <= 0 for r in self.r_values):
-            raise ConfigError("r_values must be nonempty, positive, and finite")
+        self.r_values = _ratio_grid("r_values", self.r_values)
         try:
             self.set_sizes = tuple((int(a), int(b)) for a, b in self.set_sizes)
         except (TypeError, ValueError):
@@ -160,14 +168,7 @@ class StudyConfig:
         if self.formula_source not in SOURCES:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
         if self.figure_r_grid is not None:
-            try:
-                self.figure_r_grid = tuple(float(r) for r in self.figure_r_grid)
-            except (TypeError, ValueError):
-                raise ConfigError("figure_r_grid must be a sequence of numbers") from None
-            if not self.figure_r_grid or any(
-                not math.isfinite(r) or r <= 0 for r in self.figure_r_grid
-            ):
-                raise ConfigError("figure_r_grid must be nonempty, positive, and finite")
+            self.figure_r_grid = _ratio_grid("figure_r_grid", self.figure_r_grid)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -188,19 +189,8 @@ class StudyConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = {
-            "r_values": list(self.r_values),
-            "alpha2": self.alpha2,
-            "set_sizes": [list(p) for p in self.set_sizes],
-            "cycles": list(self.cycles),
-            "replications": self.replications,
-            "level_alpha0": self.level_alpha0,
-            "master_seed": self.master_seed,
-            "formula_source": self.formula_source,
-        }
-        if self.figure_r_grid is not None:
-            out["figure_r_grid"] = list(self.figure_r_grid)
-        return out
+        """Every field with tuples as lists; an unset ``figure_r_grid`` is left out."""
+        return {name: _listed(value) for name, value in vars(self).items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -237,14 +227,18 @@ _CSV_PARSERS = {"str": str, "int": int, "float": float,
 
 @dataclass(frozen=True)
 class EfficiencyCell:
-    """Analytic (and optionally simulated) MSE ratio for one grid cell."""
+    """Analytic (and optionally simulated) MSE ratio for one grid cell.
+
+    ``R`` is rounded to six significant digits like :attr:`StudyRow.R`;
+    ``analytic_eff`` is None where the srs variance does not exist (n2 < 3).
+    """
 
     measure: str
     R: float
     r1: int
     r2: int
     m: int
-    analytic_eff: float
+    analytic_eff: float | None
     empirical_eff: float | None = None
 
 
@@ -263,9 +257,10 @@ class StudyResult:
 
 def analytic_mse(measure, R, method, design1, design2, source=SOURCE_DERIVED) -> float:
     """Delta-method MSE (variance plus squared bias) at the true ratio."""
-    v = delta_variance(measure, R, method, design1, design2, source)
-    b = delta_bias(measure, R, method, design1, design2, source)
-    return v + b * b
+    block = _mse_block([float(R)], method, design1, design2, source)
+    if measure not in block:
+        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+    return float(block[measure][0])
 
 
 def analytic_efficiency(measure, R, r1, r2, m, source=SOURCE_DERIVED) -> float:
@@ -290,16 +285,22 @@ def efficiency_grid(
     """Analytic efficiency cells, ordered by cycle count, measure, R, (r1, r2).
 
     ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
-    to a simulated efficiency that is carried along in the cells.
+    to a simulated efficiency that is carried along in the cells.  Cells whose
+    srs design has n2 < 3 get ``analytic_eff=None``.
     """
     r_values = [float(R) for R in r_values]
     eff = {}
     for m in cycles:
         for r1, r2 in set_sizes:
-            srs = _mse_block(r_values, METHOD_SRS, SrsDesign(r1 * m), SrsDesign(r2 * m), source)
+            try:
+                srs = _mse_block(r_values, METHOD_SRS, SrsDesign(r1 * m), SrsDesign(r2 * m), source)
+            except DegenerateDesignError:
+                eff[m, r1, r2] = dict.fromkeys(MEASURES, [None] * len(r_values))
+                continue
             rss = _mse_block(r_values, METHOD_RSS, RssDesign(r1, m), RssDesign(r2, m), source)
-            eff[m, r1, r2] = {meas: srs[meas] / rss[meas] for meas in MEASURES}
+            eff[m, r1, r2] = {meas: (srs[meas] / rss[meas]).tolist() for meas in MEASURES}
     empirical = empirical or {}
+    rounded = [_round6(R) for R in r_values]
     return [
         EfficiencyCell(
             measure=measure,
@@ -307,12 +308,12 @@ def efficiency_grid(
             r1=int(r1),
             r2=int(r2),
             m=int(m),
-            analytic_eff=float(eff[m, r1, r2][measure][k]),
-            empirical_eff=empirical.get((measure, _round6(R), int(r1), int(r2), int(m))),
+            analytic_eff=eff[m, r1, r2][measure][k],
+            empirical_eff=empirical.get((measure, R, int(r1), int(r2), int(m))),
         )
         for m in cycles
         for measure in MEASURES
-        for k, R in enumerate(r_values)
+        for k, R in enumerate(rounded)
         for r1, r2 in set_sizes
     ]
 
@@ -542,7 +543,8 @@ def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None)
 
 def _expected_grid(grid, items):
     if grid is not None:
-        r_values = [float(r) for r in grid["r_values"]]
+        # rounded like the R stored in rows and cells, so a ratio such as 1/3 matches
+        r_values = [_round6(r) for r in grid["r_values"]]
         set_sizes = [(int(a), int(b)) for a, b in grid["set_sizes"]]
         cycles = [int(m) for m in grid["cycles"]]
     elif items:
@@ -558,7 +560,7 @@ def _emit_eff_table(cells, fmt, grid):
     r_values, set_sizes, cycles = _expected_grid(grid, cells)
     present = {(c.measure, c.R, c.r1, c.r2, c.m): c for c in cells}
     expected = [
-        (meas, float(R), r1, r2, m)
+        (meas, R, r1, r2, m)
         for m in cycles
         for meas in MEASURES
         for R in r_values
@@ -592,11 +594,16 @@ def _emit_eff_table(cells, fmt, grid):
                 for r1 in r1_set:
                     rowvals = []
                     for r2 in r2_set:
-                        c = present.get((meas, float(R), r1, r2, m))
-                        rowvals.append(f"{_fmt(c.analytic_eff) if c else '-':>10}")
+                        c = present.get((meas, R, r1, r2, m))
+                        eff = None if c is None else c.analytic_eff
+                        rowvals.append(f"{'-' if eff is None else _fmt(eff):>10}")
                     lines.append(f"    r1={r1:<7}" + "".join(rowvals))
         lines.append("")
     return "\n".join(lines) + "\n"
+
+
+# the StudyRow fields a bias-table JSON record carries
+_BIAS_TABLE_FIELDS = ("method", "measure", "R", "r1", "r2", "m", "abs_bias", "coverage", "ci_length")
 
 
 def _emit_bias_table(rows, fmt, grid):
@@ -604,7 +611,7 @@ def _emit_bias_table(rows, fmt, grid):
     methods = METHODS
     present = {(r.method, r.measure, r.R, r.r1, r.r2, r.m): r for r in rows}
     expected = [
-        (method, meas, float(R), r1, r2, m)
+        (method, meas, R, r1, r2, m)
         for m in cycles
         for R in r_values
         for (r1, r2) in set_sizes
@@ -620,20 +627,8 @@ def _emit_bias_table(rows, fmt, grid):
     if fmt == "csv":
         return emit_rows_csv([present[k] for k in expected])
     if fmt == "json":
-        records = [
-            {
-                "method": r.method,
-                "measure": r.measure,
-                "R": r.R,
-                "r1": r.r1,
-                "r2": r.r2,
-                "m": r.m,
-                "abs_bias": r.abs_bias,
-                "coverage": r.coverage,
-                "ci_length": r.ci_length,
-            }
-            for r in (present[k] for k in expected)
-        ]
+        records = [{name: getattr(present[k], name) for name in _BIAS_TABLE_FIELDS}
+                   for k in expected]
         return json.dumps({"layout": "bias_table", "cells": records}, indent=2) + "\n"
     if fmt != "text":
         raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
@@ -655,7 +650,7 @@ def _emit_bias_table(rows, fmt, grid):
                 for r1, r2 in set_sizes:
                     line = f"  {meas:<8}{f'({r1},{r2})':<9}"
                     for method in methods:
-                        r = present.get((method, meas, float(R), r1, r2, m))
+                        r = present.get((method, meas, R, r1, r2, m))
                         if r is None:
                             line += f"{'-':>14}{'-':>13}{'-':>10}"
                         else:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ovlomax.cli import main
+from ovlomax.dist_core import DomainError
 from ovlomax.study import STUDY_CSV_COLUMNS
 
 DATA1 = "120 14 62 47 225 71 246 21\n"
@@ -246,6 +247,38 @@ class TestSimulate:
         assert meta["config"]["master_seed"] == 77
         assert meta["config"]["formula_source"] == "as-published"
 
+    def test_degenerate_cells_write_every_file(self, capsys, tmp_path):
+        # one cycle of set size two: n2 = 2 < 3, so the srs/bayes cells are
+        # skipped and the analytic efficiency of the only cell does not exist
+        cfg = tmp_path / "degenerate.json"
+        cfg.write_text(json.dumps({"r_values": [0.5], "set_sizes": [[2, 2]],
+                                   "cycles": [1], "replications": 5}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out-dir", str(out_dir))
+        assert code == 0, err
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["discrepancy.csv", "efficiency.csv", "figure_data.csv",
+                         "metadata.json", "study.csv", "study_bias_corrected.csv"]
+        recs = list(csv.DictReader(io.StringIO((out_dir / "efficiency.csv").read_text())))
+        assert len(recs) == 3
+        assert all(r["analytic_eff"] == "" and r["empirical_eff"] == "" for r in recs)
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert {c["method"] for c in meta["skipped_cells"]} == {"srs", "bayes"}
+        assert "skipped 2 cell(s)" in out
+
+    def test_failure_leaves_no_output(self, capsys, config, tmp_path, monkeypatch):
+        def broken(source):
+            raise DomainError("discrepancy report failed")
+
+        monkeypatch.setattr("ovlomax.cli.discrepancy_report", broken)
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli(capsys, "simulate", "--config", config,
+                               "--out-dir", str(out_dir))
+        assert code == 1
+        assert "discrepancy report failed" in err
+        assert not out_dir.exists()
+
     def test_bad_workers(self, capsys, config):
         code, _, _ = run_cli(capsys, "simulate", "--config", config, "--workers", "0")
         assert code == 2
@@ -281,6 +314,16 @@ class TestTables:
         assert code == 0
         recs = list(csv.reader(io.StringIO(out)))
         assert len(recs) == 1 + 2 * 3 * 5 * 16
+
+    def test_efficiency_with_degenerate_srs_designs(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "--cycles", "1", "--format", "csv")
+        assert code == 0, err
+        recs = list(csv.DictReader(io.StringIO(out)))
+        # r2 = 2 with one cycle leaves n2 = 2 < 3 for the srs side
+        blank = [r for r in recs if r["analytic_eff"] == ""]
+        assert {r["r2"] for r in blank} == {"2"}
+        assert len(blank) == 3 * 5 * 4
+        assert all(float(r["analytic_eff"]) > 0 for r in recs if r["r2"] != "2")
 
     def test_discrepancy(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--kind", "discrepancy")

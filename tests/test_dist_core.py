@@ -18,6 +18,7 @@ from ovlomax.dist_core import (
     srs_alpha_law,
     std_normal_quantile,
 )
+from ovlomax.estimators import harmonic
 
 
 class TestDensity:
@@ -205,3 +206,25 @@ class TestReferenceLaws:
         assert (bayes.shape, bayes.scale) == (20, 0.5 / 21)
         flaw = ratio_f_law(12, 30)
         assert (flaw.d1, flaw.d2) == (24, 60)
+
+
+COUNT_ARGUMENTS = {
+    "InverseLomax.sample": lambda v: InverseLomax(1.0).sample(v, np.random.default_rng(0)),
+    "InverseLomax.sample_via_exponential":
+        lambda v: InverseLomax(1.0).sample_via_exponential(v, np.random.default_rng(0)),
+    "FisherFLaw.d1": lambda v: FisherFLaw(v, 5),
+    "FisherFLaw.d2": lambda v: FisherFLaw(5, v),
+    "srs_alpha_law": lambda v: srs_alpha_law(1.0, v),
+    "bayes_alpha_law": lambda v: bayes_alpha_law(1.0, v),
+    "ratio_f_law.n1": lambda v: ratio_f_law(v, 3),
+    "ratio_f_law.n2": lambda v: ratio_f_law(3, v),
+    "harmonic": harmonic,
+}
+
+
+@pytest.mark.parametrize("bad", [True, 0, 2.5])
+@pytest.mark.parametrize("call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS.keys())
+def test_counts_must_be_positive_integers(call, bad):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        call(bad)
+    call(np.int64(3))  # numpy integers are counts too

@@ -2,16 +2,19 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ovlomax import (
+    ConfidenceInterval,
     Dataset,
     DatasetParseError,
     DomainError,
     EstimateReport,
     InverseLomax,
+    MeasureReport,
     RankedSample,
     RssDesign,
     build_estimate_report,
@@ -160,6 +163,15 @@ class TestBuildEstimateReport:
         back = EstimateReport.from_json(rep.to_json())
         assert back == rep
         assert back.measures[0].interval is None
+
+    def test_dict_keys_are_the_fields_in_order(self):
+        rep = build_estimate_report(self.DATA1, self.DATA2, "srs")
+        doc = rep.to_dict()
+        assert list(doc) == [f.name for f in fields(EstimateReport)]
+        for m in doc["measures"]:
+            assert list(m) == [f.name for f in fields(MeasureReport)]
+            for key in ("interval", "interval_corrected"):
+                assert list(m[key]) == [f.name for f in fields(ConfidenceInterval)]
 
     def test_json_is_valid_document(self):
         rep = build_estimate_report(self.DATA1, self.DATA2, "bayes")

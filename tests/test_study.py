@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -104,6 +105,7 @@ class TestStudyConfig:
         cfg = tiny_config(figure_r_grid=(0.25, 0.75))
         back = StudyConfig.from_json(cfg.to_json())
         assert back == cfg
+        assert list(cfg.to_dict()) == [f.name for f in fields(StudyConfig)]
 
     def test_json_round_trip_without_figure_grid(self):
         cfg = tiny_config()
@@ -280,6 +282,25 @@ class TestAnalyticEfficiency:
         assert len(cells) == 2 * 3 * 1 * 2
         assert all(isinstance(c, EfficiencyCell) for c in cells)
 
+    @pytest.mark.parametrize("source", ["derived", "as-published"])
+    def test_single_cell_function_equals_grid(self, source):
+        cells = efficiency_grid(cycles=(8, 40), source=source)
+        assert len(cells) == 2 * 3 * len(DEFAULT_R_VALUES) * len(DEFAULT_SET_SIZES)
+        for c in cells:
+            assert analytic_efficiency(c.measure, c.R, c.r1, c.r2, c.m, source) == c.analytic_eff
+
+    def test_degenerate_srs_design_has_no_analytic_eff(self):
+        # one cycle: r2 = 2 leaves the srs side with n2 = 2 < 3
+        cells = efficiency_grid(r_values=(0.5,), set_sizes=((2, 2), (2, 3)), cycles=(1,))
+        assert [c.analytic_eff is None for c in cells] == [True, False] * 3
+        assert all(c.analytic_eff > 0.0 for c in cells if c.r2 == 3)
+
+    def test_cell_ratio_rounded_like_study_rows(self):
+        third = 1.0 / 3.0
+        cell = efficiency_grid(r_values=(third,), set_sizes=((2, 2),), cycles=(8,))[0]
+        assert cell.R == 0.333333
+        assert cell.analytic_eff == analytic_efficiency("rho", third, 2, 2, 8)
+
     def test_cells_from_result_annotated(self):
         cfg = tiny_config()
         res = run_study(cfg)
@@ -340,6 +361,17 @@ class TestEmitTables:
         with pytest.raises(MissingCellError) as exc:
             emit_tables(self.res.rows, "bias_table", "text", grid=grid)
         assert any("r1=4" in c for c in exc.value.cells)
+
+    def test_grid_ratio_with_more_than_six_digits(self):
+        third = 1.0 / 3.0
+        grid = {"r_values": [third], "set_sizes": [(2, 2)], "cycles": [2]}
+        cells = efficiency_grid(grid["r_values"], grid["set_sizes"], grid["cycles"])
+        eff = json.loads(emit_tables(cells, "eff_table", "json", grid=grid))
+        assert [c["R"] for c in eff["cells"]] == [0.333333] * 3
+        rows = run_study(tiny_config(r_values=(third,))).rows
+        bias = json.loads(emit_tables(rows, "bias_table", "json", grid=grid))
+        assert len(bias["cells"]) == len(rows) == 9
+        assert "R=0.333333" in emit_tables(rows, "bias_table", "text", grid=grid)
 
     def test_empty_without_grid(self):
         with pytest.raises(MissingCellError):
