@@ -75,6 +75,17 @@ def _common_flags(sub, seed=False, source=True, fmt=True, level=False):
                          help="confidence level (default 0.95)")
 
 
+def _positive_count(text: str) -> int:
+    # argparse names the option in front of the message and exits with 2
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovlomax",
@@ -127,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tables", help="efficiency, saved-study, or discrepancy tables")
     p.add_argument("--kind", choices=("efficiency", "bias", "discrepancy"),
                    default="efficiency")
-    p.add_argument("--cycles", type=int, nargs="+", default=[8, 40],
+    p.add_argument("--cycles", type=_positive_count, nargs="+", default=[8, 40],
                    help="cycle counts for efficiency tables (default 8 40)")
     p.add_argument("--rows", help="saved study.csv (required for --kind bias)")
     _common_flags(p)

@@ -20,9 +20,17 @@ Interpretation notes baked into the emitted artifacts:
   formulas, so they are transcribed verbatim into a fixtures file and
   compared cell by cell in a discrepancy report instead of being asserted.
 
-Reproducibility: every replication draws from its own PCG64 generator seeded
-by a SplitMix64 fold of (master_seed, namespace, cell_index, replication).
-Results are therefore independent of scheduling, and re-running a config
+The unit of work is a design group: the cells that share ``(r1, r2, m,
+method)`` and differ only in ``R``.  A group derives the seeds and generator
+states of all its replications in one array pass, draws and estimates each
+cell's block of replications, and runs the delta-method assessment and the
+aggregates once over the stacked ``(cells, replications)`` ratios.  A group
+is also the task a worker process receives.
+
+Reproducibility: every replication draws from its own PCG64 stream seeded by
+a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
+the seeding arithmetic and the kernel calls are batched.  Results are
+therefore independent of scheduling and of grouping, and re-running a config
 yields byte-identical CSV output, with any number of workers.
 """
 from __future__ import annotations
@@ -31,12 +39,13 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import _seeds
+from . import __version__, _seeds
 from .dist_core import DomainError, InverseLomax
 from .estimators import (
     METHOD_RSS,
@@ -79,6 +88,9 @@ __all__ = [
 DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# version of the map from (master_seed, namespace, cell_index, replication) to
+# the uniforms a replication draws; bumped only when study outputs change on purpose
+_SEED_LAYOUT = 1
 
 
 class ConfigError(ValueError):
@@ -98,11 +110,23 @@ def _round6(x: float) -> float:
     return float(f"{float(x):.6g}")
 
 
+# booleans are ints to Python, but never a count or a number in a config
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _ratio_grid(name: str, values) -> tuple:
     try:
-        grid = tuple(float(r) for r in values)
-    except (TypeError, ValueError):
+        items = tuple(values)
+    except TypeError:
         raise ConfigError(f"{name} must be a sequence of numbers") from None
+    if not all(_is_number(r) for r in items):
+        raise ConfigError(f"{name} must be a sequence of numbers")
+    grid = tuple(float(r) for r in items)
     if not grid or any(not math.isfinite(r) or r <= 0 for r in grid):
         raise ConfigError(f"{name} must be nonempty, positive, and finite")
     return grid
@@ -144,25 +168,28 @@ class StudyConfig:
     def validate(self) -> None:
         self.r_values = _ratio_grid("r_values", self.r_values)
         try:
-            self.set_sizes = tuple((int(a), int(b)) for a, b in self.set_sizes)
+            pairs = tuple((a, b) for a, b in self.set_sizes)
         except (TypeError, ValueError):
             raise ConfigError("set_sizes must be a sequence of (r1, r2) pairs") from None
-        if not self.set_sizes or any(a < 1 or b < 1 for a, b in self.set_sizes):
-            raise ConfigError("set sizes must be integers >= 1")
+        if not pairs or not all(_is_count(a) and _is_count(b) and a >= 1 and b >= 1
+                                for a, b in pairs):
+            raise ConfigError("set_sizes must hold integers >= 1")
+        self.set_sizes = tuple((int(a), int(b)) for a, b in pairs)
         try:
-            self.cycles = tuple(int(m) for m in self.cycles)
-        except (TypeError, ValueError):
+            cycles = tuple(self.cycles)
+        except TypeError:
             raise ConfigError("cycles must be a sequence of integers") from None
-        if not self.cycles or any(m < 1 for m in self.cycles):
+        if not cycles or not all(_is_count(m) and m >= 1 for m in cycles):
             raise ConfigError("cycles must be integers >= 1")
+        self.cycles = tuple(int(m) for m in cycles)
         if type(self.replications) is not int or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
+        if not _is_number(self.alpha2) or not math.isfinite(self.alpha2) or self.alpha2 <= 0:
+            raise ConfigError("alpha2 must be a positive, finite number")
         self.alpha2 = float(self.alpha2)
-        if not math.isfinite(self.alpha2) or self.alpha2 <= 0:
-            raise ConfigError("alpha2 must be positive and finite")
+        if not _is_number(self.level_alpha0) or not (0.0 < self.level_alpha0 < 1.0):
+            raise ConfigError("level_alpha0 must be a number strictly inside (0, 1)")
         self.level_alpha0 = float(self.level_alpha0)
-        if not (0.0 < self.level_alpha0 < 1.0):
-            raise ConfigError("level_alpha0 must lie strictly inside (0, 1)")
         if type(self.master_seed) is not int or self.master_seed < 0:
             raise ConfigError("master_seed must be a nonnegative integer")
         if self.formula_source not in SOURCES:
@@ -345,71 +372,104 @@ def _enumerate_cells(cfg: StudyConfig) -> list:
     ]
 
 
-def _run_cell(cfg: StudyConfig, namespace: int, cell_index: int, cell):
-    """Simulate one cell: each replication only fills its row of uniforms from
-    its own stream; drawing, estimation and assessment then run once over the
-    whole ``(replications, draws)`` block."""
-    R, r1, r2, m, method = cell
+def _design_groups(cells) -> list:
+    """Indices of the cells of each design group: one group per (r1, r2, m,
+    method), holding one cell per R, in cell order."""
+    groups: dict = {}
+    for idx, (_R, *design) in enumerate(cells):
+        groups.setdefault(tuple(design), []).append(idx)
+    return list(groups.values())
+
+
+def _run_group(cfg: StudyConfig, namespace: int, indices, cells) -> list:
+    """Simulate the cells of one design group, one outcome per cell.
+
+    Every replication of every cell still draws from its own stream.  The
+    seeds and generator states of the whole group come from one array pass;
+    each cell then fills one ``(replications, draws)`` block of uniforms by
+    restarting a single generator, and drawing and shape estimation run once
+    per cell over that block.  The corrected ratios of all cells are stacked
+    as ``(cells, replications)``, so the delta-method assessment and the
+    aggregates run once for the group.
+    """
+    r_values = [cell[0] for cell in cells]
+    _R, r1, r2, m, method = cells[0]
     if method == METHOD_RSS:
         designs = (RssDesign(r1, m), RssDesign(r2, m))
     else:
         designs = (SrsDesign(r1 * m), SrsDesign(r2 * m))
         if designs[1].n < 3:
-            return {"skipped": f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"}
+            reason = f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"
+            return [{"skipped": reason}] * len(cells)
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
     reps = cfg.replications
-    uniforms = np.empty((reps, sum(draws)))
-    for rep in range(reps):
-        _seeds.stream(cfg.master_seed, namespace, cell_index, rep).random(out=uniforms[rep])
-
-    alphas = []
-    dists = (InverseLomax(R * cfg.alpha2), InverseLomax(cfg.alpha2))
-    for dist, design, u in zip(dists, designs, np.split(uniforms, [draws[0]], axis=1)):
-        x = dist.from_uniform(u)
-        if method == METHOD_RSS:
-            x = rss_retained(x, design).reshape(reps, design.n)
-        alphas.append(shape_estimates(method, x))
+    seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.array(indices)[:, None],
+                                np.arange(reps))
+    states = _seeds.pcg64_states(seeds)
+    gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
+    uniforms = np.empty((reps, sum(draws)))  # one cell's block, reused
+    samples = np.split(uniforms, [draws[0]], axis=1)  # views of the two populations
+    alphas = np.empty((2, len(cells), reps))
+    for c, R in enumerate(r_values):
+        _seeds.fill_uniforms(uniforms, states[c * reps:(c + 1) * reps], gen)
+        dists = (InverseLomax(R * cfg.alpha2), InverseLomax(cfg.alpha2))
+        for k, (dist, d, u) in enumerate(zip(dists, designs, samples)):
+            x = dist.from_uniform(u)
+            if method == METHOD_RSS:
+                x = rss_retained(x, d).reshape(reps, d.n)
+            alphas[k, c] = shape_estimates(method, x)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    block = assess(ratios, method, *designs, cfg.formula_source, 1.0 - cfg.level_alpha0)
+    block = assess(ratios.reshape(-1), method, *designs, cfg.formula_source,
+                   1.0 - cfg.level_alpha0)
 
-    out = {"measures": {}}
+    aggregates = {}
     for meas, a in block.items():
-        truth = float(overlap_value(meas, R))
-        err = a.point - truth
-        out["measures"][meas] = {
-            "signed_bias": float(np.mean(err)),
-            "mse": float(np.mean(err**2)),
-            "coverage": float(np.mean((a.lo <= truth) & (truth <= a.hi))),
-            "ci_length": float(np.mean(a.hi - a.lo)),
-            "coverage_corrected": float(
-                np.mean((a.lo_corrected <= truth) & (truth <= a.hi_corrected))
-            ),
-            "ci_length_corrected": float(np.mean(a.hi_corrected - a.lo_corrected)),
+        truth = overlap_value(meas, np.array(r_values))[:, None]
+        point, lo, hi, lo_c, hi_c = (v.reshape(-1, reps) for v in
+                                     (a.point, a.lo, a.hi, a.lo_corrected, a.hi_corrected))
+        err = point - truth
+        # means along each cell's replications
+        aggregates[meas] = {
+            "signed_bias": np.mean(err, axis=1).tolist(),
+            "mse": np.mean(err**2, axis=1).tolist(),
+            "coverage": np.mean((lo <= truth) & (truth <= hi), axis=1).tolist(),
+            "ci_length": np.mean(hi - lo, axis=1).tolist(),
+            "coverage_corrected": np.mean((lo_c <= truth) & (truth <= hi_c), axis=1).tolist(),
+            "ci_length_corrected": np.mean(hi_c - lo_c, axis=1).tolist(),
         }
-    return out
+    return [
+        {"measures": {meas: {name: values[c] for name, values in agg.items()}
+                      for meas, agg in aggregates.items()}}
+        for c in range(len(cells))
+    ]
 
 
-def _cell_task(args):
-    cfg, namespace, cell_index, cell = args
-    return cell_index, _run_cell(cfg, namespace, cell_index, cell)
+def _group_task(args):
+    cfg, namespace, indices, cells = args
+    return indices, _run_group(cfg, namespace, indices, cells)
 
 
 def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
-    ``workers > 1`` distributes cells over a process pool; the per-replication
-    seeding makes the result identical to the sequential run.
+    The unit of work is a design group: all cells that share (r1, r2, m,
+    method) and differ only in R.  ``workers > 1`` distributes the groups
+    over a process pool; the per-replication seeding makes the result
+    identical to the sequential run.
     """
     cfg.validate()
     cells = _enumerate_cells(cfg)
-    tasks = [(cfg, namespace, idx, cell) for idx, cell in enumerate(cells)]
+    tasks = [(cfg, namespace, indices, [cells[i] for i in indices])
+             for indices in _design_groups(cells)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(_cell_task, tasks, chunksize=1))
+            done = list(pool.map(_group_task, tasks, chunksize=1))
     else:
-        outcomes = dict(map(_cell_task, tasks))
+        done = list(map(_group_task, tasks))
+    outcomes = {idx: out for indices, group in done for idx, out in zip(indices, group)}
+    seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
 
     result = StudyResult()
     mse_srs: dict = {}
@@ -430,7 +490,6 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
                  "reason": outcome["skipped"]}
             )
             continue
-        seed = _seeds.derive_seed(cfg.master_seed, namespace, idx)
         for meas in MEASURES:
             agg = outcome["measures"][meas]
             efficiency = None
@@ -451,7 +510,7 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
                 mse=_round6(agg["mse"]),
                 efficiency=efficiency,
                 formula_source=cfg.formula_source,
-                seed=seed,
+                seed=seeds[idx],
             )
             result.rows.append(
                 StudyRow(coverage=_round6(agg["coverage"]),
@@ -466,6 +525,8 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
         "config": cfg.to_dict(),
         "rng": "numpy PCG64",
         "numpy_version": np.__version__,
+        "ovlomax_version": __version__,
+        "seed_layout": _SEED_LAYOUT,
         "seeding": "SplitMix64 fold of (master_seed, namespace, cell_index, replication)",
         "namespace": namespace,
         "columns": list(STUDY_CSV_COLUMNS),

@@ -15,8 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ovlomax
 from ovlomax.cli import main
 from ovlomax.dist_core import DomainError
 from ovlomax.study import STUDY_CSV_COLUMNS
@@ -219,6 +221,18 @@ class TestSimulate:
         assert meta["skipped_cells"] == []
         assert "wrote" in out
 
+    def test_metadata_records_versions(self, capsys, config, tmp_path):
+        out_dir = tmp_path / "meta"
+        code, _, _ = run_cli(capsys, "simulate", "--config", config,
+                             "--out-dir", str(out_dir), "--no-figures")
+        assert code == 0
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert meta["ovlomax_version"] == ovlomax.__version__
+        assert meta["seed_layout"] == 1
+        assert meta["numpy_version"] == np.__version__
+        keys = list(meta)
+        assert keys.index("ovlomax_version") == keys.index("numpy_version") + 1
+
     def test_no_figures(self, capsys, config, tmp_path):
         out_dir = tmp_path / "nofig"
         code, _, _ = run_cli(capsys, "simulate", "--config", config,
@@ -324,6 +338,14 @@ class TestTables:
         assert {r["r2"] for r in blank} == {"2"}
         assert len(blank) == 3 * 5 * 4
         assert all(float(r["analytic_eff"]) > 0 for r in recs if r["r2"] != "2")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_cycles_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--cycles", "8", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cycles" in err and repr(value) in err
 
     def test_discrepancy(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--kind", "discrepancy")

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from ovlomax import (
@@ -87,6 +88,33 @@ class TestStudyConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             StudyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"cycles": [true]}', "cycles"),
+            ('{"cycles": [8.0]}', "cycles"),
+            ('{"set_sizes": [[2.7, 3]]}', "set_sizes"),
+            ('{"set_sizes": [[2, false]]}', "set_sizes"),
+            ('{"r_values": [true]}', "r_values"),
+            ('{"r_values": ["0.5"]}', "r_values"),
+            ('{"figure_r_grid": [0.5, true]}', "figure_r_grid"),
+            ('{"alpha2": true}', "alpha2"),
+            ('{"alpha2": "2"}', "alpha2"),
+            ('{"alpha2": null}', "alpha2"),
+            ('{"level_alpha0": "0.1"}', "level_alpha0"),
+        ],
+    )
+    def test_no_silent_coercion(self, text, field):
+        with pytest.raises(ConfigError, match=field):
+            StudyConfig.from_json(text)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = StudyConfig(set_sizes=[(np.int64(2), np.int32(3))], cycles=[np.int8(4)],
+                          r_values=[np.float32(0.5), 1])
+        assert cfg.set_sizes == ((2, 3),) and type(cfg.set_sizes[0][0]) is int
+        assert cfg.cycles == (4,) and type(cfg.cycles[0]) is int
+        assert cfg.r_values == (0.5, 1.0)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as exc:
@@ -237,6 +265,7 @@ class TestRunStudy:
         assert md["columns"] == list(STUDY_CSV_COLUMNS)
         assert md["namespace"] == 0
         assert "PCG64" in md["rng"]
+        assert md["seed_layout"] == 1
 
 
 class TestCsvRoundTrip:
