@@ -19,6 +19,7 @@ __all__ = [
     "GammaLaw",
     "FisherFLaw",
     "ExponentialLaw",
+    "inverse_transform",
     "log_transform",
     "std_normal_quantile",
     "srs_alpha_law",
@@ -101,17 +102,11 @@ class InverseLomax:
         out = np.exp(-np.log1p(self.beta / arr) / self.alpha)
         return _as_input_shape(out, x)
 
-    def _quantile_core(self, u: np.ndarray) -> np.ndarray:
-        # cdf^{-1}(u) = beta / (u**(-alpha) - 1), written with expm1 so the
-        # u -> 1 branch keeps full precision.
-        out = self.beta / np.expm1(-self.alpha * np.log(u))
-        return np.maximum(out, _TINY)
-
     def quantile(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("u must lie strictly inside (0, 1)")
-        return _as_input_shape(self._quantile_core(arr), u)
+        return _as_input_shape(_quantile(arr, self.alpha, self.beta), u)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` values by inverse transform of one uniform block.
@@ -123,8 +118,7 @@ class InverseLomax:
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse transform of a block of uniforms in [0, 1), any shape."""
-        # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
-        return self._quantile_core(np.maximum(u, _TINY))
+        return inverse_transform(u, self.alpha, self.beta)
 
     def sample_via_exponential(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Alternative sampler through T ~ Exponential(mean alpha), X = beta/(e^T - 1).
@@ -134,6 +128,25 @@ class InverseLomax:
         """
         t = rng.exponential(scale=self.alpha, size=_positive_int("n", n))
         return np.maximum(self.beta / np.expm1(np.maximum(t, _TINY)), _TINY)
+
+
+def _quantile(u: np.ndarray, alpha, beta) -> np.ndarray:
+    # cdf^{-1}(u) = beta / (u**(-alpha) - 1), written with expm1 so the
+    # u -> 1 branch keeps full precision.
+    out = beta / np.expm1(-alpha * np.log(u))
+    return np.maximum(out, _TINY)
+
+
+def inverse_transform(u, alpha, beta=1.0) -> np.ndarray:
+    """Inverse Lomax draws from uniforms in [0, 1), any shape.
+
+    ``alpha`` and ``beta`` broadcast against ``u``: with an ``(rows, 1)``
+    column of shapes, each row of a block is drawn from its own law.  They
+    are not checked here; :class:`InverseLomax` is the checked entry point
+    and :meth:`InverseLomax.from_uniform` calls this function.
+    """
+    # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
+    return _quantile(np.maximum(u, _TINY), alpha, beta)
 
 
 def log_transform(x) -> float | np.ndarray:

@@ -13,8 +13,10 @@ Three estimation pipelines share one backbone.  Writing ``t_j = log(1 + 1/x_j)``
 The shape ratio feeds the closed-form overlap coefficients, and first/second
 order delta expansions in the ratio give variances, biases, and normal-theory
 intervals.  :func:`assess` evaluates all of that for a whole block of ratios
-at once; the study engine calls it once per cell, and the per-sample and
-per-measure functions here are length-one views of the same code.
+at once, and the per-sample and per-measure functions here are length-one
+views of the same code.  Its kernel takes the design constants per ratio, so
+the study engine and the efficiency grid assess the ratios of many designs
+in one call.
 
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
@@ -379,6 +381,68 @@ def _clamped_bounds(center, half):
     return clamped_lo, clamped_hi, (clamped_lo != lo) | (clamped_hi != hi)
 
 
+def _design_terms(method: str, design1, design2, source: str) -> tuple:
+    """The per-design constants of an assessment: Var(ratio)/R**2 and, under
+    ``as-published``, the bias constants of the three measures (None under
+    ``derived``)."""
+    factor = ratio_variance_factor(method, design1, design2, source)
+    if source == SOURCE_DERIVED:
+        return factor, None
+    return factor, tuple(_published_bias_constant(measure, method, design1, design2)
+                         for measure in MEASURES)
+
+
+def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: bool) -> tuple:
+    """Point, variance, bias, plain bounds and clamp flags, then the same three
+    for the bias-corrected interval, each as one ``(measure, ratio)`` array.
+
+    ``factor`` and, under ``as-published``, each of the three ``constants``
+    broadcast against the ratios, so one call can assess ratios of many
+    designs; ``constants`` is None under ``derived``.  The corrected entries
+    are ``(None,) * 3`` without ``bias_corrected``.
+    """
+    terms = []
+    for k, measure in enumerate(MEASURES):
+        point = overlap_value(measure, r)
+        if constants is None:
+            variance = factor * r * r * overlap_grad_sq(measure, r)
+            bias = 0.5 * factor * r * r * overlap_curvature(measure, r)
+        else:
+            variance = factor * _elementwise(_published_var_shape, measure, r)
+            bias = constants[k] * _elementwise(_published_bias_shape, measure, r)
+        terms.append((point, variance, bias))
+    # one (measure, ratio) array per quantity, so the interval arithmetic and
+    # its checks run once for all three measures
+    point, variance, bias = (np.array(q) for q in zip(*terms))
+    _check_terms(variance, bias, bias_corrected)
+    half = z * np.sqrt(variance)
+    plain = _clamped_bounds(point, half)
+    corrected = _clamped_bounds(point - bias, half) if bias_corrected else ((None,) * 3,) * 3
+    return (point, variance, bias, *plain, *corrected)
+
+
+def _assess_designs(blocks, source: str, level: float, bias_corrected: bool = True) -> tuple:
+    """:func:`assess` of the ratios of several designs in one kernel call.
+
+    ``blocks`` holds ``(ratios, method, design1, design2)`` items; their
+    ratios are concatenated in order and each is assessed with its own
+    design's constants.  Returns the ``(measure, ratio)`` arrays of
+    :func:`_assess_kernel`.
+    """
+    z = _normal_z(level)
+    factors, constants = zip(*(_design_terms(method, d1, d2, source)
+                               for _r, method, d1, d2 in blocks))
+    ratios = [np.asarray(block[0], dtype=float).reshape(-1) for block in blocks]
+    sizes = [r.size for r in ratios]
+    # every design's constants, repeated over its own ratios
+    factor = np.repeat(factors, sizes)
+    if source == SOURCE_DERIVED:
+        constants = None
+    else:
+        constants = np.repeat(np.array(constants).T, sizes, axis=1)
+    return _assess_kernel(np.concatenate(ratios), factor, constants, z, bias_corrected)
+
+
 def assess(
     ratios,
     method: str,
@@ -406,27 +470,9 @@ def assess(
     if r.ndim != 1:
         raise DomainError("ratios must be a one-dimensional array")
     z = _normal_z(level)
-    factor = ratio_variance_factor(method, design1, design2, source)
-    terms = []
-    for measure in MEASURES:
-        point = overlap_value(measure, r)
-        if source == SOURCE_DERIVED:
-            variance = factor * r * r * overlap_grad_sq(measure, r)
-            bias = 0.5 * factor * r * r * overlap_curvature(measure, r)
-        else:
-            variance = factor * _elementwise(_published_var_shape, measure, r)
-            constant = _published_bias_constant(measure, method, design1, design2)
-            bias = constant * _elementwise(_published_bias_shape, measure, r)
-        terms.append((point, variance, bias))
-    # one (measure, ratio) array per quantity, so the interval arithmetic and
-    # its checks run once for all three measures
-    point, variance, bias = (np.array(q) for q in zip(*terms))
-    _check_terms(variance, bias, bias_corrected)
-    half = z * np.sqrt(variance)
-    plain = _clamped_bounds(point, half)
-    corrected = _clamped_bounds(point - bias, half) if bias_corrected else ((None,) * 3,) * 3
-    rows = zip(point, variance, bias, *plain, *corrected)
-    return dict(zip(MEASURES, (Assessment(*row) for row in rows)))
+    factor, constants = _design_terms(method, design1, design2, source)
+    arrays = _assess_kernel(r, factor, constants, z, bias_corrected)
+    return dict(zip(MEASURES, (Assessment(*row) for row in zip(*arrays))))
 
 
 def _assess_one(measure, ratio, method, design1, design2, source) -> Assessment:

@@ -20,18 +20,23 @@ Interpretation notes baked into the emitted artifacts:
   formulas, so they are transcribed verbatim into a fixtures file and
   compared cell by cell in a discrepancy report instead of being asserted.
 
-The unit of work is a design group: the cells that share ``(r1, r2, m,
-method)`` and differ only in ``R``.  A group derives the seeds and generator
-states of all its replications in one array pass, draws and estimates each
-cell's block of replications, and runs the delta-method assessment and the
-aggregates once over the stacked ``(cells, replications)`` ratios.  A group
-is also the task a worker process receives.
+The unit of simulation is a design group: the cells that share ``(r1, r2,
+m, method)`` and differ only in ``R``.  A group derives the seeds and
+generator states of all its replications in one array pass.  Its
+replications, cell by cell, are the rows of draw blocks of at most
+``_DRAW_BLOCK`` uniforms, each drawn through the inverse cdf with a per-row
+shape column, sorted into ranked sets and estimated in one pass; the group
+returns its cells' corrected ratios.  A group is also the task a worker
+process receives.  The study stacks whole groups' ratios up to
+``_ASSESS_STACK`` ratios and runs one delta-method assessment and one mean
+per aggregate over each stack, every ratio under its own group's design.
+Both sizes are fixed module constants; no output depends on them.
 
 Reproducibility: every replication draws from its own PCG64 stream seeded by
 a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
 the seeding arithmetic and the kernel calls are batched.  Results are
-therefore independent of scheduling and of grouping, and re-running a config
-yields byte-identical CSV output, with any number of workers.
+therefore independent of scheduling, grouping and block sizes, and re-running
+a config yields byte-identical CSV output, with any number of workers.
 """
 from __future__ import annotations
 
@@ -46,15 +51,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, _seeds
-from .dist_core import DomainError, InverseLomax
+from .dist_core import DomainError, InverseLomax, inverse_transform
 from .estimators import (
     METHOD_RSS,
     METHOD_SRS,
     METHODS,
     SOURCE_DERIVED,
     SOURCES,
-    DegenerateDesignError,
-    assess,
+    _assess_designs,
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
     shape_estimates,
@@ -88,6 +92,10 @@ __all__ = [
 DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# elements of one block of uniforms, and ratios of one assessment stack: fixed
+# sizes that bound memory and the number of numpy calls; outputs do not depend on them
+_DRAW_BLOCK = 2**14
+_ASSESS_STACK = 2**13
 # version of the map from (master_seed, namespace, cell_index, replication) to
 # the uniforms a replication draws; bumped only when study outputs change on purpose
 _SEED_LAYOUT = 1
@@ -132,6 +140,27 @@ def _ratio_grid(name: str, values) -> tuple:
     return grid
 
 
+def _set_size_grid(values) -> tuple:
+    try:
+        pairs = tuple((a, b) for a, b in values)
+    except (TypeError, ValueError):
+        raise ConfigError("set_sizes must be a sequence of (r1, r2) pairs") from None
+    if not pairs or not all(_is_count(a) and _is_count(b) and a >= 1 and b >= 1
+                            for a, b in pairs):
+        raise ConfigError("set_sizes must hold integers >= 1")
+    return tuple((int(a), int(b)) for a, b in pairs)
+
+
+def _cycle_grid(values) -> tuple:
+    try:
+        cycles = tuple(values)
+    except TypeError:
+        raise ConfigError("cycles must be a sequence of integers") from None
+    if not cycles or not all(_is_count(m) and m >= 1 for m in cycles):
+        raise ConfigError("cycles must be integers >= 1")
+    return tuple(int(m) for m in cycles)
+
+
 def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
@@ -167,21 +196,8 @@ class StudyConfig:
 
     def validate(self) -> None:
         self.r_values = _ratio_grid("r_values", self.r_values)
-        try:
-            pairs = tuple((a, b) for a, b in self.set_sizes)
-        except (TypeError, ValueError):
-            raise ConfigError("set_sizes must be a sequence of (r1, r2) pairs") from None
-        if not pairs or not all(_is_count(a) and _is_count(b) and a >= 1 and b >= 1
-                                for a, b in pairs):
-            raise ConfigError("set_sizes must hold integers >= 1")
-        self.set_sizes = tuple((int(a), int(b)) for a, b in pairs)
-        try:
-            cycles = tuple(self.cycles)
-        except TypeError:
-            raise ConfigError("cycles must be a sequence of integers") from None
-        if not cycles or not all(_is_count(m) and m >= 1 for m in cycles):
-            raise ConfigError("cycles must be integers >= 1")
-        self.cycles = tuple(int(m) for m in cycles)
+        self.set_sizes = _set_size_grid(self.set_sizes)
+        self.cycles = _cycle_grid(self.cycles)
         if type(self.replications) is not int or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
         if not _is_number(self.alpha2) or not math.isfinite(self.alpha2) or self.alpha2 <= 0:
@@ -284,10 +300,10 @@ class StudyResult:
 
 def analytic_mse(measure, R, method, design1, design2, source=SOURCE_DERIVED) -> float:
     """Delta-method MSE (variance plus squared bias) at the true ratio."""
-    block = _mse_block([float(R)], method, design1, design2, source)
-    if measure not in block:
+    block = _mse_block([float(R)], method, [(design1, design2)], source)
+    if measure not in MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return float(block[measure][0])
+    return float(block[MEASURES.index(measure), 0, 0])
 
 
 def analytic_efficiency(measure, R, r1, r2, m, source=SOURCE_DERIVED) -> float:
@@ -297,9 +313,12 @@ def analytic_efficiency(measure, R, r1, r2, m, source=SOURCE_DERIVED) -> float:
     return srs / rss
 
 
-def _mse_block(r_values, method, design1, design2, source) -> dict:
-    block = assess(r_values, method, design1, design2, source, bias_corrected=False)
-    return {meas: a.variance + a.bias * a.bias for meas, a in block.items()}
+def _mse_block(r_values, method, design_pairs, source) -> np.ndarray:
+    """Delta-method MSE of every (measure, design pair, R), in one kernel call."""
+    r = np.asarray(r_values, dtype=float)
+    blocks = [(r, method, d1, d2) for d1, d2 in design_pairs]
+    _point, variance, bias, *_ = _assess_designs(blocks, source, 0.95, bias_corrected=False)
+    return (variance + bias * bias).reshape(len(MEASURES), len(design_pairs), r.size)
 
 
 def efficiency_grid(
@@ -313,19 +332,23 @@ def efficiency_grid(
 
     ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
     to a simulated efficiency that is carried along in the cells.  Cells whose
-    srs design has n2 < 3 get ``analytic_eff=None``.
+    srs design has n2 < 3 get ``analytic_eff=None``.  Each cycle count takes
+    one assessment per method over all its set sizes and ratios.
     """
     r_values = [float(R) for R in r_values]
     eff = {}
     for m in cycles:
-        for r1, r2 in set_sizes:
-            try:
-                srs = _mse_block(r_values, METHOD_SRS, SrsDesign(r1 * m), SrsDesign(r2 * m), source)
-            except DegenerateDesignError:
-                eff[m, r1, r2] = dict.fromkeys(MEASURES, [None] * len(r_values))
-                continue
-            rss = _mse_block(r_values, METHOD_RSS, RssDesign(r1, m), RssDesign(r2, m), source)
-            eff[m, r1, r2] = {meas: (srs[meas] / rss[meas]).tolist() for meas in MEASURES}
+        srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
+        # the srs variance needs n2 >= 3; the other set sizes get no efficiency
+        sizes = [size for size, (_d1, d2) in srs.items() if d2.n >= 3]
+        eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
+        if not sizes:
+            continue
+        ratio = (_mse_block(r_values, METHOD_SRS, [srs[size] for size in sizes], source)
+                 / _mse_block(r_values, METHOD_RSS,
+                              [(RssDesign(r1, m), RssDesign(r2, m)) for r1, r2 in sizes], source))
+        for j, size in enumerate(sizes):
+            eff[(m, *size)] = dict(zip(MEASURES, ratio[:, j].tolist()))
     empirical = empirical or {}
     rounded = [_round6(R) for R in r_values]
     return [
@@ -381,26 +404,29 @@ def _design_groups(cells) -> list:
     return list(groups.values())
 
 
-def _run_group(cfg: StudyConfig, namespace: int, indices, cells) -> list:
-    """Simulate the cells of one design group, one outcome per cell.
-
-    Every replication of every cell still draws from its own stream.  The
-    seeds and generator states of the whole group come from one array pass;
-    each cell then fills one ``(replications, draws)`` block of uniforms by
-    restarting a single generator, and drawing and shape estimation run once
-    per cell over that block.  The corrected ratios of all cells are stacked
-    as ``(cells, replications)``, so the delta-method assessment and the
-    aggregates run once for the group.
-    """
-    r_values = [cell[0] for cell in cells]
-    _R, r1, r2, m, method = cells[0]
+def _designs(cell) -> tuple:
+    """The two populations' sampling designs of a study cell."""
+    _R, r1, r2, m, method = cell
     if method == METHOD_RSS:
-        designs = (RssDesign(r1, m), RssDesign(r2, m))
-    else:
-        designs = (SrsDesign(r1 * m), SrsDesign(r2 * m))
-        if designs[1].n < 3:
-            reason = f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"
-            return [{"skipped": reason}] * len(cells)
+        return RssDesign(r1, m), RssDesign(r2, m)
+    return SrsDesign(r1 * m), SrsDesign(r2 * m)
+
+
+def _run_group(cfg: StudyConfig, namespace: int, indices, cells):
+    """Corrected ratios of one design group's cells, shaped ``(cells,
+    replications)``, or the reason the group is skipped.
+
+    Every replication of every cell still draws from its own stream, and
+    the seeds and generator states of the whole group come from one array
+    pass.  The replications, cell by cell, are the rows of draw blocks of at
+    most :data:`_DRAW_BLOCK` uniforms (at least one row); each block is
+    filled by restarting one generator per row, then drawn with a per-row
+    shape column, sorted into ranked sets and estimated in one pass.
+    """
+    method = cells[0][-1]
+    designs = _designs(cells[0])
+    if method != METHOD_RSS and designs[1].n < 3:
+        return f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
@@ -408,67 +434,110 @@ def _run_group(cfg: StudyConfig, namespace: int, indices, cells) -> list:
     seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.array(indices)[:, None],
                                 np.arange(reps))
     states = _seeds.pcg64_states(seeds)
+    # population 1's shape per row, checked as an InverseLomax shape;
+    # population 2 has shape alpha2 throughout
+    shapes = np.repeat([InverseLomax(cell[0] * cfg.alpha2).alpha for cell in cells], reps)
+    rows = len(states)
+    step = max(1, _DRAW_BLOCK // sum(draws))
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
-    uniforms = np.empty((reps, sum(draws)))  # one cell's block, reused
-    samples = np.split(uniforms, [draws[0]], axis=1)  # views of the two populations
-    alphas = np.empty((2, len(cells), reps))
-    for c, R in enumerate(r_values):
-        _seeds.fill_uniforms(uniforms, states[c * reps:(c + 1) * reps], gen)
-        dists = (InverseLomax(R * cfg.alpha2), InverseLomax(cfg.alpha2))
-        for k, (dist, d, u) in enumerate(zip(dists, designs, samples)):
-            x = dist.from_uniform(u)
+    uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
+    alphas = np.empty((2, rows))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        block = uniforms[:hi - lo]
+        _seeds.fill_uniforms(block, states[lo:hi], gen)
+        samples = np.split(block, [draws[0]], axis=1)  # views of the two populations
+        populations = zip((shapes[lo:hi, None], cfg.alpha2), designs, samples)
+        for k, (alpha, d, u) in enumerate(populations):
+            x = inverse_transform(u, alpha)
             if method == METHOD_RSS:
-                x = rss_retained(x, d).reshape(reps, d.n)
-            alphas[k, c] = shape_estimates(method, x)
+                x = rss_retained(x, d).reshape(hi - lo, d.n)
+            alphas[k, lo:hi] = shape_estimates(method, x)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    block = assess(ratios.reshape(-1), method, *designs, cfg.formula_source,
-                   1.0 - cfg.level_alpha0)
-
-    aggregates = {}
-    for meas, a in block.items():
-        truth = overlap_value(meas, np.array(r_values))[:, None]
-        point, lo, hi, lo_c, hi_c = (v.reshape(-1, reps) for v in
-                                     (a.point, a.lo, a.hi, a.lo_corrected, a.hi_corrected))
-        err = point - truth
-        # means along each cell's replications
-        aggregates[meas] = {
-            "signed_bias": np.mean(err, axis=1).tolist(),
-            "mse": np.mean(err**2, axis=1).tolist(),
-            "coverage": np.mean((lo <= truth) & (truth <= hi), axis=1).tolist(),
-            "ci_length": np.mean(hi - lo, axis=1).tolist(),
-            "coverage_corrected": np.mean((lo_c <= truth) & (truth <= hi_c), axis=1).tolist(),
-            "ci_length_corrected": np.mean(hi_c - lo_c, axis=1).tolist(),
-        }
-    return [
-        {"measures": {meas: {name: values[c] for name, values in agg.items()}
-                      for meas, agg in aggregates.items()}}
-        for c in range(len(cells))
-    ]
+    return ratios.reshape(len(cells), reps)
 
 
-def _group_task(args):
-    cfg, namespace, indices, cells = args
-    return indices, _run_group(cfg, namespace, indices, cells)
+def _simulate(tasks, workers: int):
+    """:func:`_run_group` of every ``(cfg, namespace, indices, cells)`` task,
+    in task order."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_group, *zip(*tasks), chunksize=1)
+    else:
+        yield from map(_run_group, *zip(*tasks))
+
+
+def _aggregate(cfg: StudyConfig, stack) -> dict:
+    """Per-cell aggregates of a stack of whole groups' ratios.
+
+    One kernel call assesses every ratio in the stack, each with its own
+    group's design, and each aggregate is one mean along the replications
+    of a ``(measure, cell, replication)`` array.
+    """
+    blocks = [(ratios, cells[0][-1], *_designs(cells[0])) for _i, cells, ratios in stack]
+    point, _v, _b, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
+        blocks, cfg.formula_source, 1.0 - cfg.level_alpha0)
+    r_values = np.array([cell[0] for _i, cells, _r in stack for cell in cells])
+    truth = np.array([overlap_value(meas, r_values) for meas in MEASURES])[:, :, None]
+    shape = truth.shape[:2] + (cfg.replications,)
+    point, lo, hi, lo_c, hi_c = (a.reshape(shape) for a in (point, lo, hi, lo_c, hi_c))
+    err = point - truth
+    per_rep = {
+        "signed_bias": err,
+        "mse": err**2,
+        "coverage": (lo <= truth) & (truth <= hi),
+        "ci_length": hi - lo,
+        "coverage_corrected": (lo_c <= truth) & (truth <= hi_c),
+        "ci_length_corrected": hi_c - lo_c,
+    }
+    # (measure, cell) lists, one per aggregate
+    means = {name: np.mean(values, axis=-1).tolist() for name, values in per_rep.items()}
+    indices = [idx for group, _c, _r in stack for idx in group]
+    return {
+        idx: {"measures": {meas: {name: values[k][c] for name, values in means.items()}
+                           for k, meas in enumerate(MEASURES)}}
+        for c, idx in enumerate(indices)
+    }
+
+
+def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> dict:
+    """Each cell's outcome by cell index: six aggregates per measure, or the
+    reason the cell is skipped.
+
+    The design groups are simulated in order, over a process pool when
+    ``workers > 1``.  Their ratios are stacked, whole groups at a time, until
+    a stack holds :data:`_ASSESS_STACK` ratios, and each stack is assessed
+    and aggregated at once.
+    """
+    tasks = [(cfg, namespace, indices, [cells[i] for i in indices])
+             for indices in _design_groups(cells)]
+    outcomes: dict = {}
+    stack, stacked = [], 0
+    for (_cfg, _ns, indices, group), ratios in zip(tasks, _simulate(tasks, workers)):
+        if isinstance(ratios, str):
+            outcomes.update((idx, {"skipped": ratios}) for idx in indices)
+            continue
+        stack.append((indices, group, ratios))
+        stacked += ratios.size
+        if stacked >= _ASSESS_STACK:
+            outcomes.update(_aggregate(cfg, stack))
+            stack, stacked = [], 0
+    if stack:
+        outcomes.update(_aggregate(cfg, stack))
+    return outcomes
 
 
 def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
-    The unit of work is a design group: all cells that share (r1, r2, m,
-    method) and differ only in R.  ``workers > 1`` distributes the groups
+    The unit of simulation is a design group: all cells that share (r1, r2,
+    m, method) and differ only in R.  ``workers > 1`` distributes the groups
     over a process pool; the per-replication seeding makes the result
     identical to the sequential run.
     """
     cfg.validate()
     cells = _enumerate_cells(cfg)
-    tasks = [(cfg, namespace, indices, [cells[i] for i in indices])
-             for indices in _design_groups(cells)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_group_task, tasks, chunksize=1))
-    else:
-        done = list(map(_group_task, tasks))
-    outcomes = {idx: out for indices, group in done for idx, out in zip(indices, group)}
+    outcomes = _cell_outcomes(cfg, cells, namespace, workers)
     seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
 
     result = StudyResult()
@@ -604,10 +673,11 @@ def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None)
 
 def _expected_grid(grid, items):
     if grid is not None:
-        # rounded like the R stored in rows and cells, so a ratio such as 1/3 matches
-        r_values = [_round6(r) for r in grid["r_values"]]
-        set_sizes = [(int(a), int(b)) for a, b in grid["set_sizes"]]
-        cycles = [int(m) for m in grid["cycles"]]
+        # checked like a StudyConfig's grid; R rounded like the R stored in rows
+        # and cells, so a ratio such as 1/3 matches
+        r_values = [_round6(r) for r in _ratio_grid("r_values", grid["r_values"])]
+        set_sizes = _set_size_grid(grid["set_sizes"])
+        cycles = _cycle_grid(grid["cycles"])
     elif items:
         r_values = sorted({it.R for it in items})
         set_sizes = sorted({(it.r1, it.r2) for it in items})

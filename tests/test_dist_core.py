@@ -13,6 +13,7 @@ from ovlomax.dist_core import (
     GammaLaw,
     InverseLomax,
     bayes_alpha_law,
+    inverse_transform,
     log_transform,
     ratio_f_law,
     srs_alpha_law,
@@ -128,6 +129,17 @@ class TestSampling:
         a = InverseLomax(0.8, 1.0).sample(100, np.random.default_rng(3))
         b = InverseLomax(0.8, 4.0).sample(100, np.random.default_rng(3))
         assert np.allclose(b, 4.0 * a, rtol=1e-12)
+
+    def test_shape_column_draws_each_row_from_its_own_law(self, rng):
+        u = rng.random((4, 7))
+        u[0, 0] = 0.0  # nudged inside, as from_uniform does
+        shapes = np.array([0.05, 1.0, 2.5, 40.0])
+        block = inverse_transform(u, shapes[:, None], 3.0)
+        assert block.shape == u.shape
+        for row, alpha in zip(range(4), shapes.tolist()):
+            want = InverseLomax(alpha, 3.0).from_uniform(u[row])
+            assert block[row].tobytes() == want.tobytes()
+        assert np.all(block > 0.0)
 
 
 class TestLogTransform:

@@ -1,16 +1,25 @@
-"""Golden outputs: the bundled smoke study, byte for byte.
+"""Golden outputs: the bundled smoke study and the benchmark's paper runs,
+byte for byte.
 
-The hashes were recorded before the study engine moved from one replication
-at a time to whole-cell array blocks; any change to the streams, the
-arithmetic order, or the CSV formatting shows up here first.
+The smoke hashes were recorded before the study engine moved from one
+replication at a time to whole-cell array blocks; any change to the streams,
+the arithmetic order, or the CSV formatting shows up here first.  The paper
+runs are the benchmark's, checked against the hashes it pins in
+``perfbench/golden.json`` (read only), so a change of output fails here and
+not only in the benchmark.
 """
 
 import hashlib
+import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
 from ovlomax.cli import main
+from ovlomax.study import StudyConfig
+
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 SMOKE = files("ovlomax.data").joinpath("configs/smoke.json").read_text(encoding="utf-8")
 
@@ -43,3 +52,21 @@ def test_smoke_outputs_match_pinned_hashes(tmp_path, capsys, source):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN[source]}
     assert got == GOLDEN[source]
+
+
+@pytest.mark.parametrize("workload, config", [("sim_m8", "paper_m8"), ("sim_m40", "paper_m40")])
+def test_benchmark_outputs_match_pinned_hashes(tmp_path, capsys, workload, config):
+    # the benchmark's workload seed 0 runs the shipped config's master seed
+    pinned = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))[workload]
+    want = pinned["seeds"]["0"]
+    assert len(want) == 5
+    text = files("ovlomax.data").joinpath(f"configs/{config}.json").read_text(encoding="utf-8")
+    path = tmp_path / f"{config}.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    seed = StudyConfig.from_json(text).master_seed
+    assert main(["simulate", "--config", str(path), "--reps", str(pinned["reps"]),
+                 "--seed", str(seed), "--workers", "1", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

@@ -1,9 +1,10 @@
 """Seed derivation and the design-grouped study engine.
 
-The engine derives every replication's seed and PCG64 state in array passes
-and restarts one generator per stream.  These tests hold it to the plain
-definition: the SplitMix64 fold written out on Python ints, a fresh
-``np.random.PCG64(seed)`` per replication, and one kernel call per cell.
+The engine derives every replication's seed and PCG64 state in array passes,
+restarts one generator per stream, draws in row blocks and assesses stacks
+of whole design groups.  These tests hold it to the plain definition: the
+SplitMix64 fold written out on Python ints, a fresh ``np.random.PCG64(seed)``
+per replication, and one kernel call per cell, at every block size.
 Numpy scalar integer arithmetic warns on overflow, so every test here turns
 warnings into errors.
 """
@@ -143,28 +144,76 @@ CONFIGS = {
 }
 
 
+# draw-block elements and assessment-stack ratios: the minimum (one row per
+# draw block, one group per stack), and sizes that cut draw blocks across
+# cells and stack a few groups
+BUDGETS = {"minimum": (1, 1), "small": (300, 40)}
+
+
+def assert_cells_equal_reference(name, namespace):
+    cfg = StudyConfig(**CONFIGS[name])
+    cells = study._enumerate_cells(cfg)
+    groups = study._design_groups(cells)
+    assert sorted(i for g in groups for i in g) == list(range(len(cells)))
+    for indices in groups:
+        members = [cells[i] for i in indices]
+        assert len({c[1:] for c in members}) == 1
+        assert [c[0] for c in members] == list(cfg.r_values)
+    outcomes = study._cell_outcomes(cfg, cells, namespace)
+    assert sorted(outcomes) == list(range(len(cells)))
+    skipped = 0
+    for idx, cell in enumerate(cells):
+        want = reference_cell(cfg, namespace, idx, cell)
+        if want is None:
+            assert "skipped" in outcomes[idx]
+            skipped += 1
+        else:
+            assert outcomes[idx]["measures"] == want, cell
+    assert skipped == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
+
+
 class TestGroupedEngine:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("namespace", [0, 1])
     def test_groups_equal_per_cell_reference_bit_for_bit(self, name, namespace):
-        cfg = StudyConfig(**CONFIGS[name])
+        assert_cells_equal_reference(name, namespace)
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("namespace", [0, 1])
+    def test_every_block_budget_equals_reference(self, name, namespace, budget, monkeypatch):
+        monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+        monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+        assert_cells_equal_reference(name, namespace)
+
+    @pytest.mark.parametrize("budget", ["shipped", "minimum"])
+    def test_budgets_cut_draw_blocks_and_stacks(self, budget, monkeypatch):
+        if budget in BUDGETS:
+            monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+            monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+        rows, stacks = [], []
+        fill, aggregate = _seeds.fill_uniforms, study._aggregate
+
+        def counted_fill(out, states, gen):
+            rows.append(len(out))
+            fill(out, states, gen)
+
+        def counted_aggregate(cfg, stack):
+            stacks.append(len(stack))
+            return aggregate(cfg, stack)
+
+        monkeypatch.setattr(_seeds, "fill_uniforms", counted_fill)
+        monkeypatch.setattr(study, "_aggregate", counted_aggregate)
+        cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
-        groups = study._design_groups(cells)
-        assert sorted(i for g in groups for i in g) == list(range(len(cells)))
-        skipped = 0
-        for indices in groups:
-            members = [cells[i] for i in indices]
-            assert len({c[1:] for c in members}) == 1
-            assert [c[0] for c in members] == list(cfg.r_values)
-            outcomes = study._run_group(cfg, namespace, indices, members)
-            for idx, cell, outcome in zip(indices, members, outcomes):
-                want = reference_cell(cfg, namespace, idx, cell)
-                if want is None:
-                    assert "skipped" in outcome
-                    skipped += 1
-                else:
-                    assert outcome["measures"] == want, cell
-        assert skipped == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
+        study._cell_outcomes(cfg, cells, 0)
+        groups = len(study._design_groups(cells))
+        if budget == "minimum":
+            assert rows == [1] * len(cells) * cfg.replications
+            assert stacks == [1] * groups
+        else:  # a small study: one draw block per group, one stack in all
+            assert rows == [len(cfg.r_values) * cfg.replications] * groups
+            assert stacks == [groups]
 
     def test_skipped_group_reported_per_cell(self):
         res = run_study(StudyConfig(**CONFIGS["skipped_group"]))

@@ -11,6 +11,7 @@ import pytest
 
 from ovlomax import (
     ConfigError,
+    DegenerateDesignError,
     DomainError,
     EfficiencyCell,
     MissingCellError,
@@ -318,6 +319,36 @@ class TestAnalyticEfficiency:
         for c in cells:
             assert analytic_efficiency(c.measure, c.R, c.r1, c.r2, c.m, source) == c.analytic_eff
 
+    @pytest.mark.parametrize("source", ["derived", "as-published"])
+    def test_stacked_grid_equals_single_cells(self, source):
+        # R = 1: the as-published Weitzman bias is NaN there; R = 1/3: rounded in
+        # the cells; r2 * m < 3: degenerate srs designs inside stacked blocks
+        r_values = (1.0, 1.0 / 3.0, 0.5, 2.5)
+        set_sizes = ((2, 1), (1, 2), (2, 2), (3, 5), (1, 1))
+        cycles = (1, 2, 8)
+        cells = efficiency_grid(r_values, set_sizes, cycles, source)
+        assert len(cells) == 3 * len(r_values) * len(set_sizes) * len(cycles)
+        exact = {round(R, 6): R for R in r_values}
+        degenerate = nan = 0
+        for c in cells:
+            if c.r2 * c.m < 3:
+                assert c.analytic_eff is None
+                with pytest.raises(DegenerateDesignError):
+                    analytic_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
+                degenerate += 1
+                continue
+            want = analytic_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
+            if math.isnan(want):
+                assert math.isnan(c.analytic_eff), c
+                nan += 1
+            else:
+                assert c.analytic_eff == want, c
+                assert c.analytic_eff > 0.0
+        # all but (3, 5) at m = 1, and (2, 1), (1, 1) at m = 2
+        assert degenerate == 3 * len(r_values) * 6
+        # only the as-published Weitzman coefficient at R = 1, in every usable design
+        assert nan == (len(set_sizes) * len(cycles) - 6 if source == "as-published" else 0)
+
     def test_degenerate_srs_design_has_no_analytic_eff(self):
         # one cycle: r2 = 2 leaves the srs side with n2 = 2 < 3
         cells = efficiency_grid(r_values=(0.5,), set_sizes=((2, 2), (2, 3)), cycles=(1,))
@@ -401,6 +432,37 @@ class TestEmitTables:
         bias = json.loads(emit_tables(rows, "bias_table", "json", grid=grid))
         assert len(bias["cells"]) == len(rows) == 9
         assert "R=0.333333" in emit_tables(rows, "bias_table", "text", grid=grid)
+
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"set_sizes": [[2.9, 2]]}, "set_sizes"),
+            ({"set_sizes": [[2, True]]}, "set_sizes"),
+            ({"set_sizes": [["2", 2]]}, "set_sizes"),
+            ({"set_sizes": [[2, 0]]}, "set_sizes"),
+            ({"cycles": [2.5]}, "cycles"),
+            ({"cycles": [True]}, "cycles"),
+            ({"cycles": ["2"]}, "cycles"),
+            ({"cycles": [2.0]}, "cycles"),
+            ({"r_values": [True]}, "r_values"),
+            ({"r_values": ["0.5"]}, "r_values"),
+            ({"r_values": [0.0]}, "r_values"),
+        ],
+    )
+    @pytest.mark.parametrize("layout", ["eff_table", "bias_table"])
+    def test_supplied_grid_is_not_coerced(self, over, field, layout):
+        # int(2.9) == int(2.5) == 2 would silently render the (2, 2), m = 2 table
+        grid = {"r_values": [0.5], "set_sizes": [[2, 2]], "cycles": [2], **over}
+        items = self.cells if layout == "eff_table" else self.res.rows
+        with pytest.raises(ConfigError, match=field):
+            emit_tables(items, layout, "text", grid=grid)
+
+    def test_supplied_grid_accepts_numpy_counts(self):
+        grid = {"r_values": [np.float64(0.5)], "set_sizes": [(np.int64(2), np.int32(2))],
+                "cycles": [np.int8(2)]}
+        plain = {"r_values": [0.5], "set_sizes": [(2, 2)], "cycles": [2]}
+        assert (emit_tables(self.cells, "eff_table", "csv", grid=grid)
+                == emit_tables(self.cells, "eff_table", "csv", grid=plain))
 
     def test_empty_without_grid(self):
         with pytest.raises(MissingCellError):
