@@ -673,6 +673,9 @@ def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None)
 
 def _expected_grid(grid, items):
     if grid is not None:
+        missing = [key for key in ("r_values", "set_sizes", "cycles") if key not in grid]
+        if missing:
+            raise ConfigError(f"grid is missing {', '.join(missing)}")
         # checked like a StudyConfig's grid; R rounded like the R stored in rows
         # and cells, so a ratio such as 1/3 matches
         r_values = [_round6(r) for r in _ratio_grid("r_values", grid["r_values"])]

@@ -457,6 +457,10 @@ class TestEmitTables:
         with pytest.raises(ConfigError, match=field):
             emit_tables(items, layout, "text", grid=grid)
 
+    def test_supplied_grid_missing_keys_named(self):
+        with pytest.raises(ConfigError, match="missing set_sizes, cycles"):
+            emit_tables(self.cells, "eff_table", "text", grid={"r_values": [0.5]})
+
     def test_supplied_grid_accepts_numpy_counts(self):
         grid = {"r_values": [np.float64(0.5)], "set_sizes": [(np.int64(2), np.int32(2))],
                 "cycles": [np.int8(2)]}
