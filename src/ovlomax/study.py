@@ -37,6 +37,11 @@ a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
 the seeding arithmetic and the kernel calls are batched.  Results are
 therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
+
+Output is columnar: each number is rounded to six significant digits once,
+in one pass over all cells' aggregates, and each CSV column is formatted once
+by the formatter of its field's type.  Figure data is formatted straight from
+the cell aggregates.
 """
 from __future__ import annotations
 
@@ -47,6 +52,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -165,14 +171,6 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.6g}"
-
-
 @dataclass
 class StudyConfig:
     """Grid and execution parameters for one study run.
@@ -266,6 +264,11 @@ STUDY_CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 # (a string here, under ``from __future__ import annotations``)
 _CSV_PARSERS = {"str": str, "int": int, "float": float,
                 "float | None": lambda text: None if text == "" else float(text)}
+# writes one column of a field back as CSV text, numbers at six significant digits
+_CSV_FORMATS = {"str": lambda col: col,
+                "int": lambda col: list(map(str, map(int, col))),
+                "float": lambda col: list(map(format, col, repeat(".6g"))),
+                "float | None": lambda col: ["" if x is None else format(x, ".6g") for x in col]}
 
 
 @dataclass(frozen=True)
@@ -541,54 +544,34 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
     seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
 
     result = StudyResult()
-    mse_srs: dict = {}
-    # first pass: collect srs MSEs so rss rows can carry empirical efficiency
-    for idx, cell in enumerate(cells):
-        R, r1, r2, m, method = cell
-        outcome = outcomes[idx]
-        if method == METHOD_SRS and "skipped" not in outcome:
-            for meas in MEASURES:
-                mse_srs[(R, r1, r2, m, meas)] = outcome["measures"][meas]["mse"]
-
-    for idx, cell in enumerate(cells):
-        R, r1, r2, m, method = cell
-        outcome = outcomes[idx]
-        if "skipped" in outcome:
-            result.skipped.append(
-                {"R": R, "r1": r1, "r2": r2, "m": m, "method": method,
-                 "reason": outcome["skipped"]}
-            )
-            continue
+    ran = [idx for idx in range(len(cells)) if "measures" in outcomes[idx]]
+    result.skipped = [
+        {"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": outcomes[idx]["skipped"]}
+        for idx, (R, r1, r2, m, method) in enumerate(cells) if "skipped" in outcomes[idx]
+    ]
+    # (cell, measure, aggregate), aggregates in _aggregate's order
+    aggs = np.array([[list(agg.values()) for agg in outcomes[idx]["measures"].values()]
+                     for idx in ran])
+    # an rss cell's efficiency is the MSE of its srs sibling over its own
+    row_of = {cells[idx]: k for k, idx in enumerate(ran)}
+    srs = np.array([row_of.get((*cells[idx][:4], METHOD_SRS), -1)
+                    if cells[idx][4] == METHOD_RSS else -1 for idx in ran])
+    mses = aggs[:, :, 1]
+    has_eff = (srs >= 0)[:, None] & (mses > 0.0)
+    effs = np.divide(mses[srs], mses, out=np.zeros_like(mses), where=has_eff)
+    # every aggregate rounded to six significant digits once, in one pass
+    values = np.concatenate([aggs, effs[:, :, None]], axis=2)
+    rounded = map(float, map(format, values.ravel().tolist(), repeat(".6g")))
+    per_row = zip(*[rounded] * values.shape[2], has_eff.ravel().tolist())
+    for idx in ran:
+        R, r1, r2, m, method = cells[idx]
+        R = _round6(R)
         for meas in MEASURES:
-            agg = outcome["measures"][meas]
-            efficiency = None
-            if method == METHOD_RSS:
-                base = mse_srs.get((R, r1, r2, m, meas))
-                if base is not None and agg["mse"] > 0.0:
-                    efficiency = _round6(base / agg["mse"])
-            common = dict(
-                method=method,
-                measure=meas,
-                R=_round6(R),
-                r1=r1,
-                r2=r2,
-                m=m,
-                reps=cfg.replications,
-                abs_bias=_round6(abs(agg["signed_bias"])),
-                signed_bias=_round6(agg["signed_bias"]),
-                mse=_round6(agg["mse"]),
-                efficiency=efficiency,
-                formula_source=cfg.formula_source,
-                seed=seeds[idx],
-            )
-            result.rows.append(
-                StudyRow(coverage=_round6(agg["coverage"]),
-                         ci_length=_round6(agg["ci_length"]), **common)
-            )
-            result.rows_corrected.append(
-                StudyRow(coverage=_round6(agg["coverage_corrected"]),
-                         ci_length=_round6(agg["ci_length_corrected"]), **common)
-            )
+            bias, mse, cov, length, cov_c, length_c, eff, has = next(per_row)
+            head = (method, meas, R, r1, r2, m, cfg.replications, abs(bias), bias, mse)
+            tail = (eff if has else None, cfg.formula_source, seeds[idx])
+            result.rows.append(StudyRow(*head, cov, length, *tail))
+            result.rows_corrected.append(StudyRow(*head, cov_c, length_c, *tail))
 
     result.metadata = {
         "config": cfg.to_dict(),
@@ -615,14 +598,13 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
 
 
 def _emit_csv(items, kind) -> str:
-    # one column per dataclass field, numbers at six significant digits
-    names = [f.name for f in fields(kind)]
+    # one column per dataclass field, each formatted by its field's annotation
+    kinds = fields(kind)
+    columns = zip(*(vars(item).values() for item in items))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    for item in items:
-        values = (getattr(item, name) for name in names)
-        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in values])
+    writer.writerow([f.name for f in kinds])
+    writer.writerows(zip(*(_CSV_FORMATS[f.type](col) for f, col in zip(kinds, columns))))
     return buf.getvalue()
 
 
@@ -637,8 +619,21 @@ def parse_rows_csv(text: str) -> list:
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
         raise ConfigError(f"unexpected study CSV header: {header}")
-    parsers = [_CSV_PARSERS[f.type] for f in fields(StudyRow)]
-    return [StudyRow(*(parse(cell) for parse, cell in zip(parsers, rec))) for rec in reader if rec]
+    kinds = fields(StudyRow)
+    rows = []
+    for rec in filter(None, reader):
+        where = f"study CSV line {reader.line_num}"
+        if len(rec) != len(kinds):
+            raise ConfigError(f"{where}: expected {len(kinds)} fields, got {len(rec)}")
+        values = []
+        for f, cell in zip(kinds, rec):
+            try:
+                values.append(_CSV_PARSERS[f.type](cell))
+            except ValueError:
+                raise ConfigError(
+                    f"{where}: {f.name} = {cell!r} does not parse as {f.type}") from None
+        rows.append(StudyRow(*values))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +698,7 @@ def _emit_eff_table(cells, fmt, grid):
     _check_grid(
         set(present),
         expected,
-        lambda c: f"measure={c[0]} R={_fmt(c[1])} r1={c[2]} r2={c[3]} m={c[4]}",
+        lambda c: f"measure={c[0]} R={c[1]:.6g} r1={c[2]} r2={c[3]} m={c[4]}",
     )
 
     if fmt == "csv":
@@ -723,14 +718,14 @@ def _emit_eff_table(cells, fmt, grid):
         for meas in MEASURES:
             lines.append(f"  measure={meas}")
             for R in r_values:
-                header = f"    R={_fmt(R):<8}" + "".join(f"{f'r2={r2}':>10}" for r2 in r2_set)
+                header = f"    R={R:<8.6g}" + "".join(f"{f'r2={r2}':>10}" for r2 in r2_set)
                 lines.append(header)
                 for r1 in r1_set:
                     rowvals = []
                     for r2 in r2_set:
                         c = present.get((meas, R, r1, r2, m))
                         eff = None if c is None else c.analytic_eff
-                        rowvals.append(f"{'-' if eff is None else _fmt(eff):>10}")
+                        rowvals.append(f"{'-' if eff is None else format(eff, '.6g'):>10}")
                     lines.append(f"    r1={r1:<7}" + "".join(rowvals))
         lines.append("")
     return "\n".join(lines) + "\n"
@@ -755,7 +750,7 @@ def _emit_bias_table(rows, fmt, grid):
     _check_grid(
         set(present),
         expected,
-        lambda c: f"method={c[0]} measure={c[1]} R={_fmt(c[2])} r1={c[3]} r2={c[4]} m={c[5]}",
+        lambda c: f"method={c[0]} measure={c[1]} R={c[2]:.6g} r1={c[3]} r2={c[4]} m={c[5]}",
     )
 
     if fmt == "csv":
@@ -772,7 +767,7 @@ def _emit_bias_table(rows, fmt, grid):
     for m in cycles:
         for R in r_values:
             lines.append(
-                f"m={m}  R={_fmt(R)}  source={some.formula_source}  "
+                f"m={m}  R={R:.6g}  source={some.formula_source}  "
                 "(ratio = empirical coverage of the nominal interval; "
                 "L = mean interval length)"
             )
@@ -788,10 +783,7 @@ def _emit_bias_table(rows, fmt, grid):
                         if r is None:
                             line += f"{'-':>14}{'-':>13}{'-':>10}"
                         else:
-                            line += (
-                                f"{_fmt(r.abs_bias):>14}{_fmt(r.coverage):>13}"
-                                f"{_fmt(r.ci_length):>10}"
-                            )
+                            line += f"{r.abs_bias:>14.6g}{r.coverage:>13.6g}{r.ci_length:>10.6g}"
                     lines.append(line)
             lines.append("")
     return "\n".join(lines) + "\n"
@@ -817,12 +809,16 @@ def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
         cycles=(cfg.cycles[0],),
         figure_r_grid=None,
     )
-    result = run_study(sub, workers=workers, namespace=1)
+    cells = _enumerate_cells(sub)
+    outcomes = _cell_outcomes(sub, cells, namespace=1, workers=workers)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["method", "measure", "R", "bias", "mse"])
-    for row in result.rows:
-        writer.writerow([row.method, row.measure, _fmt(row.R), _fmt(row.signed_bias), _fmt(row.mse)])
+    writer.writerows(
+        (method, meas, *(format(v, ".6g") for v in (R, agg["signed_bias"], agg["mse"])))
+        for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if "measures" in outcomes[idx]
+        for meas, agg in outcomes[idx]["measures"].items()
+    )
     return buf.getvalue()
 
 
@@ -866,7 +862,7 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
                 values = block[R_key][meas]
                 for i, r1 in enumerate((2, 3, 4, 5)):
                     for j, r2 in enumerate((2, 3, 4, 5)):
-                        rows.append((table, f"measure={meas}:R={_fmt(R)}:r1={r1}:r2={r2}",
+                        rows.append((table, f"measure={meas}:R={R:.6g}:r1={r1}:r2={r2}",
                                      float(values[i][j]), computed[meas, R, r1, r2]))
 
     real = fixtures["real_data"]
@@ -894,5 +890,5 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     writer.writerow(["table", "cell", "printed_value", "computed_value", "abs_diff"])
     for table, cell, printed, computed in rows:
         diff = abs(printed - computed)
-        writer.writerow([table, cell, _fmt(printed), _fmt(computed), _fmt(diff)])
+        writer.writerow([table, cell, *(format(v, ".6g") for v in (printed, computed, diff))])
     return buf.getvalue()

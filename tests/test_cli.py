@@ -372,6 +372,26 @@ class TestTables:
         assert code == 0
         assert "empirical coverage" in out
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda rec: rec[:-1], "expected 15 fields, got 14"),
+        (lambda rec: rec + ["7"], "expected 15 fields, got 16"),
+        (lambda rec: rec[:3] + ["two"] + rec[4:], "r1 = 'two'"),
+        (lambda rec: rec[:9] + ["0.1.2"] + rec[10:], "mse = '0.1.2'"),
+    ], ids=["short", "long", "bad-int", "bad-float"])
+    def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
+        rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
+            ",".join(["srs", "rho", "0.5", "2", "2", "2", "3", "0.01", "-0.01", "0.002",
+                      "1", "0.3", "", "derived", str(seed)])
+            for seed in range(3)) + "\n"
+        recs = list(csv.reader(io.StringIO(rows_csv)))
+        recs[2] = damage(recs[2])
+        saved = tmp_path / "study.csv"
+        saved.write_text("".join(",".join(rec) + "\n" for rec in recs))
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err and message in err
+
     def test_bias_missing_rows_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "tables", "--kind", "bias",
                              "--rows", str(tmp_path / "no.csv"))

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,13 @@ from ovlomax import (
     run_study,
 )
 from ovlomax import _seeds
-from ovlomax.study import DEFAULT_R_VALUES, DEFAULT_SET_SIZES, STUDY_CSV_COLUMNS
+from ovlomax.overlap import MEASURES
+from ovlomax.study import (
+    DEFAULT_FIGURE_R_GRID,
+    DEFAULT_R_VALUES,
+    DEFAULT_SET_SIZES,
+    STUDY_CSV_COLUMNS,
+)
 
 
 def tiny_config(**over):
@@ -169,7 +175,61 @@ class TestBundledConfigs:
             assert cfg.replications == 1000
 
 
+def reference_rows(cfg, namespace=0):
+    """The rows of a study built one (cell, measure) at a time from the cell
+    aggregates, rounding each value as it is stored."""
+    from ovlomax import study
+
+    def round6(x):
+        return float(f"{float(x):.6g}")
+
+    cells = study._enumerate_cells(cfg)
+    outcomes = study._cell_outcomes(cfg, cells, namespace)
+    mse_srs = {(*cell[:4], meas): outcomes[idx]["measures"][meas]["mse"]
+               for idx, cell in enumerate(cells)
+               if cell[4] == "srs" and "measures" in outcomes[idx] for meas in MEASURES}
+    rows, rows_corrected = [], []
+    for idx, (R, r1, r2, m, method) in enumerate(cells):
+        if "skipped" in outcomes[idx]:
+            continue
+        for meas in MEASURES:
+            agg = outcomes[idx]["measures"][meas]
+            efficiency = None
+            base = mse_srs.get((R, r1, r2, m, meas))
+            if method == "rss" and base is not None and agg["mse"] > 0.0:
+                efficiency = round6(base / agg["mse"])
+            common = dict(method=method, measure=meas, R=round6(R), r1=r1, r2=r2, m=m,
+                          reps=cfg.replications, abs_bias=round6(abs(agg["signed_bias"])),
+                          signed_bias=round6(agg["signed_bias"]), mse=round6(agg["mse"]),
+                          efficiency=efficiency, formula_source=cfg.formula_source,
+                          seed=_seeds.derive_seed(cfg.master_seed, namespace, idx))
+            rows.append(StudyRow(coverage=round6(agg["coverage"]),
+                                 ci_length=round6(agg["ci_length"]), **common))
+            rows_corrected.append(StudyRow(coverage=round6(agg["coverage_corrected"]),
+                                           ci_length=round6(agg["ci_length_corrected"]),
+                                           **common))
+    return rows, rows_corrected
+
+
+# small grids for the row-pass and figure references: one plain cell; an
+# srs/bayes group skipped for n2 < 3 first; repeated and irrational ratios
+REFERENCE_CONFIGS = {
+    "plain": dict(),
+    "skipped_first": dict(r_values=(0.25, 0.8), set_sizes=((2, 1), (3, 2)), cycles=(2,),
+                          figure_r_grid=(0.3, 0.6)),
+    "repeated_R": dict(r_values=(1 / 3, 0.5, 1 / 3, 2.0), set_sizes=((3, 2), (2, 2)),
+                       cycles=(2, 3), formula_source="as-published", figure_r_grid=(1 / 3,)),
+}
+
+
 class TestRunStudy:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_rows_equal_per_row_reference(self, name):
+        cfg = tiny_config(**REFERENCE_CONFIGS[name])
+        res = run_study(cfg)
+        assert (res.rows, res.rows_corrected) == reference_rows(cfg)
+        assert any(row.efficiency is not None for row in res.rows)
+
     def test_row_counts_and_fields(self):
         cfg = tiny_config()
         res = run_study(cfg)
@@ -491,6 +551,19 @@ class TestFigureData:
     def test_deterministic(self):
         cfg = tiny_config(figure_r_grid=(0.25, 0.5))
         assert emit_figure_data(cfg) == emit_figure_data(cfg)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_equals_study_rows_of_the_figure_grid(self, name):
+        cfg = tiny_config(**REFERENCE_CONFIGS[name])
+        sub = replace(cfg, r_values=cfg.figure_r_grid or DEFAULT_FIGURE_R_GRID,
+                      set_sizes=cfg.set_sizes[:1], cycles=cfg.cycles[:1], figure_r_grid=None)
+        rows = run_study(sub, namespace=1).rows
+        want = [["method", "measure", "R", "bias", "mse"]] + [
+            [r.method, r.measure, f"{r.R:.6g}", f"{r.signed_bias:.6g}", f"{r.mse:.6g}"]
+            for r in rows]
+        assert list(csv.reader(io.StringIO(emit_figure_data(cfg)))) == want
+        methods = {r.method for r in rows}
+        assert methods == ({"rss"} if name == "skipped_first" else {"srs", "bayes", "rss"})
 
     def test_namespace_separates_figure_from_study_streams(self):
         cfg = tiny_config(r_values=(0.25, 0.5), figure_r_grid=(0.25, 0.5))
