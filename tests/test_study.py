@@ -27,7 +27,7 @@ from ovlomax import (
     parse_rows_csv,
     run_study,
 )
-from ovlomax import _seeds
+from ovlomax import _seeds, study
 from ovlomax.overlap import MEASURES
 from ovlomax.study import (
     DEFAULT_FIGURE_R_GRID,
@@ -178,7 +178,6 @@ class TestBundledConfigs:
 def reference_rows(cfg, namespace=0):
     """The rows of a study built one (cell, measure) at a time from the cell
     aggregates, rounding each value as it is stored."""
-    from ovlomax import study
 
     def round6(x):
         return float(f"{float(x):.6g}")
