@@ -26,7 +26,8 @@ verbatim, including the spots where those disagree with their own derivations
 bias differs in sign and in a denominator power, and the Bayes constants are
 dimensionally inconsistent for unequal sample sizes).  The two modes are kept
 side by side and never merged silently; report builders warn when they
-disagree.
+disagree.  Each mode reads its terms from one table of array functions keyed
+by measure: ``overlap``'s slope terms, or the printed shapes here.
 """
 from __future__ import annotations
 
@@ -36,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DomainError, _positive_int, log_transform, std_normal_quantile
-from .overlap import (
-    MEASURES,
-    OverlapTriple,
-    overlap_curvature,
-    overlap_grad_sq,
-    overlap_value,
-)
+from .overlap import _TERMS, MEASURES, OverlapTriple, overlap_value
 from .sampling import RankedSample, RssDesign, SrsDesign
 
 __all__ = [
@@ -297,38 +292,36 @@ def ovl_point(est: RatioEstimate) -> OverlapTriple:
 
 
 # ---------------------------------------------------------------------------
-# Published variance/bias shapes, reproduced verbatim for as-published mode.
+# Published variance/bias shapes, reproduced verbatim for as-published mode
+# and evaluated as arrays.
 # ---------------------------------------------------------------------------
 
 
-def _published_var_shape(measure: str, r: float) -> float:
-    if measure == "rho":
-        return r * (1.0 - r) ** 2 / (1.0 + r) ** 4
-    if measure == "delta":
-        if r == 1.0:
-            return math.exp(-2.0)  # continuous limit of the printed expression
-        return r ** (2.0 / (1.0 - r)) * math.log(r) ** 2 / (1.0 - r) ** 2
-    if measure == "lambda":
-        return r * r * (1.0 - r * r) ** 2 / (r * r - r + 1.0) ** 4
-    raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+def _published_rho(r: np.ndarray) -> tuple:
+    return (r * (1.0 - r) ** 2 / (1.0 + r) ** 4,
+            np.sqrt(r) * (3.0 * r * r - 6.0 * r - 1.0) / (1.0 + r) ** 3)
 
 
-def _published_bias_shape(measure: str, r: float) -> float:
-    if measure == "rho":
-        return math.sqrt(r) * (3.0 * r * r - 6.0 * r - 1.0) / (1.0 + r) ** 3
-    if measure == "lambda":
-        return (r**5 - 3.0 * r**3 - r * r) / (r * r - r + 1.0) ** 2
-    if measure == "delta":
-        if r == 1.0:
-            return math.nan  # the printed bracket diverges at the symmetry point
-        logr = math.log(r)
-        bracket = (
-            r ** ((2.0 * r - 1.0) / (1.0 - r)) * r * (2.0 * r - logr - 2.0) * logr
-            - (r - 1.0) ** 2
-        ) / (r - 1.0) ** 3
-        signed = r * r * bracket
-        return -signed if r < 1.0 else signed
-    raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
+def _published_delta(r: np.ndarray) -> tuple:
+    # at R = 1: the variance's continuous limit exp(-2); the printed bias diverges (NaN)
+    at_one = r == 1.0
+    x = np.where(at_one, 2.0, r)  # any R other than 1 keeps the arithmetic finite there
+    logr = np.log(x)
+    variance = x ** (2.0 / (1.0 - x)) * logr**2 / (1.0 - x) ** 2
+    bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
+               - (x - 1.0) ** 2) / (x - 1.0) ** 3
+    signed = x * x * bracket
+    return (np.where(at_one, math.exp(-2.0), variance),
+            np.where(at_one, np.nan, np.where(r < 1.0, -signed, signed)))
+
+
+def _published_lambda(r: np.ndarray) -> tuple:
+    return (r * r * (1.0 - r * r) ** 2 / (r * r - r + 1.0) ** 4,
+            (r**5 - 3.0 * r**3 - r * r) / (r * r - r + 1.0) ** 2)
+
+
+# the printed (variance, bias) shapes of each measure, reproduced verbatim
+_PUBLISHED = {"rho": _published_rho, "delta": _published_delta, "lambda": _published_lambda}
 
 
 def _published_bias_constant(
@@ -350,11 +343,6 @@ def _published_bias_constant(
         base = ((n2 + 2) / (n1 + 1)) ** 2 * n1 * (n1 + n2 - 1) / ((n2 - 1) ** 2 * (n2 - 2))
         return base / 2.0 if measure == "rho" else base
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _elementwise(shape, measure: str, r: np.ndarray) -> np.ndarray:
-    # the printed shapes stay scalar ``math`` code, evaluated per element
-    return np.array([shape(measure, x) for x in r.tolist()], dtype=float)
 
 
 def _normal_z(level) -> float:
@@ -395,6 +383,7 @@ def _design_terms(method: str, design1, design2, source: str) -> tuple:
 def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: bool) -> tuple:
     """Point, variance, bias, plain bounds and clamp flags, then the same three
     for the bias-corrected interval, each as one ``(measure, ratio)`` array.
+    Each measure's terms are one call into its mode's table.
 
     ``factor`` and, under ``as-published``, each of the three ``constants``
     broadcast against the ratios, so one call can assess ratios of many
@@ -403,13 +392,15 @@ def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: b
     """
     terms = []
     for k, measure in enumerate(MEASURES):
-        point = overlap_value(measure, r)
+        point = overlap_value(measure, r)  # checks the ratios
         if constants is None:
-            variance = factor * r * r * overlap_grad_sq(measure, r)
-            bias = 0.5 * factor * r * r * overlap_curvature(measure, r)
+            _slope, slope_sq, curvature = _TERMS[measure](r)
+            variance = factor * r * r * slope_sq
+            bias = 0.5 * factor * r * r * curvature
         else:
-            variance = factor * _elementwise(_published_var_shape, measure, r)
-            bias = constants[k] * _elementwise(_published_bias_shape, measure, r)
+            var_shape, bias_shape = _PUBLISHED[measure](r)
+            variance = factor * var_shape
+            bias = constants[k] * bias_shape
         terms.append((point, variance, bias))
     # one (measure, ratio) array per quantity, so the interval arithmetic and
     # its checks run once for all three measures
@@ -436,10 +427,7 @@ def _assess_designs(blocks, source: str, level: float, bias_corrected: bool = Tr
     sizes = [r.size for r in ratios]
     # every design's constants, repeated over its own ratios
     factor = np.repeat(factors, sizes)
-    if source == SOURCE_DERIVED:
-        constants = None
-    else:
-        constants = np.repeat(np.array(constants).T, sizes, axis=1)
+    constants = None if source == SOURCE_DERIVED else np.repeat(np.array(constants).T, sizes, 1)
     return _assess_kernel(np.concatenate(ratios), factor, constants, z, bias_corrected)
 
 
@@ -469,9 +457,7 @@ def assess(
     r = np.asarray(ratios, dtype=float)  # overlap_value checks positive and finite
     if r.ndim != 1:
         raise DomainError("ratios must be a one-dimensional array")
-    z = _normal_z(level)
-    factor, constants = _design_terms(method, design1, design2, source)
-    arrays = _assess_kernel(r, factor, constants, z, bias_corrected)
+    arrays = _assess_designs([(r, method, design1, design2)], source, level, bias_corrected)
     return dict(zip(MEASURES, (Assessment(*row) for row in zip(*arrays))))
 
 

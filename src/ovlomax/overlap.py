@@ -9,9 +9,10 @@ the shape ratio ``R = alpha1/alpha2``:
 
 The closed forms follow from the change of variables ``t = log(1 + 1/x)``,
 which turns both densities into exponentials with means ``alpha1, alpha2``.
-The quadrature routines below work directly on density callables in the same
-transformed variable and serve as an independent numerical oracle for the
-closed forms.
+Each measure's slope, squared slope and curvature in R are one array function
+in a table that the delta-method kernel reads directly.  The quadrature
+routines below work directly on density callables in the same transformed
+variable and serve as an independent numerical oracle for the closed forms.
 """
 from __future__ import annotations
 
@@ -83,12 +84,15 @@ def kl_lambda(ratio) -> float | np.ndarray:
 _VALUES = {"rho": matusita_rho, "delta": weitzman_delta, "lambda": kl_lambda}
 
 
-def overlap_value(measure: str, ratio) -> float | np.ndarray:
+def _pick(table: dict, measure: str):
     try:
-        fn = _VALUES[measure]
+        return table[measure]
     except KeyError:
         raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}") from None
-    return fn(ratio)
+
+
+def overlap_value(measure: str, ratio) -> float | np.ndarray:
+    return _pick(_VALUES, measure)(ratio)
 
 
 @dataclass(frozen=True)
@@ -115,50 +119,59 @@ class OverlapTriple:
 
 
 # ---------------------------------------------------------------------------
-# First and second derivatives in R, used by the delta-method machinery.
-# All expressions were derived by hand and are validated against central
-# finite differences in the test suite.
+# First and second derivatives in R, used by the delta-method machinery: one
+# array function per measure, each computing its shared terms once.  All
+# expressions were derived by hand and are validated against central finite
+# differences in the test suite.
 # ---------------------------------------------------------------------------
 
 
-def _delta_power_a(r: np.ndarray) -> np.ndarray:
-    # A(R) = R**(R/(1-R)); limit exp(-1) at R=1.
+def _rho_terms(r: np.ndarray) -> tuple:
+    slope = (1.0 - r) / (np.sqrt(r) * (1.0 + r) ** 2)
+    return slope, slope**2, (3.0 * r * r - 6.0 * r - 1.0) / (2.0 * r**1.5 * (1.0 + r) ** 3)
+
+
+def _delta_terms(r: np.ndarray) -> tuple:
+    # shared terms R - 1, log R and A = R**(R/(1-R)); at R = 1 the slope is a
+    # kink (one-sided limits +-exp(-1)), closed by exp(-2) in the squared slope,
+    # and the curvature takes the symmetric value 0 between its jumps -+exp(-1)
     e = r - 1.0
-    safe = np.where(e == 0.0, 1.0, e)
-    return np.where(e == 0.0, math.exp(-1.0), np.exp(-r * np.log1p(e) / safe))
+    at_one = e == 0.0
+    safe = np.where(at_one, 1.0, e)
+    logr = np.log1p(e)
+    a = np.where(at_one, math.exp(-1.0), np.exp(-r * logr / safe))
+    base = a * logr / safe  # -A*log(R)/(1-R); positive for R<1
+    slope = np.where(at_one, np.nan, np.where(r < 1.0, base, -base))
+    body = a * (logr**2 - 2.0 * safe * logr + safe**2 / r) / (-safe) ** 3
+    # concave side below the kink, convex side above it
+    curvature = np.where(at_one, 0.0, np.where(r < 1.0, -body, body))
+    return slope, np.where(at_one, math.exp(-2.0), base**2), curvature
+
+
+def _lambda_terms(r: np.ndarray) -> tuple:
+    q = r * r - r + 1.0
+    slope = (1.0 - r * r) / q**2
+    return slope, slope**2, 2.0 * (r**3 - 3.0 * r + 1.0) / q**3
+
+
+# (dg/dR, (dg/dR)**2, d2g/dR2) of each measure at already checked ratios
+_TERMS = {"rho": _rho_terms, "delta": _delta_terms, "lambda": _lambda_terms}
+
+
+def _measure_term(measure: str, ratio, k: int) -> float | np.ndarray:
+    r = _positive_array("shape ratio", ratio)
+    return _as_input_shape(_pick(_TERMS, measure)(r)[k], ratio)
 
 
 def overlap_grad(measure: str, ratio) -> float | np.ndarray:
     """dg/dR.  For delta the derivative is piecewise (a kink at R=1, where
     the one-sided slopes are +-exp(-1)); exactly at R=1 it returns NaN."""
-    r = _positive_array("shape ratio", ratio)
-    if measure == "rho":
-        out = (1.0 - r) / (np.sqrt(r) * (1.0 + r) ** 2)
-    elif measure == "lambda":
-        out = (1.0 - r * r) / (r * r - r + 1.0) ** 2
-    elif measure == "delta":
-        e = r - 1.0
-        safe = np.where(e == 0.0, 1.0, e)
-        a = _delta_power_a(r)
-        base = a * np.log1p(e) / safe  # -A*log(R)/(1-R); positive for R<1
-        out = np.where(r < 1.0, base, -base)
-        out = np.where(e == 0.0, np.nan, out)
-    else:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return _as_input_shape(out, ratio)
+    return _measure_term(measure, ratio, 0)
 
 
 def overlap_grad_sq(measure: str, ratio) -> float | np.ndarray:
     """(dg/dR)**2 with the delta kink closed by its two-sided limit exp(-2)."""
-    r = _positive_array("shape ratio", ratio)
-    if measure == "delta":
-        e = r - 1.0
-        safe = np.where(e == 0.0, 1.0, e)
-        a = _delta_power_a(r)
-        out = np.where(e == 0.0, math.exp(-2.0), (a * np.log1p(e) / safe) ** 2)
-        return _as_input_shape(out, ratio)
-    g = overlap_grad(measure, r)
-    return _as_input_shape(np.asarray(g) ** 2, ratio)
+    return _measure_term(measure, ratio, 1)
 
 
 def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
@@ -168,24 +181,7 @@ def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
     exactly at R=1 the symmetric value 0 is returned so that bias
     corrections at the symmetry point leave the estimate unshifted.
     """
-    r = _positive_array("shape ratio", ratio)
-    if measure == "rho":
-        out = (3.0 * r * r - 6.0 * r - 1.0) / (2.0 * r**1.5 * (1.0 + r) ** 3)
-    elif measure == "lambda":
-        out = 2.0 * (r**3 - 3.0 * r + 1.0) / (r * r - r + 1.0) ** 3
-    elif measure == "delta":
-        e = r - 1.0
-        safe = np.where(e == 0.0, 1.0, e)
-        logr = np.log1p(e)
-        a = _delta_power_a(r)
-        num = logr**2 - 2.0 * safe * logr + safe**2 / r
-        body = a * num / (-safe) ** 3
-        # concave side below the kink, convex side above it
-        out = np.where(r < 1.0, -body, body)
-        out = np.where(e == 0.0, 0.0, out)
-    else:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return _as_input_shape(out, ratio)
+    return _measure_term(measure, ratio, 2)
 
 
 # ---------------------------------------------------------------------------

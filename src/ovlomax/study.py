@@ -38,10 +38,10 @@ the seeding arithmetic and the kernel calls are batched.  Results are
 therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
 
-Output is columnar: each number is rounded to six significant digits once,
-in one pass over all cells' aggregates, and each CSV column is formatted once
-by the formatter of its field's type.  Figure data is formatted straight from
-the cell aggregates.
+Output is columnar: all cells' aggregates form one ``(cell, measure,
+aggregate)`` array, each number is rounded to six significant digits once, in
+one pass over it, and each CSV column is formatted once by the formatter of
+its field's type.  Figure data is formatted straight from that array.
 """
 from __future__ import annotations
 
@@ -470,8 +470,13 @@ def _simulate(tasks, workers: int):
         yield from map(_run_group, *zip(*tasks))
 
 
-def _aggregate(cfg: StudyConfig, stack) -> dict:
-    """Per-cell aggregates of a stack of whole groups' ratios.
+# the aggregates of each (cell, measure), in the order of their last axis
+_AGGREGATES = ("signed_bias", "mse", "coverage", "ci_length", "coverage_corrected",
+               "ci_length_corrected")
+
+
+def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
+    """The ``(cell, measure, aggregate)`` array of a stack of whole groups' ratios.
 
     One kernel call assesses every ratio in the stack, each with its own
     group's design, and each aggregate is one mean along the replications
@@ -485,27 +490,15 @@ def _aggregate(cfg: StudyConfig, stack) -> dict:
     shape = truth.shape[:2] + (cfg.replications,)
     point, lo, hi, lo_c, hi_c = (a.reshape(shape) for a in (point, lo, hi, lo_c, hi_c))
     err = point - truth
-    per_rep = {
-        "signed_bias": err,
-        "mse": err**2,
-        "coverage": (lo <= truth) & (truth <= hi),
-        "ci_length": hi - lo,
-        "coverage_corrected": (lo_c <= truth) & (truth <= hi_c),
-        "ci_length_corrected": hi_c - lo_c,
-    }
-    # (measure, cell) lists, one per aggregate
-    means = {name: np.mean(values, axis=-1).tolist() for name, values in per_rep.items()}
-    indices = [idx for group, _c, _r in stack for idx in group]
-    return {
-        idx: {"measures": {meas: {name: values[k][c] for name, values in means.items()}
-                           for k, meas in enumerate(MEASURES)}}
-        for c, idx in enumerate(indices)
-    }
+    per_rep = (err, err**2, (lo <= truth) & (truth <= hi), hi - lo,
+               (lo_c <= truth) & (truth <= hi_c), hi_c - lo_c)  # in _AGGREGATES order
+    return np.stack([np.mean(values, axis=-1) for values in per_rep], axis=-1).transpose(1, 0, 2)
 
 
-def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> dict:
-    """Each cell's outcome by cell index: six aggregates per measure, or the
-    reason the cell is skipped.
+def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> tuple:
+    """Every cell's aggregates as one ``(cell, measure, aggregate)`` array,
+    aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}`` for
+    the skipped cells, whose rows in the array are NaN.
 
     The design groups are simulated in order, over a process pool when
     ``workers > 1``.  Their ratios are stacked, whole groups at a time, until
@@ -514,20 +507,20 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     """
     tasks = [(cfg, namespace, indices, [cells[i] for i in indices])
              for indices in _design_groups(cells)]
-    outcomes: dict = {}
+    aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
+    skipped: dict = {}
     stack, stacked = [], 0
-    for (_cfg, _ns, indices, group), ratios in zip(tasks, _simulate(tasks, workers)):
+    groups = zip(tasks, _simulate(tasks, workers))
+    for k, ((_cfg, _ns, indices, group), ratios) in enumerate(groups, 1):
         if isinstance(ratios, str):
-            outcomes.update((idx, {"skipped": ratios}) for idx in indices)
-            continue
-        stack.append((indices, group, ratios))
-        stacked += ratios.size
-        if stacked >= _ASSESS_STACK:
-            outcomes.update(_aggregate(cfg, stack))
+            skipped.update(dict.fromkeys(indices, ratios))
+        else:
+            stack.append((indices, group, ratios))
+            stacked += ratios.size
+        if stack and (stacked >= _ASSESS_STACK or k == len(tasks)):
+            aggs[[idx for ids, _g, _r in stack for idx in ids]] = _aggregate(cfg, stack)
             stack, stacked = [], 0
-    if stack:
-        outcomes.update(_aggregate(cfg, stack))
-    return outcomes
+    return aggs, skipped
 
 
 def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
@@ -540,18 +533,16 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
     """
     cfg.validate()
     cells = _enumerate_cells(cfg)
-    outcomes = _cell_outcomes(cfg, cells, namespace, workers)
+    aggs, skipped = _cell_outcomes(cfg, cells, namespace, workers)
     seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
 
     result = StudyResult()
-    ran = [idx for idx in range(len(cells)) if "measures" in outcomes[idx]]
+    ran = [idx for idx in range(len(cells)) if idx not in skipped]
     result.skipped = [
-        {"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": outcomes[idx]["skipped"]}
-        for idx, (R, r1, r2, m, method) in enumerate(cells) if "skipped" in outcomes[idx]
+        {"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": skipped[idx]}
+        for idx, (R, r1, r2, m, method) in enumerate(cells) if idx in skipped
     ]
-    # (cell, measure, aggregate), aggregates in _aggregate's order
-    aggs = np.array([[list(agg.values()) for agg in outcomes[idx]["measures"].values()]
-                     for idx in ran])
+    aggs = aggs[ran]  # the cells that ran, aggregates in _AGGREGATES order
     # an rss cell's efficiency is the MSE of its srs sibling over its own
     row_of = {cells[idx]: k for k, idx in enumerate(ran)}
     srs = np.array([row_of.get((*cells[idx][:4], METHOD_SRS), -1)
@@ -810,14 +801,14 @@ def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
         figure_r_grid=None,
     )
     cells = _enumerate_cells(sub)
-    outcomes = _cell_outcomes(sub, cells, namespace=1, workers=workers)
+    aggs, skipped = _cell_outcomes(sub, cells, namespace=1, workers=workers)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["method", "measure", "R", "bias", "mse"])
     writer.writerows(
-        (method, meas, *(format(v, ".6g") for v in (R, agg["signed_bias"], agg["mse"])))
-        for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if "measures" in outcomes[idx]
-        for meas, agg in outcomes[idx]["measures"].items()
+        (method, meas, *(format(v, ".6g") for v in (R, bias, mse)))
+        for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if idx not in skipped
+        for meas, (bias, mse) in zip(MEASURES, aggs[idx, :, :2].tolist())
     )
     return buf.getvalue()
 

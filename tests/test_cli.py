@@ -182,6 +182,18 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", files[0], str(bad))
         assert code == 2
 
+    def test_published_bias_overflow_is_a_note(self, capsys, tmp_path):
+        # a corrected ratio of ~1e-311, where the printed Weitzman bias overflows
+        big, tiny = tmp_path / "big.txt", tmp_path / "tiny.txt"
+        big.write_text("1e308\n" * 4)
+        tiny.write_text("1e-300\n" * 4)
+        code, out, _ = run_cli(capsys, "estimate", str(big), str(tiny),
+                               "--source", "as-published")
+        assert code == 0
+        notes = [line for line in out.splitlines() if line.startswith("  note:")]
+        assert len(notes) == 1
+        assert "delta bias is not finite" in notes[0]
+
     def test_plain_data_with_rss_method(self, capsys, files):
         code, _, _ = run_cli(capsys, "estimate", *files, "--method", "rss")
         assert code == 2  # plain lists do not parse as ranked records

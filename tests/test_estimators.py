@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -225,6 +226,34 @@ class TestDeltaMethod:
         b = delta_bias("lambda", 0.5, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         assert abs(a - b) > 1e-6
 
+    @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 0.9, 0.999, 1.001, 1.3, 4.0, 20.0])
+    def test_published_shapes_equal_printed_expressions(self, r):
+        # the printed variance and bias expressions, evaluated at 40 digits
+        with mpmath.workdps(40):
+            x = mpmath.mpf(r)
+            log = mpmath.log(x)
+            bracket = (x ** ((2 * x - 1) / (1 - x)) * x * (2 * x - log - 2) * log
+                       - (x - 1) ** 2) / (x - 1) ** 3
+            shapes = {
+                "rho": (x * (1 - x) ** 2 / (1 + x) ** 4,
+                        mpmath.sqrt(x) * (3 * x**2 - 6 * x - 1) / (1 + x) ** 3),
+                "delta": (x ** (2 / (1 - x)) * log**2 / (1 - x) ** 2,
+                          x**2 * bracket * (-1 if r < 1.0 else 1)),
+                "lambda": (x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4,
+                           (x**5 - 3 * x**3 - x**2) / (x**2 - x + 1) ** 2),
+            }
+            n1, n2 = 16, 24
+            factor = mpmath.mpf(n1 + n2 - 1) / (n1 * (n2 - 2))
+            # the printed srs bias constants halve the factor for rho and delta only
+            constants = {"rho": factor / 2, "delta": factor / 2, "lambda": factor}
+            want = {meas: (float(factor * var), float(constants[meas] * bias))
+                    for meas, (var, bias) in shapes.items()}
+        d1, d2 = SrsDesign(n1), SrsDesign(n2)
+        for meas in MEASURES:
+            var = delta_variance(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+            bias = delta_bias(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+            assert (var, bias) == pytest.approx(want[meas], rel=1e-12), meas
+
     def test_weitzman_variance_limit_at_one(self):
         # (slope)^2 has the two-sided limit exp(-2) at the kink
         d = SrsDesign(20)
@@ -308,14 +337,22 @@ class TestAssess:
     @pytest.mark.parametrize("method", sorted(DESIGNS))
     def test_block_equals_single_ratio_calls_bit_for_bit(self, method, source):
         d1, d2 = DESIGNS[method]
-        block = assess(self.RATIOS, method, d1, d2, source, 0.9)
-        singles = [assess([r], method, d1, d2, source, 0.9) for r in self.RATIOS]
-        assert list(block) == list(MEASURES)
-        for meas in MEASURES:
-            for name in FIELDS:
-                got = getattr(block[meas], name)
-                assert got.shape == self.RATIOS.shape
-                assert got.tobytes() == _bits(getattr(s[meas], name) for s in singles)
+        # R = 1 exactly sits inside the block wherever its terms are finite: the
+        # printed Weitzman bias has no value there, so not under bias correction
+        with_one = np.insert(self.RATIOS, 100, 1.0)
+        runs = ([(with_one, True)] if source == SOURCE_DERIVED
+                else [(self.RATIOS, True), (with_one, False)])
+        for ratios, corrected in runs:
+            block = assess(ratios, method, d1, d2, source, 0.9, corrected)
+            singles = [assess([r], method, d1, d2, source, 0.9, corrected) for r in ratios]
+            assert list(block) == list(MEASURES)
+            names = FIELDS if corrected else FIELDS[:6]
+            for meas in MEASURES:
+                for name in names:
+                    got = getattr(block[meas], name)
+                    assert got.shape == ratios.shape
+                    assert got.tobytes() == _bits(getattr(s[meas], name) for s in singles)
+                assert all(getattr(block[meas], name) is None for name in FIELDS[len(names):])
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("method", sorted(DESIGNS))

@@ -4,9 +4,9 @@ byte for byte.
 The smoke hashes were recorded before the study engine moved from one
 replication at a time to whole-cell array blocks; any change to the streams,
 the arithmetic order, or the CSV formatting shows up here first.  The paper
-runs are the benchmark's, checked against the hashes it pins in
-``perfbench/golden.json`` (read only), so a change of output fails here and
-not only in the benchmark.
+runs and the tables pass are the benchmark's, checked against the hashes it
+pins in ``perfbench/golden.json`` (read only), so a change of output fails
+here and not only in the benchmark.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from ovlomax.cli import main
-from ovlomax.study import StudyConfig
+from ovlomax.study import StudyConfig, discrepancy_report, efficiency_grid, emit_tables
 
 BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -69,4 +69,15 @@ def test_benchmark_outputs_match_pinned_hashes(tmp_path, capsys, workload, confi
                  "--seed", str(seed), "--workers", "1", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
+
+
+def test_benchmark_tables_match_pinned_hashes():
+    # the benchmark's tables pass: the analytic efficiency grid for m = 8 and
+    # 40 as CSV, and the discrepancy report under each formula source
+    want = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["report_batch"]["tables"]
+    texts = {"eff_table.csv": emit_tables(efficiency_grid(cycles=(8, 40)), "eff_table", "csv")}
+    for source in ("derived", "as-published"):
+        texts[f"discrepancy_{source}.csv"] = discrepancy_report(source)
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert got == want

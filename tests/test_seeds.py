@@ -16,7 +16,7 @@ from ovlomax import StudyConfig, run_study, study
 from ovlomax import _seeds
 from ovlomax.estimators import METHOD_RSS, assess, corrected_ratio, shape_estimates
 from ovlomax.dist_core import InverseLomax
-from ovlomax.overlap import overlap_value
+from ovlomax.overlap import MEASURES, overlap_value
 from ovlomax.sampling import RssDesign, SrsDesign, rss_retained
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -159,17 +159,18 @@ def assert_cells_equal_reference(name, namespace):
         members = [cells[i] for i in indices]
         assert len({c[1:] for c in members}) == 1
         assert [c[0] for c in members] == list(cfg.r_values)
-    outcomes = study._cell_outcomes(cfg, cells, namespace)
-    assert sorted(outcomes) == list(range(len(cells)))
-    skipped = 0
+    aggs, skipped = study._cell_outcomes(cfg, cells, namespace)
+    assert aggs.shape == (len(cells), len(MEASURES), len(study._AGGREGATES))
     for idx, cell in enumerate(cells):
         want = reference_cell(cfg, namespace, idx, cell)
         if want is None:
-            assert "skipped" in outcomes[idx]
-            skipped += 1
+            assert isinstance(skipped[idx], str)
+            assert np.isnan(aggs[idx]).all()
         else:
-            assert outcomes[idx]["measures"] == want, cell
-    assert skipped == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
+            assert idx not in skipped
+            assert aggs[idx].tolist() == [[want[meas][name] for name in study._AGGREGATES]
+                                          for meas in MEASURES], cell
+    assert len(skipped) == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
 
 
 class TestGroupedEngine:

@@ -183,16 +183,19 @@ def reference_rows(cfg, namespace=0):
         return float(f"{float(x):.6g}")
 
     cells = study._enumerate_cells(cfg)
-    outcomes = study._cell_outcomes(cfg, cells, namespace)
-    mse_srs = {(*cell[:4], meas): outcomes[idx]["measures"][meas]["mse"]
+    aggs, skipped = study._cell_outcomes(cfg, cells, namespace)
+    outcomes = {idx: {meas: dict(zip(study._AGGREGATES, aggs[idx, k].tolist()))
+                      for k, meas in enumerate(MEASURES)}
+                for idx in range(len(cells)) if idx not in skipped}
+    mse_srs = {(*cell[:4], meas): outcomes[idx][meas]["mse"]
                for idx, cell in enumerate(cells)
-               if cell[4] == "srs" and "measures" in outcomes[idx] for meas in MEASURES}
+               if cell[4] == "srs" and idx in outcomes for meas in MEASURES}
     rows, rows_corrected = [], []
     for idx, (R, r1, r2, m, method) in enumerate(cells):
-        if "skipped" in outcomes[idx]:
+        if idx in skipped:
             continue
         for meas in MEASURES:
-            agg = outcomes[idx]["measures"][meas]
+            agg = outcomes[idx][meas]
             efficiency = None
             base = mse_srs.get((R, r1, r2, m, meas))
             if method == "rss" and base is not None and agg["mse"] > 0.0:
