@@ -250,18 +250,18 @@ def _print_report_text(rep) -> None:
     print(f"alpha estimates   {rep.alpha1:.6g}, {rep.alpha2:.6g}")
     print(f"ratio             raw {rep.ratio_raw:.6g}, corrected {rep.ratio_unbiased:.6g}")
     print(f"ratio variance    {_fmt(rep.ratio_variance)}")
-    head = (f"  {'measure':<8}{'point':>10}{'variance':>12}{'bias':>12}"
-            f"{'ci_lo':>10}{'ci_hi':>10}{'corr_lo':>10}{'corr_hi':>10}")
-    print(head)
+    # one space before every value, so a value wider than its column still
+    # stands apart from its neighbours
+    widths = (10, 12, 12, 10, 10, 10, 10)
+    names = ("point", "variance", "bias", "ci_lo", "ci_hi", "corr_lo", "corr_hi")
+    print(f"  {'measure':<8}" + "".join(f" {h:>{w - 1}}" for h, w in zip(names, widths)))
     for m in rep.measures:
         lo = m.interval.lo if m.interval else None
         hi = m.interval.hi if m.interval else None
         clo = m.interval_corrected.lo if m.interval_corrected else None
         chi = m.interval_corrected.hi if m.interval_corrected else None
-        print(
-            f"  {m.measure:<8}{_fmt(m.point):>10}{_fmt(m.variance):>12}{_fmt(m.bias):>12}"
-            f"{_fmt(lo):>10}{_fmt(hi):>10}{_fmt(clo):>10}{_fmt(chi):>10}"
-        )
+        values = (m.point, m.variance, m.bias, lo, hi, clo, chi)
+        print(f"  {m.measure:<8}" + "".join(f" {_fmt(v):>{w - 1}}" for v, w in zip(values, widths)))
     for w in rep.warnings:
         print(f"  note: {w}")
 

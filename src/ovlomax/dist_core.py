@@ -1,9 +1,10 @@
-"""Inverse Lomax distribution and the exact reference laws built on it.
+"""Inverse Lomax distribution, its inverse transform and the domain checks.
 
 The family used throughout is the law of 1/Y for Lomax-distributed Y,
 parametrized so that the cdf is ``(1 + beta/x) ** (-1/alpha)``.  Under this
 convention ``T = log(1 + beta/X)`` is exponential with mean ``alpha``, which
-is what makes every estimator in :mod:`ovlomax.estimators` tractable.
+is what makes every estimator in :mod:`ovlomax.estimators` tractable; the
+exact laws of its estimates are ``scipy.stats`` gamma and F laws, named there.
 """
 from __future__ import annotations
 
@@ -16,15 +17,9 @@ from scipy.special import ndtri
 __all__ = [
     "DomainError",
     "InverseLomax",
-    "GammaLaw",
-    "FisherFLaw",
-    "ExponentialLaw",
     "inverse_transform",
     "log_transform",
     "std_normal_quantile",
-    "srs_alpha_law",
-    "bayes_alpha_law",
-    "ratio_f_law",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -170,95 +165,3 @@ def std_normal_quantile(p: float) -> float:
     if p > 0.5:
         return float(-ndtri(1.0 - p))
     return float(ndtri(p))
-
-
-# ---------------------------------------------------------------------------
-# Exact reference laws (closed-form moments, used as oracles for the
-# estimator sampling distributions).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaLaw:
-    """Gamma(shape k, scale theta)."""
-
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _positive_scalar("shape", self.shape))
-        object.__setattr__(self, "scale", _positive_scalar("scale", self.scale))
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
-
-
-@dataclass(frozen=True)
-class FisherFLaw:
-    """Fisher F with (d1, d2) degrees of freedom."""
-
-    d1: int
-    d2: int
-
-    def __post_init__(self):
-        for name in ("d1", "d2"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
-
-    @property
-    def mean(self) -> float:
-        if self.d2 <= 2:
-            raise DomainError("mean requires d2 > 2")
-        return self.d2 / (self.d2 - 2)
-
-    @property
-    def variance(self) -> float:
-        if self.d2 <= 4:
-            raise DomainError("variance requires d2 > 4")
-        d1, d2 = self.d1, self.d2
-        return 2 * d2**2 * (d1 + d2 - 2) / (d1 * (d2 - 2) ** 2 * (d2 - 4))
-
-
-@dataclass(frozen=True)
-class ExponentialLaw:
-    """Exponential with the given mean."""
-
-    mean_value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_value", _positive_scalar("mean", self.mean_value))
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-    @property
-    def variance(self) -> float:
-        return self.mean_value**2
-
-    def cdf(self, t) -> float | np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        return _as_input_shape(-np.expm1(-arr / self.mean_value), t)
-
-
-def srs_alpha_law(alpha: float, n: int) -> GammaLaw:
-    """Sampling law of the simple-random-sample shape estimate: Gamma(n, alpha/n)."""
-    alpha = _positive_scalar("alpha", alpha)
-    n = _positive_int("n", n)
-    return GammaLaw(n, alpha / n)
-
-
-def bayes_alpha_law(alpha: float, n: int) -> GammaLaw:
-    """Sampling law of the Jeffreys posterior-mode estimate: Gamma(n, alpha/(n+1))."""
-    alpha = _positive_scalar("alpha", alpha)
-    n = _positive_int("n", n)
-    return GammaLaw(n, alpha / (n + 1))
-
-
-def ratio_f_law(n1: int, n2: int) -> FisherFLaw:
-    """Sampling law of the scaled shape ratio: (alpha2/alpha1) * ratio ~ F(2*n1, 2*n2)."""
-    return FisherFLaw(2 * _positive_int("n1", n1), 2 * _positive_int("n2", n2))

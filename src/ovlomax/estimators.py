@@ -10,13 +10,17 @@ Three estimation pipelines share one backbone.  Writing ``t_j = log(1 + 1/x_j)``
 * ``bayes`` Jeffreys-prior posterior mode, ``sum(t_j) / (n + 1)``;
   Gamma(n, alpha/(n+1)).
 
-The shape ratio feeds the closed-form overlap coefficients, and first/second
-order delta expansions in the ratio give variances, biases, and normal-theory
-intervals.  :func:`assess` evaluates all of that for a whole block of ratios
-at once, and the per-sample and per-measure functions here are length-one
-views of the same code.  Its kernel takes the design constants per ratio, so
-the study engine and the efficiency grid assess the ratios of many designs
-in one call.
+These are the ``scipy.stats`` laws ``gamma(n, scale=alpha/n)`` and
+``gamma(n, scale=alpha/(n+1))``, and ``(alpha2/alpha1)`` times the raw srs
+ratio is ``f(2*n1, 2*n2)``; the test suite holds the estimators to them.
+
+The shape ratio feeds the closed-form overlap coefficients (the plug-in point
+is ``overlap_value(measure, est.unbiased)``), and first/second order delta
+expansions in the ratio give variances, biases, and normal-theory intervals.
+:func:`assess` evaluates all of that for a whole block of ratios at once, and
+the per-sample and per-measure functions here are length-one views of the
+same code.  Its kernel takes the design constants per ratio, so the study
+engine and the efficiency grid assess the ratios of many designs in one call.
 
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DomainError, _positive_int, log_transform, std_normal_quantile
-from .overlap import _TERMS, MEASURES, OverlapTriple, overlap_value
+from .overlap import _TERMS, MEASURES, overlap_value
 from .sampling import RankedSample, RssDesign, SrsDesign
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "alpha_bayes_jeffreys",
     "corrected_ratio",
     "ratio_estimate",
-    "ovl_point",
     "ratio_variance_factor",
     "delta_variance",
     "delta_bias",
@@ -205,11 +208,6 @@ def _srs_factor(n1: int, n2: int) -> float:
     return (n1 + n2 - 1) / (n1 * (n2 - 2))
 
 
-def _rss_factor(d1: RssDesign, d2: RssDesign) -> float:
-    # Sum of squared coefficients of variation of the two shape estimates.
-    return harmonic(d1.r) / (d1.m * d1.r**2) + harmonic(d2.r) / (d2.m * d2.r**2)
-
-
 def ratio_variance_factor(
     method: str,
     design1: SrsDesign | RssDesign,
@@ -225,7 +223,9 @@ def ratio_variance_factor(
     if method == METHOD_RSS:
         if not isinstance(design1, RssDesign) or not isinstance(design2, RssDesign):
             raise DomainError("rss variance requires ranked designs")
-        return _rss_factor(design1, design2)
+        # sum of squared coefficients of variation of the two shape estimates
+        return (harmonic(design1.r) / (design1.m * design1.r**2)
+                + harmonic(design2.r) / (design2.m * design2.r**2))
     if method == METHOD_SRS:
         return _srs_factor(design1.n, design2.n)
     if method == METHOD_BAYES:
@@ -286,11 +286,6 @@ def ratio_estimate(
     )
 
 
-def ovl_point(est: RatioEstimate) -> OverlapTriple:
-    """All three overlap coefficients at the corrected ratio estimate."""
-    return OverlapTriple.from_ratio(est.unbiased)
-
-
 # ---------------------------------------------------------------------------
 # Published variance/bias shapes, reproduced verbatim for as-published mode
 # and evaluated as arrays.
@@ -324,27 +319,6 @@ def _published_lambda(r: np.ndarray) -> tuple:
 _PUBLISHED = {"rho": _published_rho, "delta": _published_delta, "lambda": _published_lambda}
 
 
-def _published_bias_constant(
-    measure: str, method: str, design1, design2
-) -> float:
-    # Each published bias expression carries its own leading constant; the
-    # 1/2 appears only for the Matusita coefficient (and for the simple
-    # random sampling Weitzman line, but not its ranked-set analogue).
-    if method == METHOD_SRS:
-        base = _srs_factor(design1.n, design2.n)
-        return base / 2.0 if measure in ("rho", "delta") else base
-    if method == METHOD_RSS:
-        base = _rss_factor(design1, design2)
-        return base / 2.0 if measure == "rho" else base
-    if method == METHOD_BAYES:
-        n1, n2 = design1.n, design2.n
-        if n2 < 3:
-            raise DegenerateDesignError(f"bias formula requires n2 >= 3, got n2={n2}")
-        base = ((n2 + 2) / (n1 + 1)) ** 2 * n1 * (n1 + n2 - 1) / ((n2 - 1) ** 2 * (n2 - 2))
-        return base / 2.0 if measure == "rho" else base
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def _normal_z(level) -> float:
     level = float(level)
     if not (0.0 < level < 1.0):
@@ -376,8 +350,16 @@ def _design_terms(method: str, design1, design2, source: str) -> tuple:
     factor = ratio_variance_factor(method, design1, design2, source)
     if source == SOURCE_DERIVED:
         return factor, None
-    return factor, tuple(_published_bias_constant(measure, method, design1, design2)
-                         for measure in MEASURES)
+    # the printed srs and rss bias bases are the variance factor; bayes prints
+    # its own (n2 >= 3 already holds: the factor raised otherwise)
+    base = factor
+    if method == METHOD_BAYES:
+        n1, n2 = design1.n, design2.n
+        base = ((n2 + 2) / (n1 + 1)) ** 2 * n1 * (n1 + n2 - 1) / ((n2 - 1) ** 2 * (n2 - 2))
+    # the 1/2 is printed for the Matusita bias of every method and for the
+    # srs Weitzman line, but not for its ranked-set or Bayes analogues
+    halved = ("rho", "delta") if method == METHOD_SRS else ("rho",)
+    return factor, tuple(base / 2.0 if measure in halved else base for measure in MEASURES)
 
 
 def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: bool) -> tuple:

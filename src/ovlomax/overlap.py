@@ -17,7 +17,6 @@ variable and serve as an independent numerical oracle for the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,7 +26,6 @@ from .dist_core import DomainError, _as_input_shape, _positive_array
 
 __all__ = [
     "MEASURES",
-    "OverlapTriple",
     "QuadratureError",
     "matusita_rho",
     "weitzman_delta",
@@ -63,14 +61,21 @@ def weitzman_delta(ratio) -> float | np.ndarray:
     """Weitzman overlap 1 - R**(1/(1-R)) * |1 - 1/R|, continuously extended to 1 at R=1.
 
     Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
-    cancellation-free limit path rather than the raw power.
+    cancellation-free limit path rather than the raw power.  Below R = 1/2,
+    where R - 1 is inexact and log1p(R - 1) would amplify its error, the same
+    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)).
     """
     r = _positive_array("shape ratio", ratio)
-    e = r - 1.0
+    small = r < 0.5
+    x = np.where(small, 1.0, r)  # a harmless stand-in where the log R form applies
+    e = x - 1.0
     safe = np.where(e == 0.0, 1.0, e)
     # R**(1/(1-R)) = exp(log(R)/(1-R)) = exp(-log1p(R-1)/(R-1))
     power = np.exp(-np.log1p(e) / safe)
-    out = np.where(e == 0.0, 1.0, 1.0 - power * np.abs(e) / r)
+    out = np.where(e == 0.0, 1.0, 1.0 - power * np.abs(e) / x)
+    if small.any():
+        s = r[small]
+        out[small] = -np.expm1(np.log1p(-s) + s * np.log(s) / (1.0 - s))
     return _as_input_shape(out, ratio)
 
 
@@ -95,29 +100,6 @@ def overlap_value(measure: str, ratio) -> float | np.ndarray:
     return _pick(_VALUES, measure)(ratio)
 
 
-@dataclass(frozen=True)
-class OverlapTriple:
-    """All three coefficients evaluated at a common shape ratio."""
-
-    rho: float
-    delta: float
-    lam: float
-
-    @classmethod
-    def from_ratio(cls, ratio: float) -> "OverlapTriple":
-        return cls(
-            rho=float(matusita_rho(ratio)),
-            delta=float(weitzman_delta(ratio)),
-            lam=float(kl_lambda(ratio)),
-        )
-
-    def as_dict(self) -> dict:
-        return {"rho": self.rho, "delta": self.delta, "lambda": self.lam}
-
-    def as_tuple(self) -> tuple:
-        return (self.rho, self.delta, self.lam)
-
-
 # ---------------------------------------------------------------------------
 # First and second derivatives in R, used by the delta-method machinery: one
 # array function per measure, each computing its shared terms once.  All
@@ -138,7 +120,9 @@ def _delta_terms(r: np.ndarray) -> tuple:
     e = r - 1.0
     at_one = e == 0.0
     safe = np.where(at_one, 1.0, e)
-    logr = np.log1p(e)
+    # log R from R - 1 only from 1/2 up, where R - 1 is exact; the clip keeps
+    # log1p away from -1 on the other side
+    logr = np.where(r < 0.5, np.log(r), np.log1p(np.maximum(e, -0.5)))
     a = np.where(at_one, math.exp(-1.0), np.exp(-r * logr / safe))
     base = a * logr / safe  # -A*log(R)/(1-R); positive for R<1
     slope = np.where(at_one, np.nan, np.where(r < 1.0, base, -base))

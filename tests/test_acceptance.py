@@ -23,7 +23,6 @@ from ovlomax import (
     StudyConfig,
     alpha_bayes_jeffreys,
     alpha_rss,
-    bayes_alpha_law,
     confidence_interval,
     delta_bias,
     delta_variance,
@@ -39,11 +38,9 @@ from ovlomax import (
     overlap_value,
     ovl_by_quadrature,
     ratio_estimate,
-    ratio_f_law,
     ratio_variance_factor,
     real_data_summary,
     run_study,
-    srs_alpha_law,
 )
 from ovlomax.overlap import MEASURES
 from ovlomax.study import analytic_mse
@@ -121,18 +118,20 @@ def test_criterion_03_transform_and_estimator_laws():
         assert ahat[0] * n / (n + 1) == pytest.approx(
             alpha_bayes_jeffreys(xmat[0]).value, rel=1e-12
         )
+        # the exact laws: Gamma(n, alpha/n) and Gamma(n, alpha/(n+1))
         for name, law, est in (
-            ("srs", srs_alpha_law(alpha, n), ahat),
-            ("bayes", bayes_alpha_law(alpha, n), ahat * n / (n + 1)),
+            ("srs", stats.gamma(n, scale=alpha / n), ahat),
+            ("bayes", stats.gamma(n, scale=alpha / (n + 1)), ahat * n / (n + 1)),
         ):
+            mean, variance = float(law.mean()), float(law.var())
             m, v = float(est.mean()), float(est.var(ddof=1))
-            se_mean = math.sqrt(law.variance / reps)
+            se_mean = math.sqrt(variance / reps)
             # Var(s^2) for a Gamma(shape k) sample: sigma^4 (6/k)/N + 2 sigma^4/(N-1)
-            se_var = law.variance * math.sqrt(6.0 / law.shape / reps + 2.0 / (reps - 1))
-            if abs(m - law.mean) > 4.0 * se_mean:
-                problems.append(f"{name} mean off at n={n}: {abs(m - law.mean) / se_mean:.1f} se")
-            if abs(v - law.variance) > 4.0 * se_var:
-                problems.append(f"{name} var off at n={n}: {abs(v - law.variance) / se_var:.1f} se")
+            se_var = variance * math.sqrt(6.0 / n / reps + 2.0 / (reps - 1))
+            if abs(m - mean) > 4.0 * se_mean:
+                problems.append(f"{name} mean off at n={n}: {abs(m - mean) / se_mean:.1f} se")
+            if abs(v - variance) > 4.0 * se_var:
+                problems.append(f"{name} var off at n={n}: {abs(v - variance) / se_var:.1f} se")
     report(
         3,
         "log-life transform is exponential (KS); shape-estimate moments match "
@@ -157,15 +156,14 @@ def test_criterion_04_ratio_law():
     rhat = a1 / a2
     femp = (alpha2 / alpha1) * rhat
 
-    law = ratio_f_law(n1, n2)
+    mean, variance, g2 = (float(x) for x in stats.f.stats(2 * n1, 2 * n2, moments="mvk"))
     problems = []
-    se_mean = math.sqrt(law.variance / reps)
-    if abs(float(femp.mean()) - law.mean) > 4.0 * se_mean:
-        problems.append(f"F mean off: {abs(femp.mean() - law.mean) / se_mean:.1f} se")
-    g2 = float(stats.f.stats(2 * n1, 2 * n2, moments="k"))
-    se_var = law.variance * math.sqrt(g2 / reps + 2.0 / (reps - 1))
-    if abs(float(femp.var(ddof=1)) - law.variance) > 4.0 * se_var:
-        problems.append(f"F var off: {abs(femp.var(ddof=1) - law.variance) / se_var:.1f} se")
+    se_mean = math.sqrt(variance / reps)
+    if abs(float(femp.mean()) - mean) > 4.0 * se_mean:
+        problems.append(f"F mean off: {abs(femp.mean() - mean) / se_mean:.1f} se")
+    se_var = variance * math.sqrt(g2 / reps + 2.0 / (reps - 1))
+    if abs(float(femp.var(ddof=1)) - variance) > 4.0 * se_var:
+        problems.append(f"F var off: {abs(femp.var(ddof=1) - variance) / se_var:.1f} se")
 
     rstar = rhat * (n2 - 1) / n2
     if abs(float(rstar.mean()) - big_r) > 0.01 * big_r:

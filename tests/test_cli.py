@@ -182,17 +182,28 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", files[0], str(bad))
         assert code == 2
 
-    def test_published_bias_overflow_is_a_note(self, capsys, tmp_path):
+    @pytest.fixture
+    def extreme_files(self, tmp_path):
         # a corrected ratio of ~1e-311, where the printed Weitzman bias overflows
         big, tiny = tmp_path / "big.txt", tmp_path / "tiny.txt"
         big.write_text("1e308\n" * 4)
         tiny.write_text("1e-300\n" * 4)
-        code, out, _ = run_cli(capsys, "estimate", str(big), str(tiny),
-                               "--source", "as-published")
+        return str(big), str(tiny)
+
+    def test_published_bias_overflow_is_a_note(self, capsys, extreme_files):
+        code, out, _ = run_cli(capsys, "estimate", *extreme_files, "--source", "as-published")
         assert code == 0
         notes = [line for line in out.splitlines() if line.startswith("  note:")]
         assert len(notes) == 1
         assert "delta bias is not finite" in notes[0]
+
+    def test_wide_values_keep_text_columns_apart(self, capsys, extreme_files):
+        code, out, _ = run_cli(capsys, "estimate", *extreme_files, "--source", "as-published")
+        assert code == 0
+        lines = out.splitlines()
+        head = lines.index(next(line for line in lines if line.lstrip().startswith("measure")))
+        for line in lines[head:head + 4]:
+            assert len(line.split()) == 8, line
 
     def test_plain_data_with_rss_method(self, capsys, files):
         code, _, _ = run_cli(capsys, "estimate", *files, "--method", "rss")

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from ovlomax.dist_core import DomainError, InverseLomax
 from ovlomax.overlap import (
     MEASURES,
-    OverlapTriple,
     QuadratureError,
     kl_lambda,
     kl_symmetrized,
@@ -34,13 +34,6 @@ class TestClosedForms:
 
     def test_reciprocity_frozen(self):
         assert weitzman_delta(2.0) == pytest.approx(0.75, abs=1e-12)
-
-    def test_triple_container(self):
-        t = OverlapTriple.from_ratio(0.5)
-        assert t.as_tuple() == (t.rho, t.delta, t.lam)
-        d = t.as_dict()
-        assert set(d) == {"rho", "delta", "lambda"}
-        assert d["lambda"] == t.lam
 
     def test_vectorized_shape_preserved(self):
         r = np.array([[0.5, 1.0], [2.0, 0.1]])
@@ -76,6 +69,22 @@ class TestClosedForms:
         for r in (0.1, 0.3, 0.7):
             direct = 1.0 - r ** (r / (1 - r)) + r ** (1 / (1 - r))
             assert weitzman_delta(r) == pytest.approx(direct, rel=1e-13)
+
+    def test_delta_and_slope_accurate_below_half(self):
+        # below R = 1/2 both come from log R itself, not from log1p(R - 1):
+        # held to 400-digit references down to subnormal ratios
+        r = np.geomspace(1e-311, 0.5, 301)[:-1]
+        with mpmath.workdps(400):
+            xs = [mpmath.mpf(x) for x in r.tolist()]
+            power = [mpmath.power(x, x / (1 - x)) for x in xs]  # R**(R/(1-R))
+            want = [1 - (1 - x) * p for x, p in zip(xs, power)]
+            rel = [abs(mpmath.mpf(v) / w - 1) for v, w in zip(weitzman_delta(r).tolist(), want)]
+            assert max(rel) <= 4e-16
+            # the curvature overflows below ~5e-309, so the slope starts at 1e-300
+            keep = r >= 1e-300
+            slope = [p * mpmath.log(x) / (x - 1) for x, p, k in zip(xs, power, keep) if k]
+            got = overlap_grad("delta", r[keep]).tolist()
+            assert max(abs(mpmath.mpf(v) / w - 1) for v, w in zip(got, slope)) <= 1e-15
 
     def test_domain_rejected(self):
         for meas in MEASURES:
