@@ -5,12 +5,14 @@ SplitMix64-style fold of (master_seed, namespace, cell_index, replication).
 The fold is pure integer arithmetic, so the derived seeds -- and therefore the
 streams -- are identical across platforms and interpreter versions.
 
-The fold runs on numpy ``uint64`` arrays, so the seeds of a whole block of
-replications come from one pass.  :func:`pcg64_states` then turns seeds into
-the exact generator states ``np.random.PCG64(seed)`` starts from, through a
-vectorised copy of numpy's ``SeedSequence`` hash and PCG's seeding step, so a
-block of streams is started by setting the state of one reused generator
-instead of building a ``SeedSequence`` and a ``PCG64`` per replication.
+The fold runs on numpy ``uint64`` arrays, so the seeds of any array of
+replications come from one pass; the study folds a slab of consecutive
+design groups at a time.  :func:`pcg64_states` then turns seeds into the
+words ``np.random.PCG64(seed)`` is seeded from, through a vectorised copy of
+numpy's ``SeedSequence`` hash.  :func:`fill_uniforms` applies PCG's 128-bit
+seeding step to each row of words just before it restarts one reused
+generator on that stream, instead of building a ``SeedSequence`` and a
+``PCG64`` per replication.
 """
 from __future__ import annotations
 
@@ -90,13 +92,16 @@ def _hashmix(words: np.ndarray, step: int, count: int) -> np.ndarray:
     return words
 
 
-def pcg64_states(seeds) -> list:
-    """``(state, inc)`` that ``np.random.PCG64(seed)`` starts from, per seed.
+def pcg64_states(seeds) -> np.ndarray:
+    """Seeding words of ``np.random.PCG64(seed)``, one row per seed, in C order.
 
-    Seeds are 64-bit, so ``SeedSequence`` sees at most two 32-bit entropy
-    words; a seed below 2**32 has one, and the zero used here as its high
-    word hashes exactly like the zero ``SeedSequence`` fills the pool with.
-    One pair per seed, in C order.
+    Row k is ``SeedSequence(seed).generate_state(4, np.uint64)``: the high
+    and low words of the initial state, then those of the stream selector,
+    as an ``(N, 4)`` ``uint64`` array.  :func:`_restart` applies PCG's
+    128-bit seeding step to a row.  Seeds are 64-bit, so ``SeedSequence``
+    sees at most two 32-bit entropy words; a seed below 2**32 has one, and
+    the zero used here as its high word hashes exactly like the zero
+    ``SeedSequence`` fills the pool with.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
@@ -115,34 +120,32 @@ def pcg64_states(seeds) -> list:
     words *= _OUT_MUL
     words ^= words >> 16
     # generate_state(4, uint64): consecutive 32-bit words pair up little-endian
-    halves = np.ascontiguousarray(words.T).astype("<u4").view("<u8").tolist()
-    states = []
-    for hi, lo, inc_hi, inc_lo in halves:
-        # pcg64 srandom: inc = 2 * initseq + 1, then two LCG steps around
-        # adding the initial state
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        states.append(((((hi << 64 | lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    return np.ascontiguousarray(words.T).astype("<u4").view("<u8")
 
 
-def _restart(bitgen: np.random.PCG64, state: int, inc: int) -> None:
-    # a freshly seeded PCG64 also holds no buffered 32-bit half
+def _restart(bitgen: np.random.PCG64, hi: int, lo: int, inc_hi: int, inc_lo: int) -> None:
+    """Put ``bitgen`` where ``np.random.PCG64(seed)`` starts, from one row of
+    :func:`pcg64_states` of that seed."""
+    # pcg64 srandom: inc = 2 * initseq + 1, then two LCG steps around adding
+    # the initial state; a freshly seeded PCG64 also holds no buffered 32-bit half
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+    state = (((hi << 64 | lo) + inc) * _PCG_MULT + inc) & _MASK128
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                     "has_uint32": 0, "uinteger": 0}
 
 
-def fill_uniforms(out: np.ndarray, states, gen: np.random.Generator) -> None:
-    """Fill row k of ``out`` with the first uniforms of the stream starting at
-    ``states[k]``, drawn by restarting the PCG64 generator ``gen``."""
+def fill_uniforms(out: np.ndarray, words: np.ndarray, gen: np.random.Generator) -> None:
+    """Fill row k of ``out`` with the first uniforms of the stream seeded by
+    row k of ``words`` (:func:`pcg64_states`), drawn by restarting the PCG64
+    generator ``gen``."""
     bitgen = gen.bit_generator
-    for row, (state, inc) in zip(out, states):
-        _restart(bitgen, state, inc)
+    for row, seed_words in zip(out, words.tolist()):
+        _restart(bitgen, *seed_words)
         gen.random(out=row)
 
 
 def stream(*parts: int) -> np.random.Generator:
     """A PCG64 generator keyed by the given integer parts."""
-    (state, inc), = pcg64_states(derive_seeds(*parts))
     bitgen = np.random.PCG64(0)  # a placeholder state, replaced at once
-    _restart(bitgen, state, inc)
+    _restart(bitgen, *pcg64_states(derive_seeds(*parts)).tolist()[0])
     return np.random.Generator(bitgen)

@@ -302,10 +302,13 @@ def _published_delta(r: np.ndarray) -> tuple:
     at_one = r == 1.0
     x = np.where(at_one, 2.0, r)  # any R other than 1 keeps the arithmetic finite there
     logr = np.log(x)
-    variance = x ** (2.0 / (1.0 - x)) * logr**2 / (1.0 - x) ** 2
-    bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
-               - (x - 1.0) ** 2) / (x - 1.0) ** 3
-    signed = x * x * bracket
+    # far from 1 the printed bias overflows to a non-finite value, which the
+    # caller reports as a note; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = x ** (2.0 / (1.0 - x)) * logr**2 / (1.0 - x) ** 2
+        bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
+                   - (x - 1.0) ** 2) / (x - 1.0) ** 3
+        signed = x * x * bracket
     return (np.where(at_one, math.exp(-2.0), variance),
             np.where(at_one, np.nan, np.where(r < 1.0, -signed, signed)))
 

@@ -94,6 +94,10 @@ def rss_retained(raw: np.ndarray, design: RssDesign) -> np.ndarray:
     The last axis of ``raw`` holds one sample's ``r*r*m`` raw values laid out
     as ``(cycle, rank-set, draw)``.  The result has shape ``(..., r, m)`` in C
     order, rank-major like :attr:`RankedSample.values`.
+
+    The inverse cdf is monotone, so ranking the uniforms a sample is drawn
+    from and inverting only the retained ones gives exactly the values of
+    ranking the draws; the study engine ranks on the uniforms.
     """
     r, m = design.r, design.m
     ordered = np.sort(raw.reshape(raw.shape[:-1] + (m, r, r)), axis=-1)

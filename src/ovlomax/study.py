@@ -21,13 +21,15 @@ Interpretation notes baked into the emitted artifacts:
   compared cell by cell in a discrepancy report instead of being asserted.
 
 The unit of simulation is a design group: the cells that share ``(r1, r2,
-m, method)`` and differ only in ``R``.  A group derives the seeds and
-generator states of all its replications in one array pass.  Its
-replications, cell by cell, are the rows of draw blocks of at most
-``_DRAW_BLOCK`` uniforms, each drawn through the inverse cdf with a per-row
-shape column, sorted into ranked sets and estimated in one pass; the group
-returns its cells' corrected ratios.  A group is also the task a worker
-process receives.  The study stacks whole groups' ratios up to
+m, method)`` and differ only in ``R``.  The study derives the seeds and
+PCG64 seeding words of a pass one slab at a time, a slab being consecutive
+groups of at most ``_DRAW_BLOCK`` replications in all, and hands each group
+its own rows of words.  A group's replications, cell by cell, are the rows
+of draw blocks of at most ``_DRAW_BLOCK`` uniforms; each block is ranked into
+ranked sets on the uniforms, only the retained uniforms go through the
+inverse cdf, with a per-row shape column, and the block is estimated in one
+pass; the group returns its cells' corrected ratios.  A group is also the
+task a worker process receives.  The study stacks whole groups' ratios up to
 ``_ASSESS_STACK`` ratios and runs one delta-method assessment and one mean
 per aggregate over each stack, every ratio under its own group's design.
 Both sizes are fixed module constants; no output depends on them.
@@ -52,13 +54,14 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
+from itertools import repeat, starmap
 
 import numpy as np
 
 from . import __version__, _seeds
 from .dist_core import DomainError, InverseLomax, inverse_transform
 from .estimators import (
+    METHOD_BAYES,
     METHOD_RSS,
     METHOD_SRS,
     METHODS,
@@ -237,10 +240,14 @@ class StudyConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass
 class StudyRow:
     """One (method, measure, cell) aggregate; float fields are stored already
-    rounded to six significant digits so CSV emission round-trips exactly."""
+    rounded to six significant digits so CSV emission round-trips exactly.
+
+    Not frozen: the frozen ``__init__`` sets each field through
+    ``object.__setattr__``, several times slower per row, and rows are
+    never mutated or hashed."""
 
     method: str
     measure: str
@@ -415,32 +422,32 @@ def _designs(cell) -> tuple:
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
 
 
-def _run_group(cfg: StudyConfig, namespace: int, indices, cells):
+def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     """Corrected ratios of one design group's cells, shaped ``(cells,
     replications)``, or the reason the group is skipped.
 
-    Every replication of every cell still draws from its own stream, and
-    the seeds and generator states of the whole group come from one array
-    pass.  The replications, cell by cell, are the rows of draw blocks of at
-    most :data:`_DRAW_BLOCK` uniforms (at least one row); each block is
-    filled by restarting one generator per row, then drawn with a per-row
-    shape column, sorted into ranked sets and estimated in one pass.
+    Row k of ``words`` seeds replication ``k % replications`` of cell ``k //
+    replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
+    cell, are the rows of draw blocks of at most :data:`_DRAW_BLOCK`
+    uniforms (at least one row); each block is filled by restarting one
+    generator per row.  Ranked sets are ranked on the uniforms, and only the
+    retained ones go through the inverse cdf, with a per-row shape column;
+    the estimates of a block come from one pass.
     """
     method = cells[0][-1]
     designs = _designs(cells[0])
     if method != METHOD_RSS and designs[1].n < 3:
         return f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"
+    if method == METHOD_BAYES and cfg.formula_source != SOURCE_DERIVED and designs[0].n < 2:
+        return "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero"
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
-    reps = cfg.replications
-    seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.array(indices)[:, None],
-                                np.arange(reps))
-    states = _seeds.pcg64_states(seeds)
     # population 1's shape per row, checked as an InverseLomax shape;
     # population 2 has shape alpha2 throughout
-    shapes = np.repeat([InverseLomax(cell[0] * cfg.alpha2).alpha for cell in cells], reps)
-    rows = len(states)
+    shapes = np.repeat([InverseLomax(cell[0] * cfg.alpha2).alpha for cell in cells],
+                       cfg.replications)
+    rows = len(words)
     step = max(1, _DRAW_BLOCK // sum(draws))
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
@@ -448,26 +455,49 @@ def _run_group(cfg: StudyConfig, namespace: int, indices, cells):
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         block = uniforms[:hi - lo]
-        _seeds.fill_uniforms(block, states[lo:hi], gen)
+        _seeds.fill_uniforms(block, words[lo:hi], gen)
         samples = np.split(block, [draws[0]], axis=1)  # views of the two populations
         populations = zip((shapes[lo:hi, None], cfg.alpha2), designs, samples)
         for k, (alpha, d, u) in enumerate(populations):
-            x = inverse_transform(u, alpha)
             if method == METHOD_RSS:
-                x = rss_retained(x, d).reshape(hi - lo, d.n)
-            alphas[k, lo:hi] = shape_estimates(method, x)
+                u = rss_retained(u, d).reshape(hi - lo, d.n)
+            alphas[k, lo:hi] = shape_estimates(method, inverse_transform(u, alpha))
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    return ratios.reshape(len(cells), reps)
+    return ratios.reshape(len(cells), cfg.replications)
+
+
+def _group_tasks(cfg: StudyConfig, cells, groups, namespace: int):
+    """The ``(cfg, words, cells)`` task of every design group, in order.
+
+    Seeds and seeding words are made one slab at a time: consecutive groups
+    of at most :data:`_DRAW_BLOCK` replications in all, or a single larger
+    group.  Slabs are made as their tasks are asked for, so a sequential
+    run holds the words of one slab at a time.
+    """
+    reps = cfg.replications
+    slabs, size = [[]], 0
+    for group in groups:
+        if slabs[-1] and size + len(group) * reps > _DRAW_BLOCK:
+            slabs.append([])
+            size = 0
+        slabs[-1].append(group)
+        size += len(group) * reps
+    for slab in slabs:
+        indices = np.concatenate(slab)
+        words = _seeds.pcg64_states(
+            _seeds.derive_seeds(cfg.master_seed, namespace, indices[:, None], np.arange(reps)))
+        bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
+        for group, rows in zip(slab, np.split(words, bounds)):
+            yield cfg, rows, [cells[i] for i in group]
 
 
 def _simulate(tasks, workers: int):
-    """:func:`_run_group` of every ``(cfg, namespace, indices, cells)`` task,
-    in task order."""
+    """:func:`_run_group` of every ``(cfg, words, cells)`` task, in task order."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_group, *zip(*tasks), chunksize=1)
     else:
-        yield from map(_run_group, *zip(*tasks))
+        yield from starmap(_run_group, tasks)
 
 
 # the aggregates of each (cell, measure), in the order of their last axis
@@ -500,24 +530,24 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}`` for
     the skipped cells, whose rows in the array are NaN.
 
-    The design groups are simulated in order, over a process pool when
-    ``workers > 1``.  Their ratios are stacked, whole groups at a time, until
-    a stack holds :data:`_ASSESS_STACK` ratios, and each stack is assessed
-    and aggregated at once.
+    The design groups are seeded in slabs (:func:`_group_tasks`) and
+    simulated in order, over a process pool when ``workers > 1``, each
+    worker receiving its groups' seeding words.  Their ratios are stacked,
+    whole groups at a time, until a stack holds :data:`_ASSESS_STACK`
+    ratios, and each stack is assessed and aggregated at once.
     """
-    tasks = [(cfg, namespace, indices, [cells[i] for i in indices])
-             for indices in _design_groups(cells)]
+    groups = _design_groups(cells)
     aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
     skipped: dict = {}
     stack, stacked = [], 0
-    groups = zip(tasks, _simulate(tasks, workers))
-    for k, ((_cfg, _ns, indices, group), ratios) in enumerate(groups, 1):
+    outcomes = zip(groups, _simulate(_group_tasks(cfg, cells, groups, namespace), workers))
+    for k, (indices, ratios) in enumerate(outcomes, 1):
         if isinstance(ratios, str):
             skipped.update(dict.fromkeys(indices, ratios))
         else:
-            stack.append((indices, group, ratios))
+            stack.append((indices, [cells[i] for i in indices], ratios))
             stacked += ratios.size
-        if stack and (stacked >= _ASSESS_STACK or k == len(tasks)):
+        if stack and (stacked >= _ASSESS_STACK or k == len(groups)):
             aggs[[idx for ids, _g, _r in stack for idx in ids]] = _aggregate(cfg, stack)
             stack, stacked = [], 0
     return aggs, skipped

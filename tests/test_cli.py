@@ -197,6 +197,22 @@ class TestEstimate:
         assert len(notes) == 1
         assert "delta bias is not finite" in notes[0]
 
+    def test_published_bias_overflow_prints_no_warning(self, extreme_files):
+        # a real process, so numpy's warnings reach stderr as a user sees them
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ovlomax.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "estimate", *extreme_files, "--source", "as-published"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "delta bias is not finite" in proc.stdout
+
     def test_wide_values_keep_text_columns_apart(self, capsys, extreme_files):
         code, out, _ = run_cli(capsys, "estimate", *extreme_files, "--source", "as-published")
         assert code == 0

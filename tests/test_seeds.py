@@ -1,10 +1,12 @@
 """Seed derivation and the design-grouped study engine.
 
-The engine derives every replication's seed and PCG64 state in array passes,
-restarts one generator per stream, draws in row blocks and assesses stacks
+The engine derives every replication's seed and PCG64 seeding words in
+array passes over slabs of design groups, restarts one generator per stream,
+draws in row blocks, ranks ranked sets on the uniforms and assesses stacks
 of whole design groups.  These tests hold it to the plain definition: the
 SplitMix64 fold written out on Python ints, a fresh ``np.random.PCG64(seed)``
-per replication, and one kernel call per cell, at every block size.
+per replication, ranked sets sorted on the draws, and one kernel call per
+cell, at every block size.
 Numpy scalar integer arithmetic warns on overflow, so every test here turns
 warnings into errors.
 """
@@ -66,15 +68,22 @@ class TestPcg64States:
     def test_states_equal_a_freshly_seeded_pcg64(self):
         rng = np.random.default_rng(20261018)
         seeds = rng.integers(0, 2**64, size=1000, dtype=np.uint64).tolist() + EDGE_SEEDS
-        states = _seeds.pcg64_states(np.array(seeds, dtype=np.uint64))
-        assert len(states) == len(seeds)
-        for seed, (state, inc) in zip(seeds, states):
-            want = np.random.PCG64(seed).state["state"]
-            assert (state, inc) == (want["state"], want["inc"]), seed
+        words = _seeds.pcg64_states(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        bitgen = np.random.PCG64(0)
+        for seed, row in zip(seeds, words.tolist()):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            assert row == want, seed
+            _seeds._restart(bitgen, *row)
+            assert bitgen.state == np.random.PCG64(seed).state, seed
 
     def test_states_follow_c_order(self):
         seeds = np.array([[5, 2**40], [0, 2**64 - 1]], dtype=np.uint64)
-        assert _seeds.pcg64_states(seeds) == _seeds.pcg64_states(seeds.reshape(-1))
+        words = _seeds.pcg64_states(seeds)
+        assert words.shape == (4, 4)
+        assert np.array_equal(words, _seeds.pcg64_states(seeds.reshape(-1)))
+        for row, seed in zip(words, seeds.reshape(-1).tolist()):
+            assert np.array_equal(row, _seeds.pcg64_states(np.uint64(seed))[0])
 
     @pytest.mark.parametrize("parts", [(0,), (-1,), (2**65 + 1,), (3, 0, 7, 2)])
     def test_stream_draws_like_a_freshly_seeded_generator(self, parts):
@@ -195,9 +204,9 @@ class TestGroupedEngine:
         rows, stacks = [], []
         fill, aggregate = _seeds.fill_uniforms, study._aggregate
 
-        def counted_fill(out, states, gen):
+        def counted_fill(out, words, gen):
             rows.append(len(out))
-            fill(out, states, gen)
+            fill(out, words, gen)
 
         def counted_aggregate(cfg, stack):
             stacks.append(len(stack))
@@ -215,6 +224,34 @@ class TestGroupedEngine:
         else:  # a small study: one draw block per group, one stack in all
             assert rows == [len(cfg.r_values) * cfg.replications] * groups
             assert stacks == [groups]
+
+    # rows of each slab of the several_R study: 12 design groups of 5 cells
+    # x 6 replications, at the shipped budget, the small one and the minimum
+    @pytest.mark.parametrize("budget, slabs", [("shipped", [360]), ("small", [300, 60]),
+                                               ("minimum", [30] * 12)])
+    def test_seeding_is_one_pass_per_slab(self, budget, slabs, monkeypatch):
+        if budget in BUDGETS:
+            monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+            monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+        folds, hashes = [], []
+        derive, hash_seeds = _seeds.derive_seeds, _seeds.pcg64_states
+
+        def counted_derive(*parts):
+            seeds = derive(*parts)
+            folds.append(seeds.size)
+            return seeds
+
+        def counted_hash(seeds):
+            words = hash_seeds(seeds)
+            hashes.append(len(words))
+            return words
+
+        monkeypatch.setattr(_seeds, "derive_seeds", counted_derive)
+        monkeypatch.setattr(_seeds, "pcg64_states", counted_hash)
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        cells = study._enumerate_cells(cfg)
+        study._cell_outcomes(cfg, cells, 0)
+        assert folds == hashes == slabs
 
     def test_skipped_group_reported_per_cell(self):
         res = run_study(StudyConfig(**CONFIGS["skipped_group"]))

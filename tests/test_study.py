@@ -320,6 +320,16 @@ class TestRunStudy:
         assert len(rss_small) == 3
         assert all(r.efficiency is None for r in rss_small)
 
+    def test_zero_published_bayes_correction_skips_the_cell(self):
+        # r1 * m = 1: the as-published bayes correction makes every ratio 0
+        cfg = tiny_config(set_sizes=((1, 3),), cycles=(1,), formula_source="as-published")
+        res = run_study(cfg)
+        assert [(s["method"], s["r1"], s["r2"]) for s in res.skipped] == [("bayes", 1, 3)]
+        assert "n1 = 1" in res.skipped[0]["reason"]
+        assert {r.method for r in res.rows} == {"srs", "rss"}
+        derived = run_study(replace(cfg, formula_source="derived"))
+        assert derived.skipped == [] and {r.method for r in derived.rows} == {"srs", "rss", "bayes"}
+
     def test_metadata(self):
         cfg = tiny_config()
         res = run_study(cfg)
