@@ -70,18 +70,13 @@ def derive_seeds(*parts) -> np.ndarray:
 
     A part is an integer or an integer array; array parts broadcast against
     each other, so ``derive_seeds(s, ns, cells[:, None], np.arange(reps))``
-    gives the ``(cells, reps)`` seeds of a block in one pass.  Every element
-    equals :func:`derive_seed` of the corresponding scalar parts.
+    gives the ``(cells, reps)`` seeds of a block in one pass; scalar parts
+    alone give an array of one seed.
     """
     state = np.zeros(1, dtype=np.uint64)
     for p in parts:
         state = _mix(state + _PHI + _part(p))
     return state
-
-
-def derive_seed(*parts: int) -> int:
-    """Fold integer parts into a single 64-bit seed (SplitMix64 finalizer)."""
-    return int(derive_seeds(*parts)[0])
 
 
 def _hashmix(words: np.ndarray, step: int, count: int) -> np.ndarray:

@@ -218,10 +218,8 @@ def _parse_design(spec: str):
 
 
 def cmd_sample(args) -> int:
-    if args.alpha <= 0 or args.beta <= 0:
-        raise DomainError("alpha and beta must be positive")
-    design = _parse_design(args.design)
     dist = InverseLomax(alpha=args.alpha, beta=args.beta)
+    design = _parse_design(args.design)
     rng = _seeds.stream(args.seed)
     if isinstance(design, SrsDesign):
         for x in draw_srs(dist, design, rng):

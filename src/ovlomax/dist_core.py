@@ -1,10 +1,12 @@
-"""Inverse Lomax distribution, its inverse transform and the domain checks.
+"""Inverse Lomax distribution, its samplers and the domain checks.
 
 The family used throughout is the law of 1/Y for Lomax-distributed Y,
 parametrized so that the cdf is ``(1 + beta/x) ** (-1/alpha)``.  Under this
 convention ``T = log(1 + beta/X)`` is exponential with mean ``alpha``, which
 is what makes every estimator in :mod:`ovlomax.estimators` tractable; the
 exact laws of its estimates are ``scipy.stats`` gamma and F laws, named there.
+A draw lies below the smallest normal float with probability
+``exp(-708.4/alpha)``; sampling and the quantile refuse such values.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from scipy.special import ndtri
 __all__ = [
     "DomainError",
     "InverseLomax",
-    "inverse_transform",
     "log_transform",
     "std_normal_quantile",
 ]
@@ -101,7 +102,7 @@ class InverseLomax:
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("u must lie strictly inside (0, 1)")
-        return _as_input_shape(_quantile(arr, self.alpha, self.beta), u)
+        return _as_input_shape(_from_t(-self.alpha * np.log(arr), self.beta), u)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` values by inverse transform of one uniform block.
@@ -113,7 +114,8 @@ class InverseLomax:
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse transform of a block of uniforms in [0, 1), any shape."""
-        return inverse_transform(u, self.alpha, self.beta)
+        # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
+        return _from_t(-self.alpha * np.log(np.maximum(u, _TINY)), self.beta)
 
     def sample_via_exponential(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Alternative sampler through T ~ Exponential(mean alpha), X = beta/(e^T - 1).
@@ -122,26 +124,20 @@ class InverseLomax:
         different draw path; useful as an independent oracle.
         """
         t = rng.exponential(scale=self.alpha, size=_positive_int("n", n))
-        return np.maximum(self.beta / np.expm1(np.maximum(t, _TINY)), _TINY)
+        return _from_t(np.maximum(t, _TINY), self.beta)
 
 
-def _quantile(u: np.ndarray, alpha, beta) -> np.ndarray:
-    # cdf^{-1}(u) = beta / (u**(-alpha) - 1), written with expm1 so the
-    # u -> 1 branch keeps full precision.
-    out = beta / np.expm1(-alpha * np.log(u))
-    return np.maximum(out, _TINY)
-
-
-def inverse_transform(u, alpha, beta=1.0) -> np.ndarray:
-    """Inverse Lomax draws from uniforms in [0, 1), any shape.
-
-    ``alpha`` and ``beta`` broadcast against ``u``: with an ``(rows, 1)``
-    column of shapes, each row of a block is drawn from its own law.  They
-    are not checked here; :class:`InverseLomax` is the checked entry point
-    and :meth:`InverseLomax.from_uniform` calls this function.
-    """
-    # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
-    return _quantile(np.maximum(u, _TINY), alpha, beta)
+def _from_t(t: np.ndarray, beta) -> np.ndarray:
+    """``beta / expm1(t)``, the values with transforms ``t`` (at ``t = -alpha *
+    log(u)`` the quantile of u); DomainError if any is below the float range."""
+    with np.errstate(over="ignore"):  # an overflowing expm1 is counted below
+        x = beta / np.expm1(t)
+    below = np.count_nonzero(x < _TINY)
+    if below:
+        raise DomainError(
+            f"{below} of {x.size} values lie below the smallest normal float "
+            f"({_TINY:.4g}); too large a shape or too small a scale for x")
+    return x
 
 
 def log_transform(x) -> float | np.ndarray:

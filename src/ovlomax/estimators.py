@@ -13,6 +13,8 @@ Three estimation pipelines share one backbone.  Writing ``t_j = log(1 + 1/x_j)``
 These are the ``scipy.stats`` laws ``gamma(n, scale=alpha/n)`` and
 ``gamma(n, scale=alpha/(n+1))``, and ``(alpha2/alpha1)`` times the raw srs
 ratio is ``f(2*n1, 2*n2)``; the test suite holds the estimators to them.
+The study engine never forms x: it averages ``t = -alpha * log(u)`` of its
+uniforms with the helper behind :func:`shape_estimates`.
 
 The shape ratio feeds the closed-form overlap coefficients (the plug-in point
 is ``overlap_value(measure, est.unbiased)``), and first/second order delta
@@ -169,7 +171,11 @@ def shape_estimates(method: str, x) -> np.ndarray:
     ``bayes`` divides their sum by ``n + 1``.  Values must be positive and
     finite; the whole block is checked once.
     """
-    t = np.asarray(log_transform(x))
+    return _shape_from_t(method, np.asarray(log_transform(x)))
+
+
+def _shape_from_t(method: str, t: np.ndarray) -> np.ndarray:
+    """:func:`shape_estimates` of the transforms ``t`` themselves."""
     if method == METHOD_BAYES:
         return np.sum(t, axis=-1) / (t.shape[-1] + 1)
     if method in (METHOD_SRS, METHOD_RSS):

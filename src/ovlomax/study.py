@@ -26,10 +26,10 @@ PCG64 seeding words of a pass one slab at a time, a slab being consecutive
 groups of at most ``_DRAW_BLOCK`` replications in all, and hands each group
 its own rows of words.  A group's replications, cell by cell, are the rows
 of draw blocks of at most ``_DRAW_BLOCK`` uniforms; each block is ranked into
-ranked sets on the uniforms, only the retained uniforms go through the
-inverse cdf, with a per-row shape column, and the block is estimated in one
-pass; the group returns its cells' corrected ratios.  A group is also the
-task a worker process receives.  The study stacks whole groups' ratios up to
+ranked sets on the uniforms, and estimated in one pass from ``T = -alpha *
+log(u)`` of the retained uniforms, which is ``log(1 + 1/x)`` of their draws
+x; the group returns its cells' corrected ratios.  A group is also the task
+a worker process receives.  The study stacks whole groups' ratios up to
 ``_ASSESS_STACK`` ratios and runs one delta-method assessment and one mean
 per aggregate over each stack, every ratio under its own group's design.
 Both sizes are fixed module constants; no output depends on them.
@@ -59,7 +59,7 @@ from itertools import repeat, starmap
 import numpy as np
 
 from . import __version__, _seeds
-from .dist_core import DomainError, InverseLomax, inverse_transform
+from .dist_core import _TINY, DomainError, InverseLomax
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -68,9 +68,9 @@ from .estimators import (
     SOURCE_DERIVED,
     SOURCES,
     _assess_designs,
+    _shape_from_t,
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
-    shape_estimates,
 )
 from .overlap import MEASURES, overlap_value
 from .sampling import RssDesign, SrsDesign, rss_retained
@@ -430,9 +430,9 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
     cell, are the rows of draw blocks of at most :data:`_DRAW_BLOCK`
     uniforms (at least one row); each block is filled by restarting one
-    generator per row.  Ranked sets are ranked on the uniforms, and only the
-    retained ones go through the inverse cdf, with a per-row shape column;
-    the estimates of a block come from one pass.
+    generator per row.  Ranked sets are ranked on the uniforms, and T =
+    -alpha * log(u) is taken of the retained ones (of all of them for srs
+    and bayes); the estimates of a block come from one pass over T.
     """
     method = cells[0][-1]
     designs = _designs(cells[0])
@@ -461,7 +461,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
         for k, (alpha, d, u) in enumerate(populations):
             if method == METHOD_RSS:
                 u = rss_retained(u, d).reshape(hi - lo, d.n)
-            alphas[k, lo:hi] = shape_estimates(method, inverse_transform(u, alpha))
+            alphas[k, lo:hi] = _shape_from_t(method, -alpha * np.log(np.maximum(u, _TINY)))
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
     return ratios.reshape(len(cells), cfg.replications)
 

@@ -34,6 +34,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """``main(argv)`` in a real process, so numpy's warnings reach stderr as
+    a user sees them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from ovlomax.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 class TestOvl:
     def test_json_all_measures(self, capsys):
         code, out, _ = run_cli(capsys, "ovl", "--ratio", "0.5", "--format", "json")
@@ -140,6 +154,13 @@ class TestSample:
         code, _, _ = run_cli(capsys, "sample", "--alpha", "-1", "--design", "srs:5")
         assert code == 1
 
+    def test_draws_below_the_float_range_fail_cleanly(self):
+        proc = run_process("sample", "--alpha", "1000", "--design", "srs:2000")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "below the smallest normal float" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
 
 class TestEstimate:
     @pytest.fixture
@@ -198,17 +219,7 @@ class TestEstimate:
         assert "delta bias is not finite" in notes[0]
 
     def test_published_bias_overflow_prints_no_warning(self, extreme_files):
-        # a real process, so numpy's warnings reach stderr as a user sees them
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from ovlomax.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             "estimate", *extreme_files, "--source", "as-published"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = run_process("estimate", *extreme_files, "--source", "as-published")
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert "delta bias is not finite" in proc.stdout

@@ -7,7 +7,6 @@ import scipy.stats
 from ovlomax.dist_core import (
     DomainError,
     InverseLomax,
-    inverse_transform,
     log_transform,
     std_normal_quantile,
 )
@@ -122,16 +121,25 @@ class TestSampling:
         b = InverseLomax(0.8, 4.0).sample(100, np.random.default_rng(3))
         assert np.allclose(b, 4.0 * a, rtol=1e-12)
 
-    def test_shape_column_draws_each_row_from_its_own_law(self, rng):
-        u = rng.random((4, 7))
-        u[0, 0] = 0.0  # nudged inside, as from_uniform does
-        shapes = np.array([0.05, 1.0, 2.5, 40.0])
-        block = inverse_transform(u, shapes[:, None], 3.0)
-        assert block.shape == u.shape
-        for row, alpha in zip(range(4), shapes.tolist()):
-            want = InverseLomax(alpha, 3.0).from_uniform(u[row])
-            assert block[row].tobytes() == want.tobytes()
-        assert np.all(block > 0.0)
+    def test_zero_uniform_is_nudged_inside(self):
+        # u = 0 becomes the smallest normal float; at alpha = 0.5 its draw,
+        # 3 / expm1(354.2), is still a normal float
+        x = InverseLomax(0.5, 3.0).from_uniform(np.array([0.0, 0.5]))
+        assert 0.0 < x[0] < x[1]
+
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+    @pytest.mark.parametrize("draw", ["sample", "sample_via_exponential"])
+    def test_draws_below_the_float_range_are_refused(self, draw, rng):
+        # at alpha = 1000 about half the law lies below the smallest normal
+        # float; a clamped x would give a mean T near 510 instead of 1000
+        with pytest.raises(DomainError, match=r"\d+ of 20000 values lie below"):
+            getattr(InverseLomax(1000.0), draw)(20000, rng)
+
+    def test_quantile_below_the_float_range_is_refused(self):
+        d = InverseLomax(1000.0)
+        assert d.quantile(0.9) > 0.0
+        with pytest.raises(DomainError, match="1 of 2 values"):
+            d.quantile(np.array([0.9, 0.1]))
 
 
 class TestLogTransform:

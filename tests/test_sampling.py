@@ -75,6 +75,16 @@ class TestDrawRss:
             plain = draw_srs(d, SrsDesign(k), np.random.default_rng(row))
             assert d.from_uniform(u[row]).tobytes() == plain.tobytes()
 
+    @pytest.mark.parametrize("r, m, alpha", [(2, 3, 0.05), (3, 4, 1.0), (4, 2, 7.5),
+                                             (5, 3, 40.0)])
+    def test_ranking_on_uniforms_equals_ranking_on_draws(self, r, m, alpha):
+        # the inverse cdf is increasing, so the study may rank ranked sets on
+        # the uniforms and take T of the retained ones only
+        d, design = InverseLomax(alpha), RssDesign(r=r, m=m)
+        u = np.random.default_rng([r, m]).random((6, m * r * r))
+        on_u = d.from_uniform(rss_retained(u, design))
+        assert on_u.tobytes() == rss_retained(d.from_uniform(u), design).tobytes()
+
     def test_degenerate_design_equals_srs(self):
         d = InverseLomax(0.8)
         ranked = draw_rss(d, RssDesign(r=1, m=5), np.random.default_rng(2))

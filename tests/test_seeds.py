@@ -5,8 +5,9 @@ array passes over slabs of design groups, restarts one generator per stream,
 draws in row blocks, ranks ranked sets on the uniforms and assesses stacks
 of whole design groups.  These tests hold it to the plain definition: the
 SplitMix64 fold written out on Python ints, a fresh ``np.random.PCG64(seed)``
-per replication, ranked sets sorted on the draws, and one kernel call per
-cell, at every block size.
+per replication, ranked sets sorted on each replication's own uniforms,
+``T = -alpha * log(u)`` averaged inline, and one kernel call per cell, at
+every block size.
 Numpy scalar integer arithmetic warns on overflow, so every test here turns
 warnings into errors.
 """
@@ -16,8 +17,7 @@ import pytest
 
 from ovlomax import StudyConfig, run_study, study
 from ovlomax import _seeds
-from ovlomax.estimators import METHOD_RSS, assess, corrected_ratio, shape_estimates
-from ovlomax.dist_core import InverseLomax
+from ovlomax.estimators import METHOD_BAYES, METHOD_RSS, assess, corrected_ratio
 from ovlomax.overlap import MEASURES, overlap_value
 from ovlomax.sampling import RssDesign, SrsDesign, rss_retained
 
@@ -45,9 +45,9 @@ class TestFold:
     @pytest.mark.parametrize("parts", [(0,), (7,), (-1,), (2**64,), (2**70 + 5, -3, 7),
                                        (11, 0, 0), (11, 0, 1), (2**64 - 1, 1, 296, 9)])
     def test_scalar_fold_matches_reference(self, parts):
-        got = _seeds.derive_seed(*parts)
-        assert type(got) is int
-        assert got == reference_seed(*parts)
+        got = _seeds.derive_seeds(*parts)
+        assert got.shape == (1,) and got.dtype == np.uint64
+        assert int(got[0]) == reference_seed(*parts)
 
     def test_array_fold_matches_scalar_fold_elementwise(self):
         cells = np.arange(-3, 4)
@@ -56,12 +56,12 @@ class TestFold:
         assert seeds.shape == (cells.size, reps.size) and seeds.dtype == np.uint64
         for i, c in enumerate(cells.tolist()):
             for j, r in enumerate(reps.tolist()):
-                want = _seeds.derive_seed(-1, 2**70 + 3, c, r)
+                want = int(_seeds.derive_seeds(-1, 2**70 + 3, c, r)[0])
                 assert int(seeds[i, j]) == want == reference_seed(-1, 2**70 + 3, c, r)
 
     def test_wide_and_negative_parts_wrap_mod_2_64(self):
-        assert _seeds.derive_seed(-1) == _seeds.derive_seed(2**64 - 1)
-        assert _seeds.derive_seed(2**64 + 5, 3) == _seeds.derive_seed(5, 3)
+        assert _seeds.derive_seeds(-1) == _seeds.derive_seeds(2**64 - 1)
+        assert _seeds.derive_seeds(2**64 + 5, 3) == _seeds.derive_seeds(5, 3)
 
 
 class TestPcg64States:
@@ -103,8 +103,10 @@ class TestPcg64States:
 
 
 def reference_cell(cfg, namespace, cell_index, cell):
-    """One cell as the definition reads: a fresh stream per replication and
-    one assessment of the cell's own ratios."""
+    """One cell as the definition reads: a fresh stream per replication,
+    ranked sets ranked on its uniforms, the shape estimates as the mean (or
+    the sum over n + 1) of T = -alpha * log(u), which is log(1 + 1/x) of the
+    draw x at u, and one assessment of the cell's own ratios."""
     R, r1, r2, m, method = cell
     if method == METHOD_RSS:
         designs = (RssDesign(r1, m), RssDesign(r2, m))
@@ -118,12 +120,13 @@ def reference_cell(cfg, namespace, cell_index, cell):
     for rep in range(reps):
         _seeds.stream(cfg.master_seed, namespace, cell_index, rep).random(out=uniforms[rep])
     alphas = []
-    dists = (InverseLomax(R * cfg.alpha2), InverseLomax(cfg.alpha2))
-    for dist, design, u in zip(dists, designs, np.split(uniforms, [draws[0]], axis=1)):
-        x = dist.from_uniform(u)
+    shapes = (R * cfg.alpha2, cfg.alpha2)
+    for alpha, design, u in zip(shapes, designs, np.split(uniforms, [draws[0]], axis=1)):
         if method == METHOD_RSS:
-            x = rss_retained(x, design).reshape(reps, design.n)
-        alphas.append(shape_estimates(method, x))
+            u = rss_retained(u, design).reshape(reps, design.n)
+        t = -alpha * np.log(np.maximum(u, np.finfo(float).tiny))
+        alphas.append(np.sum(t, axis=1) / (design.n + 1) if method == METHOD_BAYES
+                      else np.mean(t, axis=1))
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
     block = assess(ratios, method, *designs, cfg.formula_source, 1.0 - cfg.level_alpha0)
     out = {}
@@ -273,7 +276,7 @@ class TestGroupedEngine:
         cfg = StudyConfig(**CONFIGS["several_R"])
         res = run_study(cfg, namespace=1)
         cells = study._enumerate_cells(cfg)
-        seeds = {cell: _seeds.derive_seed(cfg.master_seed, 1, idx)
+        seeds = {cell: int(_seeds.derive_seeds(cfg.master_seed, 1, idx)[0])
                  for idx, cell in enumerate(cells)}
         for row in res.rows:
             cell = next(c for c in cells if c[1:] == (row.r1, row.r2, row.m, row.method)
