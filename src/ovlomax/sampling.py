@@ -6,6 +6,12 @@ of ``r`` independent draws is taken, sorted ascending on the raw values, and
 the i-th order statistic is retained.  A design of set size ``r`` with ``m``
 cycles therefore consumes ``r*r*m`` raw draws and retains ``n = r*m``.
 
+Sets of ``r <= 5`` are ranked by a fixed min/max comparator network (the
+size-optimal one, of 1, 3, 5 or 9 comparators) run over the ``r`` columns of
+all sets at once; larger sets go through ``np.sort``.  ``min`` and ``max``
+return one of their inputs, so on NaN-free input the network keeps exactly
+the values, byte for byte, that the sort keeps.
+
 Because ``log(1 + 1/x)`` is strictly decreasing, the retained rank ``i`` in x
 corresponds to rank ``r - i + 1`` of the transformed exponential values; the
 test suite pins that correspondence explicitly.
@@ -19,6 +25,16 @@ import numpy as np
 from .dist_core import DomainError, InverseLomax, _positive_int
 
 __all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss", "rss_retained"]
+
+# size-optimal sorting networks as (low, high) comparator pairs, by set size;
+# a set of one is already ranked
+_NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 2), (0, 1), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3), (1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,7 @@ def draw_rss(d: InverseLomax, design: RssDesign, rng: np.random.Generator) -> Ra
     """Draw a full ranked set sample.
 
     All ``r*r*m`` raw values come from one block of the stream, laid out as
-    ``(cycle, rank-set, draw)``, each set is sorted ascending, and set ``i``
+    ``(cycle, rank-set, draw)``, each set is ranked ascending, and set ``i``
     of each cycle contributes its i-th order statistic.  With ``r == 1`` this
     degenerates to a simple random sample of size ``m`` drawing the same
     values as :func:`draw_srs` would.
@@ -95,12 +111,25 @@ def rss_retained(raw: np.ndarray, design: RssDesign) -> np.ndarray:
     as ``(cycle, rank-set, draw)``.  The result has shape ``(..., r, m)`` in C
     order, rank-major like :attr:`RankedSample.values`.
 
-    The inverse cdf is monotone, so ranking the uniforms a sample is drawn
-    from and inverting only the retained ones gives exactly the values of
-    ranking the draws; the study engine ranks on the uniforms.
+    Sets of ``r <= 5`` are ranked by the comparator networks of
+    :data:`_NETWORKS`, larger ones by ``np.sort``; on NaN-free input both
+    give the same bytes.  The inverse cdf is monotone, so ranking the
+    uniforms a sample is drawn from and inverting only the retained ones
+    gives exactly the values of ranking the draws; the study engine ranks on
+    the uniforms.
     """
     r, m = design.r, design.m
-    ordered = np.sort(raw.reshape(raw.shape[:-1] + (m, r, r)), axis=-1)
-    idx = np.arange(r)
-    retained = ordered[..., idx, idx]  # (..., m, r): cycle k, set i -> i-th order stat
-    return np.ascontiguousarray(np.swapaxes(retained, -1, -2))
+    sets = raw.reshape(raw.shape[:-1] + (m, r, r))
+    if r in _NETWORKS:
+        # column j holds draw j of every set, shaped (..., m, r)
+        columns = [sets[..., j] for j in range(r)]
+        for a, b in _NETWORKS[r]:
+            low, high = columns[a], columns[b]
+            columns[a], columns[b] = np.minimum(low, high), np.maximum(low, high)
+    else:
+        ordered = np.sort(sets, axis=-1)
+        columns = [ordered[..., j] for j in range(r)]
+    out = np.empty(raw.shape[:-1] + (r, m))
+    for i, column in enumerate(columns):
+        out[..., i, :] = column[..., i]  # set i keeps its i-th order statistic
+    return out

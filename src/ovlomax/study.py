@@ -23,13 +23,15 @@ Interpretation notes baked into the emitted artifacts:
 The unit of simulation is a design group: the cells that share ``(r1, r2,
 m, method)`` and differ only in ``R``.  The study derives the seeds and
 PCG64 seeding words of a pass one slab at a time, a slab being consecutive
-groups of at most ``_DRAW_BLOCK`` replications in all, and hands each group
-its own rows of words.  A group's replications, cell by cell, are the rows
-of draw blocks of at most ``_DRAW_BLOCK`` uniforms; each block is ranked into
-ranked sets on the uniforms, and estimated in one pass from ``T = -alpha *
-log(u)`` of the retained uniforms, which is ``log(1 + 1/x)`` of their draws
-x; the group returns its cells' corrected ratios.  A group is also the task
-a worker process receives.  The study stacks whole groups' ratios up to
+groups whose 32-byte rows of seeding words fit in ``_BLOCK_BYTES`` (2^14
+replications in all), and hands each group its own rows of words.  A
+group's replications, cell by cell, are the rows of draw blocks whose
+uniforms fit in the same ``_BLOCK_BYTES`` (2^16 uniforms); each block is
+ranked into ranked sets on the uniforms, by comparator networks for sets of
+up to five, and estimated in one pass from ``T = -alpha * log(u)`` of the
+retained uniforms, which is ``log(1 + 1/x)`` of their draws x; the group
+returns its cells' corrected ratios.  A group is also the task a worker
+process receives.  The study stacks whole groups' ratios up to
 ``_ASSESS_STACK`` ratios and runs one delta-method assessment and one mean
 per aggregate over each stack, every ratio under its own group's design.
 Both sizes are fixed module constants; no output depends on them.
@@ -101,9 +103,11 @@ __all__ = [
 DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
-# elements of one block of uniforms, and ratios of one assessment stack: fixed
-# sizes that bound memory and the number of numpy calls; outputs do not depend on them
-_DRAW_BLOCK = 2**14
+# bytes of one draw block's float uniforms (2^16 of them) and of one slab's
+# 32-byte rows of seeding words (2^14 replications), and ratios of one
+# assessment stack: fixed sizes that bound memory and the number of numpy
+# calls; outputs do not depend on them
+_BLOCK_BYTES = 2**19
 _ASSESS_STACK = 2**13
 # version of the map from (master_seed, namespace, cell_index, replication) to
 # the uniforms a replication draws; bumped only when study outputs change on purpose
@@ -213,6 +217,16 @@ class StudyConfig:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
         if self.figure_r_grid is not None:
             self.figure_r_grid = _ratio_grid("figure_r_grid", self.figure_r_grid)
+        # worst case of a sample's sum of T = -alpha * log(u), u >= tiny: the
+        # largest shape any cell draws (population 1's R * alpha2 over the
+        # study and figure grids, or population 2's alpha2) times the largest n
+        figure = DEFAULT_FIGURE_R_GRID if self.figure_r_grid is None else self.figure_r_grid
+        shape = self.alpha2 * max(1.0, *self.r_values, *figure)
+        n = max(map(max, self.set_sizes)) * max(self.cycles)
+        if not math.isfinite(shape * n * -math.log(_TINY)):
+            raise ConfigError(
+                f"alpha2 = {self.alpha2:.6g} is too large for this grid: a sample's sum of "
+                f"T = -alpha * log(u) over up to {n} values at shape {shape:.6g} overflows")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -278,13 +292,14 @@ _CSV_FORMATS = {"str": lambda col: col,
                 "float | None": lambda col: ["" if x is None else format(x, ".6g") for x in col]}
 
 
-@dataclass(frozen=True)
+@dataclass
 class EfficiencyCell:
     """Analytic (and optionally simulated) MSE ratio for one grid cell.
 
     ``R`` is rounded to six significant digits like :attr:`StudyRow.R`;
     ``analytic_eff`` is None where the srs variance does not exist (n2 < 3).
-    """
+
+    Not frozen, like :class:`StudyRow`: cells are never mutated or hashed."""
 
     measure: str
     R: float
@@ -428,11 +443,12 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
 
     Row k of ``words`` seeds replication ``k % replications`` of cell ``k //
     replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
-    cell, are the rows of draw blocks of at most :data:`_DRAW_BLOCK`
-    uniforms (at least one row); each block is filled by restarting one
-    generator per row.  Ranked sets are ranked on the uniforms, and T =
-    -alpha * log(u) is taken of the retained ones (of all of them for srs
-    and bayes); the estimates of a block come from one pass over T.
+    cell, are the rows of draw blocks whose float uniforms fit in
+    :data:`_BLOCK_BYTES` (at least one row); each block is filled by
+    restarting one generator per row.  Ranked sets are ranked on the
+    uniforms (:func:`rss_retained`), and T = -alpha * log(u) is taken of
+    the retained ones (of all of them for srs and bayes); the estimates of a
+    block come from one pass over T.
     """
     method = cells[0][-1]
     designs = _designs(cells[0])
@@ -448,7 +464,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     shapes = np.repeat([InverseLomax(cell[0] * cfg.alpha2).alpha for cell in cells],
                        cfg.replications)
     rows = len(words)
-    step = max(1, _DRAW_BLOCK // sum(draws))
+    step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
     alphas = np.empty((2, rows))
@@ -470,14 +486,14 @@ def _group_tasks(cfg: StudyConfig, cells, groups, namespace: int):
     """The ``(cfg, words, cells)`` task of every design group, in order.
 
     Seeds and seeding words are made one slab at a time: consecutive groups
-    of at most :data:`_DRAW_BLOCK` replications in all, or a single larger
-    group.  Slabs are made as their tasks are asked for, so a sequential
-    run holds the words of one slab at a time.
+    whose 32-byte rows of seeding words fit in :data:`_BLOCK_BYTES`, or a
+    single larger group.  Slabs are made as their tasks are asked for, so a
+    sequential run holds the words of one slab at a time.
     """
     reps = cfg.replications
     slabs, size = [[]], 0
     for group in groups:
-        if slabs[-1] and size + len(group) * reps > _DRAW_BLOCK:
+        if slabs[-1] and 32 * (size + len(group) * reps) > _BLOCK_BYTES:
             slabs.append([])
             size = 0
         slabs[-1].append(group)

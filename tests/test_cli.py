@@ -26,6 +26,7 @@ from ovlomax.study import STUDY_CSV_COLUMNS
 DATA1 = "120 14 62 47 225 71 246 21\n"
 DATA2 = "23 261 87 7 120 14\n"
 REPO = Path(__file__).resolve().parents[1]
+SMOKE = REPO / "src" / "ovlomax" / "data" / "configs" / "smoke.json"
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +291,17 @@ class TestSimulate:
         assert code == 0
         assert not (out_dir / "figure_data.csv").exists()
         assert (out_dir / "study.csv").exists()
+
+    def test_alpha2_out_of_range_fails_cleanly(self, tmp_path):
+        # -alpha * log(u) of smoke.json's samples at alpha2 = 1e308 overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "alpha2": 1e308}))
+        out_dir = tmp_path / "out"
+        proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "alpha2" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out_dir.exists()
 
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"

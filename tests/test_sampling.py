@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovlomax.dist_core import DomainError, InverseLomax, log_transform
 from ovlomax.sampling import (
@@ -84,6 +85,25 @@ class TestDrawRss:
         u = np.random.default_rng([r, m]).random((6, m * r * r))
         on_u = d.from_uniform(rss_retained(u, design))
         assert on_u.tobytes() == rss_retained(d.from_uniform(u), design).tobytes()
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 6), lead=st.sampled_from([(), (3,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([0, 1, 2, 5]))
+    def test_retained_values_equal_the_sort_byte_for_byte(self, r, m, lead, seed, levels):
+        # the comparator networks (r <= 5) and the sort (r >= 6) against an
+        # inline sort, on uniforms with exact zeros and, at few levels, ties
+        rng = np.random.default_rng(seed)
+        u = rng.random(lead + (m * r * r,))
+        if levels:
+            u = np.floor(u * levels) / levels
+        u[rng.random(u.shape) < 0.1] = 0.0
+        idx = np.arange(r)
+        ordered = np.sort(u.reshape(lead + (m, r, r)), axis=-1)
+        want = np.ascontiguousarray(np.swapaxes(ordered[..., idx, idx], -1, -2))
+        got = rss_retained(u, RssDesign(r=r, m=m))
+        assert got.shape == lead + (r, m) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     def test_degenerate_design_equals_srs(self):
         d = InverseLomax(0.8)

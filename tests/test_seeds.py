@@ -5,7 +5,8 @@ array passes over slabs of design groups, restarts one generator per stream,
 draws in row blocks, ranks ranked sets on the uniforms and assesses stacks
 of whole design groups.  These tests hold it to the plain definition: the
 SplitMix64 fold written out on Python ints, a fresh ``np.random.PCG64(seed)``
-per replication, ranked sets sorted on each replication's own uniforms,
+per replication, ranked sets sorted by ``np.sort`` on each replication's
+own uniforms (never by the engine's comparator networks),
 ``T = -alpha * log(u)`` averaged inline, and one kernel call per cell, at
 every block size.
 Numpy scalar integer arithmetic warns on overflow, so every test here turns
@@ -19,7 +20,7 @@ from ovlomax import StudyConfig, run_study, study
 from ovlomax import _seeds
 from ovlomax.estimators import METHOD_BAYES, METHOD_RSS, assess, corrected_ratio
 from ovlomax.overlap import MEASURES, overlap_value
-from ovlomax.sampling import RssDesign, SrsDesign, rss_retained
+from ovlomax.sampling import RssDesign, SrsDesign
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -104,7 +105,8 @@ class TestPcg64States:
 
 def reference_cell(cfg, namespace, cell_index, cell):
     """One cell as the definition reads: a fresh stream per replication,
-    ranked sets ranked on its uniforms, the shape estimates as the mean (or
+    ranked sets sorted on its uniforms, set i of each cycle keeping its i-th
+    order statistic, rank-major, the shape estimates as the mean (or
     the sum over n + 1) of T = -alpha * log(u), which is log(1 + 1/x) of the
     draw x at u, and one assessment of the cell's own ratios."""
     R, r1, r2, m, method = cell
@@ -123,7 +125,9 @@ def reference_cell(cfg, namespace, cell_index, cell):
     shapes = (R * cfg.alpha2, cfg.alpha2)
     for alpha, design, u in zip(shapes, designs, np.split(uniforms, [draws[0]], axis=1)):
         if method == METHOD_RSS:
-            u = rss_retained(u, design).reshape(reps, design.n)
+            r, m = design.r, design.m
+            ordered = np.sort(u.reshape(reps, m, r, r), axis=-1)
+            u = ordered[:, :, np.arange(r), np.arange(r)].transpose(0, 2, 1).reshape(reps, -1)
         t = -alpha * np.log(np.maximum(u, np.finfo(float).tiny))
         alphas.append(np.sum(t, axis=1) / (design.n + 1) if method == METHOD_BAYES
                       else np.mean(t, axis=1))
@@ -153,13 +157,17 @@ CONFIGS = {
                       formula_source="as-published"),
     "skipped_group": dict(r_values=(0.25, 0.8), set_sizes=((2, 1), (2, 2)), cycles=(2,),
                           replications=5, master_seed=9),
+    # sets of 5 go through a comparator network, sets of 6 through the sort
+    "network_and_sort": dict(r_values=(0.3, 1.4), set_sizes=((5, 6),), cycles=(1, 2),
+                             replications=5, master_seed=12),
 }
 
 
-# draw-block elements and assessment-stack ratios: the minimum (one row per
-# draw block, one group per stack), and sizes that cut draw blocks across
-# cells and stack a few groups
-BUDGETS = {"minimum": (1, 1), "small": (300, 40)}
+# block bytes and assessment-stack ratios: the minimum (one row per draw
+# block, one group per slab and per stack), and sizes that cut draw blocks
+# (300 uniforms) across cells, put a few groups in a slab (75 replications)
+# and stack a few groups
+BUDGETS = {"minimum": (1, 1), "small": (2400, 40)}
 
 
 def assert_cells_equal_reference(name, namespace):
@@ -195,14 +203,14 @@ class TestGroupedEngine:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("namespace", [0, 1])
     def test_every_block_budget_equals_reference(self, name, namespace, budget, monkeypatch):
-        monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
         monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
         assert_cells_equal_reference(name, namespace)
 
     @pytest.mark.parametrize("budget", ["shipped", "minimum"])
     def test_budgets_cut_draw_blocks_and_stacks(self, budget, monkeypatch):
         if budget in BUDGETS:
-            monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
             monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
         rows, stacks = [], []
         fill, aggregate = _seeds.fill_uniforms, study._aggregate
@@ -230,11 +238,11 @@ class TestGroupedEngine:
 
     # rows of each slab of the several_R study: 12 design groups of 5 cells
     # x 6 replications, at the shipped budget, the small one and the minimum
-    @pytest.mark.parametrize("budget, slabs", [("shipped", [360]), ("small", [300, 60]),
+    @pytest.mark.parametrize("budget, slabs", [("shipped", [360]), ("small", [60] * 6),
                                                ("minimum", [30] * 12)])
     def test_seeding_is_one_pass_per_slab(self, budget, slabs, monkeypatch):
         if budget in BUDGETS:
-            monkeypatch.setattr(study, "_DRAW_BLOCK", BUDGETS[budget][0])
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
             monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
         folds, hashes = [], []
         derive, hash_seeds = _seeds.derive_seeds, _seeds.pcg64_states

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import fields, replace
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -35,6 +37,9 @@ from ovlomax.study import (
     DEFAULT_SET_SIZES,
     STUDY_CSV_COLUMNS,
 )
+
+SMOKE = files("ovlomax.data").joinpath("configs/smoke.json")
+TINY = np.finfo(float).tiny
 
 
 def tiny_config(**over):
@@ -115,6 +120,20 @@ class TestStudyConfig:
     def test_no_silent_coercion(self, text, field):
         with pytest.raises(ConfigError, match=field):
             StudyConfig.from_json(text)
+
+    # smoke.json draws samples of at most n = 6 at shape alpha2 (its R and
+    # figure grids stay below 1), so alpha2 1e300 is fine there; each case
+    # is refused for the field that makes a sum of T overflow
+    @pytest.mark.parametrize("changes", [
+        {"alpha2": 1e308},
+        {"alpha2": 1e300, "r_values": [0.5, 1e8]},
+        {"alpha2": 1e300, "figure_r_grid": [0.25, 1e8]},
+        {"alpha2": 1e302, "cycles": [1000]},
+    ])
+    def test_alpha2_whose_sums_overflow_is_refused(self, changes):
+        data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
+        with pytest.raises(ConfigError, match="alpha2"):
+            StudyConfig.from_dict(data)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = StudyConfig(set_sizes=[(np.int64(2), np.int32(3))], cycles=[np.int8(4)],
@@ -292,14 +311,15 @@ class TestRunStudy:
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 0)[0]) for r in srs_rows)
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 1)[0]) for r in rss_rows)
 
-    @pytest.mark.parametrize("alpha2", [100.0, 1000.0])
+    # the last alpha2 lies just under the largest that smoke.json accepts:
+    # shape alpha2 times n = 6 times -log(tiny) is just below the float range
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha2", [100.0, 1000.0,
+                                        0.999 * sys.float_info.max / (6 * -math.log(TINY))])
     def test_aggregates_do_not_depend_on_the_shape_scale(self, alpha2):
         # every estimate scales with alpha2, so the ratios and the aggregates
         # do not move; a sampler that clamps draws to the float range does
-        from importlib.resources import files
-
-        text = files("ovlomax.data").joinpath("configs/smoke.json").read_text(encoding="utf-8")
-        cfg = StudyConfig.from_json(text)
+        cfg = StudyConfig.from_json(SMOKE.read_text(encoding="utf-8"))
         cells = study._enumerate_cells(cfg)
         want, _ = study._cell_outcomes(cfg, cells, 0)
         got, _ = study._cell_outcomes(replace(cfg, alpha2=alpha2), cells, 0)
