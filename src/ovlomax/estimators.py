@@ -18,7 +18,9 @@ uniforms with the helper behind :func:`shape_estimates`.
 
 The shape ratio feeds the closed-form overlap coefficients (the plug-in point
 is ``overlap_value(measure, est.unbiased)``), and first/second order delta
-expansions in the ratio give variances, biases, and normal-theory intervals.
+expansions in log R give variances ``factor * e**2``, biases
+``factor * c / 2`` and normal-theory intervals, where ``factor`` is
+Var(ratio)/R**2 and ``e``, ``c`` are ``overlap``'s elasticities.
 :func:`assess` evaluates all of that for a whole block of ratios at once, and
 the per-sample and per-measure functions here are length-one views of the
 same code.  Its kernel takes the design constants per ratio, so the study
@@ -33,7 +35,7 @@ bias differs in sign and in a denominator power, and the Bayes constants are
 dimensionally inconsistent for unequal sample sizes).  The two modes are kept
 side by side and never merged silently; report builders warn when they
 disagree.  Each mode reads its terms from one table of array functions keyed
-by measure: ``overlap``'s slope terms, or the printed shapes here.
+by measure: ``overlap``'s elasticities, or the printed shapes here.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DomainError, _positive_int, log_transform, std_normal_quantile
-from .overlap import _TERMS, MEASURES, overlap_value
+from .overlap import MEASURES, _terms, overlap_value
 from .sampling import RankedSample, RssDesign, SrsDesign
 
 __all__ = [
@@ -308,13 +310,10 @@ def _published_delta(r: np.ndarray) -> tuple:
     at_one = r == 1.0
     x = np.where(at_one, 2.0, r)  # any R other than 1 keeps the arithmetic finite there
     logr = np.log(x)
-    # far from 1 the printed bias overflows to a non-finite value, which the
-    # caller reports as a note; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = x ** (2.0 / (1.0 - x)) * logr**2 / (1.0 - x) ** 2
-        bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
-                   - (x - 1.0) ** 2) / (x - 1.0) ** 3
-        signed = x * x * bracket
+    variance = x ** (2.0 / (1.0 - x)) * logr**2 / (1.0 - x) ** 2
+    bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
+               - (x - 1.0) ** 2) / (x - 1.0) ** 3
+    signed = x * x * bracket
     return (np.where(at_one, math.exp(-2.0), variance),
             np.where(at_one, np.nan, np.where(r < 1.0, -signed, signed)))
 
@@ -374,28 +373,28 @@ def _design_terms(method: str, design1, design2, source: str) -> tuple:
 def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: bool) -> tuple:
     """Point, variance, bias, plain bounds and clamp flags, then the same three
     for the bias-corrected interval, each as one ``(measure, ratio)`` array.
-    Each measure's terms are one call into its mode's table.
+    Under ``derived`` the variance is factor * e**2 and the bias
+    factor * c / 2, with the elasticities of all three measures from one
+    call; under ``as-published`` each measure's printed shapes are one call.
 
     ``factor`` and, under ``as-published``, each of the three ``constants``
     broadcast against the ratios, so one call can assess ratios of many
     designs; ``constants`` is None under ``derived``.  The corrected entries
     are ``(None,) * 3`` without ``bias_corrected``.
     """
-    terms = []
-    for k, measure in enumerate(MEASURES):
-        point = overlap_value(measure, r)  # checks the ratios
-        if constants is None:
-            _slope, slope_sq, curvature = _TERMS[measure](r)
-            variance = factor * r * r * slope_sq
-            bias = 0.5 * factor * r * r * curvature
-        else:
-            var_shape, bias_shape = _PUBLISHED[measure](r)
-            variance = factor * var_shape
-            bias = constants[k] * bias_shape
-        terms.append((point, variance, bias))
-    # one (measure, ratio) array per quantity, so the interval arithmetic and
-    # its checks run once for all three measures
-    point, variance, bias = (np.array(q) for q in zip(*terms))
+    point = np.array([overlap_value(measure, r) for measure in MEASURES])  # checks the ratios
+    if constants is None:
+        e, c = _terms(r)
+        variance = factor * e * e
+        bias = 0.5 * factor * c
+    else:
+        # far from R = 1 the printed shapes overflow to non-finite values, which
+        # the checks below or the report notes name; numpy's warnings would
+        # only repeat them
+        with np.errstate(over="ignore", invalid="ignore"):
+            shapes = np.array([_PUBLISHED[measure](r) for measure in MEASURES])
+        variance = factor * shapes[:, 0]
+        bias = constants * shapes[:, 1]
     _check_terms(variance, bias, bias_corrected)
     half = z * np.sqrt(variance)
     plain = _clamped_bounds(point, half)
@@ -435,9 +434,10 @@ def assess(
 
     Returns ``{measure: Assessment}`` in :data:`MEASURES` order, one entry per
     element of the one-dimensional ``ratios``.  ``derived`` evaluates
-    Var(ratio) * (dg/dR)**2 and Var(ratio) * d2g/dR2 / 2 (at R=1 the Weitzman
-    variance keeps its two-sided kink limit exp(-2) * Var(ratio) and its bias
-    is 0); ``as-published`` reproduces the printed expressions with their own
+    factor * e**2 and factor * c / 2 for factor = Var(ratio)/R**2 and the
+    elasticities e = R*dg/dR, c = R**2*d2g/dR2 (at R=1 the Weitzman variance
+    keeps its two-sided kink limit exp(-2) * factor and its bias is 0);
+    ``as-published`` reproduces the printed expressions with their own
     constants, whose Weitzman bias has no finite value at R=1 (NaN).
 
     Raises :class:`DomainError` when a ratio is not positive and finite, a

@@ -9,8 +9,9 @@ the shape ratio ``R = alpha1/alpha2``:
 
 The closed forms follow from the change of variables ``t = log(1 + 1/x)``,
 which turns both densities into exponentials with means ``alpha1, alpha2``.
-Each measure's slope, squared slope and curvature in R are one array function
-in a table that the delta-method kernel reads directly.  The quadrature
+Each measure's elasticities e = R*g'(R) and c = R**2*g''(R), finite over the
+whole float range, are one array function in a table that the delta-method
+kernel reads directly.  The quadrature
 routines below work directly on density callables in the same transformed
 variable and serve as an independent numerical oracle for the closed forms.
 """
@@ -81,9 +82,11 @@ def weitzman_delta(ratio) -> float | np.ndarray:
 
 def kl_lambda(ratio) -> float | np.ndarray:
     """Divergence overlap R/(R**2 - R + 1) = 1/(1 + J) for the symmetrized
-    divergence J = (R-1)**2 / R of the transformed exponential pair."""
+    divergence J = (R-1)**2 / R of the transformed exponential pair; 1/R,
+    within 1e-150 relative, above R = 1e150, where R**2 nears overflow."""
     r = _positive_array("shape ratio", ratio)
-    return _as_input_shape(r / (r * r - r + 1.0), ratio)
+    x, big = np.minimum(r, 1e150), np.maximum(r, 1e150)
+    return _as_input_shape(np.where(r > 1e150, 1.0 / big, x / (x * x - x + 1.0)), ratio)
 
 
 _VALUES = {"rho": matusita_rho, "delta": weitzman_delta, "lambda": kl_lambda}
@@ -101,71 +104,76 @@ def overlap_value(measure: str, ratio) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# First and second derivatives in R, used by the delta-method machinery: one
-# array function per measure, each computing its shared terms once.  All
-# expressions were derived by hand and are validated against central finite
-# differences in the test suite.
+# Elasticities e = R*g'(R) and c = R**2*g''(R) for the delta-method kernel:
+# one array function per measure of s = min(R, 1/R) in (0, 1] and d = s - 1,
+# passed in exact.  Every coefficient is invariant under R <-> 1/R, so R > 1
+# is reflected once: e(R) = -e(1/R) and c(R) = c(1/R) + 2*e(1/R).  All were
+# derived by hand and are validated against 50-digit references in the tests.
 # ---------------------------------------------------------------------------
 
 
-def _rho_terms(r: np.ndarray) -> tuple:
-    slope = (1.0 - r) / (np.sqrt(r) * (1.0 + r) ** 2)
-    return slope, slope**2, (3.0 * r * r - 6.0 * r - 1.0) / (2.0 * r**1.5 * (1.0 + r) ** 3)
+def _rho_terms(s: np.ndarray, d: np.ndarray) -> tuple:
+    root = np.sqrt(s)
+    return -root * d / (1.0 + s) ** 2, root * (3.0 * s * s - 6.0 * s - 1.0) / (2.0 * (1.0 + s) ** 3)
 
 
-def _delta_terms(r: np.ndarray) -> tuple:
-    # shared terms R - 1, log R and A = R**(R/(1-R)); at R = 1 the slope is a
-    # kink (one-sided limits +-exp(-1)), closed by exp(-2) in the squared slope,
-    # and the curvature takes the symmetric value 0 between its jumps -+exp(-1)
-    e = r - 1.0
-    at_one = e == 0.0
-    safe = np.where(at_one, 1.0, e)
-    # log R from R - 1 only from 1/2 up, where R - 1 is exact; the clip keeps
-    # log1p away from -1 on the other side
-    logr = np.where(r < 0.5, np.log(r), np.log1p(np.maximum(e, -0.5)))
-    a = np.where(at_one, math.exp(-1.0), np.exp(-r * logr / safe))
-    base = a * logr / safe  # -A*log(R)/(1-R); positive for R<1
-    slope = np.where(at_one, np.nan, np.where(r < 1.0, base, -base))
-    body = a * (logr**2 - 2.0 * safe * logr + safe**2 / r) / (-safe) ** 3
-    # concave side below the kink, convex side above it
-    curvature = np.where(at_one, 0.0, np.where(r < 1.0, -body, body))
-    return slope, np.where(at_one, math.exp(-2.0), base**2), curvature
+def _delta_terms(s: np.ndarray, d: np.ndarray) -> tuple:
+    # A = s**(s/(1-s)); at s = 1 the slope is a kink (one-sided limits
+    # +-exp(-1)), taken from below, and c takes the value 0 between its jumps
+    at_one = d == 0.0
+    safe = np.where(at_one, -1.0, d)
+    # log s from d only from 1/2 up, where d is exact; the clip keeps log1p from -1
+    logs = np.where(s < 0.5, np.log(s), np.log1p(np.maximum(d, -0.5)))
+    a = np.exp(-s * logs / safe)
+    # s*(log s - d)**2/d**3 is O(d), so c has no cancellation next to the kink
+    return (np.where(at_one, math.exp(-1.0), a * s * logs / safe),
+            np.where(at_one, 0.0, a * s * (s * (logs - safe) ** 2 / safe**3 - 1.0)))
 
 
-def _lambda_terms(r: np.ndarray) -> tuple:
-    q = r * r - r + 1.0
-    slope = (1.0 - r * r) / q**2
-    return slope, slope**2, 2.0 * (r**3 - 3.0 * r + 1.0) / q**3
+def _lambda_terms(s: np.ndarray, d: np.ndarray) -> tuple:
+    q = 1.0 + s * d  # s**2 - s + 1
+    return -s * d * (1.0 + s) / q**2, 2.0 * s * s * (s**3 - 3.0 * s + 1.0) / q**3
 
 
-# (dg/dR, (dg/dR)**2, d2g/dR2) of each measure at already checked ratios
 _TERMS = {"rho": _rho_terms, "delta": _delta_terms, "lambda": _lambda_terms}
 
 
-def _measure_term(measure: str, ratio, k: int) -> float | np.ndarray:
+def _terms(r: np.ndarray, measures=MEASURES) -> tuple:
+    """(e, c) of ``measures`` at already checked ratios, as (measure, ratio) arrays."""
+    flip = r > 1.0
+    s = np.where(flip, 1.0 / np.maximum(r, 1.0), r)
+    d = np.where(flip, (1.0 - r) * s, r - 1.0)  # not s - 1: keeps 1 - s accurate near 1
+    e, c = (np.array(q) for q in zip(*(_pick(_TERMS, m)(s, d) for m in measures)))
+    return np.where(flip, -e, e), np.where(flip, c + 2.0 * e, c)
+
+
+def _one_measure(measure: str, ratio) -> tuple:
     r = _positive_array("shape ratio", ratio)
-    return _as_input_shape(_pick(_TERMS, measure)(r)[k], ratio)
+    return (r, *(q[0] for q in _terms(r, (measure,))))
 
 
 def overlap_grad(measure: str, ratio) -> float | np.ndarray:
-    """dg/dR.  For delta the derivative is piecewise (a kink at R=1, where
-    the one-sided slopes are +-exp(-1)); exactly at R=1 it returns NaN."""
-    return _measure_term(measure, ratio, 0)
+    """dg/dR = e/R.  For delta the derivative is piecewise (a kink at R=1,
+    where the one-sided slopes are +-exp(-1)); exactly at R=1 it returns NaN."""
+    r, e, _c = _one_measure(measure, ratio)
+    return _as_input_shape(np.where((measure == "delta") & (r == 1.0), np.nan, e / r), ratio)
 
 
 def overlap_grad_sq(measure: str, ratio) -> float | np.ndarray:
-    """(dg/dR)**2 with the delta kink closed by its two-sided limit exp(-2)."""
-    return _measure_term(measure, ratio, 1)
+    """(dg/dR)**2 = (e/R)**2 with the delta kink closed by its two-sided limit exp(-2)."""
+    r, e, _c = _one_measure(measure, ratio)
+    return _as_input_shape((e / r) ** 2, ratio)
 
 
 def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
-    """d2g/dR2.
+    """d2g/dR2 = c/R**2.
 
     delta's second derivative jumps at R=1 (one-sided limits -+exp(-1));
     exactly at R=1 the symmetric value 0 is returned so that bias
     corrections at the symmetry point leave the estimate unshifted.
     """
-    return _measure_term(measure, ratio, 2)
+    r, _e, c = _one_measure(measure, ratio)
+    return _as_input_shape(c / r / r, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -221,12 +221,20 @@ class StudyConfig:
         # largest shape any cell draws (population 1's R * alpha2 over the
         # study and figure grids, or population 2's alpha2) times the largest n
         figure = DEFAULT_FIGURE_R_GRID if self.figure_r_grid is None else self.figure_r_grid
-        shape = self.alpha2 * max(1.0, *self.r_values, *figure)
+        grid = (1.0, *self.r_values, *figure)
+        shape = self.alpha2 * max(grid)
         n = max(map(max, self.set_sizes)) * max(self.cycles)
         if not math.isfinite(shape * n * -math.log(_TINY)):
             raise ConfigError(
                 f"alpha2 = {self.alpha2:.6g} is too large for this grid: a sample's sum of "
                 f"T = -alpha * log(u) over up to {n} values at shape {shape:.6g} overflows")
+        # and the least T, at the smallest shape and u = 1 - 2**-53, must be a
+        # normal float: a subnormal T keeps only a few significant bits
+        shape = self.alpha2 * min(grid)
+        if shape * -math.log1p(-(2.0**-53)) < _TINY:
+            raise ConfigError(
+                f"alpha2 = {self.alpha2:.6g} is too small for this grid: T = -alpha * log(u) "
+                f"at shape {shape:.6g} falls below the smallest normal float")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":

@@ -225,6 +225,16 @@ class TestEstimate:
         assert "RuntimeWarning" not in proc.stderr
         assert "delta bias is not finite" in proc.stdout
 
+    def test_derived_estimate_at_a_subnormal_ratio(self, extreme_files):
+        # the slope terms are elasticities, so nothing overflows or underflows
+        # into a non-finite variance
+        proc = run_process("estimate", *extreme_files, "--format", "json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        for m in json.loads(proc.stdout)["measures"]:
+            assert np.isfinite(m["variance"]) and m["variance"] >= 0.0
+            for interval in (m["interval"], m["interval_corrected"]):
+                assert interval["lo"] <= interval["hi"]
+
     def test_wide_values_keep_text_columns_apart(self, capsys, extreme_files):
         code, out, _ = run_cli(capsys, "estimate", *extreme_files, "--source", "as-published")
         assert code == 0
@@ -301,6 +311,17 @@ class TestSimulate:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "alpha2" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out_dir.exists()
+
+    def test_subnormal_alpha2_fails_cleanly(self, tmp_path):
+        # T = -alpha * log(u) of smoke.json's smallest shape would be subnormal
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "alpha2": 1e-310}))
+        out_dir = tmp_path / "out"
+        proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "alpha2" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
     def test_reruns_byte_identical(self, capsys, config, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -20,6 +21,30 @@ from ovlomax.overlap import (
 )
 
 GRID = np.concatenate([np.logspace(-2, 0, 40, endpoint=False), np.logspace(0, 2, 40)])
+# log-spaced ratios (1 itself left out) and the neighbours 1 +- 10**-k of the symmetry point
+ELASTICITY_GRID = [x for x in np.logspace(-5, 5, 81).tolist() if x != 1.0] + [
+    1.0 + t * 10.0**-k for k in range(1, 16) for t in (-1.0, 1.0)]
+
+
+def elasticity_references(measure: str, x: float) -> tuple:
+    """50-digit e = R*g'(R) and c = R**2*g''(R) at the float ``x``, from the
+    closed-form slope and curvature in R."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(x)
+        if measure == "rho":
+            slope = (1 - r) / (mpmath.sqrt(r) * (1 + r) ** 2)
+            curvature = (3 * r * r - 6 * r - 1) / (2 * r**1.5 * (1 + r) ** 3)
+        elif measure == "lambda":
+            q = r * r - r + 1
+            slope, curvature = (1 - r * r) / q**2, 2 * (r**3 - 3 * r + 1) / q**3
+        else:
+            # g = 1 - A * |1 - R| with A = R**(R/(1-R)); both terms flip sign at the kink
+            d, log = r - 1, mpmath.log(r)
+            a = mpmath.exp(-r * log / d)
+            sign = 1 if r < 1 else -1
+            slope = sign * a * log / d
+            curvature = sign * a * (log**2 - 2 * d * log + d**2 / r) / d**3
+        return r * slope, r * r * curvature
 
 
 class TestClosedForms:
@@ -80,11 +105,21 @@ class TestClosedForms:
             want = [1 - (1 - x) * p for x, p in zip(xs, power)]
             rel = [abs(mpmath.mpf(v) / w - 1) for v, w in zip(weitzman_delta(r).tolist(), want)]
             assert max(rel) <= 4e-16
-            # the curvature overflows below ~5e-309, so the slope starts at 1e-300
-            keep = r >= 1e-300
-            slope = [p * mpmath.log(x) / (x - 1) for x, p, k in zip(xs, power, keep) if k]
-            got = overlap_grad("delta", r[keep]).tolist()
+            slope = [p * mpmath.log(x) / (x - 1) for x, p in zip(xs, power)]
+            got = overlap_grad("delta", r).tolist()
             assert max(abs(mpmath.mpf(v) / w - 1) for v, w in zip(got, slope)) <= 1e-15
+
+    def test_lambda_finite_up_to_the_float_range(self):
+        # R**2 overflows above ~1.34e154; the value there is 1/R to 1e-150
+        r = np.append(np.geomspace(1e150, 1e308, 101), sys.float_info.max)
+        got = kl_lambda(r)
+        with mpmath.workdps(50):
+            want = [1 / (mpmath.mpf(x) - 1 + 1 / mpmath.mpf(x)) for x in r.tolist()]
+            assert max(abs(mpmath.mpf(v) / w - 1) for v, w in zip(got.tolist(), want)) <= 1e-15
+
+    def test_lambda_bits_unchanged_up_to_1e150(self):
+        r = np.concatenate([np.geomspace(5e-324, 1e150, 1001), [1.0, 1e150]])
+        np.testing.assert_array_equal(kl_lambda(r), r / (r * r - r + 1.0))
 
     def test_domain_rejected(self):
         for meas in MEASURES:
@@ -138,6 +173,19 @@ class TestDerivatives:
         assert math.isnan(overlap_grad("delta", 1.0))
         assert overlap_grad_sq("delta", 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert overlap_curvature("delta", 1.0) == 0.0
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_elasticities_match_50_digit_references(self, measure):
+        # e = R * overlap_grad and c = R**2 * overlap_curvature, held on both
+        # sides of R = 1 and next to it; neither term cancels there
+        worst_e = worst_c = 0.0
+        for x in ELASTICITY_GRID:
+            want_e, want_c = elasticity_references(measure, x)
+            e, c = x * overlap_grad(measure, x), x * x * overlap_curvature(measure, x)
+            worst_e = max(worst_e, abs(mpmath.mpf(e) / want_e - 1))
+            worst_c = max(worst_c, abs(mpmath.mpf(c) / want_c - 1))
+        assert worst_e <= 2e-15
+        assert worst_c <= 5e-14
 
     def test_weitzman_kink_slopes(self):
         e_inv = math.exp(-1.0)

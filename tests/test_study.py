@@ -135,6 +135,17 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match="alpha2"):
             StudyConfig.from_dict(data)
 
+    @pytest.mark.parametrize("changes", [
+        {"alpha2": 1e-310},
+        {"alpha2": 1e-290, "r_values": [1e-3, 0.5]},
+        {"alpha2": 1e-290, "figure_r_grid": [1e-3, 0.5]},
+        {"alpha2": 0.999 * TINY / (0.25 * -math.log1p(-(2.0**-53)))},
+    ])
+    def test_alpha2_whose_draws_are_subnormal_is_refused(self, changes):
+        data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
+        with pytest.raises(ConfigError, match="alpha2 = .* too small"):
+            StudyConfig.from_dict(data)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = StudyConfig(set_sizes=[(np.int64(2), np.int32(3))], cycles=[np.int8(4)],
                           r_values=[np.float32(0.5), 1])
@@ -311,11 +322,14 @@ class TestRunStudy:
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 0)[0]) for r in srs_rows)
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 1)[0]) for r in rss_rows)
 
-    # the last alpha2 lies just under the largest that smoke.json accepts:
-    # shape alpha2 times n = 6 times -log(tiny) is just below the float range
+    # the third alpha2 lies just under the largest that smoke.json accepts:
+    # shape alpha2 times n = 6 times -log(tiny) is just below the float range;
+    # the last just over the smallest: the least T, at shape 0.25 * alpha2 and
+    # u = 1 - 2**-53, is just above the smallest normal float
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha2", [100.0, 1000.0,
-                                        0.999 * sys.float_info.max / (6 * -math.log(TINY))])
+                                        0.999 * sys.float_info.max / (6 * -math.log(TINY)),
+                                        1.001 * TINY / (0.25 * -math.log1p(-(2.0**-53)))])
     def test_aggregates_do_not_depend_on_the_shape_scale(self, alpha2):
         # every estimate scales with alpha2, so the ratios and the aggregates
         # do not move; a sampler that clamps draws to the float range does
