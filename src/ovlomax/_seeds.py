@@ -7,14 +7,18 @@ streams -- are identical across platforms and interpreter versions.
 
 The fold runs on numpy ``uint64`` arrays, so the seeds of any array of
 replications come from one pass; the study folds a slab of consecutive
-design groups at a time.  :func:`pcg64_states` then turns seeds into the
-words ``np.random.PCG64(seed)`` is seeded from, through a vectorised copy of
-numpy's ``SeedSequence`` hash.  :func:`fill_uniforms` applies PCG's 128-bit
-seeding step to each row of words just before it restarts one reused
-generator on that stream, instead of building a ``SeedSequence`` and a
-``PCG64`` per replication.
+design groups at a time.  :func:`pcg64_states` then turns the seeds into the
+initial ``{state, inc}`` of ``np.random.PCG64(seed)`` in array passes: a
+vectorised copy of numpy's ``SeedSequence`` hash, then PCG's 128-bit seeding
+step on pairs of 64-bit words.  :func:`fill_uniforms` restarts one reused
+generator on each stream by writing those four words straight into the
+generator's state struct, instead of building a ``SeedSequence`` and a
+``PCG64`` per replication or going through the ``state`` setter.
 """
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -26,9 +30,9 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG's default 128-bit LCG multiplier
+# PCG's default 128-bit LCG multiplier, as low and high words
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_LO, _PCG_MULT_HI = np.uint64(_PCG_MULT & _MASK), np.uint64(_PCG_MULT >> 64)
 
 
 def _hash_steps(init: int, mult: int, n: int) -> tuple:
@@ -87,16 +91,29 @@ def _hashmix(words: np.ndarray, step: int, count: int) -> np.ndarray:
     return words
 
 
-def pcg64_states(seeds) -> np.ndarray:
-    """Seeding words of ``np.random.PCG64(seed)``, one row per seed, in C order.
+def _mul_high(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    low_high = a1 * b0
+    cross = (a0 * b0 >> 32) + (low_high & _M32) + a0 * b1  # at most 2**64 - 1
+    return a1 * b1 + (low_high >> 32) + (cross >> 32)
 
-    Row k is ``SeedSequence(seed).generate_state(4, np.uint64)``: the high
-    and low words of the initial state, then those of the stream selector,
-    as an ``(N, 4)`` ``uint64`` array.  :func:`_restart` applies PCG's
-    128-bit seeding step to a row.  Seeds are 64-bit, so ``SeedSequence``
-    sees at most two 32-bit entropy words; a seed below 2**32 has one, and
-    the zero used here as its high word hashes exactly like the zero
-    ``SeedSequence`` fills the pool with.
+
+def pcg64_states(seeds) -> np.ndarray:
+    """The initial ``{state, inc}`` of ``np.random.PCG64(seed)``, one row per
+    seed, in C order.
+
+    Row k holds the generator's 128-bit state and stream increment as low and
+    high 64-bit words: ``(state_lo, state_hi, inc_lo, inc_hi)``, an ``(N, 4)``
+    ``uint64`` array.  It is made in two array passes over all the seeds:
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` gives the initial
+    state s0 and sequence q, then PCG's seeding step sets inc = 2*q + 1 and
+    state = ((s0 + inc) * M + inc) mod 2**128, for PCG's multiplier M, on
+    pairs of 64-bit words.  Seeds are 64-bit, so ``SeedSequence`` sees at
+    most two 32-bit entropy words; a seed below 2**32 has one, and the zero
+    used here as its high word hashes exactly like the zero ``SeedSequence``
+    fills the pool with.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
@@ -114,33 +131,90 @@ def pcg64_states(seeds) -> np.ndarray:
     words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_XOR
     words *= _OUT_MUL
     words ^= words >> 16
-    # generate_state(4, uint64): consecutive 32-bit words pair up little-endian
-    return np.ascontiguousarray(words.T).astype("<u4").view("<u8")
+    # generate_state(4, uint64): consecutive 32-bit words pair up little-endian,
+    # into the high and low words of s0, then those of q
+    words = words.astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = words[0::2] | words[1::2] << 32
+    # PCG's seeding step, mod 2**128 on (low, high) word pairs
+    inc_lo, inc_hi = q_lo << 1 | 1, q_hi << 1 | q_lo >> 63
+    a_lo = s_lo + inc_lo
+    a_hi = s_hi + inc_hi + (a_lo < s_lo)
+    p_lo = a_lo * _PCG_MULT_LO
+    p_hi = _mul_high(a_lo, _PCG_MULT_LO) + a_lo * _PCG_MULT_HI + a_hi * _PCG_MULT_LO
+    state_lo = p_lo + inc_lo
+    state_hi = p_hi + inc_hi + (state_lo < p_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
 
-def _restart(bitgen: np.random.PCG64, hi: int, lo: int, inc_hi: int, inc_lo: int) -> None:
-    """Put ``bitgen`` where ``np.random.PCG64(seed)`` starts, from one row of
-    :func:`pcg64_states` of that seed."""
-    # pcg64 srandom: inc = 2 * initseq + 1, then two LCG steps around adding
-    # the initial state; a freshly seeded PCG64 also holds no buffered 32-bit half
-    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-    state = (((hi << 64 | lo) + inc) * _PCG_MULT + inc) & _MASK128
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+def _set_state(bitgen: np.random.PCG64, lo: int, hi: int, inc_lo: int, inc_hi: int) -> None:
+    # the public setter, from one row of pcg64_states
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
                     "has_uint32": 0, "uinteger": 0}
 
 
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """A writable ``uint64`` view of the four words of ``bitgen``'s ``{state,
+    inc}`` struct.  ``ctypes.state_address`` points at numpy's
+    ``pcg64_state``, whose first member points at that struct.  The view does
+    not keep ``bitgen`` alive."""
+    struct = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(struct))
+
+
+# a state and an increment with four distinct words: lo, hi, inc_lo, inc_hi
+_PROBE = (0x0123456789ABCDEF, 0x0FEDCBA987654321, 0x1122334455667789, 0x0899AABBCCDDEEFF)
+
+
+@functools.cache
+def _word_order():
+    """The columns of :func:`pcg64_states` in the order the generator's struct
+    holds its words, probed once per process, or None.
+
+    The probe sets a known state through the public setter and reads it back
+    through :func:`_state_words`.  Little-endian builds with a native 128-bit
+    integer hold ``(lo, hi, inc_lo, inc_hi)``; the emulated ``{high, low}``
+    struct and big-endian builds hold ``(hi, lo, inc_hi, inc_lo)``.  For any
+    other layout it is None, and streams are restarted through the public
+    setter instead.
+    """
+    bitgen = np.random.PCG64(0)
+    _set_state(bitgen, *_PROBE)
+    held = _state_words(bitgen).tolist()
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        if held == [_PROBE[i] for i in order]:
+            return order
+    return None
+
+
 def fill_uniforms(out: np.ndarray, words: np.ndarray, gen: np.random.Generator) -> None:
-    """Fill row k of ``out`` with the first uniforms of the stream seeded by
-    row k of ``words`` (:func:`pcg64_states`), drawn by restarting the PCG64
-    generator ``gen``."""
+    """Fill row k of ``out`` with the first uniforms of the stream whose
+    initial state is row k of ``words`` (:func:`pcg64_states`).
+
+    One PCG64 generator ``gen`` is restarted on every stream by writing the
+    row's four words straight into its ``{state, inc}`` struct, in the order
+    :func:`_word_order` probed; the columns are reordered once per call.  The
+    write leaves the generator's buffered 32-bit half alone: a generator that
+    only ever draws doubles, as the study's does, never fills it, so
+    ``has_uint32`` stays 0 and every row starts where a freshly seeded
+    ``PCG64`` does.  Where the probe did not recognise the layout, each row
+    goes through the public ``state`` setter instead, with the same draws.
+    """
     bitgen = gen.bit_generator
-    for row, seed_words in zip(out, words.tolist()):
-        _restart(bitgen, *seed_words)
+    order = _word_order()
+    if order is None:
+        for row, seed_words in zip(out, words.tolist()):
+            _set_state(bitgen, *seed_words)
+            gen.random(out=row)
+        return
+    held = _state_words(bitgen)
+    for row, seed_words in zip(out, words[:, order]):
+        held[...] = seed_words
         gen.random(out=row)
 
 
 def stream(*parts: int) -> np.random.Generator:
     """A PCG64 generator keyed by the given integer parts."""
-    bitgen = np.random.PCG64(0)  # a placeholder state, replaced at once
-    _restart(bitgen, *pcg64_states(derive_seeds(*parts)).tolist()[0])
-    return np.random.Generator(bitgen)
+    gen = np.random.Generator(np.random.PCG64(0))  # a placeholder state, replaced at once
+    fill_uniforms(np.empty((1, 0)), pcg64_states(derive_seeds(*parts)), gen)  # restart only
+    return gen

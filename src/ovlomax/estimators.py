@@ -300,8 +300,15 @@ def ratio_estimate(
 # ---------------------------------------------------------------------------
 
 
+def _reciprocal_above(r: np.ndarray) -> np.ndarray:
+    # the printed rho and lambda variance shapes are the same function of R and
+    # of 1/R; above 1e30, well before R**8 overflows, take them at 1/R
+    return np.where(r > 1e30, 1.0 / np.maximum(r, 1e30), r)
+
+
 def _published_rho(r: np.ndarray) -> tuple:
-    return (r * (1.0 - r) ** 2 / (1.0 + r) ** 4,
+    v = _reciprocal_above(r)
+    return (v * (1.0 - v) ** 2 / (1.0 + v) ** 4,
             np.sqrt(r) * (3.0 * r * r - 6.0 * r - 1.0) / (1.0 + r) ** 3)
 
 
@@ -319,7 +326,8 @@ def _published_delta(r: np.ndarray) -> tuple:
 
 
 def _published_lambda(r: np.ndarray) -> tuple:
-    return (r * r * (1.0 - r * r) ** 2 / (r * r - r + 1.0) ** 4,
+    v = _reciprocal_above(r)
+    return (v * v * (1.0 - v * v) ** 2 / (v * v - v + 1.0) ** 4,
             (r**5 - 3.0 * r**3 - r * r) / (r * r - r + 1.0) ** 2)
 
 

@@ -64,19 +64,21 @@ def weitzman_delta(ratio) -> float | np.ndarray:
     Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
     cancellation-free limit path rather than the raw power.  Below R = 1/2,
     where R - 1 is inexact and log1p(R - 1) would amplify its error, the same
-    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)).
+    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)); above R = 2, where
+    the power form cancels, as that value at 1/R, since delta(R) = delta(1/R).
     """
     r = _positive_array("shape ratio", ratio)
-    small = r < 0.5
-    x = np.where(small, 1.0, r)  # a harmless stand-in where the log R form applies
+    far = (r < 0.5) | (r > 2.0)
+    x = np.where(far, 1.0, r)  # a harmless stand-in where the log R form applies
     e = x - 1.0
     safe = np.where(e == 0.0, 1.0, e)
     # R**(1/(1-R)) = exp(log(R)/(1-R)) = exp(-log1p(R-1)/(R-1))
     power = np.exp(-np.log1p(e) / safe)
     out = np.where(e == 0.0, 1.0, 1.0 - power * np.abs(e) / x)
-    if small.any():
-        s = r[small]
-        out[small] = -np.expm1(np.log1p(-s) + s * np.log(s) / (1.0 - s))
+    if far.any():
+        s = r[far]
+        s[s > 2.0] = 1.0 / s[s > 2.0]
+        out[far] = -np.expm1(np.log1p(-s) + s * np.log(s) / (1.0 - s))
     return _as_input_shape(out, ratio)
 
 

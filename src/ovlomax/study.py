@@ -22,8 +22,8 @@ Interpretation notes baked into the emitted artifacts:
 
 The unit of simulation is a design group: the cells that share ``(r1, r2,
 m, method)`` and differ only in ``R``.  The study derives the seeds and
-PCG64 seeding words of a pass one slab at a time, a slab being consecutive
-groups whose 32-byte rows of seeding words fit in ``_BLOCK_BYTES`` (2^14
+PCG64 state words of a pass one slab at a time, a slab being consecutive
+groups whose 32-byte rows of state words fit in ``_BLOCK_BYTES`` (2^14
 replications in all), and hands each group its own rows of words.  A
 group's replications, cell by cell, are the rows of draw blocks whose
 uniforms fit in the same ``_BLOCK_BYTES`` (2^16 uniforms); each block is
@@ -104,7 +104,7 @@ DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 # bytes of one draw block's float uniforms (2^16 of them) and of one slab's
-# 32-byte rows of seeding words (2^14 replications), and ratios of one
+# 32-byte rows of state words (2^14 replications), and ratios of one
 # assessment stack: fixed sizes that bound memory and the number of numpy
 # calls; outputs do not depend on them
 _BLOCK_BYTES = 2**19
@@ -449,11 +449,12 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     """Corrected ratios of one design group's cells, shaped ``(cells,
     replications)``, or the reason the group is skipped.
 
-    Row k of ``words`` seeds replication ``k % replications`` of cell ``k //
-    replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
+    Row k of ``words`` is the initial PCG64 state of replication ``k %
+    replications`` of cell ``k // replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
     cell, are the rows of draw blocks whose float uniforms fit in
-    :data:`_BLOCK_BYTES` (at least one row); each block is filled by
-    restarting one generator per row.  Ranked sets are ranked on the
+    :data:`_BLOCK_BYTES` (at least one row); each block is filled by one
+    generator, restarted on each row's stream by writing the row's state
+    words into it in place (:func:`_seeds.fill_uniforms`).  Ranked sets are ranked on the
     uniforms (:func:`rss_retained`), and T = -alpha * log(u) is taken of
     the retained ones (of all of them for srs and bayes); the estimates of a
     block come from one pass over T.
@@ -493,8 +494,8 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
 def _group_tasks(cfg: StudyConfig, cells, groups, namespace: int):
     """The ``(cfg, words, cells)`` task of every design group, in order.
 
-    Seeds and seeding words are made one slab at a time: consecutive groups
-    whose 32-byte rows of seeding words fit in :data:`_BLOCK_BYTES`, or a
+    Seeds and state words are made one slab at a time: consecutive groups
+    whose 32-byte rows of state words fit in :data:`_BLOCK_BYTES`, or a
     single larger group.  Slabs are made as their tasks are asked for, so a
     sequential run holds the words of one slab at a time.
     """
@@ -556,7 +557,7 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
 
     The design groups are seeded in slabs (:func:`_group_tasks`) and
     simulated in order, over a process pool when ``workers > 1``, each
-    worker receiving its groups' seeding words.  Their ratios are stacked,
+    worker receiving its groups' state words.  Their ratios are stacked,
     whole groups at a time, until a stack holds :data:`_ASSESS_STACK`
     ratios, and each stack is assessed and aggregated at once.
     """

@@ -9,6 +9,7 @@ generated wrapper calls it, so it needs no install; when an installed
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -82,6 +83,13 @@ class TestOvl:
         doc = json.loads(out)
         for meas in ("rho", "delta", "lambda"):
             assert doc["quadrature"][meas] == pytest.approx(doc[meas], abs=1e-8)
+
+    def test_huge_ratio_keeps_delta(self, capsys):
+        # delta(R) = delta(1/R) ~ 4.6e-198 here, not a cancelled 0
+        code, out, _ = run_cli(capsys, "ovl", "--ratio", "1e200", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["delta"] == pytest.approx((1.0 + 200 * math.log(10.0)) * 1e-200, rel=1e-12)
 
     def test_text_mode(self, capsys):
         code, out, _ = run_cli(capsys, "ovl", "--ratio", "2.0")

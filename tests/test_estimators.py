@@ -241,6 +241,26 @@ class TestDeltaMethod:
             bias = delta_bias(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
             assert (var, bias) == pytest.approx(want[meas], rel=1e-12), meas
 
+    def test_published_variance_finite_over_the_float_range(self):
+        # above R = 1e30 the rho and lambda shapes are taken at 1/R, before
+        # their powers of R overflow; below it they are the printed arithmetic
+        r = 10.0 ** np.arange(301)
+        d1, d2 = SrsDesign(10), SrsDesign(8)
+        block = assess(r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED, bias_corrected=False)
+        factor = ratio_variance_factor(METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        with mpmath.workdps(50):
+            xs = [mpmath.mpf(x) for x in r.tolist()]
+            printed = {"rho": [x * (1 - x) ** 2 / (1 + x) ** 4 for x in xs],
+                       "lambda": [x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4 for x in xs]}
+            for meas, a in block.items():
+                assert np.isfinite(a.variance).all() and (a.variance >= 0.0).all(), meas
+                if meas in printed:
+                    # relative where the printed value is a normal float (lambda's
+                    # ~1/R**2 underflows from R ~ 1e154 on)
+                    want = [float(w) for w in printed[meas]]
+                    assert (a.variance / factor).tolist() == pytest.approx(
+                        want, rel=1e-14, abs=np.finfo(float).tiny), meas
+
     def test_weitzman_variance_limit_at_one(self):
         # (slope)^2 has the two-sided limit exp(-2) at the kink
         d = SrsDesign(20)

@@ -109,6 +109,22 @@ class TestClosedForms:
             got = overlap_grad("delta", r).tolist()
             assert max(abs(mpmath.mpf(v) / w - 1) for v, w in zip(got, slope)) <= 1e-15
 
+    def test_delta_accurate_above_two(self):
+        # above R = 2 the power form cancels; delta is taken at 1/R instead
+        r = np.geomspace(2.0, 1e300, 301)
+        with mpmath.workdps(400):
+            xs = [mpmath.mpf(x) for x in r.tolist()]
+            want = [1 - mpmath.power(x, 1 / (1 - x)) * (1 - 1 / x) for x in xs]
+            rel = [abs(mpmath.mpf(v) / w - 1) for v, w in zip(weitzman_delta(r).tolist(), want)]
+            assert max(rel) <= 1e-15
+
+    def test_delta_bits_unchanged_from_half_to_two(self):
+        r = np.append(np.linspace(0.5, 2.0, 1001), np.nextafter(2.0, 0.0))
+        e = r - 1.0
+        safe = np.where(e == 0.0, 1.0, e)
+        power_form = np.where(e == 0.0, 1.0, 1.0 - np.exp(-np.log1p(e) / safe) * np.abs(e) / r)
+        np.testing.assert_array_equal(weitzman_delta(r), power_form)
+
     def test_lambda_finite_up_to_the_float_range(self):
         # R**2 overflows above ~1.34e154; the value there is 1/R to 1e-150
         r = np.append(np.geomspace(1e150, 1e308, 101), sys.float_info.max)
