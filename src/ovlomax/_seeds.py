@@ -214,7 +214,6 @@ def fill_uniforms(out: np.ndarray, words: np.ndarray, gen: np.random.Generator) 
 
 
 def stream(*parts: int) -> np.random.Generator:
-    """A PCG64 generator keyed by the given integer parts."""
-    gen = np.random.Generator(np.random.PCG64(0))  # a placeholder state, replaced at once
-    fill_uniforms(np.empty((1, 0)), pcg64_states(derive_seeds(*parts)), gen)  # restart only
-    return gen
+    """A PCG64 generator keyed by the given integer parts, seeded by numpy
+    itself: the plain definition the study's in-place restarts reproduce."""
+    return np.random.Generator(np.random.PCG64(int(derive_seeds(*parts)[0])))

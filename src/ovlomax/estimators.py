@@ -301,15 +301,17 @@ def ratio_estimate(
 
 
 def _reciprocal_above(r: np.ndarray) -> np.ndarray:
-    # the printed rho and lambda variance shapes are the same function of R and
-    # of 1/R; above 1e30, well before R**8 overflows, take them at 1/R
+    # above R = 1e30, well before R**5 or R**8 overflows, the printed shapes are taken
+    # in w = 1/R: the rho and lambda variances keep their form, and the biases rewritten
+    # in w round to 3*sqrt(w), -R and 1/w, as their terms in w vanish next to 1
     return np.where(r > 1e30, 1.0 / np.maximum(r, 1e30), r)
 
 
 def _published_rho(r: np.ndarray) -> tuple:
-    v = _reciprocal_above(r)
-    return (v * (1.0 - v) ** 2 / (1.0 + v) ** 4,
-            np.sqrt(r) * (3.0 * r * r - 6.0 * r - 1.0) / (1.0 + r) ** 3)
+    w = _reciprocal_above(r)
+    return (w * (1.0 - w) ** 2 / (1.0 + w) ** 4,
+            np.where(r > 1e30, 3.0 * np.sqrt(w),
+                     np.sqrt(r) * (3.0 * r * r - 6.0 * r - 1.0) / (1.0 + r) ** 3))
 
 
 def _published_delta(r: np.ndarray) -> tuple:
@@ -321,14 +323,14 @@ def _published_delta(r: np.ndarray) -> tuple:
     bracket = (x ** ((2.0 * x - 1.0) / (1.0 - x)) * x * (2.0 * x - logr - 2.0) * logr
                - (x - 1.0) ** 2) / (x - 1.0) ** 3
     signed = x * x * bracket
-    return (np.where(at_one, math.exp(-2.0), variance),
-            np.where(at_one, np.nan, np.where(r < 1.0, -signed, signed)))
+    bias = np.where(r < 1.0, -signed, np.where(r > 1e30, -r, signed))
+    return np.where(at_one, math.exp(-2.0), variance), np.where(at_one, np.nan, bias)
 
 
 def _published_lambda(r: np.ndarray) -> tuple:
-    v = _reciprocal_above(r)
-    return (v * v * (1.0 - v * v) ** 2 / (v * v - v + 1.0) ** 4,
-            (r**5 - 3.0 * r**3 - r * r) / (r * r - r + 1.0) ** 2)
+    w = _reciprocal_above(r)
+    return (w * w * (1.0 - w * w) ** 2 / (w * w - w + 1.0) ** 4,
+            np.where(r > 1e30, 1.0 / w, (r**5 - 3.0 * r**3 - r * r) / (r * r - r + 1.0) ** 2))
 
 
 # the printed (variance, bias) shapes of each measure, reproduced verbatim

@@ -128,10 +128,11 @@ def parse_ranked_dataset(text: str) -> RankedSample:
         raise DatasetParseError(0, "", "no observations found")
     r = max(k[0] for k in seen)
     m = max(k[1] for k in seen)
-    missing = [(i, k) for i in range(1, r + 1) for k in range(1, m + 1) if (i, k) not in seen]
-    if missing:
-        shown = ", ".join(f"rank={i} cycle={k}" for i, k in missing[:5])
-        more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
+    missing = r * m - len(seen)  # every seen slot lies in the r x m grid
+    if missing:  # the first five holes lie within the first len(seen) + 5 slots
+        holes = ((i, k) for i in range(1, r + 1) for k in range(1, m + 1) if (i, k) not in seen)
+        shown = ", ".join(f"rank={i} cycle={k}" for _, (i, k) in zip(range(5), holes))
+        more = "" if missing <= 5 else f" (and {missing - 5} more)"
         raise DatasetParseError(0, "", f"incomplete design ({r} ranks x {m} cycles): missing {shown}{more}")
     values = np.empty((r, m), dtype=float)
     for (rank, cycle), v in seen.items():

@@ -21,20 +21,15 @@ Interpretation notes baked into the emitted artifacts:
   compared cell by cell in a discrepancy report instead of being asserted.
 
 The unit of simulation is a design group: the cells that share ``(r1, r2,
-m, method)`` and differ only in ``R``.  The study derives the seeds and
-PCG64 state words of a pass one slab at a time, a slab being consecutive
-groups whose 32-byte rows of state words fit in ``_BLOCK_BYTES`` (2^14
-replications in all), and hands each group its own rows of words.  A
-group's replications, cell by cell, are the rows of draw blocks whose
-uniforms fit in the same ``_BLOCK_BYTES`` (2^16 uniforms); each block is
-ranked into ranked sets on the uniforms, by comparator networks for sets of
-up to five, and estimated in one pass from ``T = -alpha * log(u)`` of the
-retained uniforms, which is ``log(1 + 1/x)`` of their draws x; the group
-returns its cells' corrected ratios.  A group is also the task a worker
-process receives.  The study stacks whole groups' ratios up to
-``_ASSESS_STACK`` ratios and runs one delta-method assessment and one mean
-per aggregate over each stack, every ratio under its own group's design.
-Both sizes are fixed module constants; no output depends on them.
+m, method)`` and differ only in ``R``.  The unit of work is a slab:
+consecutive groups whose 32-byte rows of PCG64 state words fit in
+``_BLOCK_BYTES`` (2^14 replications), or a single larger group, seeded,
+simulated, assessed and aggregated in the process that runs it.  A group's
+replications are the rows of draw blocks whose uniforms fit in the same
+budget (2^16 uniforms), ranked into ranked sets on the uniforms and
+estimated from ``T = -alpha * log(u)`` of the retained ones; a slab's groups
+take one delta-method assessment and one mean per aggregate.  No output
+depends on the budget.
 
 Reproducibility: every replication draws from its own PCG64 stream seeded by
 a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
@@ -56,7 +51,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat, starmap
+from itertools import repeat
 
 import numpy as np
 
@@ -104,11 +99,9 @@ DEFAULT_R_VALUES = (0.1, 0.5, 0.75, 0.8, 0.9)
 DEFAULT_SET_SIZES = tuple((r1, r2) for r1 in (2, 3, 4, 5) for r2 in (2, 3, 4, 5))
 DEFAULT_FIGURE_R_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 # bytes of one draw block's float uniforms (2^16 of them) and of one slab's
-# 32-byte rows of state words (2^14 replications), and ratios of one
-# assessment stack: fixed sizes that bound memory and the number of numpy
-# calls; outputs do not depend on them
+# 32-byte rows of state words (2^14 replications): a fixed size that bounds
+# memory and the number of numpy calls; outputs do not depend on it
 _BLOCK_BYTES = 2**19
-_ASSESS_STACK = 2**13
 # version of the map from (master_seed, namespace, cell_index, replication) to
 # the uniforms a replication draws; bumped only when study outputs change on purpose
 _SEED_LAYOUT = 1
@@ -372,8 +365,8 @@ def efficiency_grid(
     eff = {}
     for m in cycles:
         srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
-        # the srs variance needs n2 >= 3; the other set sizes get no efficiency
-        sizes = [size for size, (_d1, d2) in srs.items() if d2.n >= 3]
+        # set sizes whose srs cell the study skips (n2 < 3) get no efficiency
+        sizes = [size for size in srs if _skip_reason((*size, m, METHOD_SRS), source) is None]
         eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
         if not sizes:
             continue
@@ -445,26 +438,32 @@ def _designs(cell) -> tuple:
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
 
 
+def _skip_reason(design, source: str) -> str | None:
+    """Why the design group ``(r1, r2, m, method)`` is not simulated under
+    ``source``, or None: srs and bayes need n2 = r2*m >= 3 for their variance
+    formulas, and the as-published bayes correction is zero at n1 = r1*m = 1."""
+    r1, r2, m, method = design
+    if method != METHOD_RSS and r2 * m < 3:
+        return f"n2 = {r2 * m} < 3: srs/bayes variance formulas undefined"
+    if method == METHOD_BAYES and source != SOURCE_DERIVED and r1 * m < 2:
+        return "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero"
+    return None
+
+
 def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     """Corrected ratios of one design group's cells, shaped ``(cells,
-    replications)``, or the reason the group is skipped.
+    replications)``.
 
     Row k of ``words`` is the initial PCG64 state of replication ``k %
-    replications`` of cell ``k // replications`` (:func:`_seeds.pcg64_states`).  The replications, cell by
-    cell, are the rows of draw blocks whose float uniforms fit in
-    :data:`_BLOCK_BYTES` (at least one row); each block is filled by one
-    generator, restarted on each row's stream by writing the row's state
-    words into it in place (:func:`_seeds.fill_uniforms`).  Ranked sets are ranked on the
-    uniforms (:func:`rss_retained`), and T = -alpha * log(u) is taken of
-    the retained ones (of all of them for srs and bayes); the estimates of a
-    block come from one pass over T.
+    replications`` of cell ``k // replications``.  Each draw block of rows
+    (:data:`_BLOCK_BYTES` of uniforms, at least one row) is filled by one
+    generator restarted in place on each row's stream
+    (:func:`_seeds.fill_uniforms`); ranked sets are ranked on the uniforms
+    (:func:`rss_retained`), and the block is estimated in one pass over
+    T = -alpha * log(u) of the retained uniforms.
     """
     method = cells[0][-1]
     designs = _designs(cells[0])
-    if method != METHOD_RSS and designs[1].n < 3:
-        return f"n2 = {designs[1].n} < 3: srs/bayes variance formulas undefined"
-    if method == METHOD_BAYES and cfg.formula_source != SOURCE_DERIVED and designs[0].n < 2:
-        return "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero"
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
@@ -491,56 +490,20 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
     return ratios.reshape(len(cells), cfg.replications)
 
 
-def _group_tasks(cfg: StudyConfig, cells, groups, namespace: int):
-    """The ``(cfg, words, cells)`` task of every design group, in order.
-
-    Seeds and state words are made one slab at a time: consecutive groups
-    whose 32-byte rows of state words fit in :data:`_BLOCK_BYTES`, or a
-    single larger group.  Slabs are made as their tasks are asked for, so a
-    sequential run holds the words of one slab at a time.
-    """
-    reps = cfg.replications
-    slabs, size = [[]], 0
-    for group in groups:
-        if slabs[-1] and 32 * (size + len(group) * reps) > _BLOCK_BYTES:
-            slabs.append([])
-            size = 0
-        slabs[-1].append(group)
-        size += len(group) * reps
-    for slab in slabs:
-        indices = np.concatenate(slab)
-        words = _seeds.pcg64_states(
-            _seeds.derive_seeds(cfg.master_seed, namespace, indices[:, None], np.arange(reps)))
-        bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
-        for group, rows in zip(slab, np.split(words, bounds)):
-            yield cfg, rows, [cells[i] for i in group]
-
-
-def _simulate(tasks, workers: int):
-    """:func:`_run_group` of every ``(cfg, words, cells)`` task, in task order."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_group, *zip(*tasks), chunksize=1)
-    else:
-        yield from starmap(_run_group, tasks)
-
-
 # the aggregates of each (cell, measure), in the order of their last axis
 _AGGREGATES = ("signed_bias", "mse", "coverage", "ci_length", "coverage_corrected",
                "ci_length_corrected")
 
 
 def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
-    """The ``(cell, measure, aggregate)`` array of a stack of whole groups' ratios.
-
-    One kernel call assesses every ratio in the stack, each with its own
-    group's design, and each aggregate is one mean along the replications
-    of a ``(measure, cell, replication)`` array.
+    """The ``(cell, measure, aggregate)`` array of whole groups' ``(cells,
+    ratios)``: one kernel call assesses every ratio under its own group's
+    design, and each aggregate is one mean along the replications.
     """
-    blocks = [(ratios, cells[0][-1], *_designs(cells[0])) for _i, cells, ratios in stack]
+    blocks = [(ratios, cells[0][-1], *_designs(cells[0])) for cells, ratios in stack]
     point, _v, _b, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
         blocks, cfg.formula_source, 1.0 - cfg.level_alpha0)
-    r_values = np.array([cell[0] for _i, cells, _r in stack for cell in cells])
+    r_values = np.array([cell[0] for cells, _r in stack for cell in cells])
     truth = np.array([overlap_value(meas, r_values) for meas in MEASURES])[:, :, None]
     shape = truth.shape[:2] + (cfg.replications,)
     point, lo, hi, lo_c, hi_c = (a.reshape(shape) for a in (point, lo, hi, lo_c, hi_c))
@@ -550,39 +513,72 @@ def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
     return np.stack([np.mean(values, axis=-1) for values in per_rep], axis=-1).transpose(1, 0, 2)
 
 
+def _slabs(groups, reps: int) -> list:
+    """Consecutive design groups whose 32-byte rows of state words fit in
+    :data:`_BLOCK_BYTES`, or a single larger group: the study's unit of work."""
+    slabs, size = [[]], 0
+    for group in groups:
+        if slabs[-1] and 32 * (size + len(group) * reps) > _BLOCK_BYTES:
+            slabs.append([])
+            size = 0
+        slabs[-1].append(group)
+        size += len(group) * reps
+    return slabs
+
+
+def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
+    """Seed, simulate, assess and aggregate one slab, the cell indices of
+    each of its groups (:func:`_slabs`): one pass makes the state words of all
+    its replications, and the groups not skipped (:func:`_skip_reason`) run
+    in order and take one :func:`_aggregate` call.  Returns the indices of the
+    cells that ran, their ``(cell, measure, aggregate)`` array (None if none
+    ran), and ``{cell index: reason}`` for the skipped cells."""
+    reps = cfg.replications
+    words = _seeds.pcg64_states(_seeds.derive_seeds(
+        cfg.master_seed, namespace, np.concatenate(slab)[:, None], np.arange(reps)))
+    bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
+    ran, stack, skipped = [], [], {}
+    for group, rows in zip(slab, np.split(words, bounds)):
+        members = [cells[i] for i in group]
+        reason = _skip_reason(members[0][1:], cfg.formula_source)
+        if reason:
+            skipped.update(dict.fromkeys(group, reason))
+        else:
+            ran += group
+            stack.append((members, _run_group(cfg, rows, members)))
+    return ran, _aggregate(cfg, stack) if stack else None, skipped
+
+
 def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> tuple:
     """Every cell's aggregates as one ``(cell, measure, aggregate)`` array,
     aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}`` for
     the skipped cells, whose rows in the array are NaN.
 
-    The design groups are seeded in slabs (:func:`_group_tasks`) and
-    simulated in order, over a process pool when ``workers > 1``, each
-    worker receiving its groups' state words.  Their ratios are stacked,
-    whole groups at a time, until a stack holds :data:`_ASSESS_STACK`
-    ratios, and each stack is assessed and aggregated at once.
+    Each slab (:func:`_slabs`) is one :func:`_run_slab` task, run here when
+    ``workers == 1`` and over a process pool otherwise: cell indices go in
+    and aggregates come out, never state words or ratios.
     """
-    groups = _design_groups(cells)
+    tasks = (repeat(cfg), repeat(cells), _slabs(_design_groups(cells), cfg.replications),
+             repeat(namespace))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_slab, *tasks))
+    else:
+        outcomes = map(_run_slab, *tasks)
     aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
     skipped: dict = {}
-    stack, stacked = [], 0
-    outcomes = zip(groups, _simulate(_group_tasks(cfg, cells, groups, namespace), workers))
-    for k, (indices, ratios) in enumerate(outcomes, 1):
-        if isinstance(ratios, str):
-            skipped.update(dict.fromkeys(indices, ratios))
-        else:
-            stack.append((indices, [cells[i] for i in indices], ratios))
-            stacked += ratios.size
-        if stack and (stacked >= _ASSESS_STACK or k == len(groups)):
-            aggs[[idx for ids, _g, _r in stack for idx in ids]] = _aggregate(cfg, stack)
-            stack, stacked = [], 0
+    for ran, block, reasons in outcomes:
+        if ran:
+            aggs[ran] = block
+        skipped.update(reasons)
     return aggs, skipped
 
 
 def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
-    The unit of simulation is a design group: all cells that share (r1, r2,
-    m, method) and differ only in R.  ``workers > 1`` distributes the groups
+    The unit of work is a slab of design groups (cells that share (r1, r2,
+    m, method) and differ only in R).  ``workers > 1`` distributes the slabs
     over a process pool; the per-replication seeding makes the result
     identical to the sequential run.
     """
@@ -783,14 +779,16 @@ _BIAS_TABLE_FIELDS = ("method", "measure", "R", "r1", "r2", "m", "abs_bias", "co
 
 def _emit_bias_table(rows, fmt, grid):
     r_values, set_sizes, cycles = _expected_grid(grid, rows)
-    methods = METHODS
     present = {(r.method, r.measure, r.R, r.r1, r.r2, r.m): r for r in rows}
+    # the cells a study skips have no rows: '-' in text, left out of csv and json
+    source = rows[0].formula_source if rows else SOURCE_DERIVED
     expected = [
         (method, meas, R, r1, r2, m)
         for m in cycles
         for R in r_values
         for (r1, r2) in set_sizes
-        for method in methods
+        for method in METHODS
+        if _skip_reason((r1, r2, m, method), source) is None
         for meas in MEASURES
     ]
     _check_grid(
@@ -818,13 +816,13 @@ def _emit_bias_table(rows, fmt, grid):
                 "L = mean interval length)"
             )
             head = f"  {'measure':<8}{'(r1,r2)':<9}"
-            for method in methods:
+            for method in METHODS:
                 head += f"{method + ':|bias|':>14}{method + ':ratio':>13}{method + ':L':>10}"
             lines.append(head)
             for meas in MEASURES:
                 for r1, r2 in set_sizes:
                     line = f"  {meas:<8}{f'({r1},{r2})':<9}"
-                    for method in methods:
+                    for method in METHODS:
                         r = present.get((method, meas, R, r1, r2, m))
                         if r is None:
                             line += f"{'-':>14}{'-':>13}{'-':>10}"

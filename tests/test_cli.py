@@ -22,7 +22,7 @@ import pytest
 import ovlomax
 from ovlomax.cli import main
 from ovlomax.dist_core import DomainError
-from ovlomax.study import STUDY_CSV_COLUMNS
+from ovlomax.study import STUDY_CSV_COLUMNS, parse_rows_csv
 
 DATA1 = "120 14 62 47 225 71 246 21\n"
 DATA2 = "23 261 87 7 120 14\n"
@@ -462,6 +462,52 @@ class TestTables:
         code, out, _ = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
         assert code == 0
         assert "empirical coverage" in out
+
+    @pytest.fixture
+    def skipped_rows(self, capsys, tmp_path):
+        """study.csv of a study whose r2 = 1 srs and bayes cells are skipped (n2 = 2)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "r_values": [0.25, 0.8], "set_sizes": [[2, 1], [2, 2]], "cycles": [2],
+            "replications": 5, "master_seed": 9,
+        }))
+        code, rows_csv, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        saved = tmp_path / "study.csv"
+        saved.write_text(rows_csv)
+        return saved
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_bias_of_a_study_with_skipped_cells(self, capsys, skipped_rows, fmt):
+        rows = parse_rows_csv(skipped_rows.read_text())
+        assert len(rows) == 3 * (2 * 2 * 3 - 4)
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(skipped_rows),
+                                 "--format", fmt)
+        assert code == 0, err
+        if fmt == "csv":  # the rows that ran, in grid order
+            assert parse_rows_csv(out) == rows
+        elif fmt == "json":
+            fields = ("method", "measure", "R", "r1", "r2", "m", "abs_bias", "coverage",
+                      "ci_length")
+            assert json.loads(out)["cells"] == [{f: getattr(row, f) for f in fields}
+                                                for row in rows]
+        else:  # columns srs, rss, bayes: '-' where skipped, numbers elsewhere
+            lines = [line.split() for line in out.splitlines() if "(2," in line]
+            assert len(lines) == 2 * 3 * 2
+            for line in lines:
+                srs, rss, bayes = line[2:5], line[5:8], line[8:]
+                if line[1] == "(2,1)":
+                    assert srs == bayes == ["-"] * 3
+                    srs = bayes = []
+                assert all(float(v) >= 0 for v in srs + rss + bayes)
+
+    def test_bias_still_names_a_missing_row_that_ran(self, capsys, skipped_rows):
+        lines = skipped_rows.read_text().splitlines(keepends=True)
+        gone = next(k for k, line in enumerate(lines) if line.startswith("rss,delta,0.8,2,1,"))
+        skipped_rows.write_text("".join(lines[:gone] + lines[gone + 1:]))
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(skipped_rows))
+        assert code == 2 and out == ""
+        assert "missing 1 grid cell(s): method=rss measure=delta R=0.8 r1=2 r2=1 m=2" in err
 
     @pytest.mark.parametrize("damage, message", [
         (lambda rec: rec[:-1], "expected 15 fields, got 14"),

@@ -13,6 +13,7 @@ from ovlomax.estimators import (
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
     SOURCES,
+    _PUBLISHED,
     DegenerateDesignError,
     MethodMismatchError,
     alpha_bayes_jeffreys,
@@ -28,6 +29,27 @@ from ovlomax.estimators import (
 )
 from ovlomax.overlap import MEASURES, overlap_curvature, overlap_grad_sq
 from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss
+
+
+def printed_shapes(r) -> dict:
+    """The printed (variance, bias) expressions of each measure at R = ``r``,
+    in mpmath at the working precision.  At R = 1 the Weitzman variance is
+    its limit exp(-2) and its bias, which diverges, is NaN."""
+    x = mpmath.mpf(r)
+    log = mpmath.log(x)
+    if x == 1:
+        delta = (mpmath.exp(-2), mpmath.nan)
+    else:
+        bracket = (x ** ((2 * x - 1) / (1 - x)) * x * (2 * x - log - 2) * log
+                   - (x - 1) ** 2) / (x - 1) ** 3
+        delta = (x ** (2 / (1 - x)) * log**2 / (1 - x) ** 2, x**2 * bracket * (-1 if r < 1.0 else 1))
+    return {
+        "rho": (x * (1 - x) ** 2 / (1 + x) ** 4,
+                mpmath.sqrt(x) * (3 * x**2 - 6 * x - 1) / (1 + x) ** 3),
+        "delta": delta,
+        "lambda": (x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4,
+                   (x**5 - 3 * x**3 - x**2) / (x**2 - x + 1) ** 2),
+    }
 
 
 class TestAlphaEstimators:
@@ -217,18 +239,7 @@ class TestDeltaMethod:
     def test_published_shapes_equal_printed_expressions(self, r):
         # the printed variance and bias expressions, evaluated at 40 digits
         with mpmath.workdps(40):
-            x = mpmath.mpf(r)
-            log = mpmath.log(x)
-            bracket = (x ** ((2 * x - 1) / (1 - x)) * x * (2 * x - log - 2) * log
-                       - (x - 1) ** 2) / (x - 1) ** 3
-            shapes = {
-                "rho": (x * (1 - x) ** 2 / (1 + x) ** 4,
-                        mpmath.sqrt(x) * (3 * x**2 - 6 * x - 1) / (1 + x) ** 3),
-                "delta": (x ** (2 / (1 - x)) * log**2 / (1 - x) ** 2,
-                          x**2 * bracket * (-1 if r < 1.0 else 1)),
-                "lambda": (x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4,
-                           (x**5 - 3 * x**3 - x**2) / (x**2 - x + 1) ** 2),
-            }
+            shapes = printed_shapes(r)
             n1, n2 = 16, 24
             factor = mpmath.mpf(n1 + n2 - 1) / (n1 * (n2 - 2))
             # the printed srs bias constants halve the factor for rho and delta only
@@ -249,9 +260,8 @@ class TestDeltaMethod:
         block = assess(r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED, bias_corrected=False)
         factor = ratio_variance_factor(METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         with mpmath.workdps(50):
-            xs = [mpmath.mpf(x) for x in r.tolist()]
-            printed = {"rho": [x * (1 - x) ** 2 / (1 + x) ** 4 for x in xs],
-                       "lambda": [x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4 for x in xs]}
+            printed = {meas: [printed_shapes(x)[meas][0] for x in r.tolist()]
+                       for meas in ("rho", "lambda")}
             for meas, a in block.items():
                 assert np.isfinite(a.variance).all() and (a.variance >= 0.0).all(), meas
                 if meas in printed:
@@ -260,6 +270,38 @@ class TestDeltaMethod:
                     want = [float(w) for w in printed[meas]]
                     assert (a.variance / factor).tolist() == pytest.approx(
                         want, rel=1e-14, abs=np.finfo(float).tiny), meas
+
+    def test_published_bias_finite_over_the_float_range(self):
+        # above R = 1e30 each printed bias shape is taken in w = 1/R, before
+        # r**5 (lambda), r*r (rho) or the powers of r (delta) overflow; below
+        # it they are the printed arithmetic
+        r = 10.0 ** np.arange(1, 309)
+        for method, (d1, d2) in DESIGNS.items():  # bias-corrected intervals need a finite bias
+            block = assess(r, method, d1, d2, SOURCE_AS_PUBLISHED)
+            assert all(np.isfinite(a.bias).all() for a in block.values()), method
+        d1, d2 = SrsDesign(10), SrsDesign(8)
+        block = assess(r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        factor = ratio_variance_factor(METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        with mpmath.workdps(50):
+            printed = [printed_shapes(x) for x in r.tolist()]
+            for meas, a in block.items():
+                want = [float(shapes[meas][1]) for shapes in printed]
+                halved = 2.0 if meas in ("rho", "delta") else 1.0
+                assert (halved * a.bias / factor).tolist() == pytest.approx(want, rel=1e-14), meas
+
+    def test_published_far_bias_is_its_form_in_w(self):
+        # above R = 1e30 the bias shapes rewritten in w = 1/R, term for term,
+        # round to their leading terms 3*sqrt(w), -R and 1/w
+        r = 10.0 ** np.linspace(30.001, 308.25, 5000)
+        w, log = 1.0 / r, np.log(r)
+        in_w = {"rho": np.sqrt(w) * (3 - 6 * w - w * w) / (1 + w) ** 3,
+                "delta": r * (np.exp(log * (2 - w) / (w - 1)) * (2 - (log + 2) * w) * log
+                              - (1 - w) ** 2) / (1 - w) ** 3,
+                "lambda": (1 - 3 * w * w - w**3) / (w * (1 - w + w * w) ** 2)}
+        for meas, want in in_w.items():
+            with np.errstate(over="ignore", invalid="ignore"):  # the printed arithmetic, unused
+                got = _PUBLISHED[meas](r)[1]
+            assert got.tobytes() == want.tobytes(), meas
 
     def test_weitzman_variance_limit_at_one(self):
         # (slope)^2 has the two-sided limit exp(-2) at the kink

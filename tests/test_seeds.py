@@ -1,17 +1,20 @@
 """Seed derivation and the design-grouped study engine.
 
-The engine derives every replication's seed and initial PCG64 state in
-array passes over slabs of design groups, restarts one generator per stream
-by writing the state's words in place, draws in row blocks, ranks ranked
-sets on the uniforms and assesses stacks of whole design groups.  These
-tests hold it to the plain definition: the SplitMix64 fold written out on
-Python ints, a fresh ``np.random.PCG64(seed)`` per replication, ranked sets
+The engine's unit of work is a slab of design groups.  A slab derives every
+replication's seed and initial PCG64 state in one array pass, restarts one
+generator per stream by writing the state's words in place, draws in row
+blocks, ranks ranked sets on the uniforms and assesses all its groups in
+one call.  These tests hold it to the plain definition: the SplitMix64 fold
+written out on Python ints, a fresh ``np.random.PCG64(seed)`` per
+replication (``_seeds.stream``, which seeds through numpy), ranked sets
 sorted by ``np.sort`` on each replication's own uniforms (never by the
 engine's comparator networks), ``T = -alpha * log(u)`` averaged inline, and
 one kernel call per cell, at every block size.
 Numpy scalar integer arithmetic warns on overflow, so every test here turns
 warnings into errors.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -196,11 +199,10 @@ CONFIGS = {
 }
 
 
-# block bytes and assessment-stack ratios: the minimum (one row per draw
-# block, one group per slab and per stack), and sizes that cut draw blocks
-# (300 uniforms) across cells, put a few groups in a slab (75 replications)
-# and stack a few groups
-BUDGETS = {"minimum": (1, 1), "small": (2400, 40)}
+# block bytes: the minimum (one row per draw block, one group per slab), and
+# a size that cuts draw blocks (300 uniforms) across cells and puts a few
+# groups in a slab (75 replications)
+BUDGETS = {"minimum": 1, "small": 2400}
 
 
 def assert_cells_equal_reference(name, namespace):
@@ -226,6 +228,19 @@ def assert_cells_equal_reference(name, namespace):
     assert len(skipped) == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
 
 
+def arrays_in(obj):
+    """Every ndarray in a task or a result, through containers and configs."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, StudyConfig):
+        yield from arrays_in(list(vars(obj).values()))
+    elif isinstance(obj, dict):
+        yield from arrays_in([*obj, *obj.values()])
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
 class TestGroupedEngine:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("namespace", [0, 1])
@@ -236,15 +251,15 @@ class TestGroupedEngine:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("namespace", [0, 1])
     def test_every_block_budget_equals_reference(self, name, namespace, budget, monkeypatch):
-        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
-        monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
         assert_cells_equal_reference(name, namespace)
 
-    @pytest.mark.parametrize("budget", ["shipped", "minimum"])
+    # rows of each draw block, and groups of each _aggregate call: one call
+    # per slab of the several_R study (12 groups of 5 cells x 6 replications)
+    @pytest.mark.parametrize("budget", ["shipped", "small", "minimum"])
     def test_budgets_cut_draw_blocks_and_stacks(self, budget, monkeypatch):
         if budget in BUDGETS:
-            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
-            monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
         rows, stacks = [], []
         fill, aggregate = _seeds.fill_uniforms, study._aggregate
 
@@ -265,7 +280,15 @@ class TestGroupedEngine:
         if budget == "minimum":
             assert rows == [1] * len(cells) * cfg.replications
             assert stacks == [1] * groups
-        else:  # a small study: one draw block per group, one stack in all
+        elif budget == "small":  # blocks of at most 300 uniforms, two groups a slab
+            blocks = []
+            for r1, r2, m, method in dict.fromkeys(cell[1:] for cell in cells):
+                draws = (r1 * r1 + r2 * r2) * m if method == METHOD_RSS else (r1 + r2) * m
+                step = max(1, 300 // draws)
+                blocks += [min(step, 30 - lo) for lo in range(0, 30, step)]
+            assert rows == blocks
+            assert stacks == [2] * (groups // 2)
+        else:  # a small study: one draw block per group, one slab in all
             assert rows == [len(cfg.r_values) * cfg.replications] * groups
             assert stacks == [groups]
 
@@ -275,8 +298,7 @@ class TestGroupedEngine:
                                                ("minimum", [30] * 12)])
     def test_seeding_is_one_pass_per_slab(self, budget, slabs, monkeypatch):
         if budget in BUDGETS:
-            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget][0])
-            monkeypatch.setattr(study, "_ASSESS_STACK", BUDGETS[budget][1])
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
         folds, hashes = [], []
         derive, hash_seeds = _seeds.derive_seeds, _seeds.pcg64_states
 
@@ -312,6 +334,49 @@ class TestGroupedEngine:
         assert one.rows_corrected == two.rows_corrected
         assert one.skipped == two.skipped
         assert one.metadata == two.metadata
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, monkeypatch):
+        # a pool that runs each task here, on pickled copies of what a worker
+        # process would receive and send back
+        tasks, results = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    tasks.append(pickle.loads(pickle.dumps(args)))
+                    results.append(fn(*tasks[-1]))
+                    yield pickle.loads(pickle.dumps(results[-1]))
+
+        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["small"])
+        cfg = StudyConfig(**CONFIGS[name])
+        cells = study._enumerate_cells(cfg)
+        one, skipped_one = study._cell_outcomes(cfg, cells, 1)
+        monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
+        two, skipped_two = study._cell_outcomes(cfg, cells, 1, workers=2)
+        assert two.tobytes() == one.tobytes() and skipped_two == skipped_one
+        assert [task[2] for task in tasks] == study._slabs(study._design_groups(cells),
+                                                           cfg.replications)
+        for task in tasks:
+            assert not list(arrays_in(task))
+            assert all(type(i) is int for group in task[2] for i in group)
+        shape = (len(MEASURES), len(study._AGGREGATES))
+        for ran, block, reasons in results:
+            assert all(type(i) is int for i in ran + list(reasons))
+            assert all(isinstance(reason, str) for reason in reasons.values())
+            if ran:  # the only array out is the aggregates of the cells that ran
+                assert block.shape == (len(ran), *shape)
+            else:
+                assert block is None
 
     def test_seed_column_is_the_cell_seed(self):
         cfg = StudyConfig(**CONFIGS["several_R"])
