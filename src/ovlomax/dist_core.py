@@ -5,16 +5,18 @@ parametrized so that the cdf is ``(1 + beta/x) ** (-1/alpha)``.  Under this
 convention ``T = log(1 + beta/X)`` is exponential with mean ``alpha``, which
 is what makes every estimator in :mod:`ovlomax.estimators` tractable; the
 exact laws of its estimates are ``scipy.stats`` gamma and F laws, named there.
-A draw lies below the smallest normal float with probability
-``exp(-708.4/alpha)``; sampling and the quantile refuse such values.
+The normal quantile of the intervals comes from the standard library, so
+importing the package loads no SciPy.  A draw lies below the smallest normal
+float with probability ``exp(-708.4/alpha)``; sampling and the quantile refuse
+such values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "DomainError",
@@ -24,6 +26,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+_STD_NORMAL = NormalDist()
 
 
 class DomainError(ValueError):
@@ -148,7 +151,8 @@ def log_transform(x) -> float | np.ndarray:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal cdf.
+    """Inverse standard normal cdf, by Wichura's AS241 (the stdlib
+    ``statistics.NormalDist.inv_cdf``); relative error below 1e-15.
 
     Reflection is enforced structurally: the upper half is computed as the
     negated lower half, so ``quantile(p) == -quantile(1 - p)`` holds exactly.
@@ -159,5 +163,5 @@ def std_normal_quantile(p: float) -> float:
     if p == 0.5:
         return 0.0
     if p > 0.5:
-        return float(-ndtri(1.0 - p))
-    return float(ndtri(p))
+        return -_STD_NORMAL.inv_cdf(1.0 - p)
+    return _STD_NORMAL.inv_cdf(p)

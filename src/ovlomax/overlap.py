@@ -14,14 +14,14 @@ whole float range, are one array function in a table that the delta-method
 kernel reads directly.  The quadrature
 routines below work directly on density callables in the same transformed
 variable and serve as an independent numerical oracle for the closed forms.
+They are the package's only use of SciPy (``quad`` and ``brentq``), which
+they import when first called.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .dist_core import DomainError, _as_input_shape, _positive_array
 
@@ -202,6 +202,8 @@ def _weight(t: float) -> float:
 
 
 def _quad_checked(fn, a, b, tol, label):
+    from scipy.integrate import quad
+
     val, err = quad(fn, a, b, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=400)
     if err > tol:
         raise QuadratureError(f"{label} quadrature did not converge to {tol:.1e}", err)
@@ -250,6 +252,8 @@ def _find_crossing(f1, f2, tol: float) -> float | None:
         if a <= 0.0 or b <= 0.0:
             return 0.0
         return math.log(a) - math.log(b)
+
+    from scipy.optimize import brentq
 
     lo = 1e-9
     dlo = d(lo)

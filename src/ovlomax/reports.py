@@ -15,7 +15,6 @@ variants.  Reports serialize to and from JSON without losing precision.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -103,13 +102,18 @@ def parse_ranked_dataset(text: str) -> RankedSample:
     Ranks must cover 1..r and cycles 1..m with every slot filled exactly
     once; duplicates and holes are reported with their coordinates.
     """
-    lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+    kept = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+            if ln.split("#", 1)[0].strip()]
+    reader = csv.reader(ln for _, ln in kept)
+    # errors name the physical line the last record ended on, comments and
+    # blank lines counted
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header] != ["rank", "cycle", "value"]:
-        raise DatasetParseError(1, ",".join(header or []), "expected header 'rank,cycle,value'")
+        lineno = kept[reader.line_num - 1][0] if reader.line_num else 1
+        raise DatasetParseError(lineno, ",".join(header or []), "expected header 'rank,cycle,value'")
     seen: dict = {}
-    for lineno, rec in enumerate(reader, start=2):
+    for rec in reader:
+        lineno = kept[reader.line_num - 1][0]
         if len(rec) != 3:
             raise DatasetParseError(lineno, ",".join(rec), "expected three fields")
         try:

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -161,6 +163,19 @@ class TestStdNormalQuantile:
         for p in (0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999):
             exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
             assert std_normal_quantile(p) == pytest.approx(exact, abs=1e-12)
+
+    def test_relative_error_across_the_lower_tail(self):
+        # log-spaced p down to 1e-300 plus the upper points of the usual
+        # interval levels; the mpmath reference carries 40 digits beyond the
+        # ones that 2p - 1 spends on its distance from -1
+        levels = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+        ps = [*np.logspace(-300.0, math.log10(0.5), 61, endpoint=False),
+              *(1.0 - (1.0 - lv) / 2.0 for lv in levels)]
+        for p in map(float, ps):
+            with mpmath.workdps(40 + math.ceil(-math.log10(p))):
+                exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+                rel = float(abs((std_normal_quantile(p) - exact) / exact))
+            assert rel <= 1e-15, (p, rel)
 
     def test_frozen_975(self):
         assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=5e-7)

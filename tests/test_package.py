@@ -1,6 +1,10 @@
-"""The package namespace: each public name is declared once, in its module."""
+"""The package namespace: each public name is declared once, in its module,
+and importing it or running the CLI's closed-form paths loads no SciPy."""
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +39,33 @@ def test_version_declared_once():
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     module, _, name = attr.rpartition(".")
     assert getattr(sys.modules[module], name) == ovlomax.__version__
+
+
+# The study, report, tables and closed-form paths run in one fresh
+# interpreter; SciPy is for the quadrature oracle and the tests alone.
+_NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+import ovlomax, ovlomax.cli
+smoke, out_dir = sys.argv[1:]
+runs = [["simulate", "--config", smoke, "--out-dir", out_dir], ["realdata"],
+        ["tables", "--kind", "discrepancy"], ["ovl", "--ratio", "0.5"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ovlomax.cli.main(argv) for argv in runs]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_paths_load_no_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    smoke = src / "ovlomax" / "data" / "configs" / "smoke.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(smoke), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["scipy"] == []

@@ -122,6 +122,15 @@ class TestParseRankedDataset:
         with pytest.raises(DatasetParseError):
             parse_ranked_dataset("rank,cycle,value\n")
 
+    def test_errors_name_physical_lines(self):
+        # comment and blank lines count toward the line an error names
+        with pytest.raises(DatasetParseError, match="^line 4: observations") as exc:
+            parse_ranked_dataset("rank,cycle,value\n# note\n\n1,1,-4\n")
+        assert exc.value.lineno == 4
+        with pytest.raises(DatasetParseError, match="^line 3: expected header") as exc:
+            parse_ranked_dataset("# ranked sample\n\nrank,value\n1,2")
+        assert exc.value.lineno == 3
+
 
 class TestBuildEstimateReport:
     DATA1 = [120.0, 14.0, 62.0, 47.0, 225.0, 71.0, 246.0, 21.0]
