@@ -39,7 +39,6 @@ from .study import (
     efficiency_cells_from_result,
     efficiency_grid,
     emit_figure_data,
-    emit_rows_csv,
     emit_tables,
     parse_rows_csv,
     run_study,
@@ -313,17 +312,16 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--workers must be >= 1")
 
     result = run_study(cfg, workers=args.workers)
-    plain = emit_rows_csv(result.rows)
     if not args.out_dir:
-        print(plain, end="")
+        print(result.csv, end="")
         return EXIT_OK
 
     # every text is built before the first write, so a failure leaves no files
     meta = dict(result.metadata)
     meta["skipped_cells"] = result.skipped
     texts = {
-        "study.csv": plain,
-        "study_bias_corrected.csv": emit_rows_csv(result.rows_corrected),
+        "study.csv": result.csv,
+        "study_bias_corrected.csv": result.csv_corrected,
         "efficiency.csv": emit_tables(efficiency_cells_from_result(cfg, result), "eff_table", "csv"),
         "discrepancy.csv": discrepancy_report(cfg.formula_source),
         "metadata.json": json.dumps(meta, indent=2) + "\n",

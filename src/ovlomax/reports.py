@@ -3,9 +3,12 @@
 Two input formats are understood:
 
 * plain observation lists for simple random samples: numbers separated by
-  whitespace or commas, ``#`` starts a comment;
+  whitespace or commas;
 * ranked set samples as CSV with header ``rank,cycle,value``, one retained
   observation per (rank, cycle) slot, all slots required.
+
+In both, ``#`` starts a comment running to the end of its line, and errors
+name the physical line, comment and blank lines counted.
 
 :func:`build_estimate_report` bundles everything a data analysis needs:
 shape estimates for both populations, raw and corrected ratio, the three
@@ -102,8 +105,8 @@ def parse_ranked_dataset(text: str) -> RankedSample:
     Ranks must cover 1..r and cycles 1..m with every slot filled exactly
     once; duplicates and holes are reported with their coordinates.
     """
-    kept = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
-            if ln.split("#", 1)[0].strip()]
+    lines = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
+    kept = [(i, ln) for i, ln in enumerate(lines, start=1) if ln]
     reader = csv.reader(ln for _, ln in kept)
     # errors name the physical line the last record ended on, comments and
     # blank lines counted

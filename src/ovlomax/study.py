@@ -37,10 +37,10 @@ the seeding arithmetic and the kernel calls are batched.  Results are
 therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
 
-Output is columnar: all cells' aggregates form one ``(cell, measure,
-aggregate)`` array, each number is rounded to six significant digits once, in
-one pass over it, and each CSV column is formatted once by the formatter of
-its field's type.  Figure data is formatted straight from that array.
+Output is text-first: all cells' aggregates form one ``(cell, measure,
+aggregate)`` array, each number is formatted to six significant digits once,
+and both study CSVs are written from those strings, the one source of truth:
+:class:`StudyResult` parses its rows from the text only when asked for them.
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -83,8 +84,6 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "EfficiencyCell",
-    "analytic_mse",
-    "analytic_efficiency",
     "efficiency_grid",
     "efficiency_cells_from_result",
     "run_study",
@@ -313,30 +312,29 @@ class EfficiencyCell:
 
 @dataclass
 class StudyResult:
-    rows: list = field(default_factory=list)
-    rows_corrected: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    """A study's output as its CSV texts, the one source of truth: plain
+    (``csv``) and bias-corrected (``csv_corrected``) intervals, whose rows are
+    parsed on first use; ``efficiency`` maps each rss cell's ``(measure, R,
+    r1, r2, m)`` to its simulated efficiency, as :func:`efficiency_grid` takes."""
+
+    csv: str
+    csv_corrected: str
+    skipped: list
+    metadata: dict
+    efficiency: dict
+
+    @cached_property
+    def rows(self) -> list:
+        return parse_rows_csv(self.csv)
+
+    @cached_property
+    def rows_corrected(self) -> list:
+        return parse_rows_csv(self.csv_corrected)
 
 
 # ---------------------------------------------------------------------------
 # Analytic efficiency
 # ---------------------------------------------------------------------------
-
-
-def analytic_mse(measure, R, method, design1, design2, source=SOURCE_DERIVED) -> float:
-    """Delta-method MSE (variance plus squared bias) at the true ratio."""
-    block = _mse_block([float(R)], method, [(design1, design2)], source)
-    if measure not in MEASURES:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return float(block[MEASURES.index(measure), 0, 0])
-
-
-def analytic_efficiency(measure, R, r1, r2, m, source=SOURCE_DERIVED) -> float:
-    """MSE(srs)/MSE(rss) at equal retained sizes n_i = r_i * m."""
-    srs = analytic_mse(measure, R, METHOD_SRS, SrsDesign(r1 * m), SrsDesign(r2 * m), source)
-    rss = analytic_mse(measure, R, METHOD_RSS, RssDesign(r1, m), RssDesign(r2, m), source)
-    return srs / rss
 
 
 def _mse_block(r_values, method, design_pairs, source) -> np.ndarray:
@@ -396,14 +394,9 @@ def efficiency_grid(
 
 def efficiency_cells_from_result(cfg: "StudyConfig", result: "StudyResult") -> list:
     """Analytic efficiency over the config grid, annotated with the simulated
-    MSE ratios carried by the ranked-set study rows where available."""
-    empirical = {
-        (row.measure, row.R, row.r1, row.r2, row.m): row.efficiency
-        for row in result.rows
-        if row.method == METHOD_RSS
-    }
+    MSE ratios of the ranked-set study cells where available."""
     return efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
-                           empirical=empirical)
+                           empirical=result.efficiency)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +580,7 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
     aggs, skipped = _cell_outcomes(cfg, cells, namespace, workers)
     seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
 
-    result = StudyResult()
     ran = [idx for idx in range(len(cells)) if idx not in skipped]
-    result.skipped = [
-        {"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": skipped[idx]}
-        for idx, (R, r1, r2, m, method) in enumerate(cells) if idx in skipped
-    ]
     aggs = aggs[ran]  # the cells that ran, aggregates in _AGGREGATES order
     # an rss cell's efficiency is the MSE of its srs sibling over its own
     row_of = {cells[idx]: k for k, idx in enumerate(ran)}
@@ -601,21 +589,25 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
     mses = aggs[:, :, 1]
     has_eff = (srs >= 0)[:, None] & (mses > 0.0)
     effs = np.divide(mses[srs], mses, out=np.zeros_like(mses), where=has_eff)
-    # every aggregate rounded to six significant digits once, in one pass
+    # every aggregate formatted once, in one pass, by the CSV's float formatter;
+    # both files' rows are built from those strings, |bias| by dropping a sign
     values = np.concatenate([aggs, effs[:, :, None]], axis=2)
-    rounded = map(float, map(format, values.ravel().tolist(), repeat(".6g")))
-    per_row = zip(*[rounded] * values.shape[2], has_eff.ravel().tolist())
+    texts = _CSV_FORMATS["float"](values.ravel().tolist())
+    per_row = zip(*[iter(texts)] * values.shape[2], has_eff.ravel().tolist())
+    plain, corrected, efficiency = [], [], {}
     for idx in ran:
         R, r1, r2, m, method = cells[idx]
-        R = _round6(R)
+        design = (format(R, ".6g"), str(r1), str(r2), str(m), str(cfg.replications))
         for meas in MEASURES:
             bias, mse, cov, length, cov_c, length_c, eff, has = next(per_row)
-            head = (method, meas, R, r1, r2, m, cfg.replications, abs(bias), bias, mse)
-            tail = (eff if has else None, cfg.formula_source, seeds[idx])
-            result.rows.append(StudyRow(*head, cov, length, *tail))
-            result.rows_corrected.append(StudyRow(*head, cov_c, length_c, *tail))
+            head = (method, meas, *design, bias.removeprefix("-"), bias, mse)
+            tail = (eff if has else "", cfg.formula_source, str(seeds[idx]))
+            plain.append((*head, cov, length, *tail))
+            corrected.append((*head, cov_c, length_c, *tail))
+            if has:
+                efficiency[meas, float(design[0]), r1, r2, m] = float(eff)
 
-    result.metadata = {
+    metadata = {
         "config": cfg.to_dict(),
         "rng": "numpy PCG64",
         "numpy_version": np.__version__,
@@ -631,7 +623,14 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
             "interval variants: plain intervals in rows, bias-corrected in rows_corrected",
         ],
     }
-    return result
+    return StudyResult(
+        csv=_write_csv(STUDY_CSV_COLUMNS, plain),
+        csv_corrected=_write_csv(STUDY_CSV_COLUMNS, corrected),
+        skipped=[{"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": skipped[idx]}
+                 for idx, (R, r1, r2, m, method) in enumerate(cells) if idx in skipped],
+        metadata=metadata,
+        efficiency=efficiency,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +638,21 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(header, records) -> str:
+    """The one CSV writer of the package's tables: LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue()
+
+
 def _emit_csv(items, kind) -> str:
     # one column per dataclass field, each formatted by its field's annotation
     kinds = fields(kind)
     columns = zip(*(vars(item).values() for item in items))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f.name for f in kinds])
-    writer.writerows(zip(*(_CSV_FORMATS[f.type](col) for f, col in zip(kinds, columns))))
-    return buf.getvalue()
+    return _write_csv([f.name for f in kinds],
+                      zip(*(_CSV_FORMATS[f.type](col) for f, col in zip(kinds, columns))))
 
 
 def emit_rows_csv(rows) -> str:
@@ -656,7 +661,8 @@ def emit_rows_csv(rows) -> str:
 
 
 def parse_rows_csv(text: str) -> list:
-    """Inverse of :func:`emit_rows_csv`; exact because rows store rounded values."""
+    """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit
+    values; :class:`StudyResult` builds its rows with it."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
@@ -855,15 +861,11 @@ def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
     )
     cells = _enumerate_cells(sub)
     aggs, skipped = _cell_outcomes(sub, cells, namespace=1, workers=workers)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "measure", "R", "bias", "mse"])
-    writer.writerows(
+    return _write_csv(["method", "measure", "R", "bias", "mse"], (
         (method, meas, *(format(v, ".6g") for v in (R, bias, mse)))
         for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if idx not in skipped
         for meas, (bias, mse) in zip(MEASURES, aggs[idx, :, :2].tolist())
-    )
-    return buf.getvalue()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -929,10 +931,7 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
             rows.append(("real_data", f"ci_lo:{meas}:{method}", real["ci"][meas][method][0], ci[0]))
             rows.append(("real_data", f"ci_hi:{meas}:{method}", real["ci"][meas][method][1], ci[1]))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["table", "cell", "printed_value", "computed_value", "abs_diff"])
-    for table, cell, printed, computed in rows:
-        diff = abs(printed - computed)
-        writer.writerow([table, cell, *(format(v, ".6g") for v in (printed, computed, diff))])
-    return buf.getvalue()
+    return _write_csv(["table", "cell", "printed_value", "computed_value", "abs_diff"], (
+        (table, cell, *(format(v, ".6g") for v in (printed, computed, abs(printed - computed))))
+        for table, cell, printed, computed in rows
+    ))

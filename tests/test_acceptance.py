@@ -43,7 +43,7 @@ from ovlomax import (
     run_study,
 )
 from ovlomax.overlap import MEASURES
-from ovlomax.study import analytic_mse
+from ovlomax.study import _mse_block
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -234,14 +234,15 @@ def test_criterion_06_delta_method():
     reps = 200000
     d1, d2 = SrsDesign(n), SrsDesign(n)
     for big_r in (0.5, 0.8):
+        # delta-method MSE (variance plus squared bias) of each measure
+        analytic = _mse_block([big_r], "srs", [(d1, d2)], "derived")[:, 0, 0].tolist()
         a1 = rng.gamma(shape=n, scale=big_r / n, size=reps)
         a2 = rng.gamma(shape=n, scale=1.0 / n, size=reps)
         rstar = (a1 / a2) * (n - 1) / n
-        for meas in MEASURES:
+        for meas, ana in zip(MEASURES, analytic):
             truth = float(overlap_value(meas, big_r))
             pts = np.asarray(overlap_value(meas, rstar), dtype=float)
             emp = float(np.mean((pts - truth) ** 2))
-            ana = analytic_mse(meas, big_r, "srs", d1, d2)
             rel = abs(emp / ana - 1.0)
             if rel > 0.15:
                 problems.append(f"mse({meas}, R={big_r}) off by {rel:.1%}")

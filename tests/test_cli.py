@@ -302,6 +302,18 @@ class TestSimulate:
         keys = list(meta)
         assert keys.index("ovlomax_version") == keys.index("numpy_version") + 1
 
+    def test_out_dir_builds_no_study_rows(self, capsys, config, tmp_path, monkeypatch):
+        # every file is written from the study's CSV text; rows are parsed
+        # from that text only when asked for, and nothing here asks
+        def refuse(text):
+            raise AssertionError("simulate parsed its own study CSV into rows")
+
+        monkeypatch.setattr("ovlomax.study.parse_rows_csv", refuse)
+        out_dir = tmp_path / "text-first"
+        code, _, err = run_cli(capsys, "simulate", "--config", config, "--out-dir", str(out_dir))
+        assert code == 0, err
+        assert len((out_dir / "study.csv").read_text().splitlines()) == 1 + 9
+
     def test_no_figures(self, capsys, config, tmp_path):
         out_dir = tmp_path / "nofig"
         code, _, _ = run_cli(capsys, "simulate", "--config", config,

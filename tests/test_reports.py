@@ -131,6 +131,17 @@ class TestParseRankedDataset:
             parse_ranked_dataset("# ranked sample\n\nrank,value\n1,2")
         assert exc.value.lineno == 3
 
+    def test_trailing_comments_stripped(self):
+        # a comment after a record or the header is dropped, as in plain lists
+        text = "rank,cycle,value # header\n1,1,5 # first\n# note\n2,1,7\n"
+        got = parse_ranked_dataset(text)
+        assert got.values.tolist() == [[5.0], [7.0]]
+        # and the line an error names is still the physical one
+        with pytest.raises(DatasetParseError, match="^line 3: observations") as exc:
+            parse_ranked_dataset("rank,cycle,value\n\n1,1,-4 # bad\n")
+        assert exc.value.lineno == 3
+        assert exc.value.token == "-4"
+
 
 class TestBuildEstimateReport:
     DATA1 = [120.0, 14.0, 62.0, 47.0, 225.0, 71.0, 246.0, 21.0]

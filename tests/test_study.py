@@ -18,8 +18,9 @@ from ovlomax import (
     EfficiencyCell,
     MissingCellError,
     StudyConfig,
+    RssDesign,
+    SrsDesign,
     StudyRow,
-    analytic_efficiency,
     discrepancy_report,
     efficiency_cells_from_result,
     efficiency_grid,
@@ -30,6 +31,7 @@ from ovlomax import (
     run_study,
 )
 from ovlomax import _seeds, study
+from ovlomax.estimators import SOURCES
 from ovlomax.overlap import MEASURES
 from ovlomax.study import (
     DEFAULT_FIGURE_R_GRID,
@@ -244,23 +246,70 @@ def reference_rows(cfg, namespace=0):
 
 
 # small grids for the row-pass and figure references: one plain cell; an
-# srs/bayes group skipped for n2 < 3 first; repeated and irrational ratios
+# srs/bayes group skipped for n2 < 3 first; repeated and irrational ratios;
+# n1 = 1, where the as-published bayes cell is skipped
 REFERENCE_CONFIGS = {
     "plain": dict(),
     "skipped_first": dict(r_values=(0.25, 0.8), set_sizes=((2, 1), (3, 2)), cycles=(2,),
                           figure_r_grid=(0.3, 0.6)),
     "repeated_R": dict(r_values=(1 / 3, 0.5, 1 / 3, 2.0), set_sizes=((3, 2), (2, 2)),
                        cycles=(2, 3), formula_source="as-published", figure_r_grid=(1 / 3,)),
+    "bayes_n1": dict(r_values=(0.5, 0.2), set_sizes=((1, 3), (2, 2)), cycles=(1, 2)),
 }
 
 
 class TestRunStudy:
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_rows_equal_per_row_reference(self, name):
-        cfg = tiny_config(**REFERENCE_CONFIGS[name])
+        # the CSV texts are the reference rows as emit_rows_csv writes them,
+        # under either source and worker count, and the rows parse back
+        for source in SOURCES:
+            cfg = tiny_config(**{**REFERENCE_CONFIGS[name], "formula_source": source})
+            rows, rows_corrected = reference_rows(cfg)
+            for workers in (1, 2):
+                res = run_study(cfg, workers=workers)
+                assert res.csv == emit_rows_csv(rows)
+                assert res.csv_corrected == emit_rows_csv(rows_corrected)
+            assert (res.rows, res.rows_corrected) == (rows, rows_corrected)
+            assert any(row.efficiency is not None for row in res.rows)
+
+    def test_reference_configs_cover_skips_signs_and_missing_efficiencies(self):
+        seen = set()
+        for over in REFERENCE_CONFIGS.values():
+            for source in SOURCES:
+                res = run_study(tiny_config(**{**over, "formula_source": source}))
+                seen |= {s["reason"].split(":")[0] for s in res.skipped}
+                seen |= {"negative bias" for r in res.rows if r.signed_bias < 0}
+                seen |= {"no efficiency" for r in res.rows
+                         if r.method == "rss" and r.efficiency is None}
+                seen |= {"R = 1/3" for r in res.rows if r.R == 0.333333}
+        assert seen == {"n2 = 2 < 3", "n1 = 1", "negative bias", "no efficiency", "R = 1/3"}
+
+    def test_signed_zeros_and_rounding_signs(self, monkeypatch):
+        # aggregates the simulation seldom gives: a zero and a negative-zero
+        # bias, biases whose sixth digit rounds up, and a zero rss mse, which
+        # leaves that cell with no efficiency
+        real = study._cell_outcomes
+
+        def crafted(cfg, cells, namespace, workers=1):
+            aggs, skipped = real(cfg, cells, namespace, workers)
+            aggs[0, :, 0] = [0.0, -0.0, -4.9999996e-7]
+            aggs[1, :, 0] = [-1e-300, -123456.75, 9.9999996]
+            aggs[1, 0, 1] = 0.0
+            return aggs, skipped
+
+        monkeypatch.setattr(study, "_cell_outcomes", crafted)
+        cfg = tiny_config()
         res = run_study(cfg)
-        assert (res.rows, res.rows_corrected) == reference_rows(cfg)
-        assert any(row.efficiency is not None for row in res.rows)
+        rows, rows_corrected = reference_rows(cfg)
+        assert res.csv == emit_rows_csv(rows)
+        assert res.csv_corrected == emit_rows_csv(rows_corrected)
+        first = list(csv.DictReader(io.StringIO(res.csv)))[:6]
+        assert [(r["signed_bias"], r["abs_bias"]) for r in first] == [
+            ("0", "0"), ("-0", "0"), ("-5e-07", "5e-07"),
+            ("-1e-300", "1e-300"), ("-123457", "123457"), ("10", "10")]
+        assert first[3]["method"] == "rss" and first[3]["efficiency"] == ""
+        assert first[4]["efficiency"] != ""
 
     def test_row_counts_and_fields(self):
         cfg = tiny_config()
@@ -406,23 +455,32 @@ class TestCsvRoundTrip:
             parse_rows_csv(tampered)
 
 
+def single_cell_efficiency(measure, R, r1, r2, m, source="derived"):
+    """MSE(srs)/MSE(rss) of one cell, each MSE from a one-cell kernel call."""
+    k = MEASURES.index(measure)
+    srs = study._mse_block([R], "srs", [(SrsDesign(r1 * m), SrsDesign(r2 * m))], source)
+    rss = study._mse_block([R], "rss", [(RssDesign(r1, m), RssDesign(r2, m))], source)
+    return float(srs[k, 0, 0]) / float(rss[k, 0, 0])
+
+
 class TestAnalyticEfficiency:
     def test_frozen_reference_cell(self):
-        assert analytic_efficiency("rho", 0.1, 2, 2, 8) == pytest.approx(
-            1.4863987012628372, rel=1e-12
-        )
+        cell = efficiency_grid(r_values=(0.1,), set_sizes=((2, 2),), cycles=(8,))[0]
+        assert (cell.measure, cell.R, cell.r1, cell.r2, cell.m) == ("rho", 0.1, 2, 2, 8)
+        assert cell.analytic_eff == pytest.approx(1.4863987012628372, rel=1e-12)
 
     def test_ranked_sets_win_at_default_cells(self):
-        for meas in ("rho", "delta", "lambda"):
-            for r1, r2 in ((2, 2), (3, 3), (5, 5)):
-                assert analytic_efficiency(meas, 0.5, r1, r2, 8) > 1.0
+        cells = efficiency_grid(r_values=(0.5,), set_sizes=((2, 2), (3, 3), (5, 5)), cycles=(8,))
+        assert len(cells) == 3 * 3
+        assert all(c.analytic_eff > 1.0 for c in cells)
 
     def test_degenerate_design_gap_vanishes_asymptotically(self):
         # set size one makes the two draws identical in distribution, but the
         # simple-random mse uses exact finite-sample ratio moments while the
         # ranked-set mse uses the first-order approximation, so the ratio only
         # approaches one as the sample grows
-        eff = [analytic_efficiency("rho", 0.5, 1, 1, m) for m in (8, 80, 20000)]
+        cells = efficiency_grid(r_values=(0.5,), set_sizes=((1, 1),), cycles=(8, 80, 20000))
+        eff = [c.analytic_eff for c in cells if c.measure == "rho"]
         assert eff[0] > eff[1] > eff[2] > 1.0
         assert eff[2] == pytest.approx(1.0, abs=1e-4)
 
@@ -436,7 +494,8 @@ class TestAnalyticEfficiency:
         cells = efficiency_grid(cycles=(8, 40), source=source)
         assert len(cells) == 2 * 3 * len(DEFAULT_R_VALUES) * len(DEFAULT_SET_SIZES)
         for c in cells:
-            assert analytic_efficiency(c.measure, c.R, c.r1, c.r2, c.m, source) == c.analytic_eff
+            want = single_cell_efficiency(c.measure, c.R, c.r1, c.r2, c.m, source)
+            assert want == c.analytic_eff
 
     @pytest.mark.parametrize("source", ["derived", "as-published"])
     def test_stacked_grid_equals_single_cells(self, source):
@@ -453,10 +512,10 @@ class TestAnalyticEfficiency:
             if c.r2 * c.m < 3:
                 assert c.analytic_eff is None
                 with pytest.raises(DegenerateDesignError):
-                    analytic_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
+                    single_cell_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
                 degenerate += 1
                 continue
-            want = analytic_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
+            want = single_cell_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
             if math.isnan(want):
                 assert math.isnan(c.analytic_eff), c
                 nan += 1
@@ -478,7 +537,7 @@ class TestAnalyticEfficiency:
         third = 1.0 / 3.0
         cell = efficiency_grid(r_values=(third,), set_sizes=((2, 2),), cycles=(8,))[0]
         assert cell.R == 0.333333
-        assert cell.analytic_eff == analytic_efficiency("rho", third, 2, 2, 8)
+        assert cell.analytic_eff == single_cell_efficiency("rho", third, 2, 2, 8)
 
     def test_cells_from_result_annotated(self):
         cfg = tiny_config()
