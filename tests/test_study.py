@@ -17,9 +17,9 @@ from ovlomax import (
     DomainError,
     EfficiencyCell,
     MissingCellError,
-    StudyConfig,
     RssDesign,
     SrsDesign,
+    StudyConfig,
     StudyRow,
     discrepancy_report,
     efficiency_cells_from_result,
