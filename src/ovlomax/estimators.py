@@ -179,9 +179,9 @@ def shape_estimates(method: str, x) -> np.ndarray:
 def _shape_from_t(method: str, t: np.ndarray) -> np.ndarray:
     """:func:`shape_estimates` of the transforms ``t`` themselves."""
     if method == METHOD_BAYES:
-        return np.sum(t, axis=-1) / (t.shape[-1] + 1)
+        return t.sum(axis=-1) / (t.shape[-1] + 1)
     if method in (METHOD_SRS, METHOD_RSS):
-        return np.mean(t, axis=-1)
+        return t.sum(axis=-1) / t.shape[-1]  # np.mean's sum and division, without its wrappers
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -38,9 +38,10 @@ therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
 
 Output is text-first: all cells' aggregates form one ``(cell, measure,
-aggregate)`` array, each number is formatted to six significant digits once,
-and both study CSVs are written from those strings, the one source of truth:
-:class:`StudyResult` parses its rows from the text only when asked for them.
+aggregate)`` array, and each line of both study CSVs comes from one
+%-template, numbers at six significant digits, the fields both files share
+formatted once.  That text is the one source of truth: :class:`StudyResult`
+parses its rows from it only when asked for them.
 """
 from __future__ import annotations
 
@@ -285,11 +286,9 @@ STUDY_CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 # (a string here, under ``from __future__ import annotations``)
 _CSV_PARSERS = {"str": str, "int": int, "float": float,
                 "float | None": lambda text: None if text == "" else float(text)}
-# writes one column of a field back as CSV text, numbers at six significant digits
-_CSV_FORMATS = {"str": lambda col: col,
-                "int": lambda col: list(map(str, map(int, col))),
-                "float": lambda col: list(map(format, col, repeat(".6g"))),
-                "float | None": lambda col: ["" if x is None else format(x, ".6g") for x in col]}
+# the %-conversion that writes a field as CSV text, numbers at six significant
+# digits; an optional float is formatted before, None as an empty field
+_CSV_CONVERSIONS = {"str": "%s", "int": "%d", "float": "%.6g", "float | None": "%s"}
 
 
 @dataclass
@@ -360,19 +359,7 @@ def efficiency_grid(
     one assessment per method over all its set sizes and ratios.
     """
     r_values = [float(R) for R in r_values]
-    eff = {}
-    for m in cycles:
-        srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
-        # set sizes whose srs cell the study skips (n2 < 3) get no efficiency
-        sizes = [size for size in srs if _skip_reason((*size, m, METHOD_SRS), source) is None]
-        eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
-        if not sizes:
-            continue
-        ratio = (_mse_block(r_values, METHOD_SRS, [srs[size] for size in sizes], source)
-                 / _mse_block(r_values, METHOD_RSS,
-                              [(RssDesign(r1, m), RssDesign(r2, m)) for r1, r2 in sizes], source))
-        for j, size in enumerate(sizes):
-            eff[(m, *size)] = dict(zip(MEASURES, ratio[:, j].tolist()))
+    eff = _efficiency_table(r_values, set_sizes, cycles, source)
     empirical = empirical or {}
     rounded = [_round6(R) for R in r_values]
     return [
@@ -390,6 +377,24 @@ def efficiency_grid(
         for k, R in enumerate(rounded)
         for r1, r2 in set_sizes
     ]
+
+
+def _efficiency_table(r_values, set_sizes, cycles, source) -> dict:
+    """``{(m, r1, r2): {measure: [analytic efficiency per R]}}``: the cells' table."""
+    eff = {}
+    for m in cycles:
+        srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
+        # set sizes whose srs cell the study skips (n2 < 3) get no efficiency
+        sizes = [size for size in srs if _skip_reason((*size, m, METHOD_SRS), source) is None]
+        eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
+        if not sizes:
+            continue
+        ratio = (_mse_block(r_values, METHOD_SRS, [srs[size] for size in sizes], source)
+                 / _mse_block(r_values, METHOD_RSS,
+                              [(RssDesign(r1, m), RssDesign(r2, m)) for r1, r2 in sizes], source))
+        for j, size in enumerate(sizes):
+            eff[(m, *size)] = dict(zip(MEASURES, ratio[:, j].tolist()))
+    return eff
 
 
 def efficiency_cells_from_result(cfg: "StudyConfig", result: "StudyResult") -> list:
@@ -443,14 +448,14 @@ def _skip_reason(design, source: str) -> str | None:
     return None
 
 
-def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
+def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Generator):
     """Corrected ratios of one design group's cells, shaped ``(cells,
     replications)``.
 
     Row k of ``words`` is the initial PCG64 state of replication ``k %
     replications`` of cell ``k // replications``.  Each draw block of rows
-    (:data:`_BLOCK_BYTES` of uniforms, at least one row) is filled by one
-    generator restarted in place on each row's stream
+    (:data:`_BLOCK_BYTES` of uniforms, at least one row) is filled by the
+    slab's generator ``gen`` restarted in place on each row's stream
     (:func:`_seeds.fill_uniforms`); ranked sets are ranked on the uniforms
     (:func:`rss_retained`), and the block is estimated in one pass over
     T = -alpha * log(u) of the retained uniforms.
@@ -466,19 +471,21 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells):
                        cfg.replications)
     rows = len(words)
     step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
-    gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
     alphas = np.empty((2, rows))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         block = uniforms[:hi - lo]
         _seeds.fill_uniforms(block, words[lo:hi], gen)
-        samples = np.split(block, [draws[0]], axis=1)  # views of the two populations
+        samples = block[:, :draws[0]], block[:, draws[0]:]  # views of the two populations
         populations = zip((shapes[lo:hi, None], cfg.alpha2), designs, samples)
         for k, (alpha, d, u) in enumerate(populations):
             if method == METHOD_RSS:
                 u = rss_retained(u, d).reshape(hi - lo, d.n)
-            alphas[k, lo:hi] = _shape_from_t(method, -alpha * np.log(np.maximum(u, _TINY)))
+            t = np.maximum(u, _TINY)  # T = -alpha * log(u), in place
+            np.log(t, out=t)
+            t *= -alpha
+            alphas[k, lo:hi] = _shape_from_t(method, t)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
     return ratios.reshape(len(cells), cfg.replications)
 
@@ -530,6 +537,7 @@ def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
     words = _seeds.pcg64_states(_seeds.derive_seeds(
         cfg.master_seed, namespace, np.concatenate(slab)[:, None], np.arange(reps)))
     bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
+    gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
     ran, stack, skipped = [], [], {}
     for group, rows in zip(slab, np.split(words, bounds)):
         members = [cells[i] for i in group]
@@ -538,7 +546,7 @@ def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
             skipped.update(dict.fromkeys(group, reason))
         else:
             ran += group
-            stack.append((members, _run_group(cfg, rows, members)))
+            stack.append((members, _run_group(cfg, rows, members, gen)))
     return ran, _aggregate(cfg, stack) if stack else None, skipped
 
 
@@ -589,23 +597,23 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
     mses = aggs[:, :, 1]
     has_eff = (srs >= 0)[:, None] & (mses > 0.0)
     effs = np.divide(mses[srs], mses, out=np.zeros_like(mses), where=has_eff)
-    # every aggregate formatted once, in one pass, by the CSV's float formatter;
-    # both files' rows are built from those strings, |bias| by dropping a sign
-    values = np.concatenate([aggs, effs[:, :, None]], axis=2)
-    texts = _CSV_FORMATS["float"](values.ravel().tolist())
-    per_row = zip(*[iter(texts)] * values.shape[2], has_eff.ravel().tolist())
+    # each line from one %-template; the head (method ... mse) is formatted once
+    # and shared by both files, which differ only in coverage and ci_length
     plain, corrected, efficiency = [], [], {}
-    for idx in ran:
+    for idx, cell_aggs, cell_effs, cell_has in zip(ran, aggs.tolist(), effs.tolist(),
+                                                    has_eff.tolist()):
         R, r1, r2, m, method = cells[idx]
-        design = (format(R, ".6g"), str(r1), str(r2), str(m), str(cfg.replications))
-        for meas in MEASURES:
-            bias, mse, cov, length, cov_c, length_c, eff, has = next(per_row)
-            head = (method, meas, *design, bias.removeprefix("-"), bias, mse)
-            tail = (eff if has else "", cfg.formula_source, str(seeds[idx]))
-            plain.append((*head, cov, length, *tail))
-            corrected.append((*head, cov_c, length_c, *tail))
+        r_text = "%.6g" % R
+        design = "%s,%d,%d,%d,%d" % (r_text, r1, r2, m, cfg.replications)
+        tail = "%s,%d\n" % (cfg.formula_source, seeds[idx])
+        for meas, (bias, mse, cov, length, cov_c, length_c), eff, has in zip(
+                MEASURES, cell_aggs, cell_effs, cell_has):
+            head = "%s,%s,%s,%.6g,%.6g,%.6g," % (method, meas, design, abs(bias), bias, mse)
+            eff_text = "%.6g" % eff if has else ""
+            plain.append("%s%.6g,%.6g,%s,%s" % (head, cov, length, eff_text, tail))
+            corrected.append("%s%.6g,%.6g,%s,%s" % (head, cov_c, length_c, eff_text, tail))
             if has:
-                efficiency[meas, float(design[0]), r1, r2, m] = float(eff)
+                efficiency[meas, float(r_text), r1, r2, m] = float(eff_text)
 
     metadata = {
         "config": cfg.to_dict(),
@@ -638,21 +646,38 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(header, records) -> str:
-    """The one CSV writer of the package's tables: LF line endings."""
+def _write_csv(header, lines, rows=None) -> str:
+    """The one CSV writer of the package's tables: the header, then ``lines``,
+    each one record's fields joined by commas and ended by a line feed.  When
+    the text holds exactly the commas and line feeds those fields make and no
+    quote or carriage return, ``csv.writer`` would quote nothing, and the text
+    is returned as it is; otherwise ``csv.writer`` writes ``rows``, the same
+    records as field texts, which tables of numbers and fixed names omit."""
+    text = ",".join(header) + "\n" + "".join(lines)
+    count, width = len(lines) + 1, len(header)
+    if (width > 1 and text.count(",") == count * (width - 1) and text.count("\n") == count
+            and '"' not in text and "\r" not in text):
+        return text
+    if rows is None:
+        raise ValueError("a CSV field needs quoting, but no field texts were given")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(records)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _emit_csv(items, kind) -> str:
-    # one column per dataclass field, each formatted by its field's annotation
+    """One line per dataclass item from one %-template, each field converted
+    by its annotation (:data:`_CSV_CONVERSIONS`)."""
     kinds = fields(kind)
-    columns = zip(*(vars(item).values() for item in items))
-    return _write_csv([f.name for f in kinds],
-                      zip(*(_CSV_FORMATS[f.type](col) for f, col in zip(kinds, columns))))
+    columns = [["" if x is None else "%.6g" % x for x in col] if f.type == "float | None" else col
+               for f, col in zip(kinds, zip(*(vars(item).values() for item in items)))]
+    records = list(zip(*columns))
+    conversions = [_CSV_CONVERSIONS[f.type] for f in kinds]
+    template = ",".join(conversions) + "\n"
+    return _write_csv([f.name for f in kinds], [template % rec for rec in records],
+                      ([conv % v for conv, v in zip(conversions, rec)] for rec in records))
 
 
 def emit_rows_csv(rows) -> str:
@@ -861,11 +886,11 @@ def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
     )
     cells = _enumerate_cells(sub)
     aggs, skipped = _cell_outcomes(sub, cells, namespace=1, workers=workers)
-    return _write_csv(["method", "measure", "R", "bias", "mse"], (
-        (method, meas, *(format(v, ".6g") for v in (R, bias, mse)))
+    return _write_csv(["method", "measure", "R", "bias", "mse"], [
+        "%s,%s,%.6g,%.6g,%.6g\n" % (method, meas, R, bias, mse)
         for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if idx not in skipped
         for meas, (bias, mse) in zip(MEASURES, aggs[idx, :, :2].tolist())
-    ))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -898,18 +923,15 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
         table = f"efficiency_m{m}"
         block = fixtures["efficiency"][m_key]
         r_keys = sorted(block, key=float)
-        computed = {
-            (c.measure, c.R, c.r1, c.r2): c.analytic_eff
-            for c in efficiency_grid([float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)
-        }
-        for R_key in r_keys:
+        computed = _efficiency_table([float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)
+        for k, R_key in enumerate(r_keys):
             R = float(R_key)
             for meas in MEASURES:
                 values = block[R_key][meas]
                 for i, r1 in enumerate((2, 3, 4, 5)):
                     for j, r2 in enumerate((2, 3, 4, 5)):
-                        rows.append((table, f"measure={meas}:R={R:.6g}:r1={r1}:r2={r2}",
-                                     float(values[i][j]), computed[meas, R, r1, r2]))
+                        rows.append((table, "measure=%s:R=%.6g:r1=%d:r2=%d" % (meas, R, r1, r2),
+                                     float(values[i][j]), computed[m, r1, r2][meas][k]))
 
     real = fixtures["real_data"]
     summary = real_data_summary(source)
@@ -931,7 +953,7 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
             rows.append(("real_data", f"ci_lo:{meas}:{method}", real["ci"][meas][method][0], ci[0]))
             rows.append(("real_data", f"ci_hi:{meas}:{method}", real["ci"][meas][method][1], ci[1]))
 
-    return _write_csv(["table", "cell", "printed_value", "computed_value", "abs_diff"], (
-        (table, cell, *(format(v, ".6g") for v in (printed, computed, abs(printed - computed))))
+    return _write_csv(["table", "cell", "printed_value", "computed_value", "abs_diff"], [
+        "%s,%s,%.6g,%.6g,%.6g\n" % (table, cell, printed, computed, abs(printed - computed))
         for table, cell, printed, computed in rows
-    ))
+    ])
