@@ -15,7 +15,10 @@ configuration error, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -292,6 +295,28 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _write_all(out: Path, texts: dict) -> None:
+    """Write every text into ``out`` or none: each goes to a temporary name
+    there and is renamed into place once all are written.  On a failure the
+    temporaries are removed, and so are the directories this call made."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    temps = {out / f".{name}.{os.getpid()}.tmp": out / name for name in texts}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for temp, text in zip(temps, texts.values()):
+            temp.write_text(text, encoding="utf-8")
+        for temp, final in temps.items():
+            os.replace(temp, final)
+    except BaseException:  # an interrupt, too, leaves no temporary behind
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
+        for d in made:  # innermost first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def cmd_simulate(args) -> int:
     if args.config:
         cfg = StudyConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
@@ -316,7 +341,7 @@ def cmd_simulate(args) -> int:
         print(result.csv, end="")
         return EXIT_OK
 
-    # every text is built before the first write, so a failure leaves no files
+    # every text is built before the first write, and _write_all writes all or none
     meta = dict(result.metadata)
     meta["skipped_cells"] = result.skipped
     texts = {
@@ -329,9 +354,7 @@ def cmd_simulate(args) -> int:
     if not args.no_figures:
         texts["figure_data.csv"] = emit_figure_data(cfg, workers=args.workers)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
+    _write_all(out, texts)
     print(f"wrote {', '.join(texts)} to {out}")
     if result.skipped:
         print(f"skipped {len(result.skipped)} cell(s); see metadata.json")

@@ -286,6 +286,8 @@ STUDY_CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 # (a string here, under ``from __future__ import annotations``)
 _CSV_PARSERS = {"str": str, "int": int, "float": float,
                 "float | None": lambda text: None if text == "" else float(text)}
+# the names a study CSV's text columns may hold
+_CSV_NAMES = {"method": METHODS, "measure": MEASURES, "formula_source": SOURCES}
 # the %-conversion that writes a field as CSV text, numbers at six significant
 # digits; an optional float is formatted before, None as an empty field
 _CSV_CONVERSIONS = {"str": "%s", "int": "%d", "float": "%.6g", "float | None": "%s"}
@@ -687,7 +689,9 @@ def emit_rows_csv(rows) -> str:
 
 def parse_rows_csv(text: str) -> list:
     """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit
-    values; :class:`StudyResult` builds its rows with it."""
+    values; :class:`StudyResult` builds its rows with it.  A method, measure
+    or formula source outside :data:`METHODS`, :data:`MEASURES` or
+    :data:`SOURCES` is a :class:`ConfigError` naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
@@ -705,7 +709,11 @@ def parse_rows_csv(text: str) -> list:
             except ValueError:
                 raise ConfigError(
                     f"{where}: {f.name} = {cell!r} does not parse as {f.type}") from None
-        rows.append(StudyRow(*values))
+        row = StudyRow(*values)
+        for name, known in _CSV_NAMES.items():
+            if getattr(row, name) not in known:
+                raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is not one of {known}")
+        rows.append(row)
     return rows
 
 

@@ -396,6 +396,35 @@ class TestSimulate:
         assert "discrepancy report failed" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_failed_write_leaves_no_output(self, capsys, config, tmp_path, monkeypatch,
+                                           existing):
+        # the third file write fails: nothing is renamed into place, every
+        # temporary is removed, and so is the directory if this run made it
+        out_dir = tmp_path / "parent" / "partial"
+        if existing:
+            out_dir.mkdir(parents=True)
+            (out_dir / "keep.txt").write_text("kept")
+        calls = []
+        write_text = Path.write_text
+
+        def failing(self, *args, **kwargs):
+            calls.append(self.name)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        code, out, err = run_cli(capsys, "simulate", "--config", config,
+                                 "--out-dir", str(out_dir))
+        assert code == 3 and out == ""
+        assert "No space left on device" in err
+        assert len(calls) == 3
+        if existing:
+            assert sorted(p.name for p in out_dir.iterdir()) == ["keep.txt"]
+        else:
+            assert not (tmp_path / "parent").exists()
+
     def test_bad_workers(self, capsys, config):
         code, _, _ = run_cli(capsys, "simulate", "--config", config, "--workers", "0")
         assert code == 2
@@ -526,7 +555,11 @@ class TestTables:
         (lambda rec: rec + ["7"], "expected 15 fields, got 16"),
         (lambda rec: rec[:3] + ["two"] + rec[4:], "r1 = 'two'"),
         (lambda rec: rec[:9] + ["0.1.2"] + rec[10:], "mse = '0.1.2'"),
-    ], ids=["short", "long", "bad-int", "bad-float"])
+        (lambda rec: ["mle"] + rec[1:], "method = 'mle'"),
+        (lambda rec: rec[:1] + ["rhoo"] + rec[2:], "measure = 'rhoo'"),
+        (lambda rec: rec[:13] + ["derivd"] + rec[14:], "formula_source = 'derivd'"),
+    ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
+            "bad-source"])
     def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
         rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
             ",".join(["srs", "rho", "0.5", "2", "2", "2", "3", "0.01", "-0.01", "0.002",

@@ -14,6 +14,7 @@ from ovlomax.estimators import (
     SOURCE_DERIVED,
     SOURCES,
     _PUBLISHED,
+    _shape_from_t,
     DegenerateDesignError,
     MethodMismatchError,
     alpha_bayes_jeffreys,
@@ -83,6 +84,19 @@ class TestAlphaEstimators:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             mle_alpha_srs(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_mean_shape_is_np_mean_bit_for_bit(self, layout):
+        # the srs/rss estimate divides the sum by n: the same bits as np.mean,
+        # so the study's pinned outputs do not move
+        rng = np.random.default_rng(7)
+        for width in range(1, 2001):
+            base = rng.exponential(size=(3, 2 * width))
+            t = base[:, :width].copy() if layout == "contiguous" else base[:, ::2]
+            assert t.flags.c_contiguous == (layout == "contiguous")
+            for method in (METHOD_SRS, METHOD_RSS):
+                got = _shape_from_t(method, t)
+                assert got.tobytes() == np.mean(t, axis=-1).tobytes(), (width, method)
 
 
 class TestRatioEstimate:
