@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DomainError, _positive_int, log_transform, std_normal_quantile
-from .overlap import MEASURES, _terms, overlap_value
+from .dist_core import DomainError, _positive_array, _positive_int, log_transform, std_normal_quantile
+from .overlap import _CORES, MEASURES, _terms
 from .sampling import RankedSample, RssDesign, SrsDesign
 
 __all__ = [
@@ -392,7 +392,8 @@ def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: b
     designs; ``constants`` is None under ``derived``.  The corrected entries
     are ``(None,) * 3`` without ``bias_corrected``.
     """
-    point = np.array([overlap_value(measure, r) for measure in MEASURES])  # checks the ratios
+    r = _positive_array("shape ratio", r)
+    point = np.array([_CORES[measure](r) for measure in MEASURES])
     if constants is None:
         e, c = _terms(r)
         variance = factor * e * e
@@ -455,7 +456,7 @@ def assess(
     bias is not finite.  Without ``bias_corrected`` the corrected-interval
     fields are None.
     """
-    r = np.asarray(ratios, dtype=float)  # overlap_value checks positive and finite
+    r = np.asarray(ratios, dtype=float)  # the kernel checks positive and finite
     if r.ndim != 1:
         raise DomainError("ratios must be a one-dimensional array")
     arrays = _assess_designs([(r, method, design1, design2)], source, level, bias_corrected)

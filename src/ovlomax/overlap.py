@@ -9,9 +9,10 @@ the shape ratio ``R = alpha1/alpha2``:
 
 The closed forms follow from the change of variables ``t = log(1 + 1/x)``,
 which turns both densities into exponentials with means ``alpha1, alpha2``.
-Each measure's elasticities e = R*g'(R) and c = R**2*g''(R), finite over the
-whole float range, are one array function in a table that the delta-method
-kernel reads directly.  The quadrature
+Each closed form, and each measure's elasticities e = R*g'(R) and
+c = R**2*g''(R), finite over the whole float range, is an unchecked array
+function in ``_CORES`` or ``_TERMS``; the public functions and the kernel
+check the ratios once.  The quadrature
 routines below work directly on density callables in the same transformed
 variable and serve as an independent numerical oracle for the closed forms.
 They are the package's only use of SciPy (``quad`` and ``brentq``), which
@@ -52,22 +53,11 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def matusita_rho(ratio) -> float | np.ndarray:
-    """Matusita overlap 2*sqrt(R)/(R+1); equals 1 iff R == 1."""
-    r = _positive_array("shape ratio", ratio)
-    return _as_input_shape(2.0 * np.sqrt(r) / (r + 1.0), ratio)
+def _rho(r: np.ndarray) -> np.ndarray:
+    return 2.0 * np.sqrt(r) / (r + 1.0)
 
 
-def weitzman_delta(ratio) -> float | np.ndarray:
-    """Weitzman overlap 1 - R**(1/(1-R)) * |1 - 1/R|, continuously extended to 1 at R=1.
-
-    Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
-    cancellation-free limit path rather than the raw power.  Below R = 1/2,
-    where R - 1 is inexact and log1p(R - 1) would amplify its error, the same
-    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)); above R = 2, where
-    the power form cancels, as that value at 1/R, since delta(R) = delta(1/R).
-    """
-    r = _positive_array("shape ratio", ratio)
+def _delta(r: np.ndarray) -> np.ndarray:
     far = (r < 0.5) | (r > 2.0)
     x = np.where(far, 1.0, r)  # a harmless stand-in where the log R form applies
     e = x - 1.0
@@ -79,19 +69,39 @@ def weitzman_delta(ratio) -> float | np.ndarray:
         s = r[far]
         s[s > 2.0] = 1.0 / s[s > 2.0]
         out[far] = -np.expm1(np.log1p(-s) + s * np.log(s) / (1.0 - s))
-    return _as_input_shape(out, ratio)
+    return out
+
+
+def _lambda(r: np.ndarray) -> np.ndarray:
+    x, big = np.minimum(r, 1e150), np.maximum(r, 1e150)
+    return np.where(r > 1e150, 1.0 / big, x / (x * x - x + 1.0))
+
+
+def matusita_rho(ratio) -> float | np.ndarray:
+    """Matusita overlap 2*sqrt(R)/(R+1); equals 1 iff R == 1."""
+    return _as_input_shape(_rho(_positive_array("shape ratio", ratio)), ratio)
+
+
+def weitzman_delta(ratio) -> float | np.ndarray:
+    """Weitzman overlap 1 - R**(1/(1-R)) * |1 - 1/R|, continuously extended to 1 at R=1.
+
+    Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
+    cancellation-free limit path rather than the raw power.  Below R = 1/2,
+    where R - 1 is inexact and log1p(R - 1) would amplify its error, the same
+    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)); above R = 2, where
+    the power form cancels, as that value at 1/R, since delta(R) = delta(1/R).
+    """
+    return _as_input_shape(_delta(_positive_array("shape ratio", ratio)), ratio)
 
 
 def kl_lambda(ratio) -> float | np.ndarray:
     """Divergence overlap R/(R**2 - R + 1) = 1/(1 + J) for the symmetrized
     divergence J = (R-1)**2 / R of the transformed exponential pair; 1/R,
     within 1e-150 relative, above R = 1e150, where R**2 nears overflow."""
-    r = _positive_array("shape ratio", ratio)
-    x, big = np.minimum(r, 1e150), np.maximum(r, 1e150)
-    return _as_input_shape(np.where(r > 1e150, 1.0 / big, x / (x * x - x + 1.0)), ratio)
+    return _as_input_shape(_lambda(_positive_array("shape ratio", ratio)), ratio)
 
 
-_VALUES = {"rho": matusita_rho, "delta": weitzman_delta, "lambda": kl_lambda}
+_CORES = {"rho": _rho, "delta": _delta, "lambda": _lambda}
 
 
 def _pick(table: dict, measure: str):
@@ -102,7 +112,7 @@ def _pick(table: dict, measure: str):
 
 
 def overlap_value(measure: str, ratio) -> float | np.ndarray:
-    return _pick(_VALUES, measure)(ratio)
+    return _as_input_shape(_pick(_CORES, measure)(_positive_array("shape ratio", ratio)), ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ name the physical line, comment and blank lines counted.
 :func:`build_estimate_report` bundles everything a data analysis needs:
 shape estimates for both populations, raw and corrected ratio, the three
 overlap point estimates, per-measure variance and bias, and both interval
-variants.  Reports serialize to and from JSON without losing precision.
+variants.  Reports serialize to and from JSON without losing precision; the
+JSON is written from the fields, byte for byte as ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -212,11 +213,43 @@ class EstimateReport:
                       "warnings": tuple(d["warnings"])})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        pieces = []
+        _json_into(pieces, self)
+        pieces.append("\n")
+        return "".join(pieces)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         return cls.from_dict(json.loads(text))
+
+
+def _json_into(out: list, v, depth: int = 0, _repr=float.__repr__, _inf=math.inf) -> None:
+    """Append ``v`` to ``out`` as ``json.dumps(v, indent=2)`` writes it at indent
+    level ``depth``, in short pieces that one join copies (``to_json``): lists and
+    tuples as arrays, reports, measures and intervals as objects by field."""
+    if isinstance(v, float):
+        out.append("NaN" if v != v else "Infinity" if v == _inf else "-Infinity" if v == -_inf
+                   else _repr(v))
+    elif isinstance(v, str):
+        out.append(json.encoder.encode_basestring_ascii(v))
+    elif v is None or isinstance(v, bool):
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif (names := _JSON_NAMES.get(type(v))) or isinstance(v, (list, tuple)):
+        pad = "\n" + "  " * (depth + 1)
+        sep, comma = ("{" if names else "[") + pad, "," + pad
+        for name, x in zip(names, vars(v).values()) if names else (("", x) for x in v):
+            out.append(sep + name)
+            _json_into(out, x, depth + 1)
+            sep = comma
+        out.append(pad[:-2] + ("}" if names else "]") if names or v else "[]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+_JSON_NAMES = {cls: [json.encoder.encode_basestring_ascii(f.name) + ": " for f in fields(cls)]
+               for cls in (EstimateReport, MeasureReport, ConfidenceInterval)}
 
 
 def _alpha_for(method: str, sample) -> float:
@@ -235,8 +268,7 @@ def _alpha_for(method: str, sample) -> float:
 
 
 def _interval(lo, hi, clamped, level, bias_corrected) -> ConfidenceInterval:
-    return ConfidenceInterval(lo=float(lo[0]), hi=float(hi[0]), level=float(level),
-                              bias_corrected=bias_corrected, clamped=bool(clamped[0]))
+    return ConfidenceInterval(lo.item(), hi.item(), float(level), bias_corrected, clamped.item())
 
 
 def _measure_reports(rhat: float, est, level: float, warnings: list) -> list:
@@ -249,7 +281,7 @@ def _measure_reports(rhat: float, est, level: float, warnings: list) -> list:
         block = assess(*args, bias_corrected=False)
     reports = []
     for meas, a in block.items():
-        point, var, bias = float(a.point[0]), float(a.variance[0]), float(a.bias[0])
+        point, var, bias = a.point.item(), a.variance.item(), a.bias.item()
         if a.lo_corrected is not None:
             corrected = _interval(a.lo_corrected, a.hi_corrected, a.clamped_corrected, level, True)
         elif math.isfinite(bias):

@@ -71,7 +71,7 @@ from .estimators import (
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
 )
-from .overlap import MEASURES, overlap_value
+from .overlap import _CORES, MEASURES
 from .sampling import RssDesign, SrsDesign, rss_retained
 
 __all__ = [
@@ -506,7 +506,8 @@ def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
     point, _v, _b, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
         blocks, cfg.formula_source, 1.0 - cfg.level_alpha0)
     r_values = np.array([cell[0] for cells, _r in stack for cell in cells])
-    truth = np.array([overlap_value(meas, r_values) for meas in MEASURES])[:, :, None]
+    # the config's ratios, checked positive and finite when it was validated
+    truth = np.array([_CORES[meas](r_values) for meas in MEASURES])[:, :, None]
     shape = truth.shape[:2] + (cfg.replications,)
     point, lo, hi, lo_c, hi_c = (a.reshape(shape) for a in (point, lo, hi, lo_c, hi_c))
     err = point - truth
@@ -691,7 +692,9 @@ def parse_rows_csv(text: str) -> list:
     """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit
     values; :class:`StudyResult` builds its rows with it.  A method, measure
     or formula source outside :data:`METHODS`, :data:`MEASURES` or
-    :data:`SOURCES` is a :class:`ConfigError` naming its line."""
+    :data:`SOURCES`, an ``R`` that is not positive and finite, or an ``r1``,
+    ``r2``, ``m`` or ``reps`` below 1 is a :class:`ConfigError` naming its
+    line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
@@ -713,6 +716,11 @@ def parse_rows_csv(text: str) -> list:
         for name, known in _CSV_NAMES.items():
             if getattr(row, name) not in known:
                 raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is not one of {known}")
+        if not (math.isfinite(row.R) and row.R > 0.0):
+            raise ConfigError(f"{where}: R = {row.R!r} is not positive and finite")
+        for name in ("r1", "r2", "m", "reps"):
+            if getattr(row, name) < 1:
+                raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is below 1")
         rows.append(row)
     return rows
 

@@ -558,8 +558,17 @@ class TestTables:
         (lambda rec: ["mle"] + rec[1:], "method = 'mle'"),
         (lambda rec: rec[:1] + ["rhoo"] + rec[2:], "measure = 'rhoo'"),
         (lambda rec: rec[:13] + ["derivd"] + rec[14:], "formula_source = 'derivd'"),
+        (lambda rec: rec[:2] + ["-0.5"] + rec[3:], "R = -0.5 is not positive and finite"),
+        (lambda rec: rec[:2] + ["0"] + rec[3:], "R = 0.0 is not positive and finite"),
+        (lambda rec: rec[:2] + ["nan"] + rec[3:], "R = nan is not positive and finite"),
+        (lambda rec: rec[:2] + ["inf"] + rec[3:], "R = inf is not positive and finite"),
+        (lambda rec: rec[:3] + ["0"] + rec[4:], "r1 = 0 is below 1"),
+        (lambda rec: rec[:4] + ["-2"] + rec[5:], "r2 = -2 is below 1"),
+        (lambda rec: rec[:5] + ["0"] + rec[6:], "m = 0 is below 1"),
+        (lambda rec: rec[:6] + ["0"] + rec[7:], "reps = 0 is below 1"),
     ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
-            "bad-source"])
+            "bad-source", "negative-R", "zero-R", "nan-R", "inf-R", "zero-r1", "negative-r2",
+            "zero-m", "zero-reps"])
     def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
         rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
             ",".join(["srs", "rho", "0.5", "2", "2", "2", "3", "0.01", "-0.01", "0.002",

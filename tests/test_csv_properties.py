@@ -1,17 +1,23 @@
-"""Property tests of the study CSV schema: template emission equals
-formatting each value on its own, parsing inverts emission, and the one
-writer's plain join equals what ``csv.writer`` writes."""
+"""Property tests of the package's text schemas.  Study CSV: template
+emission equals formatting each value on its own, parsing inverts emission,
+and the one writer's plain join equals what ``csv.writer`` writes.  Report
+JSON: the templates write what ``json.dumps(indent=2)`` writes."""
 
 import csv
+import functools
 import io
+import json
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ovlomax import EfficiencyCell, StudyRow, emit_rows_csv, emit_tables, parse_rows_csv
-from ovlomax.estimators import METHODS, SOURCES
+from ovlomax import (ConfigError, EfficiencyCell, StudyRow, emit_rows_csv, emit_tables,
+                     parse_rows_csv)
+from ovlomax.estimators import METHODS, SOURCES, ConfidenceInterval
 from ovlomax.overlap import MEASURES
+from ovlomax.reports import EstimateReport, MeasureReport
 from ovlomax.study import _write_csv
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -58,16 +64,28 @@ def csv_writer_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def study_rows(number, integer, names=None):
+def study_rows(number, integer, names=None, ratio=None, size=None, min_size=0):
+    """Lists of rows; ``ratio`` and ``size`` draw ``R`` and the four design
+    counts when given, and ``number`` and ``integer`` otherwise."""
     def name(known):
         return st.sampled_from(known) if names is None else names
 
+    ratio = number if ratio is None else ratio
+    size = integer if size is None else size
     return st.lists(st.builds(
         StudyRow, method=name(METHODS), measure=name(MEASURES),
-        R=number, r1=integer, r2=integer, m=integer, reps=integer, abs_bias=number,
+        R=ratio, r1=size, r2=size, m=size, reps=size, abs_bias=number,
         signed_bias=number, mse=number, coverage=number, ci_length=number,
         efficiency=st.one_of(st.none(), number), formula_source=name(SOURCES),
-        seed=integer), max_size=8)
+        seed=integer), min_size=min_size, max_size=8)
+
+
+# rows that a saved study CSV may hold: R positive and finite, design counts >= 1
+saved_rows = functools.partial(
+    study_rows, sixg, st.integers(0, 2**64 - 1),
+    ratio=st.one_of(st.sampled_from([x for x in EDGE_FLOATS if 0.0 < x < math.inf]),
+                    st.floats(5e-324, 1.7976931348623157e308)).map(lambda x: float(f"{x:.6g}")),
+    size=st.integers(1, 2**64 - 1))
 
 
 @settings(deadline=None)
@@ -77,9 +95,22 @@ def test_rows_csv_equals_per_value_formatting(rows):
 
 
 @settings(deadline=None)
-@given(study_rows(sixg, st.integers(0, 2**64 - 1)))
+@given(saved_rows())
 def test_parse_inverts_emit(rows):
     assert parse_rows_csv(emit_rows_csv(rows)) == rows
+
+
+@settings(deadline=None)
+@given(saved_rows(min_size=1), st.data())
+def test_parse_names_the_line_of_an_out_of_domain_value(rows, data):
+    k = data.draw(st.integers(0, len(rows) - 1))
+    name, value = data.draw(st.one_of(
+        st.tuples(st.just("R"), st.sampled_from([0.0, -0.0, -0.5, -1e-300, math.inf,
+                                                 -math.inf, math.nan])),
+        st.tuples(st.sampled_from(["r1", "r2", "m", "reps"]), st.integers(-2**63, 0))))
+    setattr(rows[k], name, value)
+    with pytest.raises(ConfigError, match=rf"^study CSV line {k + 2}: {name} = "):
+        parse_rows_csv(emit_rows_csv(rows))
 
 
 @settings(deadline=None)
@@ -152,3 +183,47 @@ def test_write_csv_refuses_to_guess_unquoted_fields():
     # commas do not match its header would be ambiguous, so it is an error
     with pytest.raises(ValueError, match="needs quoting"):
         _write_csv(["a", "b"], ["x,y,z\n"])
+
+
+# text a report's names and warnings may hold: quotes, backslashes, control
+# characters and non-ASCII, besides arbitrary text
+report_text = st.one_of(st.sampled_from(['say "hi"', "C:\\temp\\", "\x00\x1f\t\n\r\x7f",
+                                         "delta \u2265 0, \u00fcber \U0001f600", "\ud800", ""]),
+                        st.text())
+
+
+def estimate_reports(allow_nan: bool):
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             1.7976931348623157e308, float("inf"), float("-inf")] + [float("nan")] * allow_nan
+    number = st.one_of(st.sampled_from(edges), st.floats(allow_nan=allow_nan),
+                       st.floats(allow_nan=allow_nan).map(np.float64))
+    maybe = st.one_of(st.none(), number)
+    interval = st.one_of(st.none(), st.builds(
+        ConfidenceInterval, lo=number, hi=number, level=number, bias_corrected=st.booleans(),
+        clamped=st.booleans()))
+    measure = st.builds(MeasureReport, measure=st.one_of(st.sampled_from(MEASURES), report_text),
+                        point=number, variance=maybe, bias=maybe, interval=interval,
+                        interval_corrected=interval)
+    return st.builds(
+        EstimateReport, method=report_text, formula_source=report_text, level=number,
+        n1=st.integers(), n2=st.integers(), alpha1=number, alpha2=number, ratio_raw=number,
+        ratio_unbiased=number, ratio_variance=maybe,
+        measures=st.lists(measure, max_size=3).map(tuple),
+        warnings=st.lists(report_text, max_size=3).map(tuple))
+
+
+@settings(deadline=None)
+@hypothesis.example((True, EstimateReport(
+    "srs", "derived", 0.95, 3, 2, float("nan"), float("inf"), float("-inf"), -0.0, None,
+    (MeasureReport("rho", 5e-324, None, float("nan"), None,
+                   ConfidenceInterval(0.0, 1.0, 0.95, True, False)),),
+    ('a "quoted" C:\\path', "\x07\u00fc\U0001f600"))))
+@hypothesis.example((False, EstimateReport("", "", 0.5, 0, 0, 1.0, 1.0, 1.0, 1.0, 1.0, (), ())))
+@given(st.booleans().flatmap(lambda allow_nan: st.tuples(st.just(allow_nan),
+                                                          estimate_reports(allow_nan))))
+def test_report_json_equals_json_dumps(case):
+    allow_nan, report = case
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2) + "\n"
+    if not allow_nan:
+        assert EstimateReport.from_json(text) == report

@@ -14,6 +14,7 @@ from ovlomax.estimators import (
     SOURCE_DERIVED,
     SOURCES,
     _PUBLISHED,
+    _assess_designs,
     _shape_from_t,
     DegenerateDesignError,
     MethodMismatchError,
@@ -28,8 +29,9 @@ from ovlomax.estimators import (
     ratio_estimate,
     ratio_variance_factor,
 )
-from ovlomax.overlap import MEASURES, overlap_curvature, overlap_grad_sq
+from ovlomax.overlap import MEASURES, overlap_curvature, overlap_grad_sq, overlap_value
 from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss
+from ovlomax.study import efficiency_grid
 
 
 def printed_shapes(r) -> dict:
@@ -449,3 +451,24 @@ class TestAssess:
         d = SrsDesign(20)
         with pytest.raises(DomainError):
             assess(ratios, METHOD_SRS, d, d)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_one_ratio_check_names_the_ratio(self, bad, source):
+        d1, d2, ranked = SrsDesign(10), SrsDesign(8), RssDesign(2, 4)
+        message = "^shape ratio must be positive and finite$"
+        with pytest.raises(DomainError, match=message):
+            assess([0.5, bad], METHOD_SRS, d1, d2, source)
+        with pytest.raises(DomainError, match=message):
+            _assess_designs([([0.5], METHOD_SRS, d1, d2), ([bad], METHOD_RSS, ranked, ranked)],
+                            source, 0.95)
+        with pytest.raises(DomainError, match=message):
+            efficiency_grid(r_values=[0.5, bad], cycles=(8,), source=source)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_points_equal_the_public_closed_forms(self, source):
+        grid = [5e-324, 0.5, 1.0, 2.0, 1e150, 1.79e308]
+        block = assess(grid, METHOD_SRS, SrsDesign(10), SrsDesign(8), source,
+                       bias_corrected=False)
+        for measure, a in block.items():
+            assert a.point.tobytes() == overlap_value(measure, np.array(grid)).tobytes()

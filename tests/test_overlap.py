@@ -7,6 +7,7 @@ import pytest
 
 from ovlomax.dist_core import DomainError, InverseLomax
 from ovlomax.overlap import (
+    _CORES,
     MEASURES,
     QuadratureError,
     kl_lambda,
@@ -136,6 +137,19 @@ class TestClosedForms:
     def test_lambda_bits_unchanged_up_to_1e150(self):
         r = np.concatenate([np.geomspace(5e-324, 1e150, 1001), [1.0, 1e150]])
         np.testing.assert_array_equal(kl_lambda(r), r / (r * r - r + 1.0))
+
+    @pytest.mark.parametrize("measure, public", [
+        ("rho", matusita_rho), ("delta", weitzman_delta), ("lambda", kl_lambda)])
+    def test_public_forms_equal_their_cores(self, measure, public):
+        grid = [5e-324, 0.5, 1.0, 2.0, 1e150, 1.79e308]
+        core = _CORES[measure]
+        want = core(np.array(grid))
+        for got in (public(np.array(grid)), overlap_value(measure, np.array(grid))):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for x in grid:
+            want = core(np.asarray(x))
+            for got in (public(x), overlap_value(measure, x)):
+                assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
     def test_domain_rejected(self):
         for meas in MEASURES:
