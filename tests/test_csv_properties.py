@@ -1,7 +1,7 @@
 """Property tests of the package's text schemas.  Study CSV: template
 emission equals formatting each value on its own, parsing inverts emission,
 and the one writer's plain join equals what ``csv.writer`` writes.  Report
-JSON: the templates write what ``json.dumps(indent=2)`` writes."""
+JSON: ``to_json`` writes what ``json.dumps(indent=2)`` writes."""
 
 import csv
 import functools
