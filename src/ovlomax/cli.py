@@ -39,7 +39,6 @@ from .study import (
     MissingCellError,
     StudyConfig,
     discrepancy_report,
-    efficiency_cells_from_result,
     efficiency_grid,
     emit_figure_data,
     emit_tables,
@@ -298,7 +297,12 @@ def cmd_estimate(args) -> int:
 def _write_all(out: Path, texts: dict) -> None:
     """Write every text into ``out`` or none: each goes to a temporary name
     there and is renamed into place once all are written.  On a failure the
-    temporaries are removed, and so are the directories this call made."""
+    temporaries are removed, and so are the directories this call made.  A
+    target that exists and is not a regular file is refused before any write."""
+    blocked = [str(out / name) for name in texts
+               if (out / name).exists() and not (out / name).is_file()]
+    if blocked:
+        raise OSError(f"not a regular file: {', '.join(blocked)}")
     made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     temps = {out / f".{name}.{os.getpid()}.tmp": out / name for name in texts}
     try:
@@ -347,7 +351,9 @@ def cmd_simulate(args) -> int:
     texts = {
         "study.csv": result.csv,
         "study_bias_corrected.csv": result.csv_corrected,
-        "efficiency.csv": emit_tables(efficiency_cells_from_result(cfg, result), "eff_table", "csv"),
+        "efficiency.csv": emit_tables(
+            efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
+                            empirical=result.efficiency), "eff_table", "csv"),
         "discrepancy.csv": discrepancy_report(cfg.formula_source),
         "metadata.json": json.dumps(meta, indent=2) + "\n",
     }

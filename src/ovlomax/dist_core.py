@@ -120,15 +120,6 @@ class InverseLomax:
         # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
         return _from_t(-self.alpha * np.log(np.maximum(u, _TINY)), self.beta)
 
-    def sample_via_exponential(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Alternative sampler through T ~ Exponential(mean alpha), X = beta/(e^T - 1).
-
-        Same law as :meth:`sample` (cross-checked in the test suite), but a
-        different draw path; useful as an independent oracle.
-        """
-        t = rng.exponential(scale=self.alpha, size=_positive_int("n", n))
-        return _from_t(np.maximum(t, _TINY), self.beta)
-
 
 def _from_t(t: np.ndarray, beta) -> np.ndarray:
     """``beta / expm1(t)``, the values with transforms ``t`` (at ``t = -alpha *

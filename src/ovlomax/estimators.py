@@ -21,10 +21,10 @@ is ``overlap_value(measure, est.unbiased)``), and first/second order delta
 expansions in log R give variances ``factor * e**2``, biases
 ``factor * c / 2`` and normal-theory intervals, where ``factor`` is
 Var(ratio)/R**2 and ``e``, ``c`` are ``overlap``'s elasticities.
-:func:`assess` evaluates all of that for a whole block of ratios at once, and
-the per-sample and per-measure functions here are length-one views of the
-same code.  Its kernel takes the design constants per ratio, so the study
-engine and the efficiency grid assess the ratios of many designs in one call.
+:func:`assess` evaluates all of that for a whole block of ratios at once; one
+ratio is a block of one.  Its kernel takes the design constants per ratio,
+so the study engine and the efficiency grid assess the ratios of many
+designs in one call.
 
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
@@ -70,8 +70,6 @@ __all__ = [
     "corrected_ratio",
     "ratio_estimate",
     "ratio_variance_factor",
-    "delta_variance",
-    "delta_bias",
     "confidence_interval",
     "assess",
 ]
@@ -461,39 +459,6 @@ def assess(
         raise DomainError("ratios must be a one-dimensional array")
     arrays = _assess_designs([(r, method, design1, design2)], source, level, bias_corrected)
     return dict(zip(MEASURES, (Assessment(*row) for row in zip(*arrays))))
-
-
-def _assess_one(measure, ratio, method, design1, design2, source) -> Assessment:
-    if measure not in MEASURES:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    block = assess([float(ratio)], method, design1, design2, source, bias_corrected=False)
-    return block[measure]
-
-
-def delta_variance(
-    measure: str,
-    ratio: float,
-    method: str,
-    design1: SrsDesign | RssDesign,
-    design2: SrsDesign | RssDesign,
-    source: str = SOURCE_DERIVED,
-) -> float:
-    """First-order variance of an overlap coefficient at the given ratio;
-    see :func:`assess`."""
-    return float(_assess_one(measure, ratio, method, design1, design2, source).variance[0])
-
-
-def delta_bias(
-    measure: str,
-    ratio: float,
-    method: str,
-    design1: SrsDesign | RssDesign,
-    design2: SrsDesign | RssDesign,
-    source: str = SOURCE_DERIVED,
-) -> float:
-    """Second-order bias of an overlap coefficient at the given ratio; NaN for
-    the as-published Weitzman coefficient at R=1.  See :func:`assess`."""
-    return float(_assess_one(measure, ratio, method, design1, design2, source).bias[0])
 
 
 def confidence_interval(

@@ -11,12 +11,13 @@ The closed forms follow from the change of variables ``t = log(1 + 1/x)``,
 which turns both densities into exponentials with means ``alpha1, alpha2``.
 Each closed form, and each measure's elasticities e = R*g'(R) and
 c = R**2*g''(R), finite over the whole float range, is an unchecked array
-function in ``_CORES`` or ``_TERMS``; the public functions and the kernel
-check the ratios once.  The quadrature
-routines below work directly on density callables in the same transformed
-variable and serve as an independent numerical oracle for the closed forms.
-They are the package's only use of SciPy (``quad`` and ``brentq``), which
-they import when first called.
+function in ``_CORES`` or ``_TERMS``; :func:`overlap_value` and the
+delta-method kernel in ``estimators`` check the ratios once.  The quadrature
+routines below work directly on densities in the same transformed variable
+and serve as an independent numerical oracle for the closed forms: each
+meets its tolerance or raises :class:`QuadratureError`.  They are the
+package's only use of SciPy (``quad`` and ``brentq``), which they import
+when first called.
 """
 from __future__ import annotations
 
@@ -29,13 +30,7 @@ from .dist_core import DomainError, _as_input_shape, _positive_array
 __all__ = [
     "MEASURES",
     "QuadratureError",
-    "matusita_rho",
-    "weitzman_delta",
-    "kl_lambda",
     "overlap_value",
-    "overlap_grad",
-    "overlap_grad_sq",
-    "overlap_curvature",
     "kl_symmetrized",
     "ovl_by_quadrature",
 ]
@@ -58,6 +53,10 @@ def _rho(r: np.ndarray) -> np.ndarray:
 
 
 def _delta(r: np.ndarray) -> np.ndarray:
+    # log1p/expm1 keep R -> 1 free of cancellation.  Below R = 1/2, where R - 1
+    # is inexact and log1p(R - 1) would amplify its error, the value is
+    # -expm1(log1p(-R) + R*log(R)/(1-R)); above R = 2, where the power form
+    # cancels, that value at 1/R, since delta(R) = delta(1/R)
     far = (r < 0.5) | (r > 2.0)
     x = np.where(far, 1.0, r)  # a harmless stand-in where the log R form applies
     e = x - 1.0
@@ -73,46 +72,23 @@ def _delta(r: np.ndarray) -> np.ndarray:
 
 
 def _lambda(r: np.ndarray) -> np.ndarray:
+    # 1/R, within 1e-150 relative, above R = 1e150, where R**2 nears overflow
     x, big = np.minimum(r, 1e150), np.maximum(r, 1e150)
     return np.where(r > 1e150, 1.0 / big, x / (x * x - x + 1.0))
-
-
-def matusita_rho(ratio) -> float | np.ndarray:
-    """Matusita overlap 2*sqrt(R)/(R+1); equals 1 iff R == 1."""
-    return _as_input_shape(_rho(_positive_array("shape ratio", ratio)), ratio)
-
-
-def weitzman_delta(ratio) -> float | np.ndarray:
-    """Weitzman overlap 1 - R**(1/(1-R)) * |1 - 1/R|, continuously extended to 1 at R=1.
-
-    Written through log1p/expm1 so the R -> 1 neighbourhood is evaluated by a
-    cancellation-free limit path rather than the raw power.  Below R = 1/2,
-    where R - 1 is inexact and log1p(R - 1) would amplify its error, the same
-    value is taken as -expm1(log1p(-R) + R*log(R)/(1-R)); above R = 2, where
-    the power form cancels, as that value at 1/R, since delta(R) = delta(1/R).
-    """
-    return _as_input_shape(_delta(_positive_array("shape ratio", ratio)), ratio)
-
-
-def kl_lambda(ratio) -> float | np.ndarray:
-    """Divergence overlap R/(R**2 - R + 1) = 1/(1 + J) for the symmetrized
-    divergence J = (R-1)**2 / R of the transformed exponential pair; 1/R,
-    within 1e-150 relative, above R = 1e150, where R**2 nears overflow."""
-    return _as_input_shape(_lambda(_positive_array("shape ratio", ratio)), ratio)
 
 
 _CORES = {"rho": _rho, "delta": _delta, "lambda": _lambda}
 
 
-def _pick(table: dict, measure: str):
-    try:
-        return table[measure]
-    except KeyError:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}") from None
+def _check_measure(measure: str) -> None:
+    if measure not in MEASURES:
+        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
 
 
 def overlap_value(measure: str, ratio) -> float | np.ndarray:
-    return _as_input_shape(_pick(_CORES, measure)(_positive_array("shape ratio", ratio)), ratio)
+    """The closed form of ``measure`` at each shape ratio; a float for a scalar."""
+    _check_measure(measure)
+    return _as_input_shape(_CORES[measure](_positive_array("shape ratio", ratio)), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -150,170 +126,147 @@ def _lambda_terms(s: np.ndarray, d: np.ndarray) -> tuple:
 _TERMS = {"rho": _rho_terms, "delta": _delta_terms, "lambda": _lambda_terms}
 
 
-def _terms(r: np.ndarray, measures=MEASURES) -> tuple:
-    """(e, c) of ``measures`` at already checked ratios, as (measure, ratio) arrays."""
+def _terms(r: np.ndarray) -> tuple:
+    """(e, c) at already checked ratios, as (measure, ratio) arrays."""
     flip = r > 1.0
     s = np.where(flip, 1.0 / np.maximum(r, 1.0), r)
     d = np.where(flip, (1.0 - r) * s, r - 1.0)  # not s - 1: keeps 1 - s accurate near 1
-    e, c = (np.array(q) for q in zip(*(_pick(_TERMS, m)(s, d) for m in measures)))
+    e, c = (np.array(q) for q in zip(*(_TERMS[m](s, d) for m in MEASURES)))
     return np.where(flip, -e, e), np.where(flip, c + 2.0 * e, c)
-
-
-def _one_measure(measure: str, ratio) -> tuple:
-    r = _positive_array("shape ratio", ratio)
-    return (r, *(q[0] for q in _terms(r, (measure,))))
-
-
-def overlap_grad(measure: str, ratio) -> float | np.ndarray:
-    """dg/dR = e/R.  For delta the derivative is piecewise (a kink at R=1,
-    where the one-sided slopes are +-exp(-1)); exactly at R=1 it returns NaN."""
-    r, e, _c = _one_measure(measure, ratio)
-    return _as_input_shape(np.where((measure == "delta") & (r == 1.0), np.nan, e / r), ratio)
-
-
-def overlap_grad_sq(measure: str, ratio) -> float | np.ndarray:
-    """(dg/dR)**2 = (e/R)**2 with the delta kink closed by its two-sided limit exp(-2)."""
-    r, e, _c = _one_measure(measure, ratio)
-    return _as_input_shape((e / r) ** 2, ratio)
-
-
-def overlap_curvature(measure: str, ratio) -> float | np.ndarray:
-    """d2g/dR2 = c/R**2.
-
-    delta's second derivative jumps at R=1 (one-sided limits -+exp(-1));
-    exactly at R=1 the symmetric value 0 is returned so that bias
-    corrections at the symmetry point leave the estimate unshifted.
-    """
-    r, _e, c = _one_measure(measure, ratio)
-    return _as_input_shape(c / r / r, ratio)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature oracles.  Densities are integrated after the substitution
 # t = log(1 + 1/x), i.e. x(t) = 1/(e^t - 1), which maps (0, inf) onto itself
-# and removes both the power tail at x -> inf and the origin behaviour.
+# and removes both the power tail at x -> inf and the origin behaviour.  Each
+# integrand is built from the log densities plus log|dx/dt|, so a density that
+# underflows on its own still counts.  Past _T_MAX, x(t) is below the smallest
+# normal float and every integrand is 0; _masses raises where that cuts
+# off more of a density than the tolerance allows.
 # ---------------------------------------------------------------------------
 
-
-def _x_of_t(t: float) -> float:
-    # 1/(e^t - 1) written overflow-free as e^-t / (1 - e^-t)
-    em = -math.expm1(-t)
-    if em <= 0.0:
-        return _TINY
-    return max(math.exp(-t) / em, _TINY)
+_T_MAX = math.log1p(1.0 / _TINY)  # t(x) at the smallest normal x, about 708.4
 
 
-def _weight(t: float) -> float:
-    # |dx/dt| = e^-t / (1 - e^-t)**2
-    em = -math.expm1(-t)
-    if em <= 0.0:
-        return 0.0
-    return math.exp(-t) / em**2
+def _log_terms(f1, f2):
+    """t -> (log f1, log f2) at x(t), each plus log|dx/dt|; None past _T_MAX.
+    A distribution object gives its logpdf, else the log of its pdf or of the
+    bare callable is taken."""
+    def log_density(f):
+        if callable(getattr(f, "logpdf", None)):
+            return lambda x: float(f.logpdf(x))
+        pdf = f.pdf if callable(getattr(f, "pdf", None)) else f
+        return lambda x: math.log(v) if (v := float(pdf(x))) > 0.0 else -math.inf
+
+    l1, l2 = log_density(f1), log_density(f2)
+
+    def at(t: float):
+        if t > _T_MAX:
+            return None
+        em = -math.expm1(-t)  # 1 - e^-t
+        x, logw = math.exp(-t) / em, -t - 2.0 * math.log(em)
+        return l1(x) + logw, l2(x) + logw
+
+    return at
 
 
-def _quad_checked(fn, a, b, tol, label):
+def _integral(at, combine, tol, label, a=0.0, b=np.inf) -> float:
+    """Quadrature over (a, b) in t of ``combine(log f1, log f2)``, 0 past _T_MAX."""
     from scipy.integrate import quad
 
-    val, err = quad(fn, a, b, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=400)
-    if err > tol:
+    def integrand(t: float) -> float:
+        logs = at(t)
+        return 0.0 if logs is None else combine(*logs)
+
+    val, err = quad(integrand, a, b, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=400)
+    if not (err <= tol and math.isfinite(val)):
         raise QuadratureError(f"{label} quadrature did not converge to {tol:.1e}", err)
     return val
 
 
-def _as_density(f):
-    # accept either a bare callable f(x) or a distribution object with .pdf
-    pdf = getattr(f, "pdf", None)
-    return pdf if callable(pdf) else f
+def _masses(at, tol: float) -> list:
+    """Both densities' masses up to _T_MAX.  The mass lost past it, times about
+    the largest t, bounds what the divergence, whose log ratio grows like t,
+    loses there; above ``tol`` it raises."""
+    masses = [_integral(at, lambda *logs, k=k: math.exp(logs[k]), tol, "density mass")
+              for k in (0, 1)]
+    lost = (1.0 - min(masses)) * _T_MAX
+    if lost > tol:
+        raise QuadratureError("a density has mass where x(t) is below the smallest normal float",
+                              lost)
+    return masses
+
+
+def _divergence_term(a: float, b: float) -> float:
+    # |f1 - f2| * |log f1 - log f2| * w from the log terms, scaled by the larger
+    if max(a, b) == -math.inf:
+        return 0.0
+    gap = abs(a - b)
+    return math.exp(max(a, b)) * -math.expm1(-gap) * gap
 
 
 def kl_symmetrized(f1, f2, tol: float = 1e-8) -> float:
     """Symmetrized divergence integral((f1 - f2) * log(f1/f2)) of two densities
-    on (0, inf), given as callables ``f(x) -> density``.
+    on (0, inf).
 
     Parameters
     ----------
-    f1, f2 : callable
-        Density functions, positive on (0, inf) and integrating to one.
+    f1, f2 : callable or distribution object
+        Densities ``f(x)``, or objects with a ``logpdf`` or ``pdf`` method;
+        positive on (0, inf) and integrating to one.
     tol : float
-        Absolute error budget; exceeding it raises :class:`QuadratureError`
-        carrying the achieved error estimate.
+        Absolute error budget; exceeding it, or leaving more than it of a
+        density's mass out of reach below the smallest normal float, raises
+        :class:`QuadratureError` carrying the achieved error estimate.
     """
-    f1, f2 = _as_density(f1), _as_density(f2)
-
-    def integrand(t: float) -> float:
-        w = _weight(t)
-        if w == 0.0:
-            return 0.0
-        x = _x_of_t(t)
-        a, b = float(f1(x)), float(f2(x))
-        if a <= 0.0 or b <= 0.0:
-            # both tails underflow together for the laws of interest
-            return 0.0
-        return (a - b) * (math.log(a) - math.log(b)) * w
-
-    return _quad_checked(integrand, 0.0, np.inf, tol, "symmetrized divergence")
+    at = _log_terms(f1, f2)
+    _masses(at, tol)
+    return _integral(at, _divergence_term, tol, "symmetrized divergence")
 
 
-def _find_crossing(f1, f2, tol: float) -> float | None:
-    # log-density difference in t; one sign change for the exponential pair
+def _find_crossing(at) -> float | None:
+    # log-density difference in t; one sign change for the exponential pair,
+    # bracketed from t = 1e-9 by doublings from 1 up to _T_MAX
     def d(t: float) -> float:
-        x = _x_of_t(t)
-        a, b = float(f1(x)), float(f2(x))
-        if a <= 0.0 or b <= 0.0:
-            return 0.0
-        return math.log(a) - math.log(b)
+        logs = at(t)
+        gap = 0.0 if logs is None else logs[0] - logs[1]
+        return gap if math.isfinite(gap) else 0.0
 
     from scipy.optimize import brentq
 
     lo = 1e-9
     dlo = d(lo)
-    if dlo == 0.0:
-        return None
-    hi = 1.0
-    for _ in range(60):
-        if d(hi) * dlo < 0.0:
-            return float(brentq(d, lo, hi, xtol=1e-13))
-        hi *= 2.0
-        if hi > 1e9:
-            break
-    return None
+    hi = next((h for h in (2.0**k for k in range(10)) if d(h) * dlo < 0.0), None)
+    return None if hi is None else float(brentq(d, lo, hi, xtol=1e-13))
 
 
 def ovl_by_quadrature(f1, f2, measure: str, tol: float = 1e-8) -> float:
-    """Numerically evaluate an overlap coefficient from two density callables.
+    """Numerically evaluate an overlap coefficient from two densities, given
+    as for :func:`kl_symmetrized`.
 
     ``rho`` integrates sqrt(f1*f2); ``delta`` integrates min(f1, f2), with the
     domain split at the density crossing so the kink never sits inside a
     panel; ``lambda`` is 1/(1 + symmetrized divergence).
     """
-    if measure not in MEASURES:
-        raise DomainError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    f1, f2 = _as_density(f1), _as_density(f2)
-
+    _check_measure(measure)
     if measure == "lambda":
         return 1.0 / (1.0 + kl_symmetrized(f1, f2, tol=tol))
-
+    at = _log_terms(f1, f2)
+    masses = _masses(at, tol)
     if measure == "rho":
+        return _integral(at, lambda a, b: math.exp(0.5 * (a + b)), tol, "matusita")
 
-        def integrand(t: float) -> float:
-            w = _weight(t)
-            if w == 0.0:
-                return 0.0
-            x = _x_of_t(t)
-            return math.sqrt(float(f1(x)) * float(f2(x))) * w
+    t_star = _find_crossing(at)
+    cuts = [0.0, np.inf] if t_star is None else [0.0, t_star, np.inf]
 
-        return _quad_checked(integrand, 0.0, np.inf, tol, "matusita")
+    def share(pick) -> float:
+        return sum(_integral(at, lambda a, b: math.exp(pick(a, b)), tol / 2.0, "weitzman", lo, hi)
+                   for lo, hi in zip(cuts, cuts[1:]))
 
-    def integrand(t: float) -> float:
-        w = _weight(t)
-        if w == 0.0:
-            return 0.0
-        x = _x_of_t(t)
-        return min(float(f1(x)), float(f2(x))) * w
-
-    t_star = _find_crossing(f1, f2, tol)
-    if t_star is None:
-        return _quad_checked(integrand, 0.0, np.inf, tol, "weitzman")
-    left = _quad_checked(integrand, 0.0, t_star, tol / 2.0, "weitzman (left)")
-    right = _quad_checked(integrand, t_star, np.inf, tol / 2.0, "weitzman (right)")
-    return left + right
+    low = share(min)
+    # min + max = f1 + f2: the larger density's share exposes a narrow peak
+    # that the quadrature of one piece stepped over
+    gap = abs(low + share(max) - sum(masses))
+    if gap > tol:
+        raise QuadratureError("weitzman quadrature lost mass on a piece", gap)
+    return low

@@ -86,7 +86,6 @@ __all__ = [
     "StudyResult",
     "EfficiencyCell",
     "efficiency_grid",
-    "efficiency_cells_from_result",
     "run_study",
     "emit_rows_csv",
     "parse_rows_csv",
@@ -314,9 +313,10 @@ class EfficiencyCell:
 @dataclass
 class StudyResult:
     """A study's output as its CSV texts, the one source of truth: plain
-    (``csv``) and bias-corrected (``csv_corrected``) intervals, whose rows are
-    parsed on first use; ``efficiency`` maps each rss cell's ``(measure, R,
-    r1, r2, m)`` to its simulated efficiency, as :func:`efficiency_grid` takes."""
+    (``csv``) and bias-corrected (``csv_corrected``) intervals; ``rows`` parses
+    the plain text on first use, and :func:`parse_rows_csv` parses either.
+    ``efficiency`` maps each rss cell's ``(measure, R, r1, r2, m)`` to its
+    simulated efficiency, as :func:`efficiency_grid` takes."""
 
     csv: str
     csv_corrected: str
@@ -327,10 +327,6 @@ class StudyResult:
     @cached_property
     def rows(self) -> list:
         return parse_rows_csv(self.csv)
-
-    @cached_property
-    def rows_corrected(self) -> list:
-        return parse_rows_csv(self.csv_corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +393,6 @@ def _efficiency_table(r_values, set_sizes, cycles, source) -> dict:
         for j, size in enumerate(sizes):
             eff[(m, *size)] = dict(zip(MEASURES, ratio[:, j].tolist()))
     return eff
-
-
-def efficiency_cells_from_result(cfg: "StudyConfig", result: "StudyResult") -> list:
-    """Analytic efficiency over the config grid, annotated with the simulated
-    MSE ratios of the ranked-set study cells where available."""
-    return efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
-                           empirical=result.efficiency)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +620,8 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
             "coverage is the empirical coverage proportion of the nominal "
             "(1 - level_alpha0) interval (the 'ratio' column of the published layout)",
             "efficiency = MSE(srs) / MSE(rss) at equal retained sample sizes",
-            "interval variants: plain intervals in rows, bias-corrected in rows_corrected",
+            "interval variants: plain intervals in study.csv, bias-corrected in "
+            "study_bias_corrected.csv",
         ],
     }
     return StudyResult(
@@ -824,11 +814,23 @@ def _emit_eff_table(cells, fmt, grid):
 _BIAS_TABLE_FIELDS = ("method", "measure", "R", "r1", "r2", "m", "abs_bias", "coverage", "ci_length")
 
 
+def _describe_row(c) -> str:
+    return f"method={c[0]} measure={c[1]} R={c[2]:.6g} r1={c[3]} r2={c[4]} m={c[5]}"
+
+
 def _emit_bias_table(rows, fmt, grid):
+    sources = sorted({r.formula_source for r in rows})
+    if len(sources) > 1:
+        raise ConfigError(f"rows mix formula sources {sources}; a table takes one study")
+    present = {}
+    for r in rows:
+        key = (r.method, r.measure, r.R, r.r1, r.r2, r.m)
+        if key in present:
+            raise ConfigError(f"repeated row: {_describe_row(key)}")
+        present[key] = r
     r_values, set_sizes, cycles = _expected_grid(grid, rows)
-    present = {(r.method, r.measure, r.R, r.r1, r.r2, r.m): r for r in rows}
     # the cells a study skips have no rows: '-' in text, left out of csv and json
-    source = rows[0].formula_source if rows else SOURCE_DERIVED
+    source = sources[0] if sources else SOURCE_DERIVED
     expected = [
         (method, meas, R, r1, r2, m)
         for m in cycles
@@ -838,11 +840,7 @@ def _emit_bias_table(rows, fmt, grid):
         if _skip_reason((r1, r2, m, method), source) is None
         for meas in MEASURES
     ]
-    _check_grid(
-        set(present),
-        expected,
-        lambda c: f"method={c[0]} measure={c[1]} R={c[2]:.6g} r1={c[3]} r2={c[4]} m={c[5]}",
-    )
+    _check_grid(set(present), expected, _describe_row)
 
     if fmt == "csv":
         return emit_rows_csv([present[k] for k in expected])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, curvature, slope
 
 from ovlomax import (
     InverseLomax,
@@ -23,9 +23,8 @@ from ovlomax import (
     StudyConfig,
     alpha_bayes_jeffreys,
     alpha_rss,
+    assess,
     confidence_interval,
-    delta_bias,
-    delta_variance,
     discrepancy_report,
     draw_rss,
     draw_srs,
@@ -33,8 +32,6 @@ from ovlomax import (
     emit_rows_csv,
     harmonic,
     mle_alpha_srs,
-    overlap_curvature,
-    overlap_grad,
     overlap_value,
     ovl_by_quadrature,
     ratio_estimate,
@@ -42,7 +39,7 @@ from ovlomax import (
     real_data_summary,
     run_study,
 )
-from ovlomax.overlap import MEASURES
+from ovlomax.overlap import MEASURES, _terms
 from ovlomax.study import _mse_block
 
 
@@ -220,10 +217,10 @@ def test_criterion_06_delta_method():
         for r in fd_grid:
             h = 1e-5 * r
             fd1 = (float(overlap_value(meas, r + h)) - float(overlap_value(meas, r - h))) / (2 * h)
-            if abs(overlap_grad(meas, r) - fd1) > 1e-8 * max(1.0, abs(fd1)):
+            if abs(slope(meas, r) - fd1) > 1e-8 * max(1.0, abs(fd1)):
                 problems.append(f"grad({meas}, {r})")
-            fd2 = (overlap_grad(meas, r + h) - overlap_grad(meas, r - h)) / (2 * h)
-            if abs(overlap_curvature(meas, r) - fd2) > 1e-8 * max(1.0, abs(fd2)):
+            fd2 = (slope(meas, r + h) - slope(meas, r - h)) / (2 * h)
+            if abs(curvature(meas, r) - fd2) > 1e-8 * max(1.0, abs(fd2)):
                 problems.append(f"curvature({meas}, {r})")
 
     # empirical MSE of the plug-in estimate vs the analytic value; the shape
@@ -252,7 +249,8 @@ def test_criterion_06_delta_method():
     a2 = rng.gamma(shape=n_small, scale=1.0 / n_small, size=reps)
     rstar = (a1 / a2) * (n_small - 1) / n_small
     emp_bias = float(np.mean(np.asarray(overlap_value("rho", rstar)) - overlap_value("rho", 0.5)))
-    ana_bias = delta_bias("rho", 0.5, "srs", SrsDesign(n_small), SrsDesign(n_small))
+    design = SrsDesign(n_small)
+    ana_bias = float(assess([0.5], "srs", design, design, bias_corrected=False)["rho"].bias[0])
     if math.copysign(1.0, emp_bias) != math.copysign(1.0, ana_bias):
         problems.append(f"bias sign mismatch: empirical {emp_bias:.2e} vs analytic {ana_bias:.2e}")
     report(
@@ -271,8 +269,6 @@ def _exact_interval_coverage(meas: str, big_r: float, n: int) -> float:
     drives the corrected ratio, so integrating the indicator against the F
     density gives the coverage with no simulation at all.
     """
-    from ovlomax.overlap import overlap_grad_sq
-
     law = stats.f(2 * n, 2 * n)
     x = np.linspace(1e-6, float(law.ppf(1.0 - 1e-10)), 400001)
     w = law.pdf(x)
@@ -280,7 +276,8 @@ def _exact_interval_coverage(meas: str, big_r: float, n: int) -> float:
     c = ratio_variance_factor("srs", SrsDesign(n), SrsDesign(n))
     z = 1.959963984540054
     g = np.asarray(overlap_value(meas, rstar), dtype=float)
-    half = z * np.sqrt(np.asarray(overlap_grad_sq(meas, rstar)) * rstar**2 * c)
+    e, _c = _terms(rstar)
+    half = z * np.sqrt(e[MEASURES.index(meas)] ** 2 * c)
     truth = float(overlap_value(meas, big_r))
     return float(np.trapezoid(w * (np.abs(g - truth) <= half), x))
 
@@ -309,9 +306,10 @@ def test_criterion_07_coverage():
             a1 = mle_alpha_srs(draw_srs(d1, SrsDesign(n), rng))
             a2 = mle_alpha_srs(draw_srs(d2, SrsDesign(n), rng))
             est = ratio_estimate(a1, a2)
+            block = assess([est.unbiased], "srs", est.design1, est.design2, bias_corrected=False)
             for meas in MEASURES:
                 point = float(overlap_value(meas, est.unbiased))
-                var = delta_variance(meas, est.unbiased, "srs", est.design1, est.design2)
+                var = float(block[meas].variance[0])
                 ci = confidence_interval(point, var, 0.0, 0.95, bias_corrected=False)
                 hits[meas] += 1 if ci.lo <= truth[meas] <= ci.hi else 0
         for meas in MEASURES:
@@ -414,7 +412,7 @@ def test_criterion_10_determinism():
         problems.append("sequential rerun differs")
     if emit_rows_csv(first.rows) != emit_rows_csv(parallel.rows):
         problems.append("parallel run differs")
-    if emit_rows_csv(first.rows_corrected) != emit_rows_csv(parallel.rows_corrected):
+    if first.csv_corrected != parallel.csv_corrected:
         problems.append("corrected rows differ under parallelism")
     if emit_figure_data(cfg) != emit_figure_data(cfg, workers=2):
         problems.append("figure data differs under parallelism")

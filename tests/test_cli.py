@@ -84,6 +84,13 @@ class TestOvl:
         for meas in ("rho", "delta", "lambda"):
             assert doc["quadrature"][meas] == pytest.approx(doc[meas], abs=1e-8)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_quadrature_out_of_reach_is_estimation_error(self, capsys):
+        # a shape of 100 leaves 8e-4 of its mass below the smallest normal x
+        code, out, err = run_cli(capsys, "ovl", "--ratio", "100", "--quadrature")
+        assert code == 1 and out == ""
+        assert "smallest normal float" in err
+
     def test_huge_ratio_keeps_delta(self, capsys):
         # delta(R) = delta(1/R) ~ 4.6e-198 here, not a cancelled 0
         code, out, _ = run_cli(capsys, "ovl", "--ratio", "1e200", "--format", "json")
@@ -425,6 +432,19 @@ class TestSimulate:
         else:
             assert not (tmp_path / "parent").exists()
 
+    def test_target_that_is_not_a_file_is_refused_before_any_rename(self, capsys, config,
+                                                                    tmp_path):
+        # a directory where efficiency.csv goes: study.csv keeps its old text
+        out_dir = tmp_path / "out"
+        (out_dir / "efficiency.csv").mkdir(parents=True)
+        (out_dir / "study.csv").write_text("old")
+        code, out, err = run_cli(capsys, "simulate", "--config", config,
+                                 "--out-dir", str(out_dir))
+        assert code == 3 and out == ""
+        assert "efficiency.csv" in err
+        assert (out_dir / "study.csv").read_text() == "old"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["efficiency.csv", "study.csv"]
+
     def test_bad_workers(self, capsys, config):
         code, _, _ = run_cli(capsys, "simulate", "--config", config, "--workers", "0")
         assert code == 2
@@ -551,29 +571,34 @@ class TestTables:
         assert "missing 1 grid cell(s): method=rss measure=delta R=0.8 r1=2 r2=1 m=2" in err
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda rec: rec[:-1], "expected 15 fields, got 14"),
-        (lambda rec: rec + ["7"], "expected 15 fields, got 16"),
-        (lambda rec: rec[:3] + ["two"] + rec[4:], "r1 = 'two'"),
-        (lambda rec: rec[:9] + ["0.1.2"] + rec[10:], "mse = '0.1.2'"),
-        (lambda rec: ["mle"] + rec[1:], "method = 'mle'"),
-        (lambda rec: rec[:1] + ["rhoo"] + rec[2:], "measure = 'rhoo'"),
-        (lambda rec: rec[:13] + ["derivd"] + rec[14:], "formula_source = 'derivd'"),
-        (lambda rec: rec[:2] + ["-0.5"] + rec[3:], "R = -0.5 is not positive and finite"),
-        (lambda rec: rec[:2] + ["0"] + rec[3:], "R = 0.0 is not positive and finite"),
-        (lambda rec: rec[:2] + ["nan"] + rec[3:], "R = nan is not positive and finite"),
-        (lambda rec: rec[:2] + ["inf"] + rec[3:], "R = inf is not positive and finite"),
-        (lambda rec: rec[:3] + ["0"] + rec[4:], "r1 = 0 is below 1"),
-        (lambda rec: rec[:4] + ["-2"] + rec[5:], "r2 = -2 is below 1"),
-        (lambda rec: rec[:5] + ["0"] + rec[6:], "m = 0 is below 1"),
-        (lambda rec: rec[:6] + ["0"] + rec[7:], "reps = 0 is below 1"),
+        (lambda rec: rec[:-1], "line 3: expected 15 fields, got 14"),
+        (lambda rec: rec + ["7"], "line 3: expected 15 fields, got 16"),
+        (lambda rec: rec[:3] + ["two"] + rec[4:], "line 3: r1 = 'two'"),
+        (lambda rec: rec[:9] + ["0.1.2"] + rec[10:], "line 3: mse = '0.1.2'"),
+        (lambda rec: ["mle"] + rec[1:], "line 3: method = 'mle'"),
+        (lambda rec: rec[:1] + ["rhoo"] + rec[2:], "line 3: measure = 'rhoo'"),
+        (lambda rec: rec[:13] + ["derivd"] + rec[14:], "line 3: formula_source = 'derivd'"),
+        (lambda rec: rec[:2] + ["-0.5"] + rec[3:], "line 3: R = -0.5 is not positive and finite"),
+        (lambda rec: rec[:2] + ["0"] + rec[3:], "line 3: R = 0.0 is not positive and finite"),
+        (lambda rec: rec[:2] + ["nan"] + rec[3:], "line 3: R = nan is not positive and finite"),
+        (lambda rec: rec[:2] + ["inf"] + rec[3:], "line 3: R = inf is not positive and finite"),
+        (lambda rec: rec[:3] + ["0"] + rec[4:], "line 3: r1 = 0 is below 1"),
+        (lambda rec: rec[:4] + ["-2"] + rec[5:], "line 3: r2 = -2 is below 1"),
+        (lambda rec: rec[:5] + ["0"] + rec[6:], "line 3: m = 0 is below 1"),
+        (lambda rec: rec[:6] + ["0"] + rec[7:], "line 3: reps = 0 is below 1"),
+        (lambda rec: rec[:13] + ["as-published"] + rec[14:],
+         "rows mix formula sources ['as-published', 'derived']"),
+        (lambda rec: rec[:2] + ["0.5"] + rec[3:],
+         "repeated row: method=srs measure=rho R=0.5 r1=2 r2=2 m=2"),
     ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
             "bad-source", "negative-R", "zero-R", "nan-R", "inf-R", "zero-r1", "negative-r2",
-            "zero-m", "zero-reps"])
+            "zero-m", "zero-reps", "mixed-sources", "repeated-row"])
     def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
+        # three rows of distinct cells (R = 0.5, 0.75, 0.8); the third line is damaged
         rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
-            ",".join(["srs", "rho", "0.5", "2", "2", "2", "3", "0.01", "-0.01", "0.002",
+            ",".join(["srs", "rho", R, "2", "2", "2", "3", "0.01", "-0.01", "0.002",
                       "1", "0.3", "", "derived", str(seed)])
-            for seed in range(3)) + "\n"
+            for seed, R in enumerate(("0.5", "0.75", "0.8"))) + "\n"
         recs = list(csv.reader(io.StringIO(rows_csv)))
         recs[2] = damage(recs[2])
         saved = tmp_path / "study.csv"
@@ -581,7 +606,7 @@ class TestTables:
         code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
         assert code == 2
         assert out == ""
-        assert "line 3" in err and message in err
+        assert message in err
 
     def test_bias_missing_rows_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "tables", "--kind", "bias",

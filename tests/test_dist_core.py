@@ -106,9 +106,9 @@ class TestSampling:
         assert stat.pvalue > 0.001
 
     def test_two_sampling_paths_agree_in_distribution(self, rng):
-        d = InverseLomax(1.3)
-        a = d.sample(50_000, rng)
-        b = d.sample_via_exponential(50_000, rng)
+        # an independent path: T ~ Exponential(mean alpha), X = 1/(e^T - 1)
+        a = InverseLomax(1.3).sample(50_000, rng)
+        b = 1.0 / np.expm1(rng.exponential(1.3, 50_000))
         stat = scipy.stats.ks_2samp(a, b)
         assert stat.pvalue > 0.001
 
@@ -130,7 +130,7 @@ class TestSampling:
         assert 0.0 < x[0] < x[1]
 
     @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
-    @pytest.mark.parametrize("draw", ["sample", "sample_via_exponential"])
+    @pytest.mark.parametrize("draw", ["sample"])
     def test_draws_below_the_float_range_are_refused(self, draw, rng):
         # at alpha = 1000 about half the law lies below the smallest normal
         # float; a clamped x would give a mean T near 510 instead of 1000
@@ -203,8 +203,6 @@ class TestStdNormalQuantile:
 
 COUNT_ARGUMENTS = {
     "InverseLomax.sample": lambda v: InverseLomax(1.0).sample(v, np.random.default_rng(0)),
-    "InverseLomax.sample_via_exponential":
-        lambda v: InverseLomax(1.0).sample_via_exponential(v, np.random.default_rng(0)),
     "harmonic": harmonic,
 }
 

@@ -22,14 +22,12 @@ from ovlomax.estimators import (
     alpha_rss,
     assess,
     confidence_interval,
-    delta_bias,
-    delta_variance,
     harmonic,
     mle_alpha_srs,
     ratio_estimate,
     ratio_variance_factor,
 )
-from ovlomax.overlap import MEASURES, overlap_curvature, overlap_grad_sq, overlap_value
+from ovlomax.overlap import MEASURES, _terms, overlap_value
 from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss
 from ovlomax.study import efficiency_grid
 
@@ -53,6 +51,12 @@ def printed_shapes(r) -> dict:
         "lambda": (x**2 * (1 - x**2) ** 2 / (x**2 - x + 1) ** 4,
                    (x**5 - 3 * x**3 - x**2) / (x**2 - x + 1) ** 2),
     }
+
+
+def delta_terms(measure, r, method, d1, d2, source=SOURCE_DERIVED) -> tuple:
+    """The delta-method variance and bias of ``measure`` at the one ratio ``r``."""
+    a = assess([r], method, d1, d2, source, bias_corrected=False)[measure]
+    return float(a.variance[0]), float(a.bias[0])
 
 
 class TestAlphaEstimators:
@@ -192,63 +196,61 @@ class TestVarianceFactors:
 class TestDeltaMethod:
     def test_frozen_variance(self):
         d = SrsDesign(20)
-        v = delta_variance("rho", 0.5, METHOD_SRS, d, d, SOURCE_DERIVED)
+        v, _ = delta_terms("rho", 0.5, METHOD_SRS, d, d, SOURCE_DERIVED)
         assert v == pytest.approx(0.0026748971193415634, rel=1e-12)
 
     def test_frozen_bias(self):
         d = SrsDesign(20)
-        b = delta_bias("rho", 0.5, METHOD_SRS, d, d, SOURCE_DERIVED)
+        _, b = delta_terms("rho", 0.5, METHOD_SRS, d, d, SOURCE_DERIVED)
         assert b == pytest.approx(-0.018441519447612117, rel=1e-12)
 
     def test_derived_variance_structure(self):
         d1, d2 = SrsDesign(16), SrsDesign(24)
         factor = ratio_variance_factor(METHOD_SRS, d1, d2)
-        for meas in MEASURES:
-            for r in (0.3, 0.8, 1.5):
-                v = delta_variance(meas, r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-                assert v == pytest.approx(
-                    factor * r * r * overlap_grad_sq(meas, r), rel=1e-13
-                )
+        e, _c = _terms(np.array([0.3, 0.8, 1.5]))
+        for k, meas in enumerate(MEASURES):
+            for j, r in enumerate((0.3, 0.8, 1.5)):
+                v, _ = delta_terms(meas, r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+                assert v == pytest.approx(factor * e[k, j] ** 2, rel=1e-13)
 
     def test_derived_bias_structure(self):
         d1, d2 = RssDesign(3, 8), RssDesign(2, 8)
         factor = ratio_variance_factor(METHOD_RSS, d1, d2)
-        for meas in MEASURES:
-            for r in (0.3, 0.8, 1.5):
-                b = delta_bias(meas, r, METHOD_RSS, d1, d2, SOURCE_DERIVED)
-                assert b == pytest.approx(
-                    0.5 * factor * r * r * overlap_curvature(meas, r), rel=1e-13
-                )
+        _e, c = _terms(np.array([0.3, 0.8, 1.5]))
+        for k, meas in enumerate(MEASURES):
+            for j, r in enumerate((0.3, 0.8, 1.5)):
+                _, b = delta_terms(meas, r, METHOD_RSS, d1, d2, SOURCE_DERIVED)
+                assert b == pytest.approx(0.5 * factor * c[k, j], rel=1e-13)
 
     def test_published_variance_equals_derived(self):
         # the printed variance shapes are algebraically the squared slopes
         d1, d2 = SrsDesign(16), SrsDesign(24)
         for meas in MEASURES:
             for r in (0.2, 0.5, 0.9, 1.3, 4.0):
-                a = delta_variance(meas, r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-                b = delta_variance(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+                a, _ = delta_terms(meas, r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+                b, _ = delta_terms(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
                 assert b == pytest.approx(a, rel=1e-10)
 
     def test_published_rho_bias_is_twice_derived(self):
         d1, d2 = SrsDesign(16), SrsDesign(24)
         for r in (0.2, 0.5, 0.9, 1.3, 4.0):
-            a = delta_bias("rho", r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-            b = delta_bias("rho", r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+            _, a = delta_terms("rho", r, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+            _, b = delta_terms("rho", r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
             assert b == pytest.approx(2.0 * a, rel=1e-10)
 
     def test_published_delta_bias_crosses_derived_at_half(self):
         d1, d2 = SrsDesign(16), SrsDesign(24)
-        a = delta_bias("delta", 0.5, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-        b = delta_bias("delta", 0.5, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        _, a = delta_terms("delta", 0.5, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+        _, b = delta_terms("delta", 0.5, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         assert b == pytest.approx(a, rel=1e-10)
-        a9 = delta_bias("delta", 0.9, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-        b9 = delta_bias("delta", 0.9, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        _, a9 = delta_terms("delta", 0.9, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+        _, b9 = delta_terms("delta", 0.9, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         assert abs(b9 - a9) > 1e-6
 
     def test_published_lambda_bias_differs(self):
         d1, d2 = SrsDesign(16), SrsDesign(24)
-        a = delta_bias("lambda", 0.5, METHOD_SRS, d1, d2, SOURCE_DERIVED)
-        b = delta_bias("lambda", 0.5, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+        _, a = delta_terms("lambda", 0.5, METHOD_SRS, d1, d2, SOURCE_DERIVED)
+        _, b = delta_terms("lambda", 0.5, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         assert abs(a - b) > 1e-6
 
     @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 0.9, 0.999, 1.001, 1.3, 4.0, 20.0])
@@ -264,8 +266,7 @@ class TestDeltaMethod:
                     for meas, (var, bias) in shapes.items()}
         d1, d2 = SrsDesign(n1), SrsDesign(n2)
         for meas in MEASURES:
-            var = delta_variance(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
-            bias = delta_bias(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
+            var, bias = delta_terms(meas, r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
             assert (var, bias) == pytest.approx(want[meas], rel=1e-12), meas
 
     def test_published_variance_finite_over_the_float_range(self):
@@ -322,18 +323,18 @@ class TestDeltaMethod:
     def test_weitzman_variance_limit_at_one(self):
         # (slope)^2 has the two-sided limit exp(-2) at the kink
         d = SrsDesign(20)
-        v = delta_variance("delta", 1.0, METHOD_SRS, d, d, SOURCE_DERIVED)
+        v, _ = delta_terms("delta", 1.0, METHOD_SRS, d, d, SOURCE_DERIVED)
         factor = ratio_variance_factor(METHOD_SRS, d, d)
         assert v == pytest.approx(factor * math.exp(-2.0), rel=1e-12)
 
     def test_weitzman_published_bias_nan_at_one(self):
         d = SrsDesign(20)
-        b = delta_bias("delta", 1.0, METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
+        _, b = delta_terms("delta", 1.0, METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
         assert math.isnan(b)
 
     def test_derived_bias_zero_at_one_for_weitzman(self):
         d = SrsDesign(20)
-        assert delta_bias("delta", 1.0, METHOD_SRS, d, d, SOURCE_DERIVED) == 0.0
+        assert delta_terms("delta", 1.0, METHOD_SRS, d, d, SOURCE_DERIVED)[1] == 0.0
 
 
 class TestConfidenceInterval:
@@ -428,8 +429,7 @@ class TestAssess:
         for meas in MEASURES:
             a = block[meas]
             for k, r in enumerate(ratios):
-                var = delta_variance(meas, r, method, d1, d2, source)
-                bias = delta_bias(meas, r, method, d1, d2, source)
+                var, bias = delta_terms(meas, r, method, d1, d2, source)
                 assert (var, bias) == (a.variance[k], a.bias[k])
                 for corrected, lo, hi in ((False, a.lo, a.hi),
                                           (True, a.lo_corrected, a.hi_corrected)):

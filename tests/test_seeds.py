@@ -331,7 +331,7 @@ class TestGroupedEngine:
         cfg = StudyConfig(**CONFIGS[name])
         one, two = run_study(cfg, workers=1), run_study(cfg, workers=2)
         assert one.rows == two.rows
-        assert one.rows_corrected == two.rows_corrected
+        assert one.csv_corrected == two.csv_corrected
         assert one.skipped == two.skipped
         assert one.metadata == two.metadata
 

@@ -22,7 +22,6 @@ from ovlomax import (
     StudyConfig,
     StudyRow,
     discrepancy_report,
-    efficiency_cells_from_result,
     efficiency_grid,
     emit_figure_data,
     emit_rows_csv,
@@ -42,6 +41,13 @@ from ovlomax.study import (
 
 SMOKE = files("ovlomax.data").joinpath("configs/smoke.json")
 TINY = np.finfo(float).tiny
+
+
+def annotated_cells(cfg, res):
+    """Analytic efficiency over the config grid with the study's simulated
+    values, as ``simulate --out-dir`` writes efficiency.csv."""
+    return efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
+                           empirical=res.efficiency)
 
 
 def tiny_config(**over):
@@ -270,7 +276,7 @@ class TestRunStudy:
                 res = run_study(cfg, workers=workers)
                 assert res.csv == emit_rows_csv(rows)
                 assert res.csv_corrected == emit_rows_csv(rows_corrected)
-            assert (res.rows, res.rows_corrected) == (rows, rows_corrected)
+            assert (res.rows, parse_rows_csv(res.csv_corrected)) == (rows, rows_corrected)
             assert any(row.efficiency is not None for row in res.rows)
 
     def test_reference_configs_cover_skips_signs_and_missing_efficiencies(self):
@@ -316,7 +322,7 @@ class TestRunStudy:
         res = run_study(cfg)
         # one grid cell, three methods, three measures
         assert len(res.rows) == 9
-        assert len(res.rows_corrected) == 9
+        assert len(parse_rows_csv(res.csv_corrected)) == 9
         assert res.skipped == []
         for row in res.rows:
             assert row.reps == 5
@@ -354,7 +360,7 @@ class TestRunStudy:
         a = run_study(cfg)
         b = run_study(cfg)
         assert a.rows == b.rows
-        assert a.rows_corrected == b.rows_corrected
+        assert a.csv_corrected == b.csv_corrected
 
     def test_parallel_matches_sequential(self):
         cfg = tiny_config(r_values=(0.5, 0.8))
@@ -395,14 +401,15 @@ class TestRunStudy:
 
     def test_corrected_rows_differ_only_in_interval_columns(self):
         res = run_study(tiny_config())
-        for plain, corr in zip(res.rows, res.rows_corrected):
+        corrected = parse_rows_csv(res.csv_corrected)
+        for plain, corr in zip(res.rows, corrected):
             assert plain.method == corr.method and plain.measure == corr.measure
             assert plain.signed_bias == corr.signed_bias
             assert plain.mse == corr.mse
             assert plain.seed == corr.seed
         assert any(
             p.ci_length != c.ci_length or p.coverage != c.coverage
-            for p, c in zip(res.rows, res.rows_corrected)
+            for p, c in zip(res.rows, corrected)
         )
 
     def test_small_design_skips_srs_and_bayes(self):
@@ -542,7 +549,7 @@ class TestAnalyticEfficiency:
     def test_cells_from_result_annotated(self):
         cfg = tiny_config()
         res = run_study(cfg)
-        cells = efficiency_cells_from_result(cfg, res)
+        cells = annotated_cells(cfg, res)
         assert len(cells) == 3  # one grid cell, three measures
         rss_eff = {r.measure: r.efficiency for r in res.rows if r.method == "rss"}
         for c in cells:
@@ -554,7 +561,7 @@ class TestEmitTables:
     def setup_method(self):
         self.cfg = tiny_config(r_values=(0.5, 0.8))
         self.res = run_study(self.cfg)
-        self.cells = efficiency_cells_from_result(self.cfg, self.res)
+        self.cells = annotated_cells(self.cfg, self.res)
 
     def test_eff_table_text(self):
         out = emit_tables(self.cells, "eff_table", "text")

@@ -32,7 +32,7 @@ def test_two_workers_equal_one(r_values, set_sizes, m, replications, master_seed
                       formula_source=source)
     one, two = run_study(cfg, workers=1), run_study(cfg, workers=2)
     assert one.rows == two.rows
-    assert one.rows_corrected == two.rows_corrected
+    assert one.csv_corrected == two.csv_corrected
     assert one.skipped == two.skipped
 
 
