@@ -16,15 +16,17 @@ ratio is ``f(2*n1, 2*n2)``; the test suite holds the estimators to them.
 The study engine never forms x: it averages ``t = -alpha * log(u)`` of its
 uniforms with the helper behind :func:`shape_estimates`.
 
-The shape ratio feeds the closed-form overlap coefficients (the plug-in point
-is ``overlap_value(measure, est.unbiased)``), and first/second order delta
-expansions in log R give variances ``factor * e**2``, biases
-``factor * c / 2`` and normal-theory intervals, where ``factor`` is
-Var(ratio)/R**2 and ``e``, ``c`` are ``overlap``'s elasticities.
-:func:`assess` evaluates all of that for a whole block of ratios at once; one
-ratio is a block of one.  Its kernel takes the design constants per ratio,
-so the study engine and the efficiency grid assess the ratios of many
-designs in one call.
+One path leads from samples to intervals: :func:`shape_estimates` of each
+sample, their ratio, :func:`corrected_ratio` (the method's mean correction)
+and :func:`assess`.  The corrected ratio feeds the closed-form overlap
+coefficients, and first/second order delta expansions in log R give
+variances ``factor * e**2``, biases ``factor * c / 2`` and normal-theory
+intervals, plain and bias-corrected, where ``factor`` is
+:func:`ratio_variance_factor`, Var(ratio)/R**2, and ``e``, ``c`` are
+``overlap``'s elasticities.  :func:`assess` evaluates all of that for a whole
+block of ratios at once; one ratio is a block of one.  Its kernel takes the
+design constants per ratio, so the study engine, the efficiency grid and the
+report builder assess the ratios of many designs, or of one, in one call.
 
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
@@ -46,7 +48,7 @@ import numpy as np
 
 from .dist_core import DomainError, _positive_array, _positive_int, log_transform, std_normal_quantile
 from .overlap import _CORES, MEASURES, _terms
-from .sampling import RankedSample, RssDesign, SrsDesign
+from .sampling import RssDesign, SrsDesign
 
 __all__ = [
     "METHOD_SRS",
@@ -56,19 +58,12 @@ __all__ = [
     "SOURCE_DERIVED",
     "SOURCE_AS_PUBLISHED",
     "SOURCES",
-    "AlphaEstimate",
-    "RatioEstimate",
     "ConfidenceInterval",
     "Assessment",
     "DegenerateDesignError",
-    "MethodMismatchError",
     "harmonic",
     "shape_estimates",
-    "mle_alpha_srs",
-    "alpha_rss",
-    "alpha_bayes_jeffreys",
     "corrected_ratio",
-    "ratio_estimate",
     "ratio_variance_factor",
     "confidence_interval",
     "assess",
@@ -88,38 +83,6 @@ class DegenerateDesignError(DomainError):
     """The design is too small for the requested variance formula (n2 < 3)."""
 
 
-class MethodMismatchError(ValueError):
-    """The two shape estimates come from different estimation methods."""
-
-
-@dataclass(frozen=True)
-class AlphaEstimate:
-    """A single population's shape estimate together with its design."""
-
-    value: float
-    method: str
-    design: SrsDesign | RssDesign
-
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Shape ratio estimate alpha1_hat / alpha2_hat.
-
-    ``unbiased`` applies the method's mean correction to ``raw``; for ``rss``
-    no correction is published and the two coincide.  ``variance`` is the
-    plug-in variance of the corrected ratio, or None for the degenerate
-    srs/bayes case n2 < 3 (the point estimate is still usable).
-    """
-
-    raw: float
-    unbiased: float
-    variance: float | None
-    method: str
-    design1: SrsDesign | RssDesign
-    design2: SrsDesign | RssDesign
-    source: str = SOURCE_DERIVED
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     lo: float
@@ -135,8 +98,8 @@ class Assessment:
 
     Every array holds one entry per ratio.  ``lo``/``hi``/``clamped`` belong
     to the interval centred on ``point``, the ``*_corrected`` fields to the
-    one centred on ``point - bias``; those are None when the block was
-    assessed without bias correction.
+    one centred on ``point - bias``, whose bounds are NaN where the bias is
+    not finite.
     """
 
     point: np.ndarray
@@ -145,22 +108,14 @@ class Assessment:
     lo: np.ndarray
     hi: np.ndarray
     clamped: np.ndarray
-    lo_corrected: np.ndarray | None
-    hi_corrected: np.ndarray | None
-    clamped_corrected: np.ndarray | None
+    lo_corrected: np.ndarray
+    hi_corrected: np.ndarray
+    clamped_corrected: np.ndarray
 
 
 def harmonic(r: int) -> float:
     """H_r = 1 + 1/2 + ... + 1/r."""
     return float(sum(1.0 / i for i in range(1, _positive_int("r", r) + 1)))
-
-
-def _plain_estimate(method: str, sample) -> AlphaEstimate:
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("sample must be a nonempty one-dimensional collection")
-    value = float(shape_estimates(method, arr))  # checks positive and finite
-    return AlphaEstimate(value=value, method=method, design=SrsDesign(arr.size))
 
 
 def shape_estimates(method: str, x) -> np.ndarray:
@@ -183,30 +138,6 @@ def _shape_from_t(method: str, t: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def mle_alpha_srs(sample) -> AlphaEstimate:
-    """Maximum-likelihood shape estimate from a simple random sample."""
-    return _plain_estimate(METHOD_SRS, sample)
-
-
-def alpha_rss(ranked: RankedSample) -> AlphaEstimate:
-    """Unbiased shape estimate from a ranked set sample (mean over all
-    retained transforms; the rank sum telescopes, so no rank weights appear)."""
-    value = float(shape_estimates(METHOD_RSS, ranked.values.reshape(-1)))
-    return AlphaEstimate(value=value, method=METHOD_RSS, design=ranked.design)
-
-
-def alpha_bayes_jeffreys(sample) -> AlphaEstimate:
-    """Posterior mode under the Jeffreys prior 1/alpha: sum(t_j)/(n+1),
-    i.e. n/(n+1) times the maximum-likelihood estimate."""
-    return _plain_estimate(METHOD_BAYES, sample)
-
-
-def _validate_source(source: str) -> str:
-    if source not in SOURCES:
-        raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
-    return source
-
-
 def _srs_factor(n1: int, n2: int) -> float:
     # Var(corrected ratio) / R**2 for the srs pipeline; exact, not asymptotic.
     if n2 < 3:
@@ -225,7 +156,8 @@ def ratio_variance_factor(
     Raises :class:`DegenerateDesignError` when the srs/bayes formula is
     undefined (n2 < 3).
     """
-    _validate_source(source)
+    if source not in SOURCES:
+        raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
     if method == METHOD_RSS:
         if not isinstance(design1, RssDesign) or not isinstance(design2, RssDesign):
             raise DomainError("rss variance requires ranked designs")
@@ -262,34 +194,6 @@ def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DER
             return raw * (n1 + 1) * (n2 - 1) / (n1 * (n2 + 1))
         return raw * n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def ratio_estimate(
-    a1: AlphaEstimate, a2: AlphaEstimate, source: str = SOURCE_DERIVED
-) -> RatioEstimate:
-    """Combine two shape estimates of the same method into a ratio estimate."""
-    _validate_source(source)
-    if a1.method != a2.method:
-        raise MethodMismatchError(f"cannot mix methods {a1.method!r} and {a2.method!r}")
-    method = a1.method
-    raw = a1.value / a2.value
-    unbiased = corrected_ratio(raw, method, a1.design, a2.design, source)
-    try:
-        factor = ratio_variance_factor(method, a1.design, a2.design, source)
-    except DegenerateDesignError:
-        variance = None
-    else:
-        variance = unbiased**2 * factor
-
-    return RatioEstimate(
-        raw=raw,
-        unbiased=unbiased,
-        variance=variance,
-        method=method,
-        design1=a1.design,
-        design2=a2.design,
-        source=source,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +246,13 @@ def _normal_z(level) -> float:
     return std_normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
-def _check_terms(variance, bias, bias_corrected: bool) -> None:
+def _check_variance(variance) -> None:
     if not np.isfinite(variance).all() or (variance < 0.0).any():
         raise DomainError("variance must be finite and nonnegative")
-    if bias_corrected and not np.isfinite(bias).all():
+
+
+def _check_bias(bias) -> None:
+    if not np.isfinite(bias).all():
         raise DomainError("bias must be finite to centre a bias-corrected interval")
 
 
@@ -378,7 +285,7 @@ def _design_terms(method: str, design1, design2, source: str) -> tuple:
     return factor, tuple(base / 2.0 if measure in halved else base for measure in MEASURES)
 
 
-def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: bool) -> tuple:
+def _assess_kernel(r: np.ndarray, factor, constants, z: float) -> tuple:
     """Point, variance, bias, plain bounds and clamp flags, then the same three
     for the bias-corrected interval, each as one ``(measure, ratio)`` array.
     Under ``derived`` the variance is factor * e**2 and the bias
@@ -387,8 +294,8 @@ def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: b
 
     ``factor`` and, under ``as-published``, each of the three ``constants``
     broadcast against the ratios, so one call can assess ratios of many
-    designs; ``constants`` is None under ``derived``.  The corrected entries
-    are ``(None,) * 3`` without ``bias_corrected``.
+    designs; ``constants`` is None under ``derived``.  The corrected bounds
+    are NaN where the bias is not finite.
     """
     r = _positive_array("shape ratio", r)
     point = np.array([_CORES[measure](r) for measure in MEASURES])
@@ -404,14 +311,13 @@ def _assess_kernel(r: np.ndarray, factor, constants, z: float, bias_corrected: b
             shapes = np.array([_PUBLISHED[measure](r) for measure in MEASURES])
         variance = factor * shapes[:, 0]
         bias = constants * shapes[:, 1]
-    _check_terms(variance, bias, bias_corrected)
+    _check_variance(variance)
     half = z * np.sqrt(variance)
-    plain = _clamped_bounds(point, half)
-    corrected = _clamped_bounds(point - bias, half) if bias_corrected else ((None,) * 3,) * 3
-    return (point, variance, bias, *plain, *corrected)
+    return (point, variance, bias, *_clamped_bounds(point, half),
+            *_clamped_bounds(point - bias, half))
 
 
-def _assess_designs(blocks, source: str, level: float, bias_corrected: bool = True) -> tuple:
+def _assess_designs(blocks, source: str, level: float) -> tuple:
     """:func:`assess` of the ratios of several designs in one kernel call.
 
     ``blocks`` holds ``(ratios, method, design1, design2)`` items; their
@@ -427,7 +333,7 @@ def _assess_designs(blocks, source: str, level: float, bias_corrected: bool = Tr
     # every design's constants, repeated over its own ratios
     factor = np.repeat(factors, sizes)
     constants = None if source == SOURCE_DERIVED else np.repeat(np.array(constants).T, sizes, 1)
-    return _assess_kernel(np.concatenate(ratios), factor, constants, z, bias_corrected)
+    return _assess_kernel(np.concatenate(ratios), factor, constants, z)
 
 
 def assess(
@@ -437,7 +343,6 @@ def assess(
     design2: SrsDesign | RssDesign,
     source: str = SOURCE_DERIVED,
     level: float = 0.95,
-    bias_corrected: bool = True,
 ) -> dict:
     """Delta-method assessment of all three coefficients at each corrected ratio.
 
@@ -449,15 +354,14 @@ def assess(
     ``as-published`` reproduces the printed expressions with their own
     constants, whose Weitzman bias has no finite value at R=1 (NaN).
 
-    Raises :class:`DomainError` when a ratio is not positive and finite, a
-    variance is not finite and nonnegative, or, with ``bias_corrected``, a
-    bias is not finite.  Without ``bias_corrected`` the corrected-interval
-    fields are None.
+    Raises :class:`DomainError` when a ratio is not positive and finite or
+    a variance is not finite and nonnegative.  Where a bias is not finite,
+    the bias-corrected bounds are NaN.
     """
     r = np.asarray(ratios, dtype=float)  # the kernel checks positive and finite
     if r.ndim != 1:
         raise DomainError("ratios must be a one-dimensional array")
-    arrays = _assess_designs([(r, method, design1, design2)], source, level, bias_corrected)
+    arrays = _assess_designs([(r, method, design1, design2)], source, level)
     return dict(zip(MEASURES, (Assessment(*row) for row in zip(*arrays))))
 
 
@@ -475,7 +379,9 @@ def confidence_interval(
     """
     z = _normal_z(level)
     point, variance, bias = np.float64(point), np.float64(variance), np.float64(bias)
-    _check_terms(variance, bias, bias_corrected)
+    _check_variance(variance)
+    if bias_corrected:
+        _check_bias(bias)
     center = point - bias if bias_corrected else point
     lo, hi, clamped = _clamped_bounds(center, z * np.sqrt(variance))
     return ConfidenceInterval(

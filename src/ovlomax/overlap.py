@@ -170,16 +170,20 @@ def _log_terms(f1, f2):
     return at
 
 
-def _integral(at, combine, tol, label, a=0.0, b=np.inf) -> float:
-    """Quadrature over (a, b) in t of ``combine(log f1, log f2)``, 0 past _T_MAX."""
+def _integral(at, combine, tol, label, cuts=(0.0, np.inf), scale=lambda val: 1.0) -> float:
+    """Quadrature in t of ``combine(log f1, log f2)``, 0 past _T_MAX, summed
+    over the pieces between ``cuts``; the summed error estimate must be within
+    ``tol * scale(value)``."""
     from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         logs = at(t)
         return 0.0 if logs is None else combine(*logs)
 
-    val, err = quad(integrand, a, b, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=400)
-    if not (err <= tol and math.isfinite(val)):
+    pieces = [quad(integrand, a, b, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=400)
+              for a, b in zip(cuts, cuts[1:])]
+    val, err = map(sum, zip(*pieces))
+    if not (err <= tol * scale(val) and math.isfinite(val)):
         raise QuadratureError(f"{label} quadrature did not converge to {tol:.1e}", err)
     return val
 
@@ -219,9 +223,17 @@ def kl_symmetrized(f1, f2, tol: float = 1e-8) -> float:
         density's mass out of reach below the smallest normal float, raises
         :class:`QuadratureError` carrying the achieved error estimate.
     """
+    return _divergence(f1, f2, tol)
+
+
+def _divergence(f1, f2, tol: float, scale=lambda j: 1.0) -> float:
+    # split at the density crossing and at 64 times it, so the error estimate
+    # sees the narrow peak of the density with the smaller shape
     at = _log_terms(f1, f2)
     _masses(at, tol)
-    return _integral(at, _divergence_term, tol, "symmetrized divergence")
+    t_star = _find_crossing(at)
+    cuts = (0.0, np.inf) if t_star is None else (0.0, t_star, 64.0 * t_star, np.inf)
+    return _integral(at, _divergence_term, tol, "symmetrized divergence", cuts, scale)
 
 
 def _find_crossing(at) -> float | None:
@@ -250,18 +262,18 @@ def ovl_by_quadrature(f1, f2, measure: str, tol: float = 1e-8) -> float:
     """
     _check_measure(measure)
     if measure == "lambda":
-        return 1.0 / (1.0 + kl_symmetrized(f1, f2, tol=tol))
+        # lambda = 1/(1 + J) moves by dJ/(1 + J)**2: J's budget is tol*(1 + J)**2
+        return 1.0 / (1.0 + _divergence(f1, f2, tol, lambda j: (1.0 + j) ** 2))
     at = _log_terms(f1, f2)
     masses = _masses(at, tol)
     if measure == "rho":
         return _integral(at, lambda a, b: math.exp(0.5 * (a + b)), tol, "matusita")
 
     t_star = _find_crossing(at)
-    cuts = [0.0, np.inf] if t_star is None else [0.0, t_star, np.inf]
+    cuts = (0.0, np.inf) if t_star is None else (0.0, t_star, np.inf)
 
     def share(pick) -> float:
-        return sum(_integral(at, lambda a, b: math.exp(pick(a, b)), tol / 2.0, "weitzman", lo, hi)
-                   for lo, hi in zip(cuts, cuts[1:]))
+        return _integral(at, lambda a, b: math.exp(pick(a, b)), tol / 2.0, "weitzman", cuts)
 
     low = share(min)
     # min + max = f1 + f2: the larger density's share exposes a narrow peak

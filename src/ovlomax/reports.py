@@ -13,8 +13,11 @@ name the physical line, comment and blank lines counted.
 :func:`build_estimate_report` bundles everything a data analysis needs:
 shape estimates for both populations, raw and corrected ratio, the three
 overlap point estimates, per-measure variance and bias, and both interval
-variants.  Reports serialize to and from JSON without losing precision; the
-JSON is written from the fields, byte for byte as ``json.dumps(indent=2)``.
+variants.  It takes the study engine's path: ``shape_estimates`` of each
+sample, ``corrected_ratio`` and ``ratio_variance_factor`` for the ratio, and
+one ``assess`` call for every measure.  Reports serialize to and from JSON
+without losing precision; the JSON is written from the fields, byte for
+byte as ``json.dumps(indent=2)``.
 """
 from __future__ import annotations
 
@@ -34,16 +37,14 @@ from .estimators import (
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
     ConfidenceInterval,
-    alpha_bayes_jeffreys,
-    alpha_rss,
+    DegenerateDesignError,
     assess,
-    confidence_interval,
     corrected_ratio,
-    mle_alpha_srs,
-    ratio_estimate,
+    ratio_variance_factor,
+    shape_estimates,
 )
 from .overlap import MEASURES, overlap_value
-from .sampling import RankedSample, RssDesign
+from .sampling import RankedSample, RssDesign, SrsDesign
 
 __all__ = [
     "Dataset",
@@ -252,49 +253,24 @@ _JSON_NAMES = {cls: [json.encoder.encode_basestring_ascii(f.name) + ": " for f i
                for cls in (EstimateReport, MeasureReport, ConfidenceInterval)}
 
 
-def _alpha_for(method: str, sample) -> float:
+def _alpha_for(method: str, sample) -> tuple:
+    """The shape estimate of one sample and its design, checked for ``method``."""
     if method == METHOD_RSS:
         if not isinstance(sample, RankedSample):
             raise DomainError("method 'rss' requires ranked set samples (rank,cycle,value)")
-        return alpha_rss(sample)
+        return float(shape_estimates(METHOD_RSS, sample.values.reshape(-1))), sample.design
     if isinstance(sample, RankedSample):
         raise DomainError(f"method {method!r} requires plain observation vectors")
     arr = np.asarray(sample, dtype=float)
-    if method == METHOD_SRS:
-        return mle_alpha_srs(arr)
-    if method == METHOD_BAYES:
-        return alpha_bayes_jeffreys(arr)
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in (METHOD_SRS, METHOD_BAYES):
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("sample must be a nonempty one-dimensional collection")
+    return float(shape_estimates(method, arr)), SrsDesign(arr.size)  # checks positive and finite
 
 
 def _interval(lo, hi, clamped, level, bias_corrected) -> ConfidenceInterval:
     return ConfidenceInterval(lo.item(), hi.item(), float(level), bias_corrected, clamped.item())
-
-
-def _measure_reports(rhat: float, est, level: float, warnings: list) -> list:
-    args = ([rhat], est.method, est.design1, est.design2, est.source, level)
-    try:
-        block = assess(*args)
-    except DomainError:
-        # only a non-finite bias passes once bias correction is off; any
-        # other failure raises again here
-        block = assess(*args, bias_corrected=False)
-    reports = []
-    for meas, a in block.items():
-        point, var, bias = a.point.item(), a.variance.item(), a.bias.item()
-        if a.lo_corrected is not None:
-            corrected = _interval(a.lo_corrected, a.hi_corrected, a.clamped_corrected, level, True)
-        elif math.isfinite(bias):
-            corrected = confidence_interval(point, var, bias, level, bias_corrected=True)
-        else:
-            corrected = None
-            warnings.append(
-                f"{est.source} {meas} bias is not finite at corrected ratio {rhat:.9g}: "
-                "no bias-corrected interval"
-            )
-        plain = _interval(a.lo, a.hi, a.clamped, level, False)
-        reports.append(MeasureReport(meas, point, var, bias, plain, corrected))
-    return reports
 
 
 def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DERIVED,
@@ -312,14 +288,18 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must lie strictly inside (0, 1)")
 
-    a1 = _alpha_for(method, sample1)
-    a2 = _alpha_for(method, sample2)
-    est = ratio_estimate(a1, a2, source)
-    rhat = est.unbiased
+    alpha1, design1 = _alpha_for(method, sample1)
+    alpha2, design2 = _alpha_for(method, sample2)
+    raw = alpha1 / alpha2
+    rhat = corrected_ratio(raw, method, design1, design2, source)
+    try:
+        variance = rhat**2 * ratio_variance_factor(method, design1, design2, source)
+    except DegenerateDesignError:
+        variance = None
     warnings = []
 
     other = SOURCE_AS_PUBLISHED if source == SOURCE_DERIVED else SOURCE_DERIVED
-    other_rhat = corrected_ratio(est.raw, method, est.design1, est.design2, other)
+    other_rhat = corrected_ratio(raw, method, design1, design2, other)
     if abs(other_rhat - rhat) > 1e-9 * max(1.0, abs(rhat)):
         warnings.append(
             "formula sources disagree on the corrected ratio: "
@@ -332,9 +312,9 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
             "simple-random corrected ratio"
         )
 
-    if est.variance is None:
+    if variance is None:
         warnings.append(
-            f"n2 = {est.design2.n} < 3: ratio variance is undefined, "
+            f"n2 = {design2.n} < 3: ratio variance is undefined, "
             "point estimates only"
         )
         reports = [
@@ -342,19 +322,31 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
             for meas in MEASURES
         ]
     else:
-        reports = _measure_reports(rhat, est, level, warnings)
+        reports = []
+        for meas, a in assess([rhat], method, design1, design2, source, level).items():
+            bias = a.bias.item()
+            corrected = None
+            if math.isfinite(bias):
+                corrected = _interval(a.lo_corrected, a.hi_corrected, a.clamped_corrected, level, True)
+            else:
+                warnings.append(
+                    f"{source} {meas} bias is not finite at corrected ratio {rhat:.9g}: "
+                    "no bias-corrected interval"
+                )
+            plain = _interval(a.lo, a.hi, a.clamped, level, False)
+            reports.append(MeasureReport(meas, a.point.item(), a.variance.item(), bias, plain, corrected))
 
     return EstimateReport(
         method=method,
         formula_source=source,
         level=level,
-        n1=est.design1.n,
-        n2=est.design2.n,
-        alpha1=a1.value,
-        alpha2=a2.value,
-        ratio_raw=est.raw,
+        n1=design1.n,
+        n2=design2.n,
+        alpha1=alpha1,
+        alpha2=alpha2,
+        ratio_raw=raw,
         ratio_unbiased=rhat,
-        ratio_variance=est.variance,
+        ratio_variance=variance,
         measures=tuple(reports),
         warnings=tuple(warnings),
     )

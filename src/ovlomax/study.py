@@ -67,6 +67,7 @@ from .estimators import (
     SOURCE_DERIVED,
     SOURCES,
     _assess_designs,
+    _check_bias,
     _shape_from_t,
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
@@ -338,7 +339,7 @@ def _mse_block(r_values, method, design_pairs, source) -> np.ndarray:
     """Delta-method MSE of every (measure, design pair, R), in one kernel call."""
     r = np.asarray(r_values, dtype=float)
     blocks = [(r, method, d1, d2) for d1, d2 in design_pairs]
-    _point, variance, bias, *_ = _assess_designs(blocks, source, 0.95, bias_corrected=False)
+    _point, variance, bias, *_ = _assess_designs(blocks, source, 0.95)
     return (variance + bias * bias).reshape(len(MEASURES), len(design_pairs), r.size)
 
 
@@ -492,8 +493,9 @@ def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
     design, and each aggregate is one mean along the replications.
     """
     blocks = [(ratios, cells[0][-1], *_designs(cells[0])) for cells, ratios in stack]
-    point, _v, _b, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
+    point, _v, bias, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
         blocks, cfg.formula_source, 1.0 - cfg.level_alpha0)
+    _check_bias(bias)  # a NaN corrected bound would count as a miss
     r_values = np.array([cell[0] for cells, _r in stack for cell in cells])
     # the config's ratios, checked positive and finite when it was validated
     truth = np.array([_CORES[meas](r_values) for meas in MEASURES])[:, :, None]
@@ -726,7 +728,7 @@ def _check_grid(present: set, expected: list, describe) -> None:
         raise MissingCellError(missing)
 
 
-def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None) -> str:
+def emit_tables(items, layout: str, fmt: str = "text") -> str:
     """Render either efficiency cells or study rows into a table artifact.
 
     ``layout='eff_table'`` consumes :class:`EfficiencyCell` items and renders
@@ -734,38 +736,27 @@ def emit_tables(items, layout: str, fmt: str = "text", grid: dict | None = None)
     ``layout='bias_table'`` consumes :class:`StudyRow` items and renders
     |bias| / coverage / interval-length blocks per method and measure.
 
-    ``grid`` may pin the expected cell grid, e.g.
-    ``{"r_values": [...], "set_sizes": [...], "cycles": [...]}``; missing
+    The expected grid is every R, (r1, r2) and m the items hold; missing
     cells raise :class:`MissingCellError` naming every absent cell.
     """
     if layout == "eff_table":
-        return _emit_eff_table(items, fmt, grid)
+        return _emit_eff_table(items, fmt)
     if layout == "bias_table":
-        return _emit_bias_table(items, fmt, grid)
+        return _emit_bias_table(items, fmt)
     raise DomainError(f"unknown layout {layout!r}; expected 'eff_table' or 'bias_table'")
 
 
-def _expected_grid(grid, items):
-    if grid is not None:
-        missing = [key for key in ("r_values", "set_sizes", "cycles") if key not in grid]
-        if missing:
-            raise ConfigError(f"grid is missing {', '.join(missing)}")
-        # checked like a StudyConfig's grid; R rounded like the R stored in rows
-        # and cells, so a ratio such as 1/3 matches
-        r_values = [_round6(r) for r in _ratio_grid("r_values", grid["r_values"])]
-        set_sizes = _set_size_grid(grid["set_sizes"])
-        cycles = _cycle_grid(grid["cycles"])
-    elif items:
-        r_values = sorted({it.R for it in items})
-        set_sizes = sorted({(it.r1, it.r2) for it in items})
-        cycles = sorted({it.m for it in items})
-    else:
+def _expected_grid(items):
+    if not items:
         raise MissingCellError(["(no rows and no grid supplied)"])
+    r_values = sorted({it.R for it in items})
+    set_sizes = sorted({(it.r1, it.r2) for it in items})
+    cycles = sorted({it.m for it in items})
     return r_values, set_sizes, cycles
 
 
-def _emit_eff_table(cells, fmt, grid):
-    r_values, set_sizes, cycles = _expected_grid(grid, cells)
+def _emit_eff_table(cells, fmt):
+    r_values, set_sizes, cycles = _expected_grid(cells)
     present = {(c.measure, c.R, c.r1, c.r2, c.m): c for c in cells}
     expected = [
         (meas, R, r1, r2, m)
@@ -818,7 +809,7 @@ def _describe_row(c) -> str:
     return f"method={c[0]} measure={c[1]} R={c[2]:.6g} r1={c[3]} r2={c[4]} m={c[5]}"
 
 
-def _emit_bias_table(rows, fmt, grid):
+def _emit_bias_table(rows, fmt):
     sources = sorted({r.formula_source for r in rows})
     if len(sources) > 1:
         raise ConfigError(f"rows mix formula sources {sources}; a table takes one study")
@@ -828,7 +819,7 @@ def _emit_bias_table(rows, fmt, grid):
         if key in present:
             raise ConfigError(f"repeated row: {_describe_row(key)}")
         present[key] = r
-    r_values, set_sizes, cycles = _expected_grid(grid, rows)
+    r_values, set_sizes, cycles = _expected_grid(rows)
     # the cells a study skips have no rows: '-' in text, left out of csv and json
     source = sources[0] if sources else SOURCE_DERIVED
     expected = [

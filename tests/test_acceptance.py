@@ -21,23 +21,20 @@ from ovlomax import (
     RssDesign,
     SrsDesign,
     StudyConfig,
-    alpha_bayes_jeffreys,
-    alpha_rss,
     assess,
-    confidence_interval,
+    corrected_ratio,
     discrepancy_report,
     draw_rss,
     draw_srs,
     emit_figure_data,
     emit_rows_csv,
     harmonic,
-    mle_alpha_srs,
     overlap_value,
     ovl_by_quadrature,
-    ratio_estimate,
     ratio_variance_factor,
     real_data_summary,
     run_study,
+    shape_estimates,
 )
 from ovlomax.overlap import MEASURES, _terms
 from ovlomax.study import _mse_block
@@ -111,9 +108,9 @@ def test_criterion_03_transform_and_estimator_laws():
         xmat = draw_srs(d, SrsDesign(n * reps), rng).reshape(reps, n)
         ahat = np.log1p(1.0 / xmat).mean(axis=1)
         # the vectorized estimate must agree with the scalar pipeline
-        assert ahat[0] == pytest.approx(mle_alpha_srs(xmat[0]).value, rel=1e-12)
+        assert ahat[0] == pytest.approx(float(shape_estimates("srs", xmat[0])), rel=1e-12)
         assert ahat[0] * n / (n + 1) == pytest.approx(
-            alpha_bayes_jeffreys(xmat[0]).value, rel=1e-12
+            float(shape_estimates("bayes", xmat[0])), rel=1e-12
         )
         # the exact laws: Gamma(n, alpha/n) and Gamma(n, alpha/(n+1))
         for name, law, est in (
@@ -187,7 +184,8 @@ def test_criterion_05_ranked_set_variance():
         s = draw_rss(d, RssDesign(r, m), rng)
         tmat = np.log1p(1.0 / s.values)
         cyc = tmat.mean(axis=0)
-        assert float(cyc.mean()) == pytest.approx(alpha_rss(s).value, rel=1e-12)
+        assert float(cyc.mean()) == pytest.approx(
+            float(shape_estimates("rss", s.values.reshape(-1))), rel=1e-12)
         # cycles are iid, so Var(estimate) = Var(cycle mean)/m exactly
         emp = float(cyc.var(ddof=1)) / m
         target = alpha**2 * harmonic(r) / (m * r**2)
@@ -250,7 +248,7 @@ def test_criterion_06_delta_method():
     rstar = (a1 / a2) * (n_small - 1) / n_small
     emp_bias = float(np.mean(np.asarray(overlap_value("rho", rstar)) - overlap_value("rho", 0.5)))
     design = SrsDesign(n_small)
-    ana_bias = float(assess([0.5], "srs", design, design, bias_corrected=False)["rho"].bias[0])
+    ana_bias = float(assess([0.5], "srs", design, design)["rho"].bias[0])
     if math.copysign(1.0, emp_bias) != math.copysign(1.0, ana_bias):
         problems.append(f"bias sign mismatch: empirical {emp_bias:.2e} vs analytic {ana_bias:.2e}")
     report(
@@ -302,16 +300,13 @@ def test_criterion_07_coverage():
         d1, d2 = InverseLomax(big_r * 1.0), InverseLomax(1.0)
         truth = {meas: float(overlap_value(meas, big_r)) for meas in MEASURES}
         hits = {meas: 0 for meas in MEASURES}
+        design = SrsDesign(n)
         for _ in range(reps):
-            a1 = mle_alpha_srs(draw_srs(d1, SrsDesign(n), rng))
-            a2 = mle_alpha_srs(draw_srs(d2, SrsDesign(n), rng))
-            est = ratio_estimate(a1, a2)
-            block = assess([est.unbiased], "srs", est.design1, est.design2, bias_corrected=False)
-            for meas in MEASURES:
-                point = float(overlap_value(meas, est.unbiased))
-                var = float(block[meas].variance[0])
-                ci = confidence_interval(point, var, 0.0, 0.95, bias_corrected=False)
-                hits[meas] += 1 if ci.lo <= truth[meas] <= ci.hi else 0
+            a1 = float(shape_estimates("srs", draw_srs(d1, design, rng)))
+            a2 = float(shape_estimates("srs", draw_srs(d2, design, rng)))
+            rhat = corrected_ratio(a1 / a2, "srs", design, design)
+            for meas, a in assess([rhat], "srs", design, design).items():
+                hits[meas] += 1 if a.lo[0] <= truth[meas] <= a.hi[0] else 0
         for meas in MEASURES:
             cov = hits[meas] / reps
             exact = _exact_interval_coverage(meas, big_r, n)

@@ -17,15 +17,12 @@ from ovlomax.estimators import (
     _assess_designs,
     _shape_from_t,
     DegenerateDesignError,
-    MethodMismatchError,
-    alpha_bayes_jeffreys,
-    alpha_rss,
     assess,
     confidence_interval,
+    corrected_ratio,
     harmonic,
-    mle_alpha_srs,
-    ratio_estimate,
     ratio_variance_factor,
+    shape_estimates,
 )
 from ovlomax.overlap import MEASURES, _terms, overlap_value
 from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss
@@ -55,41 +52,43 @@ def printed_shapes(r) -> dict:
 
 def delta_terms(measure, r, method, d1, d2, source=SOURCE_DERIVED) -> tuple:
     """The delta-method variance and bias of ``measure`` at the one ratio ``r``."""
-    a = assess([r], method, d1, d2, source, bias_corrected=False)[measure]
+    a = assess([r], method, d1, d2, source)[measure]
     return float(a.variance[0]), float(a.bias[0])
+
+
+def rss_shape(ranked: RankedSample) -> float:
+    return float(shape_estimates(METHOD_RSS, ranked.values.reshape(-1)))
+
+
+def raw_ratio(method, x1, x2) -> float:
+    return float(shape_estimates(method, x1)) / float(shape_estimates(method, x2))
 
 
 class TestAlphaEstimators:
     def test_mle_is_mean_log_transform(self):
         x = np.array([1.0, 1.0, 1.0])
-        est = mle_alpha_srs(x)
-        assert est.value == pytest.approx(math.log(2.0), rel=1e-14)
-        assert est.method == METHOD_SRS
-        assert est.design == SrsDesign(3)
+        assert float(shape_estimates(METHOD_SRS, x)) == pytest.approx(math.log(2.0), rel=1e-14)
 
     def test_bayes_mode_frozen_single_observation(self):
-        est = alpha_bayes_jeffreys(np.array([1.0]))
-        assert est.value == pytest.approx(0.34657359, abs=1e-8)
-        assert est.method == METHOD_BAYES
+        est = float(shape_estimates(METHOD_BAYES, np.array([1.0])))
+        assert est == pytest.approx(0.34657359, abs=1e-8)
 
     def test_bayes_shrinks_mle(self):
         x = np.array([2.0, 0.5, 1.7, 9.0, 0.1])
         n = x.size
-        assert alpha_bayes_jeffreys(x).value == pytest.approx(
-            mle_alpha_srs(x).value * n / (n + 1), rel=1e-14
+        assert float(shape_estimates(METHOD_BAYES, x)) == pytest.approx(
+            float(shape_estimates(METHOD_SRS, x)) * n / (n + 1), rel=1e-14
         )
 
     def test_rss_estimator_pools_all_slots(self):
         vals = np.array([[1.0, 3.0], [2.0, 4.0]])
         ranked = RankedSample(values=vals, design=RssDesign(r=2, m=2))
         expected = np.mean(np.log1p(1.0 / vals))
-        est = alpha_rss(ranked)
-        assert est.value == pytest.approx(expected, rel=1e-14)
-        assert est.method == METHOD_RSS
+        assert rss_shape(ranked) == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            mle_alpha_srs(np.array([1.0, 0.0]))
+            shape_estimates(METHOD_SRS, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     def test_mean_shape_is_np_mean_bit_for_bit(self, layout):
@@ -107,47 +106,43 @@ class TestAlphaEstimators:
 
 class TestRatioEstimate:
     def test_srs_correction_factor(self):
-        a1 = mle_alpha_srs(np.full(12, 1.0))
-        a2 = mle_alpha_srs(np.full(30, 1.0))
-        est = ratio_estimate(a1, a2)
-        assert est.raw == pytest.approx(1.0, rel=1e-14)
-        assert est.unbiased == pytest.approx(29.0 / 30.0, rel=1e-14)
+        raw = raw_ratio(METHOD_SRS, np.full(12, 1.0), np.full(30, 1.0))
+        assert raw == pytest.approx(1.0, rel=1e-14)
+        rhat = corrected_ratio(raw, METHOD_SRS, SrsDesign(12), SrsDesign(30))
+        assert rhat == pytest.approx(29.0 / 30.0, rel=1e-14)
 
     def test_rss_is_uncorrected(self):
         ranked = draw_rss(InverseLomax(1.0), RssDesign(2, 4), np.random.default_rng(0))
         ranked2 = draw_rss(InverseLomax(1.0), RssDesign(2, 4), np.random.default_rng(1))
-        est = ratio_estimate(alpha_rss(ranked), alpha_rss(ranked2))
-        assert est.unbiased == est.raw
+        raw = rss_shape(ranked) / rss_shape(ranked2)
+        assert corrected_ratio(raw, METHOD_RSS, ranked.design, ranked2.design) == raw
 
     def test_bayes_derived_correction_recovers_srs_ratio(self):
         rng = np.random.default_rng(7)
         x1, x2 = InverseLomax(0.5).sample(10, rng), InverseLomax(1.0).sample(14, rng)
-        srs = ratio_estimate(mle_alpha_srs(x1), mle_alpha_srs(x2), SOURCE_DERIVED)
-        bay = ratio_estimate(
-            alpha_bayes_jeffreys(x1), alpha_bayes_jeffreys(x2), SOURCE_DERIVED
-        )
-        assert bay.unbiased == pytest.approx(srs.unbiased, rel=1e-13)
+        d1, d2 = SrsDesign(10), SrsDesign(14)
+        srs = corrected_ratio(raw_ratio(METHOD_SRS, x1, x2), METHOD_SRS, d1, d2, SOURCE_DERIVED)
+        bay = corrected_ratio(raw_ratio(METHOD_BAYES, x1, x2), METHOD_BAYES, d1, d2,
+                              SOURCE_DERIVED)
+        assert bay == pytest.approx(srs, rel=1e-13)
 
     def test_bayes_published_correction_constant(self):
         n1, n2 = 10, 14
         rng = np.random.default_rng(8)
         x1, x2 = InverseLomax(0.5).sample(n1, rng), InverseLomax(1.0).sample(n2, rng)
-        est = ratio_estimate(
-            alpha_bayes_jeffreys(x1), alpha_bayes_jeffreys(x2), SOURCE_AS_PUBLISHED
-        )
+        raw = raw_ratio(METHOD_BAYES, x1, x2)
+        rhat = corrected_ratio(raw, METHOD_BAYES, SrsDesign(n1), SrsDesign(n2),
+                               SOURCE_AS_PUBLISHED)
         constant = n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
-        assert est.unbiased == pytest.approx(est.raw * constant, rel=1e-13)
-
-    def test_mixing_methods_rejected(self):
-        x = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(MethodMismatchError):
-            ratio_estimate(mle_alpha_srs(x), alpha_bayes_jeffreys(x))
+        assert rhat == pytest.approx(raw * constant, rel=1e-13)
 
     def test_variance_none_for_tiny_second_sample(self):
-        a1 = mle_alpha_srs(np.array([1.0, 2.0, 3.0]))
-        a2 = mle_alpha_srs(np.array([1.0, 2.0]))
-        est = ratio_estimate(a1, a2)
-        assert est.variance is None
+        # the corrected ratio is still a point estimate; its variance does not exist
+        d1, d2 = SrsDesign(3), SrsDesign(2)
+        raw = raw_ratio(METHOD_SRS, np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+        assert math.isfinite(corrected_ratio(raw, METHOD_SRS, d1, d2))
+        with pytest.raises(DegenerateDesignError):
+            ratio_variance_factor(METHOD_SRS, d1, d2)
 
 
 class TestVarianceFactors:
@@ -274,7 +269,7 @@ class TestDeltaMethod:
         # their powers of R overflow; below it they are the printed arithmetic
         r = 10.0 ** np.arange(301)
         d1, d2 = SrsDesign(10), SrsDesign(8)
-        block = assess(r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED, bias_corrected=False)
+        block = assess(r, METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         factor = ratio_variance_factor(METHOD_SRS, d1, d2, SOURCE_AS_PUBLISHED)
         with mpmath.workdps(50):
             printed = {meas: [printed_shapes(x)[meas][0] for x in r.tolist()]
@@ -403,22 +398,17 @@ class TestAssess:
     @pytest.mark.parametrize("method", sorted(DESIGNS))
     def test_block_equals_single_ratio_calls_bit_for_bit(self, method, source):
         d1, d2 = DESIGNS[method]
-        # R = 1 exactly sits inside the block wherever its terms are finite: the
-        # printed Weitzman bias has no value there, so not under bias correction
-        with_one = np.insert(self.RATIOS, 100, 1.0)
-        runs = ([(with_one, True)] if source == SOURCE_DERIVED
-                else [(self.RATIOS, True), (with_one, False)])
-        for ratios, corrected in runs:
-            block = assess(ratios, method, d1, d2, source, 0.9, corrected)
-            singles = [assess([r], method, d1, d2, source, 0.9, corrected) for r in ratios]
-            assert list(block) == list(MEASURES)
-            names = FIELDS if corrected else FIELDS[:6]
-            for meas in MEASURES:
-                for name in names:
-                    got = getattr(block[meas], name)
-                    assert got.shape == ratios.shape
-                    assert got.tobytes() == _bits(getattr(s[meas], name) for s in singles)
-                assert all(getattr(block[meas], name) is None for name in FIELDS[len(names):])
+        # R = 1 exactly sits inside the block; the printed Weitzman bias has no
+        # value there, and its NaN corrected bounds stay at that ratio alone
+        ratios = np.insert(self.RATIOS, 100, 1.0)
+        block = assess(ratios, method, d1, d2, source, 0.9)
+        singles = [assess([r], method, d1, d2, source, 0.9) for r in ratios]
+        assert list(block) == list(MEASURES)
+        for meas in MEASURES:
+            for name in FIELDS:
+                got = getattr(block[meas], name)
+                assert got.shape == ratios.shape
+                assert got.tobytes() == _bits(getattr(s[meas], name) for s in singles)
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("method", sorted(DESIGNS))
@@ -431,20 +421,21 @@ class TestAssess:
             for k, r in enumerate(ratios):
                 var, bias = delta_terms(meas, r, method, d1, d2, source)
                 assert (var, bias) == (a.variance[k], a.bias[k])
-                for corrected, lo, hi in ((False, a.lo, a.hi),
-                                          (True, a.lo_corrected, a.hi_corrected)):
+                for corrected, lo, hi, clamped in (
+                        (False, a.lo, a.hi, a.clamped),
+                        (True, a.lo_corrected, a.hi_corrected, a.clamped_corrected)):
                     iv = confidence_interval(a.point[k], var, bias, 0.9, corrected)
-                    assert (iv.lo, iv.hi) == (lo[k], hi[k])
+                    assert (iv.lo, iv.hi, iv.clamped) == (lo[k], hi[k], clamped[k])
 
-    def test_published_weitzman_bias_at_one_needs_correction_off(self):
+    def test_published_weitzman_bias_at_one_gives_nan_corrected_bounds(self):
         d = SrsDesign(20)
-        with pytest.raises(DomainError):
-            assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
-        block = assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED,
-                       bias_corrected=False)
+        block = assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
         assert math.isnan(block["delta"].bias[1])
-        assert block["delta"].lo_corrected is None
-        assert np.all(block["delta"].lo <= block["delta"].hi)
+        assert np.isnan(block["delta"].lo_corrected).tolist() == [False, True]
+        assert np.isnan(block["delta"].hi_corrected).tolist() == [False, True]
+        for a in block.values():
+            assert np.all(a.lo <= a.hi)
+        assert block["delta"].lo_corrected[0] <= block["delta"].hi_corrected[0]
 
     @pytest.mark.parametrize("ratios", [[[0.5]], [0.5, 0.0], [math.nan], [0.5, math.inf]])
     def test_rejects_bad_ratios(self, ratios):
@@ -468,7 +459,6 @@ class TestAssess:
     @pytest.mark.parametrize("source", SOURCES)
     def test_points_equal_the_public_closed_forms(self, source):
         grid = [5e-324, 0.5, 1.0, 2.0, 1e150, 1.79e308]
-        block = assess(grid, METHOD_SRS, SrsDesign(10), SrsDesign(8), source,
-                       bias_corrected=False)
+        block = assess(grid, METHOD_SRS, SrsDesign(10), SrsDesign(8), source)
         for measure, a in block.items():
             assert a.point.tobytes() == overlap_value(measure, np.array(grid)).tobytes()

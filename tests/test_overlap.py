@@ -242,6 +242,21 @@ class TestQuadrature:
             return
         assert got == pytest.approx((r - 1) ** 2 / r, abs=1e-8)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_lambda_passes_wherever_rho_passes_at_small_ratios(self):
+        # the divergence's peak near t = 0 is as narrow as the smaller shape
+        tested = 0
+        for r in np.geomspace(7.8e-5, 4.7e-3, 40):
+            f1, f2 = InverseLomax(r), InverseLomax(1.0)
+            try:
+                ovl_by_quadrature(f1, f2, "rho")
+            except QuadratureError:
+                continue
+            got = ovl_by_quadrature(f1, f2, "lambda")
+            assert abs(got - overlap_value("lambda", r)) <= 1e-8, r
+            tested += 1
+        assert tested >= 30
+
     def test_overlap_matches_closed_forms(self):
         f1, f2 = InverseLomax(0.5), InverseLomax(1.0)
         for meas in MEASURES:

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ovlomax import estimators
 from ovlomax import (
     ConfidenceInterval,
     Dataset,
@@ -19,6 +20,7 @@ from ovlomax import (
     RssDesign,
     build_estimate_report,
     bundled_counts,
+    confidence_interval,
     draw_rss,
     parse_dataset,
     parse_ranked_dataset,
@@ -239,8 +241,26 @@ class TestBuildEstimateReport:
         assert delta.interval is not None
         assert delta.interval_corrected is None
         for name in ("rho", "lambda"):
-            assert rep.measure(name).interval_corrected is not None
+            m = rep.measure(name)
+            assert m.interval_corrected == confidence_interval(
+                m.point, m.variance, m.bias, rep.level, bias_corrected=True)
         assert any("delta" in w and "not finite" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("source", ["derived", "as-published"])
+    @pytest.mark.parametrize("method", ["srs", "bayes", "rss"])
+    def test_one_kernel_call_per_report(self, method, source, same, rng, monkeypatch):
+        # same rss samples give a corrected ratio of one, a NaN bias as published
+        calls = []
+        kernel = estimators._assess_designs
+        monkeypatch.setattr(estimators, "_assess_designs",
+                            lambda *args: calls.append(args) or kernel(*args))
+        if method == "rss":
+            s1, s2 = (draw_rss(InverseLomax(0.8), RssDesign(r=3, m=4), rng) for _ in range(2))
+        else:
+            s1, s2 = self.DATA1, self.DATA2
+        build_estimate_report(s1, s1 if same else s2, method, source)
+        assert len(calls) == 1
 
     def test_method_sample_type_mismatch(self, rng):
         d = InverseLomax(0.8)
@@ -249,6 +269,9 @@ class TestBuildEstimateReport:
             build_estimate_report(s, s, "srs")
         with pytest.raises(DomainError):
             build_estimate_report(self.DATA1, self.DATA2, "rss")
+        for bad in ([], [self.DATA1]):  # empty, two-dimensional
+            with pytest.raises(DomainError, match="nonempty one-dimensional"):
+                build_estimate_report(bad, self.DATA2, "bayes")
 
     def test_unknown_method_and_source(self):
         with pytest.raises(DomainError):

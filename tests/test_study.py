@@ -394,6 +394,18 @@ class TestRunStudy:
         got, _ = study._cell_outcomes(replace(cfg, alpha2=alpha2), cells, 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_aggregate_refuses_a_non_finite_bias(self, source):
+        # a corrected ratio of exactly one has no printed Weitzman bias: its NaN
+        # corrected bounds must not count as interval misses
+        cfg = tiny_config(formula_source=source, replications=3)
+        stack = [([(0.5, 2, 2, 2, "rss")], np.array([[0.8, 1.0, 1.25]]))]
+        if source == "as-published":
+            with pytest.raises(DomainError, match="^bias must be finite"):
+                study._aggregate(cfg, stack)
+        else:
+            assert np.isfinite(study._aggregate(cfg, stack)).all()
+
     def test_master_seed_changes_output(self):
         a = run_study(tiny_config())
         b = run_study(tiny_config(master_seed=12))
@@ -595,63 +607,29 @@ class TestEmitTables:
         assert len(doc["cells"]) == len(self.res.rows)
 
     def test_missing_cells_named(self):
-        grid = {"r_values": [0.5, 0.8, 0.9], "set_sizes": [(2, 2)], "cycles": [2]}
+        # drop the R = 0.8 cells of one measure: each is named
+        cells = [c for c in self.cells if not (c.R == 0.8 and c.measure == "lambda")]
         with pytest.raises(MissingCellError) as exc:
-            emit_tables(self.cells, "eff_table", "text", grid=grid)
-        assert any("R=0.9" in c for c in exc.value.cells)
+            emit_tables(cells, "eff_table", "text")
+        assert exc.value.cells == ["measure=lambda R=0.8 r1=2 r2=2 m=2"]
         assert "missing" in str(exc.value)
 
     def test_bias_table_missing_cells_named(self):
-        grid = {"r_values": [0.5], "set_sizes": [(2, 2), (4, 4)], "cycles": [2]}
+        rows = [r for r in self.res.rows if not (r.R == 0.5 and r.method == "rss")]
         with pytest.raises(MissingCellError) as exc:
-            emit_tables(self.res.rows, "bias_table", "text", grid=grid)
-        assert any("r1=4" in c for c in exc.value.cells)
+            emit_tables(rows, "bias_table", "text")
+        assert exc.value.cells == [f"method=rss measure={meas} R=0.5 r1=2 r2=2 m=2"
+                                   for meas in MEASURES]
 
     def test_grid_ratio_with_more_than_six_digits(self):
         third = 1.0 / 3.0
-        grid = {"r_values": [third], "set_sizes": [(2, 2)], "cycles": [2]}
-        cells = efficiency_grid(grid["r_values"], grid["set_sizes"], grid["cycles"])
-        eff = json.loads(emit_tables(cells, "eff_table", "json", grid=grid))
+        cells = efficiency_grid([third], [(2, 2)], [2])
+        eff = json.loads(emit_tables(cells, "eff_table", "json"))
         assert [c["R"] for c in eff["cells"]] == [0.333333] * 3
         rows = run_study(tiny_config(r_values=(third,))).rows
-        bias = json.loads(emit_tables(rows, "bias_table", "json", grid=grid))
+        bias = json.loads(emit_tables(rows, "bias_table", "json"))
         assert len(bias["cells"]) == len(rows) == 9
-        assert "R=0.333333" in emit_tables(rows, "bias_table", "text", grid=grid)
-
-    @pytest.mark.parametrize(
-        "over, field",
-        [
-            ({"set_sizes": [[2.9, 2]]}, "set_sizes"),
-            ({"set_sizes": [[2, True]]}, "set_sizes"),
-            ({"set_sizes": [["2", 2]]}, "set_sizes"),
-            ({"set_sizes": [[2, 0]]}, "set_sizes"),
-            ({"cycles": [2.5]}, "cycles"),
-            ({"cycles": [True]}, "cycles"),
-            ({"cycles": ["2"]}, "cycles"),
-            ({"cycles": [2.0]}, "cycles"),
-            ({"r_values": [True]}, "r_values"),
-            ({"r_values": ["0.5"]}, "r_values"),
-            ({"r_values": [0.0]}, "r_values"),
-        ],
-    )
-    @pytest.mark.parametrize("layout", ["eff_table", "bias_table"])
-    def test_supplied_grid_is_not_coerced(self, over, field, layout):
-        # int(2.9) == int(2.5) == 2 would silently render the (2, 2), m = 2 table
-        grid = {"r_values": [0.5], "set_sizes": [[2, 2]], "cycles": [2], **over}
-        items = self.cells if layout == "eff_table" else self.res.rows
-        with pytest.raises(ConfigError, match=field):
-            emit_tables(items, layout, "text", grid=grid)
-
-    def test_supplied_grid_missing_keys_named(self):
-        with pytest.raises(ConfigError, match="missing set_sizes, cycles"):
-            emit_tables(self.cells, "eff_table", "text", grid={"r_values": [0.5]})
-
-    def test_supplied_grid_accepts_numpy_counts(self):
-        grid = {"r_values": [np.float64(0.5)], "set_sizes": [(np.int64(2), np.int32(2))],
-                "cycles": [np.int8(2)]}
-        plain = {"r_values": [0.5], "set_sizes": [(2, 2)], "cycles": [2]}
-        assert (emit_tables(self.cells, "eff_table", "csv", grid=grid)
-                == emit_tables(self.cells, "eff_table", "csv", grid=plain))
+        assert "R=0.333333" in emit_tables(rows, "bias_table", "text")
 
     def test_empty_without_grid(self):
         with pytest.raises(MissingCellError):
