@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="run the Monte Carlo study grid")
     p.add_argument("--config", help="JSON study configuration file")
     p.add_argument("--reps", type=int, help="override replication count")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1); at most one per slab of the "
+                   "study is started")
     p.add_argument("--out-dir", help="write study.csv, study_bias_corrected.csv, "
                    "efficiency.csv, discrepancy.csv, figure_data.csv, metadata.json here")
     p.add_argument("--no-figures", action="store_true",

@@ -181,8 +181,11 @@ def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DER
     """Apply the method's mean correction to raw ratios (scalar or array).
 
     ``rss`` publishes no correction; ``srs`` scales by ``(n2 - 1)/n2``; the
-    Bayes constants depend on the formula source.
+    Bayes constants depend on the formula source, which must be one of
+    :data:`SOURCES` for every method.
     """
+    if source not in SOURCES:
+        raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
     if method == METHOD_RSS:
         return raw
     if method == METHOD_SRS:

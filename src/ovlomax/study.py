@@ -50,7 +50,7 @@ import io
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import repeat
@@ -112,12 +112,14 @@ class ConfigError(ValueError):
 
 
 class MissingCellError(ValueError):
-    """Table emission was asked for a grid the rows do not cover."""
+    """Table emission was asked for a grid the rows do not cover, or was
+    given no rows at all (``cells`` empty)."""
 
     def __init__(self, cells: list[str]):
         self.cells = list(cells)
         preview = "; ".join(self.cells)
-        super().__init__(f"missing {len(self.cells)} grid cell(s): {preview}")
+        super().__init__(f"missing {len(self.cells)} grid cell(s): {preview}" if self.cells
+                         else "no rows to tabulate")
 
 
 def _round6(x: float) -> float:
@@ -550,13 +552,16 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     the skipped cells, whose rows in the array are NaN.
 
     Each slab (:func:`_slabs`) is one :func:`_run_slab` task, run here when
-    ``workers == 1`` and over a process pool otherwise: cell indices go in
-    and aggregates come out, never state words or ratios.
+    ``workers == 1`` and otherwise over a pool of at most one process per
+    slab, the class bound to this module's ``ProcessPoolExecutor`` (imported
+    on first use): cell indices go in and aggregates come out, never state
+    words or ratios.
     """
-    tasks = (repeat(cfg), repeat(cells), _slabs(_design_groups(cells), cfg.replications),
-             repeat(namespace))
+    slabs = _slabs(_design_groups(cells), cfg.replications)
+    tasks = (repeat(cfg), repeat(cells), slabs, repeat(namespace))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=min(workers, len(slabs))) as pool:
             outcomes = list(pool.map(_run_slab, *tasks))
     else:
         outcomes = map(_run_slab, *tasks)
@@ -569,13 +574,24 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     return aggs, skipped
 
 
+def __getattr__(name: str):
+    # the pool class loads on first use: only runs with workers > 1 need
+    # multiprocessing, and it costs every other run start-up time and memory
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
     The unit of work is a slab of design groups (cells that share (r1, r2,
     m, method) and differ only in R).  ``workers > 1`` distributes the slabs
-    over a process pool; the per-replication seeding makes the result
-    identical to the sequential run.
+    over a process pool of at most one worker per slab; the per-replication
+    seeding makes the result identical to the sequential run.
     """
     cfg.validate()
     cells = _enumerate_cells(cfg)
@@ -737,7 +753,8 @@ def emit_tables(items, layout: str, fmt: str = "text") -> str:
     |bias| / coverage / interval-length blocks per method and measure.
 
     The expected grid is every R, (r1, r2) and m the items hold; missing
-    cells raise :class:`MissingCellError` naming every absent cell.
+    cells raise :class:`MissingCellError` naming every absent cell, and no
+    items at all raise it as "no rows to tabulate".
     """
     if layout == "eff_table":
         return _emit_eff_table(items, fmt)
@@ -748,7 +765,7 @@ def emit_tables(items, layout: str, fmt: str = "text") -> str:
 
 def _expected_grid(items):
     if not items:
-        raise MissingCellError(["(no rows and no grid supplied)"])
+        raise MissingCellError([])
     r_values = sorted({it.R for it in items})
     set_sizes = sorted({(it.r1, it.r2) for it in items})
     cycles = sorted({it.m for it in items})

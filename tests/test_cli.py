@@ -608,6 +608,14 @@ class TestTables:
         assert out == ""
         assert message in err
 
+    def test_bias_from_header_only_rows(self, capsys, tmp_path):
+        saved = tmp_path / "study.csv"
+        saved.write_text(",".join(STUDY_CSV_COLUMNS) + "\n")
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
+        assert code == 2
+        assert out == ""
+        assert err == "error: no rows to tabulate\n"
+
     def test_bias_missing_rows_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "tables", "--kind", "bias",
                              "--rows", str(tmp_path / "no.csv"))

@@ -136,6 +136,15 @@ class TestRatioEstimate:
         constant = n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
         assert rhat == pytest.approx(raw * constant, rel=1e-13)
 
+    @pytest.mark.parametrize("method", [METHOD_SRS, METHOD_RSS, METHOD_BAYES])
+    def test_unknown_source_is_refused(self, method):
+        designs = ((RssDesign(2, 5), RssDesign(2, 7)) if method == METHOD_RSS
+                   else (SrsDesign(10), SrsDesign(14)))
+        message = f"unknown formula source 'exact'; expected one of {SOURCES}"
+        with pytest.raises(DomainError) as err:
+            corrected_ratio(0.5, method, *designs, "exact")
+        assert str(err.value) == message
+
     def test_variance_none_for_tiny_second_sample(self):
         # the corrected ratio is still a point estimate; its variance does not exist
         d1, d2 = SrsDesign(3), SrsDesign(2)

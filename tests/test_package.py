@@ -1,5 +1,6 @@
 """The package namespace: each public name is declared once, in its module,
-and importing it or running the CLI's closed-form paths loads no SciPy."""
+and importing it or running the CLI's one-worker paths loads neither SciPy
+nor the process pool."""
 
 import importlib
 import json
@@ -41,18 +42,21 @@ def test_version_declared_once():
     assert getattr(sys.modules[module], name) == ovlomax.__version__
 
 
-# The study, report, tables and closed-form paths run in one fresh
-# interpreter; SciPy is for the quadrature oracle and the tests alone.
+# The study, report, estimate, tables and closed-form paths run in one fresh
+# interpreter; SciPy is for the quadrature oracle and the tests alone, and the
+# process pool (multiprocessing, concurrent.futures) for --workers > 1 alone.
 _NO_SCIPY_RUN = """
 import contextlib, io, json, sys
 import ovlomax, ovlomax.cli
-smoke, out_dir = sys.argv[1:]
+smoke, out_dir, data1, data2 = sys.argv[1:]
 runs = [["simulate", "--config", smoke, "--out-dir", out_dir], ["realdata"],
-        ["tables", "--kind", "discrepancy"], ["ovl", "--ratio", "0.5"]]
+        ["estimate", data1, data2], ["tables", "--kind", "discrepancy"],
+        ["ovl", "--ratio", "0.5"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ovlomax.cli.main(argv) for argv in runs]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"codes": codes, "modules": sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("scipy", "multiprocessing") or m.startswith("concurrent.futures"))}))
 """
 
 
@@ -61,11 +65,15 @@ def test_cli_paths_load_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     smoke = src / "ovlomax" / "data" / "configs" / "smoke.json"
+    data1, data2 = tmp_path / "one.txt", tmp_path / "two.txt"
+    data1.write_text("0.8\n1.9\n0.4\n3.1\n1.2\n")
+    data2.write_text("2.2\n0.7\n1.5\n4.0\n0.9\n2.6\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, str(smoke), str(tmp_path / "out")],
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(smoke), str(tmp_path / "out"),
+         str(data1), str(data2)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
-    assert result["scipy"] == []
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["modules"] == []

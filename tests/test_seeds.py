@@ -335,15 +335,41 @@ class TestGroupedEngine:
         assert one.skipped == two.skipped
         assert one.metadata == two.metadata
 
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    def test_pool_starts_no_more_workers_than_slabs(self, workers, monkeypatch):
+        # a pool that records its size and runs each task here: no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["minimum"])  # a slab per group
+        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        cells = study._enumerate_cells(cfg)
+        assert len(study._slabs(study._design_groups(cells), cfg.replications)) == 12
+        pooled = run_study(cfg, workers=workers)
+        assert sizes == [min(workers, 12)]
+        assert pooled.csv_corrected == run_study(cfg).csv_corrected
+
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, monkeypatch):
         # a pool that runs each task here, on pickled copies of what a worker
         # process would receive and send back
-        tasks, results = [], []
+        tasks, results, sizes = [], [], []
 
         class InlinePool:
             def __init__(self, max_workers):
-                assert max_workers == 2
+                sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -364,8 +390,9 @@ class TestGroupedEngine:
         monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
         two, skipped_two = study._cell_outcomes(cfg, cells, 1, workers=2)
         assert two.tobytes() == one.tobytes() and skipped_two == skipped_one
-        assert [task[2] for task in tasks] == study._slabs(study._design_groups(cells),
-                                                           cfg.replications)
+        slabs = study._slabs(study._design_groups(cells), cfg.replications)
+        assert [task[2] for task in tasks] == slabs
+        assert sizes == [min(2, len(slabs))]  # no more workers than slabs
         for task in tasks:
             assert not list(arrays_in(task))
             assert all(type(i) is int for group in task[2] for i in group)

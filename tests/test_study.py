@@ -632,7 +632,7 @@ class TestEmitTables:
         assert "R=0.333333" in emit_tables(rows, "bias_table", "text")
 
     def test_empty_without_grid(self):
-        with pytest.raises(MissingCellError):
+        with pytest.raises(MissingCellError, match="^no rows to tabulate$"):
             emit_tables([], "eff_table", "text")
 
     def test_unknown_layout_and_format(self):
