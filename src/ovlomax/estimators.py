@@ -28,6 +28,11 @@ block of ratios at once; one ratio is a block of one.  Its kernel takes the
 design constants per ratio, so the study engine, the efficiency grid and the
 report builder assess the ratios of many designs, or of one, in one call.
 
+The design rules live here alone (:func:`_design_constants`): a design whose
+variance formula is undefined or whose mean correction is zero raises
+:class:`DegenerateDesignError` naming the rule, and the study skips exactly
+the designs refused here, with that message as its reason.
+
 Every variance/bias formula exists in two modes.  ``derived`` recomputes the
 constants from the exact moment algebra of the sampling laws and is the
 default.  ``as-published`` reproduces the originally published expressions
@@ -80,7 +85,7 @@ SOURCES = (SOURCE_DERIVED, SOURCE_AS_PUBLISHED)
 
 
 class DegenerateDesignError(DomainError):
-    """The design is too small for the requested variance formula (n2 < 3)."""
+    """The estimators refuse the design; the message names the rule it breaks."""
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,46 @@ def _shape_from_t(method: str, t: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _srs_factor(n1: int, n2: int) -> float:
-    # Var(corrected ratio) / R**2 for the srs pipeline; exact, not asymptotic.
-    if n2 < 3:
-        raise DegenerateDesignError(f"variance formula requires n2 >= 3, got n2={n2}")
-    return (n1 + n2 - 1) / (n1 * (n2 - 2))
+def _design_constants(method: str, design1, design2, source: str) -> tuple:
+    """The per-design constants of an assessment: Var(corrected ratio)/R**2
+    and, under ``as-published``, the bias constants of the three measures
+    (None under ``derived``).  Checks every design rule, in this order: the
+    srs/bayes variance formulas need n2 >= 3, and the mean correction must
+    not be zero (:func:`corrected_ratio`)."""
+    n1, n2 = design1.n, design2.n
+    if method in (METHOD_SRS, METHOD_BAYES) and n2 < 3:
+        raise DegenerateDesignError(f"n2 = {n2} < 3: srs/bayes variance formulas undefined")
+    # a design with no corrected ratio has no assessment; this checks the method and source, too
+    corrected_ratio(1.0, method, design1, design2, source)
+    if method == METHOD_RSS:
+        if not isinstance(design1, RssDesign) or not isinstance(design2, RssDesign):
+            raise DomainError("rss variance requires ranked designs")
+        # sum of squared coefficients of variation of the two shape estimates
+        factor = base = (harmonic(design1.r) / (design1.m * design1.r**2)
+                         + harmonic(design2.r) / (design2.m * design2.r**2))
+    else:
+        # exact, not asymptotic; the derived bayes correction maps the bayes
+        # ratio onto the corrected srs ratio exactly, so the factor is shared
+        factor = base = (n1 + n2 - 1) / (n1 * (n2 - 2))
+        if method == METHOD_BAYES and source == SOURCE_AS_PUBLISHED:
+            # bayes prints its own bias base; srs and rss print the variance factor
+            factor = ((n1 - 1) / (n2 - 1)) ** 2 * factor
+            base = ((n2 + 2) / (n1 + 1)) ** 2 * n1 * (n1 + n2 - 1) / ((n2 - 1) ** 2 * (n2 - 2))
+    if source == SOURCE_DERIVED:
+        return factor, None
+    # the 1/2 is printed for the Matusita bias of every method and for the
+    # srs Weitzman line, but not for its ranked-set or Bayes analogues
+    halved = ("rho", "delta") if method == METHOD_SRS else ("rho",)
+    return factor, tuple(base / 2.0 if measure in halved else base for measure in MEASURES)
+
+
+def _refusal(method: str, design1, design2, source: str) -> str | None:
+    """Why the estimators refuse to assess a method/design pair, or None."""
+    try:
+        _design_constants(method, design1, design2, source)
+    except DegenerateDesignError as exc:
+        return str(exc)
+    return None
 
 
 def ratio_variance_factor(
@@ -154,27 +194,9 @@ def ratio_variance_factor(
     """Var(corrected ratio)/R**2 for a method/design pair.
 
     Raises :class:`DegenerateDesignError` when the srs/bayes formula is
-    undefined (n2 < 3).
+    undefined (n2 < 3) or the mean correction is zero.
     """
-    if source not in SOURCES:
-        raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
-    if method == METHOD_RSS:
-        if not isinstance(design1, RssDesign) or not isinstance(design2, RssDesign):
-            raise DomainError("rss variance requires ranked designs")
-        # sum of squared coefficients of variation of the two shape estimates
-        return (harmonic(design1.r) / (design1.m * design1.r**2)
-                + harmonic(design2.r) / (design2.m * design2.r**2))
-    if method == METHOD_SRS:
-        return _srs_factor(design1.n, design2.n)
-    if method == METHOD_BAYES:
-        n1, n2 = design1.n, design2.n
-        base = _srs_factor(n1, n2)
-        if source == SOURCE_DERIVED:
-            # the derived mean correction maps the bayes ratio onto the
-            # corrected srs ratio exactly, so the factor is shared
-            return base
-        return ((n1 - 1) / (n2 - 1)) ** 2 * base
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _design_constants(method, design1, design2, source)[0]
 
 
 def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DERIVED):
@@ -182,21 +204,29 @@ def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DER
 
     ``rss`` publishes no correction; ``srs`` scales by ``(n2 - 1)/n2``; the
     Bayes constants depend on the formula source, which must be one of
-    :data:`SOURCES` for every method.
+    :data:`SOURCES` for every method.  A zero correction (n2 = 1 for ``srs``
+    and derived ``bayes``, n1 = 1 for as-published ``bayes``) raises
+    :class:`DegenerateDesignError`.
     """
     if source not in SOURCES:
         raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
+    n1, n2 = design1.n, design2.n
     if method == METHOD_RSS:
         return raw
+    # raw times each factor in turn, then over the divisor: the order the pinned outputs hold
     if method == METHOD_SRS:
-        n2 = design2.n
-        return raw * (n2 - 1) / n2
-    if method == METHOD_BAYES:
-        n1, n2 = design1.n, design2.n
-        if source == SOURCE_DERIVED:
-            return raw * (n1 + 1) * (n2 - 1) / (n1 * (n2 + 1))
-        return raw * n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
-    raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+        factors, divisor, zero = (n2 - 1,), n2, "n2 = 1: the srs correction n2-1 is zero"
+    elif method == METHOD_BAYES and source == SOURCE_DERIVED:
+        factors, divisor = (n1 + 1, n2 - 1), n1 * (n2 + 1)
+        zero = "n2 = 1: the derived bayes correction (n1+1)*(n2-1) is zero"
+    elif method == METHOD_BAYES:
+        factors, divisor = (n1, n1 - 1, n1 + 1), n2**2 * (n2 + 1)
+        zero = "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero"
+    else:
+        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    if 0 in factors:
+        raise DegenerateDesignError(zero)
+    return math.prod((raw, *factors)) / divisor
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +299,6 @@ def _clamped_bounds(center, half):
     return clamped_lo, clamped_hi, (clamped_lo != lo) | (clamped_hi != hi)
 
 
-def _design_terms(method: str, design1, design2, source: str) -> tuple:
-    """The per-design constants of an assessment: Var(ratio)/R**2 and, under
-    ``as-published``, the bias constants of the three measures (None under
-    ``derived``)."""
-    factor = ratio_variance_factor(method, design1, design2, source)
-    if source == SOURCE_DERIVED:
-        return factor, None
-    # the printed srs and rss bias bases are the variance factor; bayes prints
-    # its own (n2 >= 3 already holds: the factor raised otherwise)
-    base = factor
-    if method == METHOD_BAYES:
-        n1, n2 = design1.n, design2.n
-        base = ((n2 + 2) / (n1 + 1)) ** 2 * n1 * (n1 + n2 - 1) / ((n2 - 1) ** 2 * (n2 - 2))
-    # the 1/2 is printed for the Matusita bias of every method and for the
-    # srs Weitzman line, but not for its ranked-set or Bayes analogues
-    halved = ("rho", "delta") if method == METHOD_SRS else ("rho",)
-    return factor, tuple(base / 2.0 if measure in halved else base for measure in MEASURES)
-
-
 def _assess_kernel(r: np.ndarray, factor, constants, z: float) -> tuple:
     """Point, variance, bias, plain bounds and clamp flags, then the same three
     for the bias-corrected interval, each as one ``(measure, ratio)`` array.
@@ -329,7 +340,7 @@ def _assess_designs(blocks, source: str, level: float) -> tuple:
     :func:`_assess_kernel`.
     """
     z = _normal_z(level)
-    factors, constants = zip(*(_design_terms(method, d1, d2, source)
+    factors, constants = zip(*(_design_constants(method, d1, d2, source)
                                for _r, method, d1, d2 in blocks))
     ratios = [np.asarray(block[0], dtype=float).reshape(-1) for block in blocks]
     sizes = [r.size for r in ratios]

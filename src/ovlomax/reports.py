@@ -15,9 +15,11 @@ shape estimates for both populations, raw and corrected ratio, the three
 overlap point estimates, per-measure variance and bias, and both interval
 variants.  It takes the study engine's path: ``shape_estimates`` of each
 sample, ``corrected_ratio`` and ``ratio_variance_factor`` for the ratio, and
-one ``assess`` call for every measure.  Reports serialize to and from JSON
+one ``assess`` call for every measure; the designs those refuse are the
+estimators' rule, not this module's.  Reports serialize to and from JSON
 without losing precision; the JSON is written from the fields, byte for
-byte as ``json.dumps(indent=2)``.
+byte as ``json.dumps(indent=2)``.  The discrepancy report reads the reports
+of the bundled datasets (:func:`bundled_counts`) itself.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ __all__ = [
     "EstimateReport",
     "build_estimate_report",
     "bundled_counts",
-    "real_data_summary",
 ]
 
 
@@ -278,8 +279,10 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     """Estimate the overlap coefficients from two observed samples.
 
     ``sample1``/``sample2`` are observation vectors for ``srs``/``bayes`` or
-    :class:`RankedSample` objects for ``rss``.  The report always carries the
-    point estimates; variance, bias, and intervals are omitted (with a
+    :class:`RankedSample` objects for ``rss``.  A design whose mean
+    correction is zero (n2 = 1, or n1 = 1 for as-published ``bayes``) raises
+    :class:`DegenerateDesignError`; otherwise the report carries the point
+    estimates, and variance, bias, and intervals are omitted (with a
     warning) when the second design is too small for the ratio variance to
     exist.  A measure whose bias is not finite (the as-published Weitzman
     bias at a corrected ratio of one) keeps its plain interval, has no
@@ -299,12 +302,16 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     warnings = []
 
     other = SOURCE_AS_PUBLISHED if source == SOURCE_DERIVED else SOURCE_DERIVED
-    other_rhat = corrected_ratio(raw, method, design1, design2, other)
-    if abs(other_rhat - rhat) > 1e-9 * max(1.0, abs(rhat)):
-        warnings.append(
-            "formula sources disagree on the corrected ratio: "
-            f"{source} gives {rhat:.9g}, {other} gives {other_rhat:.9g}"
-        )
+    try:
+        other_rhat = corrected_ratio(raw, method, design1, design2, other)
+    except DegenerateDesignError as exc:
+        gives = f"has no corrected ratio here ({exc})"
+    else:
+        differs = abs(other_rhat - rhat) > 1e-9 * max(1.0, abs(rhat))
+        gives = f"gives {other_rhat:.9g}" if differs else ""
+    if gives:
+        warnings.append("formula sources disagree on the corrected ratio: "
+                        f"{source} gives {rhat:.9g}, {other} {gives}")
     if method == METHOD_BAYES and source == SOURCE_DERIVED:
         warnings.append(
             "the internally consistent correction for the Jeffreys-prior ratio "
@@ -369,32 +376,3 @@ def bundled_counts() -> tuple:
     d1 = parse_dataset(pkg.joinpath("proschan_8044.txt").read_text(encoding="utf-8"), "plane_8044")
     d2 = parse_dataset(pkg.joinpath("proschan_7912.txt").read_text(encoding="utf-8"), "plane_7912")
     return d1, d2
-
-
-def real_data_summary(source: str = SOURCE_DERIVED, level: float = 0.95) -> dict:
-    """Flat summary of the bundled-data analysis used by the discrepancy report.
-
-    Bias entries hold the magnitude of the second-order bias term, matching
-    the sign-free convention of the published layout.  Only the two methods
-    that are computable from plain observation lists appear under
-    ``methods``; no ranked-set design is stated for this example.
-    """
-    d1, d2 = bundled_counts()
-    reports = {method: build_estimate_report(d1.values, d2.values, method, source, level)
-               for method in (METHOD_SRS, METHOD_BAYES)}
-    base = reports[METHOD_SRS]
-    out = {
-        "alpha1": base.alpha1,
-        "alpha2": base.alpha2,
-        "ratio_raw": base.ratio_raw,
-        "ratio_unbiased": base.ratio_unbiased,
-        "estimates": {m.measure: m.point for m in base.measures},
-        "methods": {},
-    }
-    for method, rep in reports.items():
-        out["methods"][method] = {
-            "bias": {m.measure: abs(m.bias) for m in rep.measures},
-            "variance": {m.measure: m.variance for m in rep.measures},
-            "ci": {m.measure: (m.interval.lo, m.interval.hi) for m in rep.measures},
-        }
-    return out

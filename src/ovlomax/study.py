@@ -68,6 +68,7 @@ from .estimators import (
     SOURCES,
     _assess_designs,
     _check_bias,
+    _refusal,
     _shape_from_t,
     confidence_interval,  # noqa: F401  (bound here for perfbench's tracer checks)
     corrected_ratio,
@@ -300,7 +301,7 @@ class EfficiencyCell:
     """Analytic (and optionally simulated) MSE ratio for one grid cell.
 
     ``R`` is rounded to six significant digits like :attr:`StudyRow.R`;
-    ``analytic_eff`` is None where the srs variance does not exist (n2 < 3).
+    ``analytic_eff`` is None where the estimators refuse the srs design.
 
     Not frozen, like :class:`StudyRow`: cells are never mutated or hashed."""
 
@@ -356,8 +357,8 @@ def efficiency_grid(
 
     ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
     to a simulated efficiency that is carried along in the cells.  Cells whose
-    srs design has n2 < 3 get ``analytic_eff=None``.  Each cycle count takes
-    one assessment per method over all its set sizes and ratios.
+    srs design the estimators refuse get ``analytic_eff=None``.  Each cycle
+    count takes one assessment per method over all its set sizes and ratios.
     """
     r_values = [float(R) for R in r_values]
     eff = _efficiency_table(r_values, set_sizes, cycles, source)
@@ -385,8 +386,8 @@ def _efficiency_table(r_values, set_sizes, cycles, source) -> dict:
     eff = {}
     for m in cycles:
         srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
-        # set sizes whose srs cell the study skips (n2 < 3) get no efficiency
-        sizes = [size for size in srs if _skip_reason((*size, m, METHOD_SRS), source) is None]
+        # set sizes whose srs cell the study skips get no efficiency
+        sizes = [size for size in srs if _refusal(METHOD_SRS, *srs[size], source) is None]
         eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
         if not sizes:
             continue
@@ -428,18 +429,6 @@ def _designs(cell) -> tuple:
     if method == METHOD_RSS:
         return RssDesign(r1, m), RssDesign(r2, m)
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
-
-
-def _skip_reason(design, source: str) -> str | None:
-    """Why the design group ``(r1, r2, m, method)`` is not simulated under
-    ``source``, or None: srs and bayes need n2 = r2*m >= 3 for their variance
-    formulas, and the as-published bayes correction is zero at n1 = r1*m = 1."""
-    r1, r2, m, method = design
-    if method != METHOD_RSS and r2 * m < 3:
-        return f"n2 = {r2 * m} < 3: srs/bayes variance formulas undefined"
-    if method == METHOD_BAYES and source != SOURCE_DERIVED and r1 * m < 2:
-        return "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero"
-    return None
 
 
 def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Generator):
@@ -525,10 +514,11 @@ def _slabs(groups, reps: int) -> list:
 def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
     """Seed, simulate, assess and aggregate one slab, the cell indices of
     each of its groups (:func:`_slabs`): one pass makes the state words of all
-    its replications, and the groups not skipped (:func:`_skip_reason`) run
-    in order and take one :func:`_aggregate` call.  Returns the indices of the
-    cells that ran, their ``(cell, measure, aggregate)`` array (None if none
-    ran), and ``{cell index: reason}`` for the skipped cells."""
+    its replications, and the groups the estimators do not refuse
+    (:func:`_refusal`) run in order and take one :func:`_aggregate` call.
+    Returns the indices of the cells that ran, their ``(cell, measure,
+    aggregate)`` array (None if none ran), and ``{cell index: reason}`` for
+    the skipped cells."""
     reps = cfg.replications
     words = _seeds.pcg64_states(_seeds.derive_seeds(
         cfg.master_seed, namespace, np.concatenate(slab)[:, None], np.arange(reps)))
@@ -537,7 +527,7 @@ def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
     ran, stack, skipped = [], [], {}
     for group, rows in zip(slab, np.split(words, bounds)):
         members = [cells[i] for i in group]
-        reason = _skip_reason(members[0][1:], cfg.formula_source)
+        reason = _refusal(members[0][-1], *_designs(members[0]), cfg.formula_source)
         if reason:
             skipped.update(dict.fromkeys(group, reason))
         else:
@@ -585,18 +575,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyResult:
+def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
     The unit of work is a slab of design groups (cells that share (r1, r2,
     m, method) and differ only in R).  ``workers > 1`` distributes the slabs
     over a process pool of at most one worker per slab; the per-replication
-    seeding makes the result identical to the sequential run.
+    seeding makes the result identical to the sequential run.  The study
+    draws from seed namespace 0, the figure data from namespace 1.
     """
     cfg.validate()
     cells = _enumerate_cells(cfg)
-    aggs, skipped = _cell_outcomes(cfg, cells, namespace, workers)
-    seeds = _seeds.derive_seeds(cfg.master_seed, namespace, np.arange(len(cells))).tolist()
+    aggs, skipped = _cell_outcomes(cfg, cells, 0, workers)
+    seeds = _seeds.derive_seeds(cfg.master_seed, 0, np.arange(len(cells))).tolist()
 
     ran = [idx for idx in range(len(cells)) if idx not in skipped]
     aggs = aggs[ran]  # the cells that ran, aggregates in _AGGREGATES order
@@ -632,7 +623,7 @@ def run_study(cfg: StudyConfig, workers: int = 1, namespace: int = 0) -> StudyRe
         "ovlomax_version": __version__,
         "seed_layout": _SEED_LAYOUT,
         "seeding": "SplitMix64 fold of (master_seed, namespace, cell_index, replication)",
-        "namespace": namespace,
+        "namespace": 0,
         "columns": list(STUDY_CSV_COLUMNS),
         "notes": [
             "coverage is the empirical coverage proportion of the nominal "
@@ -845,7 +836,7 @@ def _emit_bias_table(rows, fmt):
         for R in r_values
         for (r1, r2) in set_sizes
         for method in METHODS
-        if _skip_reason((r1, r2, m, method), source) is None
+        if _refusal(method, *_designs((R, r1, r2, m, method)), source) is None
         for meas in MEASURES
     ]
     _check_grid(set(present), expected, _describe_row)
@@ -930,12 +921,13 @@ def _published_tables() -> dict:
 def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     """CSV of printed vs computed values for every transcribed table cell.
 
-    Efficiency cells are recomputed analytically.  Real-data cells come from
-    the bundled datasets; ranked-set cells there are reported as NaN because
+    Efficiency cells are recomputed analytically.  Real-data cells read the
+    srs and bayes reports of the bundled datasets, biases as magnitudes (the
+    published layout is sign-free); ranked-set cells there are NaN because
     no ranked-set design is stated for that example (the printed values are
     recorded, nothing is computable to compare them against).
     """
-    from .reports import real_data_summary
+    from .reports import build_estimate_report, bundled_counts
 
     fixtures = _published_tables()
     rows = []
@@ -956,24 +948,23 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
                                      float(values[i][j]), computed[m, r1, r2][meas][k]))
 
     real = fixtures["real_data"]
-    summary = real_data_summary(source)
-    rows.append(("real_data", "alpha1", real["alpha1"], summary["alpha1"]))
-    rows.append(("real_data", "alpha2", real["alpha2"], summary["alpha2"]))
-    rows.append(("real_data", "ratio", real["ratio"], summary["ratio_raw"]))
-    for meas in MEASURES:
-        rows.append(
-            ("real_data", f"estimate:{meas}", real["estimates"][meas], summary["estimates"][meas])
-        )
+    d1, d2 = bundled_counts()
+    reports = {method: build_estimate_report(d1.values, d2.values, method, source)
+               for method in (METHOD_SRS, METHOD_BAYES)}
+    srs = reports[METHOD_SRS]
+    rows += [("real_data", name, real[name], value) for name, value in
+             (("alpha1", srs.alpha1), ("alpha2", srs.alpha2), ("ratio", srs.ratio_raw))]
+    rows += [("real_data", f"estimate:{m.measure}", real["estimates"][m.measure], m.point)
+             for m in srs.measures]
     for meas in MEASURES:
         for method in METHODS:
-            comp = summary["methods"].get(method)
-            bias = comp["bias"][meas] if comp else math.nan
-            var = comp["variance"][meas] if comp else math.nan
-            ci = comp["ci"][meas] if comp else (math.nan, math.nan)
-            rows.append(("real_data", f"bias:{meas}:{method}", real["bias"][meas][method], bias))
-            rows.append(("real_data", f"var:{meas}:{method}", real["var"][meas][method], var))
-            rows.append(("real_data", f"ci_lo:{meas}:{method}", real["ci"][meas][method][0], ci[0]))
-            rows.append(("real_data", f"ci_hi:{meas}:{method}", real["ci"][meas][method][1], ci[1]))
+            rep = reports[method].measure(meas) if method in reports else None
+            ours = ((abs(rep.bias), rep.variance, rep.interval.lo, rep.interval.hi) if rep
+                    else (math.nan,) * 4)
+            printed = (real["bias"][meas][method], real["var"][meas][method],
+                       *real["ci"][meas][method])
+            rows += [("real_data", f"{name}:{meas}:{method}", p, c)
+                     for name, p, c in zip(("bias", "var", "ci_lo", "ci_hi"), printed, ours)]
 
     return _write_csv(["table", "cell", "printed_value", "computed_value", "abs_diff"], [
         "%s,%s,%.6g,%.6g,%.6g\n" % (table, cell, printed, computed, abs(printed - computed))

@@ -22,6 +22,8 @@ from ovlomax import (
     SrsDesign,
     StudyConfig,
     assess,
+    build_estimate_report,
+    bundled_counts,
     corrected_ratio,
     discrepancy_report,
     draw_rss,
@@ -32,7 +34,6 @@ from ovlomax import (
     overlap_value,
     ovl_by_quadrature,
     ratio_variance_factor,
-    real_data_summary,
     run_study,
     shape_estimates,
 )
@@ -334,13 +335,14 @@ def test_criterion_07_coverage():
 
 
 def test_criterion_08_real_data():
-    s = real_data_summary()
+    d1, d2 = bundled_counts()
+    srs = build_estimate_report(d1.values, d2.values, "srs")
     problems = []
     checks = (
-        ("rho", s["estimates"]["rho"], 0.995, 0.01),
-        ("delta", s["estimates"]["delta"], 0.906, 0.05),
-        ("lambda", s["estimates"]["lambda"], 0.938, 0.05),
-        ("ratio", s["ratio_raw"], 0.81, 0.01),
+        ("rho", srs.measure("rho").point, 0.995, 0.01),
+        ("delta", srs.measure("delta").point, 0.906, 0.05),
+        ("lambda", srs.measure("lambda").point, 0.938, 0.05),
+        ("ratio", srs.ratio_raw, 0.81, 0.01),
     )
     for name, got, want, tol in checks:
         if abs(got - want) > tol:

@@ -258,6 +258,41 @@ class TestEstimate:
         for line in lines[head:head + 4]:
             assert len(line.split()) == 8, line
 
+    @pytest.mark.parametrize("method", ["srs", "bayes"])
+    def test_one_value_second_sample_names_n2(self, capsys, files, tmp_path, method):
+        # (n2 - 1) is a factor of the srs and derived bayes corrections
+        single = tmp_path / "single.txt"
+        single.write_text("42\n")
+        code, out, err = run_cli(capsys, "estimate", files[0], str(single), "--method", method)
+        assert code == 1 and out == ""
+        assert err.startswith("error: n2 = 1: the ") and err.endswith(" is zero\n")
+
+    def test_derived_bayes_with_one_first_value(self, capsys, files, tmp_path):
+        single = tmp_path / "single.txt"
+        single.write_text("42\n")
+        code, out, _ = run_cli(capsys, "estimate", str(single), files[1], "--method", "bayes",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        d1, d2 = ovlomax.SrsDesign(1), ovlomax.SrsDesign(6)
+        rhat = ovlomax.corrected_ratio(doc["ratio_raw"], "bayes", d1, d2)
+        assert doc["ratio_unbiased"] == rhat
+        want = ovlomax.assess([rhat], "bayes", d1, d2)
+        for m in doc["measures"]:
+            a = want[m["measure"]]
+            assert (m["point"], m["variance"], m["bias"]) == (
+                a.point.item(), a.variance.item(), a.bias.item())
+            assert (m["interval"]["lo"], m["interval"]["hi"]) == (a.lo.item(), a.hi.item())
+        notes = [w for w in doc["warnings"] if w.startswith("formula sources disagree")]
+        assert len(notes) == 1
+        assert notes[0].endswith("as-published has no corrected ratio here (n1 = 1: the "
+                                 "as-published bayes correction n1*(n1-1)*(n1+1) is zero)")
+        code, out, err = run_cli(capsys, "estimate", str(single), files[1], "--method", "bayes",
+                                 "--source", "as-published")
+        assert code == 1 and out == ""
+        assert err == ("error: n1 = 1: the as-published bayes correction "
+                       "n1*(n1-1)*(n1+1) is zero\n")
+
     def test_plain_data_with_rss_method(self, capsys, files):
         code, _, _ = run_cli(capsys, "estimate", *files, "--method", "rss")
         assert code == 2  # plain lists do not parse as ranked records

@@ -154,6 +154,34 @@ class TestRatioEstimate:
             ratio_variance_factor(METHOD_SRS, d1, d2)
 
 
+    @pytest.mark.parametrize("method, source", [(METHOD_SRS, SOURCE_DERIVED),
+                                                (METHOD_SRS, SOURCE_AS_PUBLISHED),
+                                                (METHOD_BAYES, SOURCE_DERIVED)])
+    def test_zero_correction_at_n2_one_is_refused(self, method, source):
+        # (n2 - 1) is a factor of these corrections: every ratio would be 0
+        with pytest.raises(DegenerateDesignError, match=r"^n2 = 1: the .* is zero$"):
+            corrected_ratio(0.5, method, SrsDesign(5), SrsDesign(1), source)
+        # the as-published bayes correction has no (n2 - 1) factor
+        assert corrected_ratio(0.5, METHOD_BAYES, SrsDesign(5), SrsDesign(1),
+                               SOURCE_AS_PUBLISHED) > 0.0
+
+    def test_published_bayes_n1_one_is_refused_everywhere(self):
+        d1, d2 = SrsDesign(1), SrsDesign(5)
+        calls = (lambda: corrected_ratio(0.5, METHOD_BAYES, d1, d2, SOURCE_AS_PUBLISHED),
+                 lambda: ratio_variance_factor(METHOD_BAYES, d1, d2, SOURCE_AS_PUBLISHED),
+                 lambda: assess([0.5], METHOD_BAYES, d1, d2, SOURCE_AS_PUBLISHED))
+        for call in calls:
+            with pytest.raises(DegenerateDesignError) as err:
+                call()
+            assert str(err.value) == (
+                "n1 = 1: the as-published bayes correction n1*(n1-1)*(n1+1) is zero")
+        assert corrected_ratio(0.5, METHOD_BAYES, d1, d2, SOURCE_DERIVED) > 0.0
+        # the variance rule is checked first
+        with pytest.raises(DegenerateDesignError) as err:
+            ratio_variance_factor(METHOD_BAYES, d1, SrsDesign(2), SOURCE_AS_PUBLISHED)
+        assert str(err.value) == "n2 = 2 < 3: srs/bayes variance formulas undefined"
+
+
 class TestVarianceFactors:
     def test_srs_factor_value(self):
         f = ratio_variance_factor(METHOD_SRS, SrsDesign(20), SrsDesign(20))

@@ -24,7 +24,6 @@ from ovlomax import (
     draw_rss,
     parse_dataset,
     parse_ranked_dataset,
-    real_data_summary,
 )
 
 
@@ -301,27 +300,20 @@ class TestBundledData:
         assert d2.values[0] == 23.0
         assert np.all(d1.values > 0) and np.all(d2.values > 0)
 
-    def test_summary_structure(self):
-        s = real_data_summary()
-        assert set(s) == {"alpha1", "alpha2", "ratio_raw", "ratio_unbiased",
-                          "estimates", "methods"}
-        assert set(s["methods"]) == {"srs", "bayes"}
-        for method in s["methods"].values():
-            assert set(method) == {"bias", "variance", "ci"}
-            for key in ("bias", "variance", "ci"):
-                assert set(method[key]) == {"rho", "delta", "lambda"}
-
     def test_summary_values_in_expected_bands(self):
-        s = real_data_summary()
-        assert s["alpha1"] == pytest.approx(0.0614477, rel=1e-4)
-        assert s["alpha2"] == pytest.approx(0.0757775, rel=1e-4)
-        assert s["ratio_raw"] == pytest.approx(0.810896, rel=1e-4)
-        assert s["ratio_unbiased"] == pytest.approx(0.783866, rel=1e-4)
-        assert s["estimates"]["rho"] == pytest.approx(0.992633, abs=5e-4)
-        assert s["estimates"]["delta"] == pytest.approx(0.910636, abs=5e-4)
-        assert s["estimates"]["lambda"] == pytest.approx(0.943758, abs=5e-4)
-        for method in s["methods"].values():
-            for meas in ("rho", "delta", "lambda"):
-                assert method["bias"][meas] >= 0.0
-                lo, hi = method["ci"][meas]
+        d1, d2 = bundled_counts()
+        reports = [build_estimate_report(d1.values, d2.values, method)
+                   for method in ("srs", "bayes")]
+        srs = reports[0]
+        assert srs.alpha1 == pytest.approx(0.0614477, rel=1e-4)
+        assert srs.alpha2 == pytest.approx(0.0757775, rel=1e-4)
+        assert srs.ratio_raw == pytest.approx(0.810896, rel=1e-4)
+        assert srs.ratio_unbiased == pytest.approx(0.783866, rel=1e-4)
+        assert srs.measure("rho").point == pytest.approx(0.992633, abs=5e-4)
+        assert srs.measure("delta").point == pytest.approx(0.910636, abs=5e-4)
+        assert srs.measure("lambda").point == pytest.approx(0.943758, abs=5e-4)
+        for rep in reports:
+            for m in rep.measures:
+                assert abs(m.bias) >= 0.0
+                lo, hi = m.interval.lo, m.interval.hi
                 assert 0.0 <= lo <= hi <= 1.0

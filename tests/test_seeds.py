@@ -407,9 +407,9 @@ class TestGroupedEngine:
 
     def test_seed_column_is_the_cell_seed(self):
         cfg = StudyConfig(**CONFIGS["several_R"])
-        res = run_study(cfg, namespace=1)
+        res = run_study(cfg)
         cells = study._enumerate_cells(cfg)
-        seeds = {cell: int(_seeds.derive_seeds(cfg.master_seed, 1, idx)[0])
+        seeds = {cell: int(_seeds.derive_seeds(cfg.master_seed, 0, idx)[0])
                  for idx, cell in enumerate(cells)}
         for row in res.rows:
             cell = next(c for c in cells if c[1:] == (row.r1, row.r2, row.m, row.method)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -21,16 +22,18 @@ from ovlomax import (
     SrsDesign,
     StudyConfig,
     StudyRow,
+    assess,
     discrepancy_report,
     efficiency_grid,
     emit_figure_data,
     emit_rows_csv,
     emit_tables,
     parse_rows_csv,
+    ratio_variance_factor,
     run_study,
 )
 from ovlomax import _seeds, study
-from ovlomax.estimators import SOURCES
+from ovlomax.estimators import METHODS, SOURCES
 from ovlomax.overlap import MEASURES
 from ovlomax.study import (
     DEFAULT_FIGURE_R_GRID,
@@ -445,6 +448,32 @@ class TestRunStudy:
         derived = run_study(replace(cfg, formula_source="derived"))
         assert derived.skipped == [] and {r.method for r in derived.rows} == {"srs", "rss", "bayes"}
 
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_skips_exactly_what_the_estimators_refuse(self, source):
+        sizes = tuple((r1, r2) for r1 in (1, 2, 3) for r2 in (1, 2, 3))
+        cfg = tiny_config(set_sizes=sizes, cycles=(1, 2), replications=2, formula_source=source)
+        skipped = {(s["r1"], s["r2"], s["m"], s["method"]): s["reason"]
+                   for s in run_study(cfg).skipped}
+        refused = {}
+        for (r1, r2), m, method in itertools.product(sizes, (1, 2), METHODS):
+            designs = ((RssDesign(r1, m), RssDesign(r2, m)) if method == "rss"
+                       else (SrsDesign(r1 * m), SrsDesign(r2 * m)))
+            reasons = []
+            for call in (lambda: ratio_variance_factor(method, *designs, source),
+                         lambda: assess([0.5], method, *designs, source)):
+                try:
+                    call()
+                    reasons.append(None)
+                except DegenerateDesignError as exc:
+                    reasons.append(str(exc))
+            assert reasons[0] == reasons[1], (r1, r2, m, method)
+            if reasons[0] is not None:
+                refused[r1, r2, m, method] = reasons[0]
+        assert skipped == refused
+        kinds = {reason.split(":")[0] for reason in refused.values()}
+        assert kinds == ({"n2 = 1 < 3", "n2 = 2 < 3"} if source == "derived"
+                         else {"n2 = 1 < 3", "n2 = 2 < 3", "n1 = 1"})
+
     def test_metadata(self):
         cfg = tiny_config()
         res = run_study(cfg)
@@ -660,7 +689,7 @@ class TestFigureData:
         cfg = tiny_config(**REFERENCE_CONFIGS[name])
         sub = replace(cfg, r_values=cfg.figure_r_grid or DEFAULT_FIGURE_R_GRID,
                       set_sizes=cfg.set_sizes[:1], cycles=cfg.cycles[:1], figure_r_grid=None)
-        rows = run_study(sub, namespace=1).rows
+        rows = reference_rows(sub, namespace=1)[0]
         want = [["method", "measure", "R", "bias", "mse"]] + [
             [r.method, r.measure, f"{r.R:.6g}", f"{r.signed_bias:.6g}", f"{r.mse:.6g}"]
             for r in rows]
