@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -165,12 +166,8 @@ def cmd_ovl(args) -> int:
         f1 = f2 = None
     else:
         a1, a2 = args.alphas
-        if a1 <= 0 or a2 <= 0:
-            raise DomainError("shape parameters must be positive")
+        f1, f2 = InverseLomax(a1), InverseLomax(a2)  # each refuses a shape that is not positive
         ratio = a1 / a2
-        f1, f2 = InverseLomax(a1), InverseLomax(a2)
-    if ratio <= 0:
-        raise DomainError("the shape ratio must be positive")
     measures = MEASURES if args.measure == "all" else (args.measure,)
 
     records = []
@@ -244,6 +241,13 @@ def _load_samples(path1: str, path2: str, method: str):
     return parse_dataset(text1, path1).values, parse_dataset(text2, path2).values
 
 
+def _columns(m) -> tuple:
+    """A measure's point, variance, bias and four interval bounds, None where absent."""
+    iv, cv = m.interval, m.interval_corrected
+    return (m.point, m.variance, m.bias, *((iv.lo, iv.hi) if iv else (None, None)),
+            *((cv.lo, cv.hi) if cv else (None, None)))
+
+
 def _print_report_text(rep) -> None:
     print(f"method            {rep.method}")
     print(f"formula source    {rep.formula_source}")
@@ -257,12 +261,7 @@ def _print_report_text(rep) -> None:
     names = ("point", "variance", "bias", "ci_lo", "ci_hi", "corr_lo", "corr_hi")
     print(f"  {'measure':<8}" + "".join(f" {h:>{w - 1}}" for h, w in zip(names, widths)))
     for m in rep.measures:
-        lo = m.interval.lo if m.interval else None
-        hi = m.interval.hi if m.interval else None
-        clo = m.interval_corrected.lo if m.interval_corrected else None
-        chi = m.interval_corrected.hi if m.interval_corrected else None
-        values = (m.point, m.variance, m.bias, lo, hi, clo, chi)
-        print(f"  {m.measure:<8}" + "".join(f" {_fmt(v):>{w - 1}}" for v, w in zip(values, widths)))
+        print(f"  {m.measure:<8}" + "".join(f" {_fmt(v):>{w - 1}}" for v, w in zip(_columns(m), widths)))
     for w in rep.warnings:
         print(f"  note: {w}")
 
@@ -271,17 +270,8 @@ def _print_report_csv(rep, header: bool = True) -> None:
     if header:
         print("method,source,measure,point,variance,bias,ci_lo,ci_hi,ci_corr_lo,ci_corr_hi")
     for m in rep.measures:
-        cells = [
-            rep.method, rep.formula_source, m.measure,
-            f"{m.point:.10g}",
-            "" if m.variance is None else f"{m.variance:.10g}",
-            "" if m.bias is None else f"{m.bias:.10g}",
-            "" if m.interval is None else f"{m.interval.lo:.10g}",
-            "" if m.interval is None else f"{m.interval.hi:.10g}",
-            "" if m.interval_corrected is None else f"{m.interval_corrected.lo:.10g}",
-            "" if m.interval_corrected is None else f"{m.interval_corrected.hi:.10g}",
-        ]
-        print(",".join(cells))
+        cells = ("" if v is None else f"{v:.10g}" for v in _columns(m))
+        print(",".join((rep.method, rep.formula_source, m.measure, *cells)))
 
 
 def cmd_estimate(args) -> int:
@@ -336,9 +326,7 @@ def cmd_simulate(args) -> int:
     if args.source is not None:
         overrides["formula_source"] = args.source
     if overrides:
-        data = cfg.to_dict()
-        data.update(overrides)
-        cfg = StudyConfig.from_dict(data)
+        cfg = dataclasses.replace(cfg, **overrides)  # validated again by __post_init__
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
 

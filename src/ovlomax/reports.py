@@ -15,18 +15,20 @@ shape estimates for both populations, raw and corrected ratio, the three
 overlap point estimates, per-measure variance and bias, and both interval
 variants.  It takes the study engine's path: ``shape_estimates`` of each
 sample, ``corrected_ratio`` and ``ratio_variance_factor`` for the ratio, and
-one ``assess`` call for every measure; the designs those refuse are the
-estimators' rule, not this module's.  Reports serialize to and from JSON
-without losing precision; the JSON is written from the fields, byte for
-byte as ``json.dumps(indent=2)``.  The discrepancy report reads the reports
-of the bundled datasets (:func:`bundled_counts`) itself.
+one ``assess`` call for every measure.  The level, method and design rules,
+and their refusal texts, are the estimators'; this module writes none of
+them.  Reports serialize to and from JSON without losing precision; the
+dict is ``dataclasses.asdict`` of the report, and the JSON is written from
+the fields, byte for byte as ``json.dumps(indent=2)``.  The discrepancy
+report reads the reports of the bundled datasets (:func:`bundled_counts`)
+itself.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,12 +36,11 @@ from .dist_core import DomainError
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
-    METHOD_SRS,
-    METHODS,
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
     ConfidenceInterval,
     DegenerateDesignError,
+    _normal_z,
     assess,
     corrected_ratio,
     ratio_variance_factor,
@@ -155,14 +156,6 @@ def parse_ranked_dataset(text: str) -> RankedSample:
 # ---------------------------------------------------------------------------
 
 
-def _interval_dict(iv: ConfidenceInterval | None) -> dict | None:
-    return None if iv is None else dict(vars(iv))
-
-
-def _interval_from(d: dict | None) -> ConfidenceInterval | None:
-    return None if d is None else ConfidenceInterval(**d)
-
-
 @dataclass(frozen=True)
 class MeasureReport:
     measure: str
@@ -171,15 +164,6 @@ class MeasureReport:
     bias: float | None
     interval: ConfidenceInterval | None
     interval_corrected: ConfidenceInterval | None
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "interval": _interval_dict(self.interval),
-                "interval_corrected": _interval_dict(self.interval_corrected)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeasureReport":
-        return cls(**{**d, "interval": _interval_from(d["interval"]),
-                      "interval_corrected": _interval_from(d["interval_corrected"])})
 
 
 @dataclass(frozen=True)
@@ -206,13 +190,19 @@ class EstimateReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "measures": [m.to_dict() for m in self.measures],
-                "warnings": list(self.warnings)}
+        """Every field by name, measures and intervals as nested dicts
+        (``dataclasses.asdict``); ``json.dumps`` writes it as :meth:`to_json`."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimateReport":
-        return cls(**{**d, "measures": tuple(MeasureReport.from_dict(m) for m in d["measures"]),
-                      "warnings": tuple(d["warnings"])})
+        def interval(iv):
+            return None if iv is None else ConfidenceInterval(**iv)
+
+        measures = tuple(MeasureReport(**{**m, "interval": interval(m["interval"]),
+                                          "interval_corrected": interval(m["interval_corrected"])})
+                         for m in d["measures"])
+        return cls(**{**d, "measures": measures, "warnings": tuple(d["warnings"])})
 
     def to_json(self) -> str:
         pieces = []
@@ -263,11 +253,10 @@ def _alpha_for(method: str, sample) -> tuple:
     if isinstance(sample, RankedSample):
         raise DomainError(f"method {method!r} requires plain observation vectors")
     arr = np.asarray(sample, dtype=float)
-    if method not in (METHOD_SRS, METHOD_BAYES):
-        raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("sample must be a nonempty one-dimensional collection")
-    return float(shape_estimates(method, arr)), SrsDesign(arr.size)  # checks positive and finite
+    # shape_estimates checks the values positive and finite, and the method known
+    return float(shape_estimates(method, arr)), SrsDesign(arr.size)
 
 
 def _interval(lo, hi, clamped, level, bias_corrected) -> ConfidenceInterval:
@@ -279,17 +268,18 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     """Estimate the overlap coefficients from two observed samples.
 
     ``sample1``/``sample2`` are observation vectors for ``srs``/``bayes`` or
-    :class:`RankedSample` objects for ``rss``.  A design whose mean
-    correction is zero (n2 = 1, or n1 = 1 for as-published ``bayes``) raises
-    :class:`DegenerateDesignError`; otherwise the report carries the point
-    estimates, and variance, bias, and intervals are omitted (with a
-    warning) when the second design is too small for the ratio variance to
-    exist.  A measure whose bias is not finite (the as-published Weitzman
-    bias at a corrected ratio of one) keeps its plain interval, has no
-    bias-corrected one, and adds a warning.
+    :class:`RankedSample` objects for ``rss``.  The level, the method and
+    the designs are checked by the estimators, with their texts.  A design
+    whose mean correction is zero (n2 = 1, or n1 = 1 for as-published
+    ``bayes``) raises :class:`DegenerateDesignError`; otherwise the report
+    carries the point estimates, and variance, bias, and intervals are
+    omitted when the ratio variance does not exist (n2 < 3 for ``srs`` and
+    ``bayes``), with the estimators' refusal plus ``: point estimates only``
+    as a warning.  A measure whose bias is not finite (the as-published
+    Weitzman bias at a corrected ratio of one) keeps its plain interval, has
+    no bias-corrected one, and adds a warning.
     """
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie strictly inside (0, 1)")
+    _normal_z(level)  # a report without intervals still checks its level
 
     alpha1, design1 = _alpha_for(method, sample1)
     alpha2, design2 = _alpha_for(method, sample2)
@@ -297,8 +287,8 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
     rhat = corrected_ratio(raw, method, design1, design2, source)
     try:
         variance = rhat**2 * ratio_variance_factor(method, design1, design2, source)
-    except DegenerateDesignError:
-        variance = None
+    except DegenerateDesignError as exc:
+        variance, undefined = None, f"{exc}: point estimates only"
     warnings = []
 
     other = SOURCE_AS_PUBLISHED if source == SOURCE_DERIVED else SOURCE_DERIVED
@@ -320,10 +310,7 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
         )
 
     if variance is None:
-        warnings.append(
-            f"n2 = {design2.n} < 3: ratio variance is undefined, "
-            "point estimates only"
-        )
+        warnings.append(undefined)
         reports = [
             MeasureReport(meas, float(overlap_value(meas, rhat)), None, None, None, None)
             for meas in MEASURES

@@ -385,17 +385,20 @@ def _efficiency_table(r_values, set_sizes, cycles, source) -> dict:
     """``{(m, r1, r2): {measure: [analytic efficiency per R]}}``: the cells' table."""
     eff = {}
     for m in cycles:
-        srs = {(r1, r2): (SrsDesign(r1 * m), SrsDesign(r2 * m)) for r1, r2 in set_sizes}
+        # each table key's study cell, less its method; R plays no part in a design
+        cells = {(m, r1, r2): (None, r1, r2, m) for r1, r2 in set_sizes}
+        eff.update((key, dict.fromkeys(MEASURES, [None] * len(r_values))) for key in cells)
         # set sizes whose srs cell the study skips get no efficiency
-        sizes = [size for size in srs if _refusal(METHOD_SRS, *srs[size], source) is None]
-        eff.update(((m, *size), dict.fromkeys(MEASURES, [None] * len(r_values))) for size in srs)
-        if not sizes:
+        kept = [key for key, cell in cells.items()
+                if _refusal(METHOD_SRS, *_designs((*cell, METHOD_SRS)), source) is None]
+        if not kept:
             continue
-        ratio = (_mse_block(r_values, METHOD_SRS, [srs[size] for size in sizes], source)
-                 / _mse_block(r_values, METHOD_RSS,
-                              [(RssDesign(r1, m), RssDesign(r2, m)) for r1, r2 in sizes], source))
-        for j, size in enumerate(sizes):
-            eff[(m, *size)] = dict(zip(MEASURES, ratio[:, j].tolist()))
+        srs, rss = (_mse_block(r_values, method,
+                               [_designs((*cells[key], method)) for key in kept], source)
+                    for method in (METHOD_SRS, METHOD_RSS))
+        ratio = srs / rss
+        for j, key in enumerate(kept):
+            eff[key] = dict(zip(MEASURES, ratio[:, j].tolist()))
     return eff
 
 

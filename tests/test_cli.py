@@ -106,11 +106,15 @@ class TestOvl:
     def test_bad_ratio_is_estimation_error(self, capsys):
         code, _, err = run_cli(capsys, "ovl", "--ratio", "-1")
         assert code == 1
-        assert "error:" in err
+        assert err == "error: shape ratio must be positive and finite\n"
 
     def test_bad_alphas(self, capsys):
         code, _, err = run_cli(capsys, "ovl", "--alphas", "-1", "2")
         assert code == 1
+        assert err == "error: alpha must be a positive finite number, got -1.0\n"
+        code, _, err = run_cli(capsys, "ovl", "--alphas", "1", "0")
+        assert code == 1
+        assert err == "error: alpha must be a positive finite number, got 0.0\n"
 
     def test_ratio_and_alphas_conflict(self):
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +322,15 @@ class TestSimulate:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(STUDY_CSV_COLUMNS)
         assert len(lines) == 1 + 9  # one cell, three methods, three measures
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reps", "0", "replications must be an integer >= 1"),
+        ("--seed", "-1", "master_seed must be a nonnegative integer"),
+    ])
+    def test_bad_override_is_config_error(self, capsys, config, flag, value, message):
+        code, out, err = run_cli(capsys, "simulate", "--config", config, flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_out_dir_artifacts(self, capsys, config, tmp_path):
         out_dir = tmp_path / "artifacts"

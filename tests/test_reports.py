@@ -18,6 +18,7 @@ from ovlomax import (
     MeasureReport,
     RankedSample,
     RssDesign,
+    SrsDesign,
     build_estimate_report,
     bundled_counts,
     confidence_interval,
@@ -178,12 +179,14 @@ class TestBuildEstimateReport:
         rep = build_estimate_report(self.DATA1, self.DATA2, "srs", level=0.9)
         back = EstimateReport.from_json(rep.to_json())
         assert back == rep
+        assert EstimateReport.from_dict(rep.to_dict()) == rep
 
     def test_json_round_trip_without_variance(self):
         rep = build_estimate_report(self.DATA1, self.DATA2[:2], "srs")
         back = EstimateReport.from_json(rep.to_json())
         assert back == rep
         assert back.measures[0].interval is None
+        assert EstimateReport.from_dict(rep.to_dict()) == rep
 
     def test_dict_keys_are_the_fields_in_order(self):
         rep = build_estimate_report(self.DATA1, self.DATA2, "srs")
@@ -203,7 +206,8 @@ class TestBuildEstimateReport:
     def test_small_second_sample_warns(self):
         rep = build_estimate_report(self.DATA1, self.DATA2[:2], "srs")
         assert rep.ratio_variance is None
-        assert any("point estimates only" in w for w in rep.warnings)
+        refusal = estimators._refusal("srs", SrsDesign(8), SrsDesign(2), "derived")
+        assert rep.warnings[-1] == f"{refusal}: point estimates only"
         for m in rep.measures:
             assert m.variance is None and m.bias is None
             assert m.interval is None and m.interval_corrected is None
@@ -273,7 +277,8 @@ class TestBuildEstimateReport:
                 build_estimate_report(bad, self.DATA2, "bayes")
 
     def test_unknown_method_and_source(self):
-        with pytest.raises(DomainError):
+        # the estimators' text, from plain samples as from ranked ones
+        with pytest.raises(DomainError, match=r"^unknown method 'mle'; expected one of \("):
             build_estimate_report(self.DATA1, self.DATA2, "mle")
         with pytest.raises(DomainError):
             build_estimate_report(self.DATA1, self.DATA2, "srs", source="exact")
@@ -282,6 +287,10 @@ class TestBuildEstimateReport:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 build_estimate_report(self.DATA1, self.DATA2, "srs", level=bad)
+        # a report with point estimates only builds no interval, and still checks its level
+        message = r"^confidence level must lie strictly inside \(0, 1\)$"
+        with pytest.raises(DomainError, match=message):
+            build_estimate_report(self.DATA1, self.DATA2[:2], "srs", level=1.5)
 
     def test_level_widens_interval(self):
         lo_rep = build_estimate_report(self.DATA1, self.DATA2, "srs", level=0.5)
