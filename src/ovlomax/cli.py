@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="run the Monte Carlo study grid")
     p.add_argument("--config", help="JSON study configuration file")
     p.add_argument("--reps", type=int, help="override replication count")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_count, default=1,
                    help="worker processes (default 1); at most one per slab of the "
                    "study is started")
     p.add_argument("--out-dir", help="write study.csv, study_bias_corrected.csv, "
@@ -327,8 +327,6 @@ def cmd_simulate(args) -> int:
         overrides["formula_source"] = args.source
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)  # validated again by __post_init__
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
 
     result = run_study(cfg, workers=args.workers)
     if not args.out_dir:

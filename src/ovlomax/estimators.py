@@ -24,9 +24,10 @@ variances ``factor * e**2``, biases ``factor * c / 2`` and normal-theory
 intervals, plain and bias-corrected, where ``factor`` is
 :func:`ratio_variance_factor`, Var(ratio)/R**2, and ``e``, ``c`` are
 ``overlap``'s elasticities.  :func:`assess` evaluates all of that for a whole
-block of ratios at once; one ratio is a block of one.  Its kernel takes the
-design constants per ratio, so the study engine, the efficiency grid and the
-report builder assess the ratios of many designs, or of one, in one call.
+block of ratios at once; one ratio is a block of one.  Behind it, one pass
+over the concatenated ratios of several designs repeats each design's
+constants over its own ratios, so the study engine, the efficiency grid and
+the report builder assess the ratios of many designs, or of one, in one call.
 
 The design rules live here alone (:func:`_design_constants`): a design whose
 variance formula is undefined or whose mean correction is zero raises
@@ -299,21 +300,31 @@ def _clamped_bounds(center, half):
     return clamped_lo, clamped_hi, (clamped_lo != lo) | (clamped_hi != hi)
 
 
-def _assess_kernel(r: np.ndarray, factor, constants, z: float) -> tuple:
-    """Point, variance, bias, plain bounds and clamp flags, then the same three
-    for the bias-corrected interval, each as one ``(measure, ratio)`` array.
-    Under ``derived`` the variance is factor * e**2 and the bias
-    factor * c / 2, with the elasticities of all three measures from one
-    call; under ``as-published`` each measure's printed shapes are one call.
+def _assess_designs(blocks, source: str, level: float) -> tuple:
+    """:func:`assess` of the ratios of several designs in one pass.
 
-    ``factor`` and, under ``as-published``, each of the three ``constants``
-    broadcast against the ratios, so one call can assess ratios of many
-    designs; ``constants`` is None under ``derived``.  The corrected bounds
-    are NaN where the bias is not finite.
+    ``blocks`` holds ``(ratios, method, design1, design2)`` items; their
+    ratios are concatenated in order, checked positive and finite once, and
+    each is assessed with its own design's constants.  Under ``derived`` the
+    variance is factor * e**2 and the bias factor * c / 2, with the
+    elasticities of all three measures from one call; under ``as-published``
+    each measure's printed shapes are one call, scaled by the design's
+    factor and bias constants.
+
+    Returns point, variance, bias, plain bounds and clamp flags, then the
+    same three for the bias-corrected interval, each as one ``(measure,
+    ratio)`` array; the corrected bounds are NaN where the bias is not finite.
     """
-    r = _positive_array("shape ratio", r)
+    z = _normal_z(level)
+    factors, constants = zip(*(_design_constants(method, d1, d2, source)
+                               for _r, method, d1, d2 in blocks))
+    ratios = [np.asarray(block[0], dtype=float).reshape(-1) for block in blocks]
+    sizes = [r.size for r in ratios]
+    r = _positive_array("shape ratio", np.concatenate(ratios))
+    # every design's constants, repeated over its own ratios
+    factor = np.repeat(factors, sizes)
     point = np.array([_CORES[measure](r) for measure in MEASURES])
-    if constants is None:
+    if source == SOURCE_DERIVED:
         e, c = _terms(r)
         variance = factor * e * e
         bias = 0.5 * factor * c
@@ -324,30 +335,11 @@ def _assess_kernel(r: np.ndarray, factor, constants, z: float) -> tuple:
         with np.errstate(over="ignore", invalid="ignore"):
             shapes = np.array([_PUBLISHED[measure](r) for measure in MEASURES])
         variance = factor * shapes[:, 0]
-        bias = constants * shapes[:, 1]
+        bias = np.repeat(np.array(constants).T, sizes, 1) * shapes[:, 1]
     _check_variance(variance)
     half = z * np.sqrt(variance)
     return (point, variance, bias, *_clamped_bounds(point, half),
             *_clamped_bounds(point - bias, half))
-
-
-def _assess_designs(blocks, source: str, level: float) -> tuple:
-    """:func:`assess` of the ratios of several designs in one kernel call.
-
-    ``blocks`` holds ``(ratios, method, design1, design2)`` items; their
-    ratios are concatenated in order and each is assessed with its own
-    design's constants.  Returns the ``(measure, ratio)`` arrays of
-    :func:`_assess_kernel`.
-    """
-    z = _normal_z(level)
-    factors, constants = zip(*(_design_constants(method, d1, d2, source)
-                               for _r, method, d1, d2 in blocks))
-    ratios = [np.asarray(block[0], dtype=float).reshape(-1) for block in blocks]
-    sizes = [r.size for r in ratios]
-    # every design's constants, repeated over its own ratios
-    factor = np.repeat(factors, sizes)
-    constants = None if source == SOURCE_DERIVED else np.repeat(np.array(constants).T, sizes, 1)
-    return _assess_kernel(np.concatenate(ratios), factor, constants, z)
 
 
 def assess(
@@ -372,7 +364,7 @@ def assess(
     a variance is not finite and nonnegative.  Where a bias is not finite,
     the bias-corrected bounds are NaN.
     """
-    r = np.asarray(ratios, dtype=float)  # the kernel checks positive and finite
+    r = np.asarray(ratios, dtype=float)  # _assess_designs checks positive and finite
     if r.ndim != 1:
         raise DomainError("ratios must be a one-dimensional array")
     arrays = _assess_designs([(r, method, design1, design2)], source, level)

@@ -199,16 +199,18 @@ class StudyConfig:
         self.r_values = _ratio_grid("r_values", self.r_values)
         self.set_sizes = _set_size_grid(self.set_sizes)
         self.cycles = _cycle_grid(self.cycles)
-        if type(self.replications) is not int or self.replications < 1:
+        if not _is_count(self.replications) or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
+        self.replications = int(self.replications)
         if not _is_number(self.alpha2) or not math.isfinite(self.alpha2) or self.alpha2 <= 0:
             raise ConfigError("alpha2 must be a positive, finite number")
         self.alpha2 = float(self.alpha2)
         if not _is_number(self.level_alpha0) or not (0.0 < self.level_alpha0 < 1.0):
             raise ConfigError("level_alpha0 must be a number strictly inside (0, 1)")
         self.level_alpha0 = float(self.level_alpha0)
-        if type(self.master_seed) is not int or self.master_seed < 0:
+        if not _is_count(self.master_seed) or self.master_seed < 0:
             raise ConfigError("master_seed must be a nonnegative integer")
+        self.master_seed = int(self.master_seed)
         if self.formula_source not in SOURCES:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
         if self.figure_r_grid is not None:
@@ -356,50 +358,42 @@ def efficiency_grid(
     """Analytic efficiency cells, ordered by cycle count, measure, R, (r1, r2).
 
     ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
-    to a simulated efficiency that is carried along in the cells.  Cells whose
-    srs design the estimators refuse get ``analytic_eff=None``.  Each cycle
-    count takes one assessment per method over all its set sizes and ratios.
+    to a simulated efficiency that is carried along in the cells.  For each
+    cycle count, the set sizes whose srs design the estimators accept take
+    one assessment per method over all their ratios, and each cell's
+    efficiency is srs over rss; the other set sizes get ``analytic_eff=None``.
     """
     r_values = [float(R) for R in r_values]
-    eff = _efficiency_table(r_values, set_sizes, cycles, source)
-    empirical = empirical or {}
     rounded = [_round6(R) for R in r_values]
-    return [
-        EfficiencyCell(
-            measure=measure,
-            R=R,
-            r1=int(r1),
-            r2=int(r2),
-            m=int(m),
-            analytic_eff=eff[m, r1, r2][measure][k],
-            empirical_eff=empirical.get((measure, R, int(r1), int(r2), int(m))),
-        )
-        for m in cycles
-        for measure in MEASURES
-        for k, R in enumerate(rounded)
-        for r1, r2 in set_sizes
-    ]
-
-
-def _efficiency_table(r_values, set_sizes, cycles, source) -> dict:
-    """``{(m, r1, r2): {measure: [analytic efficiency per R]}}``: the cells' table."""
-    eff = {}
+    empirical = empirical or {}
+    cells = []
     for m in cycles:
-        # each table key's study cell, less its method; R plays no part in a design
-        cells = {(m, r1, r2): (None, r1, r2, m) for r1, r2 in set_sizes}
-        eff.update((key, dict.fromkeys(MEASURES, [None] * len(r_values))) for key in cells)
         # set sizes whose srs cell the study skips get no efficiency
-        kept = [key for key, cell in cells.items()
-                if _refusal(METHOD_SRS, *_designs((*cell, METHOD_SRS)), source) is None]
-        if not kept:
-            continue
-        srs, rss = (_mse_block(r_values, method,
-                               [_designs((*cells[key], method)) for key in kept], source)
-                    for method in (METHOD_SRS, METHOD_RSS))
-        ratio = srs / rss
-        for j, key in enumerate(kept):
-            eff[key] = dict(zip(MEASURES, ratio[:, j].tolist()))
-    return eff
+        kept = [(r1, r2) for r1, r2 in set_sizes
+                if _refusal(METHOD_SRS, *_designs((None, r1, r2, m, METHOD_SRS)), source) is None]
+        eff = {}
+        if kept:
+            srs, rss = (_mse_block(r_values, method,
+                                   [_designs((None, r1, r2, m, method)) for r1, r2 in kept], source)
+                        for method in (METHOD_SRS, METHOD_RSS))
+            eff = dict(zip(kept, (srs / rss).transpose(1, 0, 2).tolist()))
+        # each set size's [[efficiency per R] per measure], None where refused
+        rows = [(int(r1), int(r2), eff.get((r1, r2))) for r1, r2 in set_sizes]
+        cells += [
+            EfficiencyCell(
+                measure=measure,
+                R=R,
+                r1=r1,
+                r2=r2,
+                m=int(m),
+                analytic_eff=None if row is None else row[i][k],
+                empirical_eff=empirical.get((measure, R, r1, r2, int(m))),
+            )
+            for i, measure in enumerate(MEASURES)
+            for k, R in enumerate(rounded)
+            for r1, r2, row in rows
+        ]
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +740,13 @@ def emit_tables(items, layout: str, fmt: str = "text") -> str:
     ``layout='bias_table'`` consumes :class:`StudyRow` items and renders
     |bias| / coverage / interval-length blocks per method and measure.
 
-    The expected grid is every R, (r1, r2) and m the items hold; missing
-    cells raise :class:`MissingCellError` naming every absent cell, and no
-    items at all raise it as "no rows to tabulate".
+    ``fmt`` is text, csv or json; any other raises :class:`DomainError`
+    before the items are read.  The expected grid is every R, (r1, r2) and
+    m the items hold; missing cells raise :class:`MissingCellError` naming
+    every absent cell, and no items at all raise it as "no rows to tabulate".
     """
+    if fmt not in ("text", "csv", "json"):
+        raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
     if layout == "eff_table":
         return _emit_eff_table(items, fmt)
     if layout == "bias_table":
@@ -787,8 +784,6 @@ def _emit_eff_table(cells, fmt):
     if fmt == "json":
         records = [asdict(present[k]) for k in expected]
         return json.dumps({"layout": "eff_table", "cells": records}, indent=2) + "\n"
-    if fmt != "text":
-        raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
 
     r1_set = sorted({p[0] for p in set_sizes})
     r2_set = sorted({p[1] for p in set_sizes})
@@ -850,8 +845,6 @@ def _emit_bias_table(rows, fmt):
         records = [{name: getattr(present[k], name) for name in _BIAS_TABLE_FIELDS}
                    for k in expected]
         return json.dumps({"layout": "bias_table", "cells": records}, indent=2) + "\n"
-    if fmt != "text":
-        raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
 
     lines = []
     some = next(iter(present.values()))
@@ -924,7 +917,8 @@ def _published_tables() -> dict:
 def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     """CSV of printed vs computed values for every transcribed table cell.
 
-    Efficiency cells are recomputed analytically.  Real-data cells read the
+    Efficiency cells are looked up in :func:`efficiency_grid`'s cells at the
+    printed ratios, set sizes and cycle count.  Real-data cells read the
     srs and bayes reports of the bundled datasets, biases as magnitudes (the
     published layout is sign-free); ranked-set cells there are NaN because
     no ranked-set design is stated for that example (the printed values are
@@ -940,15 +934,16 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
         table = f"efficiency_m{m}"
         block = fixtures["efficiency"][m_key]
         r_keys = sorted(block, key=float)
-        computed = _efficiency_table([float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)
-        for k, R_key in enumerate(r_keys):
-            R = float(R_key)
+        computed = {(c.measure, c.R, c.r1, c.r2): c.analytic_eff for c in efficiency_grid(
+            [float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)}
+        for R_key in r_keys:
+            R = _round6(R_key)  # the cells' R
             for meas in MEASURES:
                 values = block[R_key][meas]
                 for i, r1 in enumerate((2, 3, 4, 5)):
                     for j, r2 in enumerate((2, 3, 4, 5)):
                         rows.append((table, "measure=%s:R=%.6g:r1=%d:r2=%d" % (meas, R, r1, r2),
-                                     float(values[i][j]), computed[m, r1, r2][meas][k]))
+                                     float(values[i][j]), computed[meas, R, r1, r2]))
 
     real = fixtures["real_data"]
     d1, d2 = bundled_counts()

@@ -494,8 +494,17 @@ class TestSimulate:
         assert sorted(p.name for p in out_dir.iterdir()) == ["efficiency.csv", "study.csv"]
 
     def test_bad_workers(self, capsys, config):
-        code, _, _ = run_cli(capsys, "simulate", "--config", config, "--workers", "0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", config, "--workers", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "'0'" in err
+
+    def test_bad_workers_refused_before_config_is_read(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(tmp_path / "no.json"), "--workers", "-3"])
+        assert exc.value.code == 2  # not 3: the missing file is never opened
+        assert "--workers" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "no.json"))

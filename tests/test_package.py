@@ -2,6 +2,7 @@
 and importing it or running the CLI's one-worker paths loads neither SciPy
 nor the process pool."""
 
+import ast
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import ovlomax
 
 MODULES = ("dist_core", "overlap", "sampling", "estimators", "reports", "study")
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ovlomax"
 
 
 def test_exports_are_the_module_exports():
@@ -77,3 +79,36 @@ def test_cli_paths_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["modules"] == []
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but neither uses nor lists in ``__all__``; an
+    import on a line that carries ``# noqa: F401`` is exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]  # `import a.b` binds a
+            if name != "*" and name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"line {alias.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_check_flags_only_unused_names():
+    source = "import os\nimport sys\nimport json  # noqa: F401\n__all__ = ['x']\nsys.exit\n"
+    assert _unused_imports(source) == ["line 1: os"]
+    assert _unused_imports("from . import x\n__all__ = ['x']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -106,6 +106,9 @@ class TestStudyConfig:
             {"replications": True},
             {"master_seed": True},
             {"master_seed": False},
+            {"replications": np.int64(0)},
+            {"replications": np.bool_(True)},
+            {"master_seed": np.int64(-1)},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -159,9 +162,12 @@ class TestStudyConfig:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = StudyConfig(set_sizes=[(np.int64(2), np.int32(3))], cycles=[np.int8(4)],
-                          r_values=[np.float32(0.5), 1])
+                          r_values=[np.float32(0.5), 1], replications=np.int64(10),
+                          master_seed=np.uint32(3))
         assert cfg.set_sizes == ((2, 3),) and type(cfg.set_sizes[0][0]) is int
         assert cfg.cycles == (4,) and type(cfg.cycles[0]) is int
+        assert cfg.replications == 10 and type(cfg.replications) is int
+        assert cfg.master_seed == 3 and type(cfg.master_seed) is int
         assert cfg.r_values == (0.5, 1.0)
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -669,6 +675,10 @@ class TestEmitTables:
             emit_tables(self.cells, "pivot", "text")
         with pytest.raises(DomainError):
             emit_tables(self.cells, "eff_table", "yaml")
+        # the format is checked before the items: no "no rows to tabulate"
+        for layout in ("eff_table", "bias_table"):
+            with pytest.raises(DomainError, match="unknown format 'yaml'"):
+                emit_tables([], layout, "yaml")
 
 
 class TestFigureData:
