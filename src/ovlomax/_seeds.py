@@ -24,6 +24,8 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
+# the master seeds: derive_seeds would wrap a wider one onto its residue mod 2**64
+SEEDS = range(_MASK + 1)
 
 # numpy.random.SeedSequence: 32-bit hash constants, a pool of four words
 _M32 = 0xFFFFFFFF

@@ -61,9 +61,26 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
+def _int_option(wanted: str, accepts):
+    """An argparse type for integers that ``accepts``; argparse names the option in a refusal."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_count = _int_option("a positive integer", lambda value: value >= 1)
+_seed = _int_option("an integer in [0, 2**64)", _seeds.SEEDS.__contains__)
+
+
 def _common_flags(sub, seed=False, source=True, fmt=True, level=False):
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        sub.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     if source:
         sub.add_argument(
             "--source", choices=SOURCES, default=SOURCE_DERIVED,
@@ -75,17 +92,6 @@ def _common_flags(sub, seed=False, source=True, fmt=True, level=False):
     if level:
         sub.add_argument("--level", type=float, default=0.95,
                          help="confidence level (default 0.95)")
-
-
-def _positive_count(text: str) -> int:
-    # argparse names the option in front of the message and exits with 2
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="draw samples from one population")
     p.add_argument("--alpha", type=float, required=True, help="shape parameter")
-    p.add_argument("--beta", type=float, default=1.0, help="scale parameter (default 1)")
     p.add_argument("--design", required=True,
                    help="'srs:N' or 'rss:R,M' (set size R, M cycles)")
     _common_flags(p, seed=True, source=False, fmt=False)
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-figures", action="store_true",
                    help="skip the dense figure-data curves (they rerun the engine "
                    "over the full ratio grid)")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the master seed")
     p.add_argument("--source", choices=SOURCES, default=None,
                    help="override the formula source")
     p.set_defaults(func=cmd_simulate)
@@ -218,7 +223,7 @@ def _parse_design(spec: str):
 
 
 def cmd_sample(args) -> int:
-    dist = InverseLomax(alpha=args.alpha, beta=args.beta)
+    dist = InverseLomax(args.alpha)
     design = _parse_design(args.design)
     rng = _seeds.stream(args.seed)
     if isinstance(design, SrsDesign):

@@ -1,10 +1,12 @@
 """Inverse Lomax distribution, its samplers and the domain checks.
 
-The family used throughout is the law of 1/Y for Lomax-distributed Y,
-parametrized so that the cdf is ``(1 + beta/x) ** (-1/alpha)``.  Under this
-convention ``T = log(1 + beta/X)`` is exponential with mean ``alpha``, which
-is what makes every estimator in :mod:`ovlomax.estimators` tractable; the
-exact laws of its estimates are ``scipy.stats`` gamma and F laws, named there.
+The family used throughout is the standardized law of 1/Y for
+Lomax-distributed Y, with cdf ``(1 + 1/x) ** (-1/alpha)``; for ``beta > 0``,
+``beta * X`` has scale ``beta``, and two populations that share a scale have
+the overlap coefficients of their standardized laws.  Under this convention
+``T = log(1 + 1/X)`` is exponential with mean ``alpha``, which is what makes
+every estimator in :mod:`ovlomax.estimators` tractable; the exact laws of
+its estimates are ``scipy.stats`` gamma and F laws, named there.
 The normal quantile of the intervals comes from the standard library, so
 importing the package loads no SciPy.  A draw lies below the smallest normal
 float with probability ``exp(-708.4/alpha)``; sampling and the quantile refuse
@@ -33,16 +35,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def _positive_scalar(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a positive finite number") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
 def _positive_int(name: str, v) -> int:
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
         raise DomainError(f"{name} must be a positive integer")
@@ -64,31 +56,31 @@ def _as_input_shape(result: np.ndarray, like) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class InverseLomax:
-    """Inverse Lomax law with shape ``alpha`` and scale ``beta``.
+    """Standardized inverse Lomax law with shape ``alpha``.
 
-    pdf:  (1 / (alpha * u**2)) * (1 + 1/u) ** -(1 + 1/alpha) / beta,  u = x/beta
-    cdf:  (1 + beta/x) ** (-1/alpha)
+    pdf:  (1 / (alpha * x**2)) * (1 + 1/x) ** -(1 + 1/alpha)
+    cdf:  (1 + 1/x) ** (-1/alpha)
 
     The shape convention is the one under which the mean of
-    ``log(1 + beta/x)`` over a sample is the maximum-likelihood estimate of
+    ``log(1 + 1/x)`` over a sample is the maximum-likelihood estimate of
     ``alpha``; it is reciprocal to the shape of the underlying Lomax law.
     """
 
     alpha: float
-    beta: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _positive_scalar("alpha", self.alpha))
-        object.__setattr__(self, "beta", _positive_scalar("beta", self.beta))
+        try:
+            alpha = float(self.alpha)
+        except (TypeError, ValueError):
+            raise DomainError("alpha must be a positive finite number") from None
+        if not math.isfinite(alpha) or alpha <= 0.0:
+            raise DomainError(f"alpha must be a positive finite number, got {alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
     def logpdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
-        u = arr / self.beta
-        out = (
-            -math.log(self.alpha * self.beta)
-            - 2.0 * np.log(u)
-            - (1.0 + 1.0 / self.alpha) * np.log1p(1.0 / u)
-        )
+        out = (-math.log(self.alpha) - 2.0 * np.log(arr)
+               - (1.0 + 1.0 / self.alpha) * np.log1p(1.0 / arr))
         return _as_input_shape(out, x)
 
     def pdf(self, x) -> float | np.ndarray:
@@ -98,14 +90,14 @@ class InverseLomax:
 
     def cdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
-        out = np.exp(-np.log1p(self.beta / arr) / self.alpha)
+        out = np.exp(-np.log1p(1.0 / arr) / self.alpha)
         return _as_input_shape(out, x)
 
     def quantile(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("u must lie strictly inside (0, 1)")
-        return _as_input_shape(_from_t(-self.alpha * np.log(arr), self.beta), u)
+        return _as_input_shape(_from_t(-self.alpha * np.log(arr)), u)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` values by inverse transform of one uniform block.
@@ -118,19 +110,19 @@ class InverseLomax:
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse transform of a block of uniforms in [0, 1), any shape."""
         # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
-        return _from_t(-self.alpha * np.log(np.maximum(u, _TINY)), self.beta)
+        return _from_t(-self.alpha * np.log(np.maximum(u, _TINY)))
 
 
-def _from_t(t: np.ndarray, beta) -> np.ndarray:
-    """``beta / expm1(t)``, the values with transforms ``t`` (at ``t = -alpha *
+def _from_t(t: np.ndarray) -> np.ndarray:
+    """``1 / expm1(t)``, the values with transforms ``t`` (at ``t = -alpha *
     log(u)`` the quantile of u); DomainError if any is below the float range."""
     with np.errstate(over="ignore"):  # an overflowing expm1 is counted below
-        x = beta / np.expm1(t)
+        x = 1.0 / np.expm1(t)
     below = np.count_nonzero(x < _TINY)
     if below:
         raise DomainError(
             f"{below} of {x.size} values lie below the smallest normal float "
-            f"({_TINY:.4g}); too large a shape or too small a scale for x")
+            f"({_TINY:.4g}); too large a shape for x")
     return x
 
 

@@ -1,7 +1,7 @@
 """Overlap coefficients of two inverse Lomax densities sharing a scale.
 
-For shapes ``alpha1, alpha2`` every measure depends on the data only through
-the shape ratio ``R = alpha1/alpha2``:
+For shapes ``alpha1, alpha2`` and a common scale, which cancels out, every
+measure depends on the data only through the shape ratio ``R = alpha1/alpha2``:
 
 * Matusita's coefficient       rho(R)    = 2*sqrt(R) / (R + 1)
 * Weitzman's coefficient       delta(R)  = 1 - R**(1/(1-R)) * |1 - 1/R|

@@ -58,7 +58,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__, _seeds
-from .dist_core import _TINY, DomainError, InverseLomax
+from .dist_core import _TINY, DomainError
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -178,12 +178,13 @@ def _listed(value):
 class StudyConfig:
     """Grid and execution parameters for one study run.
 
+    Each cell draws population 1 at shape ``R`` and population 2 at shape 1,
+    so every output depends on the two shapes only through ``R``.
     ``figure_r_grid`` is only consulted by :func:`emit_figure_data`; the
     dense default covers (0, 1) in steps of 0.05.
     """
 
     r_values: tuple = DEFAULT_R_VALUES
-    alpha2: float = 1.0
     set_sizes: tuple = DEFAULT_SET_SIZES
     cycles: tuple = (8,)
     replications: int = 1000
@@ -202,37 +203,32 @@ class StudyConfig:
         if not _is_count(self.replications) or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
         self.replications = int(self.replications)
-        if not _is_number(self.alpha2) or not math.isfinite(self.alpha2) or self.alpha2 <= 0:
-            raise ConfigError("alpha2 must be a positive, finite number")
-        self.alpha2 = float(self.alpha2)
         if not _is_number(self.level_alpha0) or not (0.0 < self.level_alpha0 < 1.0):
             raise ConfigError("level_alpha0 must be a number strictly inside (0, 1)")
         self.level_alpha0 = float(self.level_alpha0)
-        if not _is_count(self.master_seed) or self.master_seed < 0:
-            raise ConfigError("master_seed must be a nonnegative integer")
+        if not _is_count(self.master_seed) or int(self.master_seed) not in _seeds.SEEDS:
+            raise ConfigError("master_seed must be an integer in [0, 2**64)")
         self.master_seed = int(self.master_seed)
         if self.formula_source not in SOURCES:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
         if self.figure_r_grid is not None:
             self.figure_r_grid = _ratio_grid("figure_r_grid", self.figure_r_grid)
-        # worst case of a sample's sum of T = -alpha * log(u), u >= tiny: the
-        # largest shape any cell draws (population 1's R * alpha2 over the
-        # study and figure grids, or population 2's alpha2) times the largest n
+        # worst case of a sample's sum of T = -alpha * log(u), u >= tiny: the largest
+        # shape any cell draws (an R of either grid, or population 2's 1) times the largest n
         figure = DEFAULT_FIGURE_R_GRID if self.figure_r_grid is None else self.figure_r_grid
         grid = (1.0, *self.r_values, *figure)
-        shape = self.alpha2 * max(grid)
         n = max(map(max, self.set_sizes)) * max(self.cycles)
-        if not math.isfinite(shape * n * -math.log(_TINY)):
+        if not math.isfinite(max(grid) * n * -math.log(_TINY)):
             raise ConfigError(
-                f"alpha2 = {self.alpha2:.6g} is too large for this grid: a sample's sum of "
-                f"T = -alpha * log(u) over up to {n} values at shape {shape:.6g} overflows")
+                f"r_values or figure_r_grid reaches R = {max(grid):.6g}, too large for this "
+                f"grid: a sample's sum of T = -alpha * log(u) over up to {n} values at that "
+                "shape overflows")
         # and the least T, at the smallest shape and u = 1 - 2**-53, must be a
         # normal float: a subnormal T keeps only a few significant bits
-        shape = self.alpha2 * min(grid)
-        if shape * -math.log1p(-(2.0**-53)) < _TINY:
+        if min(grid) * -math.log1p(-(2.0**-53)) < _TINY:
             raise ConfigError(
-                f"alpha2 = {self.alpha2:.6g} is too small for this grid: T = -alpha * log(u) "
-                f"at shape {shape:.6g} falls below the smallest normal float")
+                f"r_values or figure_r_grid reaches R = {min(grid):.6g}, too small: "
+                "T = -alpha * log(u) at that shape falls below the smallest normal float")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -362,8 +358,10 @@ def efficiency_grid(
     cycle count, the set sizes whose srs design the estimators accept take
     one assessment per method over all their ratios, and each cell's
     efficiency is srs over rss; the other set sizes get ``analytic_eff=None``.
+    A grid that :class:`StudyConfig` would refuse raises its ConfigError.
     """
-    r_values = [float(R) for R in r_values]
+    r_values = _ratio_grid("r_values", r_values)
+    set_sizes, cycles = _set_size_grid(set_sizes), _cycle_grid(cycles)
     rounded = [_round6(R) for R in r_values]
     empirical = empirical or {}
     cells = []
@@ -378,16 +376,16 @@ def efficiency_grid(
                         for method in (METHOD_SRS, METHOD_RSS))
             eff = dict(zip(kept, (srs / rss).transpose(1, 0, 2).tolist()))
         # each set size's [[efficiency per R] per measure], None where refused
-        rows = [(int(r1), int(r2), eff.get((r1, r2))) for r1, r2 in set_sizes]
+        rows = [(r1, r2, eff.get((r1, r2))) for r1, r2 in set_sizes]
         cells += [
             EfficiencyCell(
                 measure=measure,
                 R=R,
                 r1=r1,
                 r2=r2,
-                m=int(m),
+                m=m,
                 analytic_eff=None if row is None else row[i][k],
-                empirical_eff=empirical.get((measure, R, r1, r2, int(m))),
+                empirical_eff=empirical.get((measure, R, r1, r2, m)),
             )
             for i, measure in enumerate(MEASURES)
             for k, R in enumerate(rounded)
@@ -445,10 +443,8 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Genera
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
-    # population 1's shape per row, checked as an InverseLomax shape;
-    # population 2 has shape alpha2 throughout
-    shapes = np.repeat([InverseLomax(cell[0] * cfg.alpha2).alpha for cell in cells],
-                       cfg.replications)
+    # population 1's shape per row, its cell's R (checked by the config); population 2's is 1
+    shapes = np.repeat([cell[0] for cell in cells], cfg.replications)
     rows = len(words)
     step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
@@ -458,7 +454,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Genera
         block = uniforms[:hi - lo]
         _seeds.fill_uniforms(block, words[lo:hi], gen)
         samples = block[:, :draws[0]], block[:, draws[0]:]  # views of the two populations
-        populations = zip((shapes[lo:hi, None], cfg.alpha2), designs, samples)
+        populations = zip((shapes[lo:hi, None], 1.0), designs, samples)
         for k, (alpha, d, u) in enumerate(populations):
             if method == METHOD_RSS:
                 u = rss_retained(u, d).reshape(hi - lo, d.n)
@@ -623,6 +619,8 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
         "namespace": 0,
         "columns": list(STUDY_CSV_COLUMNS),
         "notes": [
+            "population 1 has shape R and population 2 has shape 1; every output "
+            "depends on the two shapes only through R",
             "coverage is the empirical coverage proportion of the nominal "
             "(1 - level_alpha0) interval (the 'ratio' column of the published layout)",
             "efficiency = MSE(srs) / MSE(rss) at equal retained sample sizes",

@@ -141,6 +141,26 @@ class TestSample:
                              "--seed", "4")
         assert out1 != out3
 
+    @pytest.mark.parametrize("command", [
+        ["sample", "--alpha", "1", "--design", "srs:5"],
+        ["simulate", "--config", str(SMOKE)],
+    ], ids=["sample", "simulate"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
+    def test_seed_outside_the_seed_range_is_refused(self, capsys, command, seed):
+        # derive_seeds reduces every part mod 2**64, so -1 and 2**64 - 1 would
+        # draw the same values
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be an integer in [0, 2**64), got '{seed}'" in captured.err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--alpha", "1", "--design", "srs:5",
+                               "--seed", str(2**64 - 1))
+        assert code == 0 and len(out.split()) == 5
+
     def test_rss_covers_every_slot(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--alpha", "1", "--design", "rss:2,3",
                                "--seed", "3")
@@ -325,7 +345,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--reps", "0", "replications must be an integer >= 1"),
-        ("--seed", "-1", "master_seed must be a nonnegative integer"),
     ])
     def test_bad_override_is_config_error(self, capsys, config, flag, value, message):
         code, out, err = run_cli(capsys, "simulate", "--config", config, flag, value)
@@ -377,27 +396,35 @@ class TestSimulate:
         assert not (out_dir / "figure_data.csv").exists()
         assert (out_dir / "study.csv").exists()
 
-    def test_alpha2_out_of_range_fails_cleanly(self, tmp_path):
-        # -alpha * log(u) of smoke.json's samples at alpha2 = 1e308 overflows
+    def test_huge_ratio_fails_cleanly(self, tmp_path):
+        # -alpha * log(u) of smoke.json's samples at shape R = 1e308 overflows
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "alpha2": 1e308}))
+        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "r_values": [0.5, 1e308]}))
         out_dir = tmp_path / "out"
         proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error:") and "alpha2" in proc.stderr
+        assert proc.stderr.startswith("error: r_values or figure_r_grid reaches R = 1e+308")
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out_dir.exists()
 
-    def test_subnormal_alpha2_fails_cleanly(self, tmp_path):
-        # T = -alpha * log(u) of smoke.json's smallest shape would be subnormal
+    def test_subnormal_ratio_fails_cleanly(self, tmp_path):
+        # T = -alpha * log(u) at shape R = 1e-310 would be subnormal
         path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "alpha2": 1e-310}))
+        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "r_values": [1e-310, 0.5]}))
         out_dir = tmp_path / "out"
         proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error:") and "alpha2" in proc.stderr
+        assert proc.stderr.startswith("error: r_values or figure_r_grid reaches R = 1e-310")
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
+
+    def test_config_seed_outside_the_seed_range_is_refused(self, capsys, tmp_path):
+        # derive_seeds would fold 2**64 + 5 into the streams of seed 5
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "master_seed": 2**64 + 5}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: master_seed must be an integer in [0, 2**64)\n"
 
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"

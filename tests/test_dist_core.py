@@ -17,7 +17,7 @@ from ovlomax.estimators import harmonic
 
 class TestDensity:
     def test_pdf_standard_at_one(self):
-        # alpha=1, beta=1 collapses to 1/(1+x)^2
+        # alpha=1 collapses to 1/(1+x)^2
         assert InverseLomax(1.0).pdf(1.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_pdf_matches_quadrature_normalization(self):
@@ -27,35 +27,28 @@ class TestDensity:
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_pdf_nonnegative_and_finite_at_extremes(self):
-        d = InverseLomax(0.7, 2.0)
+        d = InverseLomax(0.7)
         x = np.array([1e-300, 1e-10, 1.0, 1e10, 1e300])
         p = d.pdf(x)
         assert np.all(p >= 0.0)
         assert np.all(np.isfinite(p))
 
     def test_origin_limit_depends_on_shape(self):
-        # below one: vanishes; at one: tends to 1/beta; above one: diverges
+        # below one: vanishes; at one: tends to 1; above one: diverges
         x = 1e-12
         assert InverseLomax(0.5).pdf(x) < 1e-6
         assert InverseLomax(1.0).pdf(x) == pytest.approx(1.0, rel=1e-6)
         assert InverseLomax(2.0).pdf(x) > 1e5
 
     def test_logpdf_agrees_with_log_of_pdf(self):
-        d = InverseLomax(1.7, 0.5)
+        d = InverseLomax(1.7)
         x = np.array([0.01, 0.5, 3.0, 200.0])
         assert np.allclose(np.exp(d.logpdf(x)), d.pdf(x), rtol=1e-13)
-
-    def test_scale_parameter_rescales(self):
-        base, scaled = InverseLomax(0.8, 1.0), InverseLomax(0.8, 5.0)
-        x = 2.3
-        assert scaled.pdf(x) == pytest.approx(base.pdf(x / 5.0) / 5.0, rel=1e-13)
 
     def test_invalid_parameters_rejected(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 InverseLomax(bad)
-            with pytest.raises(DomainError):
-                InverseLomax(1.0, bad)
 
 
 class TestCdfQuantile:
@@ -66,13 +59,13 @@ class TestCdfQuantile:
         assert InverseLomax(1.0).quantile(0.75) == pytest.approx(3.0, rel=1e-13)
 
     def test_cdf_is_integral_of_pdf(self):
-        d = InverseLomax(1.4, 2.0)
+        d = InverseLomax(1.4)
         for x in (0.2, 1.0, 7.0):
             val, err = scipy.integrate.quad(d.pdf, 0, x, limit=200)
             assert d.cdf(x) == pytest.approx(val, abs=1e-9)
 
     def test_quantile_inverts_cdf(self):
-        d = InverseLomax(0.6, 3.0)
+        d = InverseLomax(0.6)
         u = np.linspace(0.01, 0.99, 25)
         assert np.allclose(d.cdf(d.quantile(u)), u, atol=1e-12)
 
@@ -93,7 +86,7 @@ class TestCdfQuantile:
 
 class TestSampling:
     def test_sample_matches_cdf(self, rng):
-        d = InverseLomax(0.9, 1.5)
+        d = InverseLomax(0.9)
         x = d.sample(100_000, rng)
         stat = scipy.stats.kstest(x, d.cdf)
         assert stat.pvalue > 0.001
@@ -118,15 +111,10 @@ class TestSampling:
         x2 = d.sample(10, np.random.default_rng(5))
         assert np.array_equal(x1, x2)
 
-    def test_scale_acts_multiplicatively_on_samples(self):
-        a = InverseLomax(0.8, 1.0).sample(100, np.random.default_rng(3))
-        b = InverseLomax(0.8, 4.0).sample(100, np.random.default_rng(3))
-        assert np.allclose(b, 4.0 * a, rtol=1e-12)
-
     def test_zero_uniform_is_nudged_inside(self):
         # u = 0 becomes the smallest normal float; at alpha = 0.5 its draw,
-        # 3 / expm1(354.2), is still a normal float
-        x = InverseLomax(0.5, 3.0).from_uniform(np.array([0.0, 0.5]))
+        # 1 / expm1(354.2), is still a normal float
+        x = InverseLomax(0.5).from_uniform(np.array([0.0, 0.5]))
         assert 0.0 < x[0] < x[1]
 
     @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about

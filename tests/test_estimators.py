@@ -25,8 +25,8 @@ from ovlomax.estimators import (
     shape_estimates,
 )
 from ovlomax.overlap import MEASURES, _terms, overlap_value
-from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss
-from ovlomax.study import efficiency_grid
+from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss, rss_retained
+from ovlomax.study import ConfigError, efficiency_grid
 
 
 def printed_shapes(r) -> dict:
@@ -125,6 +125,31 @@ class TestRatioEstimate:
         bay = corrected_ratio(raw_ratio(METHOD_BAYES, x1, x2), METHOD_BAYES, d1, d2,
                               SOURCE_DERIVED)
         assert bay == pytest.approx(srs, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 10.0, 1e3])
+    @pytest.mark.parametrize("method", [METHOD_SRS, METHOD_RSS, METHOD_BAYES])
+    def test_corrected_ratio_depends_on_the_shapes_only_through_their_ratio(self, method, a):
+        # the study draws population 2 at shape 1: a common factor a of the two
+        # shapes scales both estimates by a, and it cancels from their ratio
+        if method == METHOD_RSS:
+            d1, d2 = RssDesign(3, 4), RssDesign(2, 5)
+            draws = [d.r * d.r * d.m for d in (d1, d2)]
+        else:
+            d1, d2 = SrsDesign(12), SrsDesign(10)
+            draws = [d1.n, d2.n]
+        rng = np.random.default_rng(17)
+        u1, u2 = (rng.random((200, n)) for n in draws)
+        if method == METHOD_RSS:
+            u1, u2 = (rss_retained(u, d).reshape(200, d.n) for u, d in ((u1, d1), (u2, d2)))
+
+        def ratios(shape1, shape2):
+            # the study's T = -alpha * log(u) of the same retained uniforms
+            alpha1, alpha2 = (_shape_from_t(method, -shape * np.log(u))
+                              for shape, u in ((shape1, u1), (shape2, u2)))
+            return corrected_ratio(alpha1 / alpha2, method, d1, d2)
+
+        R = 0.6
+        np.testing.assert_allclose(ratios(a * R, a), ratios(R, 1.0), rtol=1e-12, atol=0.0)
 
     def test_bayes_published_correction_constant(self):
         n1, n2 = 10, 14
@@ -490,7 +515,8 @@ class TestAssess:
         with pytest.raises(DomainError, match=message):
             _assess_designs([([0.5], METHOD_SRS, d1, d2), ([bad], METHOD_RSS, ranked, ranked)],
                             source, 0.95)
-        with pytest.raises(DomainError, match=message):
+        # the efficiency grid checks its ratios as a study config does, by name
+        with pytest.raises(ConfigError, match="^r_values must be nonempty, positive, and finite$"):
             efficiency_grid(r_values=[0.5, bad], cycles=(8,), source=source)
 
     @pytest.mark.parametrize("source", SOURCES)

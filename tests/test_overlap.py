@@ -265,9 +265,13 @@ class TestQuadrature:
             )
 
     def test_scale_invariance(self):
-        # a common scale cancels out of every measure
-        f1, f2 = InverseLomax(0.5, 7.0), InverseLomax(1.0, 7.0)
-        assert ovl_by_quadrature(f1, f2, "delta") == pytest.approx(0.75, abs=1e-7)
+        # a common scale cancels out of every measure: 7 * X has density
+        # f(x / 7) / 7 when X has density f
+        f1, f2 = InverseLomax(0.5), InverseLomax(1.0)
+        g1, g2 = (lambda x: f1.pdf(x / 7) / 7), (lambda x: f2.pdf(x / 7) / 7)
+        for meas in MEASURES:
+            assert ovl_by_quadrature(g1, g2, meas) == pytest.approx(
+                overlap_value(meas, 0.5), abs=1e-7)
 
     def test_accepts_bare_callables(self):
         f1, f2 = InverseLomax(2.0), InverseLomax(1.0)

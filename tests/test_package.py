@@ -112,3 +112,50 @@ def test_unused_import_check_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_names_without_caller(sources: dict) -> list:
+    """Single-underscore module-level functions, classes and constants of
+    ``sources`` (``{module: source}``) that no module of them loads, by name
+    or as an attribute; a definition of the name is not a load."""
+    defined, loaded = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in loaded]
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_private_name_check_flags_only_names_without_caller():
+    source = ("import x\n_A, _B = 1, 2\n_C: int = 3\n\n\ndef _used():\n    return _A\n\n\n"
+              "class _Unused:\n    pass\n")
+    other = "from .a import _used\n_used()\nx.a._C\n"
+    assert _private_names_without_caller({"a": source, "b": other}) == [
+        "a: _B", "a: _Unused"]
+    # a helper planted in the package with no caller is flagged
+    sources = _package_sources()
+    sources["study"] += "\n\ndef _planted_helper(x):\n    return x\n"
+    assert _private_names_without_caller(sources) == ["study: _planted_helper"]
+
+
+def test_every_private_name_has_a_caller():
+    # tests and perfbench do not count as callers: code with no caller in
+    # the package is deleted, not kept for them
+    assert _private_names_without_caller(_package_sources()) == []

@@ -158,7 +158,7 @@ def reference_cell(cfg, namespace, cell_index, cell):
     for rep in range(reps):
         _seeds.stream(cfg.master_seed, namespace, cell_index, rep).random(out=uniforms[rep])
     alphas = []
-    shapes = (R * cfg.alpha2, cfg.alpha2)
+    shapes = (R, 1.0)
     for alpha, design, u in zip(shapes, designs, np.split(uniforms, [draws[0]], axis=1)):
         if method == METHOD_RSS:
             r, m = design.r, design.m

@@ -94,8 +94,8 @@ class TestStudyConfig:
             {"cycles": (0,)},
             {"replications": 0},
             {"replications": 2.5},
-            {"alpha2": 0.0},
-            {"alpha2": -1.0},
+            {"r_values": (0.5, 1e308)},
+            {"figure_r_grid": (1e-300, 0.5)},
             {"level_alpha0": 0.0},
             {"level_alpha0": 1.0},
             {"master_seed": -1},
@@ -109,6 +109,8 @@ class TestStudyConfig:
             {"replications": np.int64(0)},
             {"replications": np.bool_(True)},
             {"master_seed": np.int64(-1)},
+            {"master_seed": 2**64},
+            {"master_seed": 2**70},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -125,6 +127,8 @@ class TestStudyConfig:
             ('{"r_values": [true]}', "r_values"),
             ('{"r_values": ["0.5"]}', "r_values"),
             ('{"figure_r_grid": [0.5, true]}', "figure_r_grid"),
+            # alpha2 is no longer a field: a config that still sets it is
+            # refused by name, whatever its value
             ('{"alpha2": true}', "alpha2"),
             ('{"alpha2": "2"}', "alpha2"),
             ('{"alpha2": null}', "alpha2"),
@@ -135,29 +139,33 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match=field):
             StudyConfig.from_json(text)
 
-    # smoke.json draws samples of at most n = 6 at shape alpha2 (its R and
-    # figure grids stay below 1), so alpha2 1e300 is fine there; each case
-    # is refused for the field that makes a sum of T overflow
+    # smoke.json draws samples of at most n = 6, so a shape of 1e302 is fine
+    # there; each case makes a sample's sum of T overflow, the last by a
+    # shape just over the largest that n = 6 allows
     @pytest.mark.parametrize("changes", [
-        {"alpha2": 1e308},
-        {"alpha2": 1e300, "r_values": [0.5, 1e8]},
-        {"alpha2": 1e300, "figure_r_grid": [0.25, 1e8]},
-        {"alpha2": 1e302, "cycles": [1000]},
+        {"r_values": [0.5, 1e308]},
+        {"figure_r_grid": [0.25, 1e306]},
+        {"r_values": [0.5, 1e302], "cycles": [1000]},
+        {"r_values": [0.5, sys.float_info.max / (6 * -math.log(TINY)) * 1.001]},
     ])
-    def test_alpha2_whose_sums_overflow_is_refused(self, changes):
+    def test_ratio_grid_whose_sums_overflow_is_refused(self, changes):
         data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
-        with pytest.raises(ConfigError, match="alpha2"):
+        message = r"^r_values or figure_r_grid reaches R = \S+, too large"
+        with pytest.raises(ConfigError, match=message):
             StudyConfig.from_dict(data)
 
+    # the least T, at the smallest shape and u = 1 - 2**-53, must be a normal
+    # float; the last case lies just under that bound
     @pytest.mark.parametrize("changes", [
-        {"alpha2": 1e-310},
-        {"alpha2": 1e-290, "r_values": [1e-3, 0.5]},
-        {"alpha2": 1e-290, "figure_r_grid": [1e-3, 0.5]},
-        {"alpha2": 0.999 * TINY / (0.25 * -math.log1p(-(2.0**-53)))},
+        {"r_values": [1e-300, 0.5]},
+        {"figure_r_grid": [1e-300, 0.5]},
+        {"r_values": [5e-324]},
+        {"r_values": [0.999 * TINY / -math.log1p(-(2.0**-53))]},
     ])
-    def test_alpha2_whose_draws_are_subnormal_is_refused(self, changes):
+    def test_ratio_grid_whose_draws_are_subnormal_is_refused(self, changes):
         data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
-        with pytest.raises(ConfigError, match="alpha2 = .* too small"):
+        message = r"^r_values or figure_r_grid reaches R = \S+, too small"
+        with pytest.raises(ConfigError, match=message):
             StudyConfig.from_dict(data)
 
     def test_numpy_integer_counts_accepted(self):
@@ -386,22 +394,19 @@ class TestRunStudy:
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 0)[0]) for r in srs_rows)
         assert all(r.seed == int(_seeds.derive_seeds(11, 0, 1)[0]) for r in rss_rows)
 
-    # the third alpha2 lies just under the largest that smoke.json accepts:
-    # shape alpha2 times n = 6 times -log(tiny) is just below the float range;
-    # the last just over the smallest: the least T, at shape 0.25 * alpha2 and
-    # u = 1 - 2**-53, is just above the smallest normal float
+    # the first R lies just under the largest that smoke.json accepts: shape R
+    # times n = 6 times -log(tiny) is just below the float range; the second
+    # just over the smallest: the least T, at shape R and u = 1 - 2**-53, is
+    # just above the smallest normal float
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha2", [100.0, 1000.0,
-                                        0.999 * sys.float_info.max / (6 * -math.log(TINY)),
-                                        1.001 * TINY / (0.25 * -math.log1p(-(2.0**-53)))])
-    def test_aggregates_do_not_depend_on_the_shape_scale(self, alpha2):
-        # every estimate scales with alpha2, so the ratios and the aggregates
-        # do not move; a sampler that clamps draws to the float range does
-        cfg = StudyConfig.from_json(SMOKE.read_text(encoding="utf-8"))
+    @pytest.mark.parametrize("R", [0.999 * sys.float_info.max / (6 * -math.log(TINY)),
+                                   1.001 * TINY / -math.log1p(-(2.0**-53))])
+    def test_ratio_grid_edges_run_without_warnings(self, R):
+        data = json.loads(SMOKE.read_text(encoding="utf-8"))
+        cfg = StudyConfig.from_dict({**data, "r_values": [R]})
         cells = study._enumerate_cells(cfg)
-        want, _ = study._cell_outcomes(cfg, cells, 0)
-        got, _ = study._cell_outcomes(replace(cfg, alpha2=alpha2), cells, 0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        aggs, skipped = study._cell_outcomes(cfg, cells, 0)
+        assert not skipped and np.isfinite(aggs).all()
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_aggregate_refuses_a_non_finite_bias(self, source):
@@ -542,6 +547,15 @@ class TestAnalyticEfficiency:
         cells = efficiency_grid(r_values=(0.5,), set_sizes=((2, 2), (2, 3)), cycles=(8, 40))
         assert len(cells) == 2 * 3 * 1 * 2
         assert all(isinstance(c, EfficiencyCell) for c in cells)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"cycles": (0,)}, "^cycles must be integers >= 1$"),
+        ({"set_sizes": ((0, 2),)}, "^set_sizes must hold integers >= 1$"),
+        ({"r_values": (-1,)}, "^r_values must be nonempty, positive, and finite$"),
+    ])
+    def test_grids_are_checked_like_a_config(self, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            efficiency_grid(**grid)
 
     @pytest.mark.parametrize("source", ["derived", "as-published"])
     def test_single_cell_function_equals_grid(self, source):

@@ -36,25 +36,25 @@ def test_two_workers_equal_one(r_values, set_sizes, m, replications, master_seed
     assert one.skipped == two.skipped
 
 
-ratios = st.lists(st.floats(1e-150, 1e150), min_size=1, max_size=4)
+# ratios down to 1e-300 and up to 1e306 reach both of the config's range refusals
+ratios = st.lists(st.floats(1e-300, 1e306), min_size=1, max_size=4)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(
     r_values=ratios,
-    alpha2=st.floats(1e-150, 1e150),
     set_sizes=st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), min_size=1, max_size=4),
     cycles=st.lists(st.integers(1, 50), min_size=1, max_size=3),
     replications=st.integers(1, 10**6),
     level_alpha0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    master_seed=st.integers(0, 2**70),
+    master_seed=st.integers(0, 2**64 - 1),
     formula_source=st.sampled_from(SOURCES),
     figure_r_grid=st.none() | ratios,
 )
 def test_config_json_round_trip(**values):
     try:
         cfg = StudyConfig(**values)
-    except ConfigError:  # alpha2 too large or too small for its grid
+    except ConfigError:  # a ratio too large or too small for its grid
         hypothesis.reject()
     text = cfg.to_json()
     assert StudyConfig.from_json(text) == cfg
