@@ -218,11 +218,13 @@ class StudyConfig:
         figure = DEFAULT_FIGURE_R_GRID if self.figure_r_grid is None else self.figure_r_grid
         grid = (1.0, *self.r_values, *figure)
         n = max(map(max, self.set_sizes)) * max(self.cycles)
-        if not math.isfinite(max(grid) * n * -math.log(_TINY)):
+        # an int compares with a float exactly: a count past the float range is refused, too
+        if n > sys.float_info.max / (max(grid) * -math.log(_TINY)):
+            size = f"up to {n:.6g}" if n <= sys.float_info.max else "more than 1.8e308"
             raise ConfigError(
-                f"r_values or figure_r_grid reaches R = {max(grid):.6g}, too large for this "
-                f"grid: a sample's sum of T = -alpha * log(u) over up to {n} values at that "
-                "shape overflows")
+                f"a sample of {size} values (set_sizes x cycles) at shape {max(grid):.6g} "
+                "(the largest R of r_values and figure_r_grid, or population 2's 1) is too "
+                "large: its sum of T = -alpha * log(u) overflows")
         # and the least T, at the smallest shape and u = 1 - 2**-53, must be a
         # normal float: a subnormal T keeps only a few significant bits
         if min(grid) * -math.log1p(-(2.0**-53)) < _TINY:

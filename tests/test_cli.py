@@ -403,7 +403,8 @@ class TestSimulate:
         out_dir = tmp_path / "out"
         proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: r_values or figure_r_grid reaches R = 1e+308")
+        assert proc.stderr.startswith("error: a sample of up to 6 values (set_sizes x cycles) "
+                                      "at shape 1e+308 (the largest R of r_values")
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out_dir.exists()
 

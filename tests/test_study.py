@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from importlib.resources import files
@@ -63,6 +64,7 @@ def tiny_config(**over):
     )
     base.update(over)
     return StudyConfig(**base)
+
 
 
 class TestStudyConfig:
@@ -140,17 +142,23 @@ class TestStudyConfig:
             StudyConfig.from_json(text)
 
     # smoke.json draws samples of at most n = 6, so a shape of 1e302 is fine
-    # there; each case makes a sample's sum of T overflow, the last by a
-    # shape just over the largest that n = 6 allows
-    @pytest.mark.parametrize("changes", [
-        {"r_values": [0.5, 1e308]},
-        {"figure_r_grid": [0.25, 1e306]},
-        {"r_values": [0.5, 1e302], "cycles": [1000]},
-        {"r_values": [0.5, sys.float_info.max / (6 * -math.log(TINY)) * 1.001]},
-    ])
-    def test_ratio_grid_whose_sums_overflow_is_refused(self, changes):
+    # there; each case makes a sample's sum of T overflow, the fourth by a
+    # shape just over the largest that n = 6 allows, the last two by the
+    # sample size alone at population 2's shape 1, the last past the float range
+    @pytest.mark.parametrize("changes, size, shape", [
+        ({"r_values": [0.5, 1e308]}, "up to 6", "1e+308"),
+        ({"figure_r_grid": [0.25, 1e306]}, "up to 6", "1e+306"),
+        ({"r_values": [0.5, 1e302], "cycles": [1000]}, "up to 3000", "1e+302"),
+        ({"r_values": [0.5, sys.float_info.max / (6 * -math.log(TINY)) * 1.001]},
+         "up to 6", f"{sys.float_info.max / (6 * -math.log(TINY)) * 1.001:.6g}"),
+        ({"cycles": [10**306]}, "up to 3e+306", "1"),
+        ({"set_sizes": [[10**400, 2]]}, "more than 1.8e308", "1"),
+    ], ids=[f"changes{i}" for i in range(6)])
+    def test_ratio_grid_whose_sums_overflow_is_refused(self, changes, size, shape):
         data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
-        message = r"^r_values or figure_r_grid reaches R = \S+, too large"
+        message = (f"^a sample of {re.escape(size)} values \\(set_sizes x cycles\\) at shape "
+                   f"{re.escape(shape)} \\(the largest R of r_values and figure_r_grid, or "
+                   "population 2's 1\\) is too large")
         with pytest.raises(ConfigError, match=message):
             StudyConfig.from_dict(data)
 
@@ -401,10 +409,20 @@ class TestRunStudy:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("R", [0.999 * sys.float_info.max / (6 * -math.log(TINY)),
                                    1.001 * TINY / -math.log1p(-(2.0**-53))])
-    def test_ratio_grid_edges_run_without_warnings(self, R):
+    def test_ratio_grid_edges_scale_the_ratios_exactly(self, R):
+        # a cell's seeds depend on its index, not on its R, so every corrected
+        # ratio at R is R times the one at 1; a sampler that clamps draws to
+        # the float range or loses their precision breaks this
         data = json.loads(SMOKE.read_text(encoding="utf-8"))
-        cfg = StudyConfig.from_dict({**data, "r_values": [R]})
-        cells = study._enumerate_cells(cfg)
+        cfg, unit = (StudyConfig.from_dict({**data, "r_values": [r]}) for r in (R, 1.0))
+        cells, unit_cells = study._enumerate_cells(cfg), study._enumerate_cells(unit)
+        gen = np.random.Generator(np.random.PCG64(0))
+        for group in study._design_groups(cells):
+            words = _seeds.pcg64_states(_seeds.derive_seeds(
+                cfg.master_seed, 0, np.array(group)[:, None], np.arange(cfg.replications)))
+            got = study._run_group(cfg, words, [cells[i] for i in group], gen)
+            want = study._run_group(unit, words, [unit_cells[i] for i in group], gen)
+            np.testing.assert_allclose(got / R, want, rtol=1e-12, atol=0.0)
         aggs, skipped = study._cell_outcomes(cfg, cells, 0)
         assert not skipped and np.isfinite(aggs).all()
 
