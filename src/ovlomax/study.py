@@ -28,8 +28,8 @@ simulated, assessed and aggregated in the process that runs it.  A group's
 replications are the rows of draw blocks whose uniforms fit in the same
 budget (2^16 uniforms), ranked into ranked sets on the uniforms and
 estimated from ``T = -alpha * log(u)`` of the retained ones; a slab's groups
-take one delta-method assessment and one mean per aggregate.  No output
-depends on the budget.
+are one block list of one delta-method assessment, then one mean per
+aggregate.  No output depends on the budget.
 
 Reproducibility: every replication draws from its own PCG64 stream seeded by
 a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
@@ -338,14 +338,6 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
-def _mse_block(r_values, method, design_pairs, source) -> np.ndarray:
-    """Delta-method MSE of every (measure, design pair, R), in one kernel call."""
-    r = np.asarray(r_values, dtype=float)
-    blocks = [(r, method, d1, d2) for d1, d2 in design_pairs]
-    _point, variance, bias, *_ = _assess_designs(blocks, source, 0.95)
-    return (variance + bias * bias).reshape(len(MEASURES), len(design_pairs), r.size)
-
-
 def efficiency_grid(
     r_values=DEFAULT_R_VALUES,
     set_sizes=DEFAULT_SET_SIZES,
@@ -356,44 +348,42 @@ def efficiency_grid(
     """Analytic efficiency cells, ordered by cycle count, measure, R, (r1, r2).
 
     ``empirical`` optionally maps ``(measure, R rounded to 6 digits, r1, r2, m)``
-    to a simulated efficiency that is carried along in the cells.  For each
-    cycle count, the set sizes whose srs design the estimators accept take
-    one assessment per method over all their ratios, and each cell's
-    efficiency is srs over rss; the other set sizes get ``analytic_eff=None``.
+    to a simulated efficiency that is carried along in the cells.  The
+    (cycle count, set sizes) whose srs design the estimators accept take one
+    assessment of both methods over all their ratios, and each cell's
+    efficiency is srs over rss; the others get ``analytic_eff=None``.
     A grid that :class:`StudyConfig` would refuse raises its ConfigError.
     """
     r_values = _ratio_grid("r_values", r_values)
     set_sizes, cycles = _set_size_grid(set_sizes), _cycle_grid(cycles)
     rounded = [_round6(R) for R in r_values]
     empirical = empirical or {}
-    cells = []
-    for m in cycles:
-        # set sizes whose srs cell the study skips get no efficiency
-        kept = [(r1, r2) for r1, r2 in set_sizes
-                if _refusal(METHOD_SRS, *_designs((None, r1, r2, m, METHOD_SRS)), source) is None]
-        eff = {}
-        if kept:
-            srs, rss = (_mse_block(r_values, method,
-                                   [_designs((None, r1, r2, m, method)) for r1, r2 in kept], source)
-                        for method in (METHOD_SRS, METHOD_RSS))
-            eff = dict(zip(kept, (srs / rss).transpose(1, 0, 2).tolist()))
-        # each set size's [[efficiency per R] per measure], None where refused
-        rows = [(r1, r2, eff.get((r1, r2))) for r1, r2 in set_sizes]
-        cells += [
-            EfficiencyCell(
-                measure=measure,
-                R=R,
-                r1=r1,
-                r2=r2,
-                m=m,
-                analytic_eff=None if row is None else row[i][k],
-                empirical_eff=empirical.get((measure, R, r1, r2, m)),
-            )
-            for i, measure in enumerate(MEASURES)
-            for k, R in enumerate(rounded)
-            for r1, r2, row in rows
-        ]
-    return cells
+    # the designs whose srs cell the study skips get no efficiency
+    kept = [(m, r1, r2) for m in cycles for r1, r2 in set_sizes
+            if _refusal(METHOD_SRS, *_designs(r1, r2, m, METHOD_SRS), source) is None]
+    eff = {}
+    if kept:
+        _point, variance, bias, *_ = _assess_designs(
+            [(r_values, method, *_designs(r1, r2, m, method))
+             for method in (METHOD_SRS, METHOD_RSS) for m, r1, r2 in kept], source, 0.95)
+        mse = (variance + bias * bias).reshape(len(MEASURES), 2, len(kept), len(r_values))
+        # srs over rss: each design's [[efficiency per R] per measure]
+        eff = dict(zip(kept, (mse[:, 0] / mse[:, 1]).transpose(1, 0, 2).tolist()))
+    return [
+        EfficiencyCell(
+            measure=measure,
+            R=R,
+            r1=r1,
+            r2=r2,
+            m=m,
+            analytic_eff=eff[m, r1, r2][i][k] if (m, r1, r2) in eff else None,
+            empirical_eff=empirical.get((measure, R, r1, r2, m)),
+        )
+        for m in cycles
+        for i, measure in enumerate(MEASURES)
+        for k, R in enumerate(rounded)
+        for r1, r2 in set_sizes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +410,16 @@ def _design_groups(cells) -> list:
     return list(groups.values())
 
 
-def _designs(cell) -> tuple:
+def _designs(r1, r2, m, method) -> tuple:
     """The two populations' sampling designs of a study cell."""
-    _R, r1, r2, m, method = cell
     if method == METHOD_RSS:
         return RssDesign(r1, m), RssDesign(r2, m)
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
 
 
-def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Generator):
-    """Corrected ratios of one design group's cells, shaped ``(cells,
-    replications)``.
+def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, gen):
+    """Corrected ratios of one design group, the cells at ``r_values`` under
+    ``method`` and ``designs``, shaped ``(cells, replications)``.
 
     Row k of ``words`` is the initial PCG64 state of replication ``k %
     replications`` of cell ``k // replications``.  Each draw block of rows
@@ -440,13 +429,11 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Genera
     (:func:`rss_retained`), and the block is estimated in one pass over
     T = -alpha * log(u) of the retained uniforms.
     """
-    method = cells[0][-1]
-    designs = _designs(cells[0])
     # raw uniforms per sample: n, or r draws for each retained rss value
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
     # population 1's shape per row, its cell's R (checked by the config); population 2's is 1
-    shapes = np.repeat([cell[0] for cell in cells], cfg.replications)
+    shapes = np.repeat(r_values, cfg.replications)
     rows = len(words)
     step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
@@ -465,7 +452,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, cells, gen: np.random.Genera
             t *= -alpha
             alphas[k, lo:hi] = _shape_from_t(method, t)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    return ratios.reshape(len(cells), cfg.replications)
+    return ratios.reshape(len(r_values), cfg.replications)
 
 
 # the aggregates of each (cell, measure), in the order of their last axis
@@ -473,17 +460,15 @@ _AGGREGATES = ("signed_bias", "mse", "coverage", "ci_length", "coverage_correcte
                "ci_length_corrected")
 
 
-def _aggregate(cfg: StudyConfig, stack) -> np.ndarray:
-    """The ``(cell, measure, aggregate)`` array of whole groups' ``(cells,
-    ratios)``: one kernel call assesses every ratio under its own group's
-    design, and each aggregate is one mean along the replications.
+def _aggregate(cfg: StudyConfig, blocks, r_values) -> np.ndarray:
+    """The ``(cell, measure, aggregate)`` array of the cells at ``r_values``,
+    whose ratios ``blocks`` holds as :func:`_assess_designs` takes them: one
+    kernel call, and each aggregate is one mean along the replications.
     """
-    blocks = [(ratios, cells[0][-1], *_designs(cells[0])) for cells, ratios in stack]
     point, _v, bias, lo, hi, _c, lo_c, hi_c, _cc = _assess_designs(
         blocks, cfg.formula_source, 1.0 - cfg.level_alpha0)
     _check_bias(bias)  # a NaN corrected bound would count as a miss
-    r_values = np.array([cell[0] for cells, _r in stack for cell in cells])
-    # the config's ratios, checked positive and finite when it was validated
+    r_values = np.array(r_values)  # the config's, checked positive and finite
     truth = np.array([_CORES[meas](r_values) for meas in MEASURES])[:, :, None]
     shape = truth.shape[:2] + (cfg.replications,)
     point, lo, hi, lo_c, hi_c = (a.reshape(shape) for a in (point, lo, hi, lo_c, hi_c))
@@ -519,16 +504,18 @@ def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
         cfg.master_seed, namespace, np.concatenate(slab)[:, None], np.arange(reps)))
     bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
-    ran, stack, skipped = [], [], {}
+    ran, blocks, skipped = [], [], {}
     for group, rows in zip(slab, np.split(words, bounds)):
-        members = [cells[i] for i in group]
-        reason = _refusal(members[0][-1], *_designs(members[0]), cfg.formula_source)
+        _R, r1, r2, m, method = cells[group[0]]
+        designs = _designs(r1, r2, m, method)
+        reason = _refusal(method, *designs, cfg.formula_source)
         if reason:
             skipped.update(dict.fromkeys(group, reason))
         else:
             ran += group
-            stack.append((members, _run_group(cfg, rows, members, gen)))
-    return ran, _aggregate(cfg, stack) if stack else None, skipped
+            ratios = _run_group(cfg, rows, [cells[i][0] for i in group], method, designs, gen)
+            blocks.append((ratios, method, *designs))
+    return ran, _aggregate(cfg, blocks, [cells[i][0] for i in ran]) if blocks else None, skipped
 
 
 def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> tuple:
@@ -834,7 +821,7 @@ def _emit_bias_table(rows, fmt):
         for R in r_values
         for (r1, r2) in set_sizes
         for method in METHODS
-        if _refusal(method, *_designs((R, r1, r2, m, method)), source) is None
+        if _refusal(method, *_designs(r1, r2, m, method), source) is None
         for meas in MEASURES
     ]
     _check_grid(set(present), expected, _describe_row)
@@ -917,8 +904,8 @@ def _published_tables() -> dict:
 def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     """CSV of printed vs computed values for every transcribed table cell.
 
-    Efficiency cells are looked up in :func:`efficiency_grid`'s cells at the
-    printed ratios, set sizes and cycle count.  Real-data cells read the
+    Efficiency cells are looked up in one :func:`efficiency_grid` over the
+    printed ratios, set sizes and cycle counts.  Real-data cells read the
     srs and bayes reports of the bundled datasets, biases as magnitudes (the
     published layout is sign-free); ranked-set cells there are NaN because
     no ranked-set design is stated for that example (the printed values are
@@ -929,21 +916,19 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     fixtures = _published_tables()
     rows = []
 
-    for m_key in sorted(fixtures["efficiency"], key=int):
-        m = int(m_key)
-        table = f"efficiency_m{m}"
-        block = fixtures["efficiency"][m_key]
-        r_keys = sorted(block, key=float)
-        computed = {(c.measure, c.R, c.r1, c.r2): c.analytic_eff for c in efficiency_grid(
-            [float(k) for k in r_keys], DEFAULT_SET_SIZES, (m,), source)}
-        for R_key in r_keys:
+    tables = {int(m): block for m, block in fixtures["efficiency"].items()}
+    printed_r = {float(R) for block in tables.values() for R in block}
+    computed = {(c.measure, c.R, c.r1, c.r2, c.m): c.analytic_eff for c in efficiency_grid(
+        sorted(printed_r), DEFAULT_SET_SIZES, sorted(tables), source)}
+    for m, block in sorted(tables.items()):
+        for R_key in sorted(block, key=float):
             R = _round6(R_key)  # the cells' R
             for meas in MEASURES:
-                values = block[R_key][meas]
-                for i, r1 in enumerate((2, 3, 4, 5)):
-                    for j, r2 in enumerate((2, 3, 4, 5)):
-                        rows.append((table, "measure=%s:R=%.6g:r1=%d:r2=%d" % (meas, R, r1, r2),
-                                     float(values[i][j]), computed[meas, R, r1, r2]))
+                # a printed matrix has a row per r1 and a column per r2, in set-size order
+                values = [v for row in block[R_key][meas] for v in row]
+                rows += [(f"efficiency_m{m}", "measure=%s:R=%.6g:r1=%d:r2=%d" % (meas, R, r1, r2),
+                          float(v), computed[meas, R, r1, r2, m])
+                         for (r1, r2), v in zip(DEFAULT_SET_SIZES, values, strict=True)]
 
     real = fixtures["real_data"]
     d1, d2 = bundled_counts()

@@ -38,7 +38,7 @@ from ovlomax import (
     shape_estimates,
 )
 from ovlomax.overlap import MEASURES, _terms
-from ovlomax.study import _mse_block
+from ovlomax.estimators import _assess_designs
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -231,7 +231,8 @@ def test_criterion_06_delta_method():
     d1, d2 = SrsDesign(n), SrsDesign(n)
     for big_r in (0.5, 0.8):
         # delta-method MSE (variance plus squared bias) of each measure
-        analytic = _mse_block([big_r], "srs", [(d1, d2)], "derived")[:, 0, 0].tolist()
+        _point, variance, bias, *_ = _assess_designs([([big_r], "srs", d1, d2)], "derived", 0.95)
+        analytic = (variance + bias * bias)[:, 0].tolist()
         a1 = rng.gamma(shape=n, scale=big_r / n, size=reps)
         a2 = rng.gamma(shape=n, scale=1.0 / n, size=reps)
         rstar = (a1 / a2) * (n - 1) / n

@@ -267,9 +267,9 @@ class TestGroupedEngine:
             rows.append(len(out))
             fill(out, words, gen)
 
-        def counted_aggregate(cfg, stack):
-            stacks.append(len(stack))
-            return aggregate(cfg, stack)
+        def counted_aggregate(cfg, blocks, r_values):
+            stacks.append(len(blocks))
+            return aggregate(cfg, blocks, r_values)
 
         monkeypatch.setattr(_seeds, "fill_uniforms", counted_fill)
         monkeypatch.setattr(study, "_aggregate", counted_aggregate)
@@ -291,6 +291,19 @@ class TestGroupedEngine:
         else:  # a small study: one draw block per group, one slab in all
             assert rows == [len(cfg.r_values) * cfg.replications] * groups
             assert stacks == [groups]
+
+    def test_designs_are_derived_once_per_group(self, monkeypatch):
+        calls, designs = [], study._designs
+
+        def counted(*design):
+            calls.append(design)
+            return designs(*design)
+
+        monkeypatch.setattr(study, "_designs", counted)
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        cells = study._enumerate_cells(cfg)
+        study._cell_outcomes(cfg, cells, 0)
+        assert calls == [cells[group[0]][1:] for group in study._design_groups(cells)]
 
     # rows of each slab of the several_R study: 12 design groups of 5 cells
     # x 6 replications, at the shipped budget, the small one and the minimum

@@ -34,7 +34,7 @@ from ovlomax import (
     run_study,
 )
 from ovlomax import _seeds, study
-from ovlomax.estimators import METHODS, SOURCES
+from ovlomax.estimators import METHODS, SOURCES, _assess_designs
 from ovlomax.overlap import MEASURES
 from ovlomax.study import (
     DEFAULT_FIGURE_R_GRID,
@@ -420,8 +420,11 @@ class TestRunStudy:
         for group in study._design_groups(cells):
             words = _seeds.pcg64_states(_seeds.derive_seeds(
                 cfg.master_seed, 0, np.array(group)[:, None], np.arange(cfg.replications)))
-            got = study._run_group(cfg, words, [cells[i] for i in group], gen)
-            want = study._run_group(unit, words, [unit_cells[i] for i in group], gen)
+            _R, r1, r2, m, method = cells[group[0]]
+            designs = study._designs(r1, r2, m, method)
+            got = study._run_group(cfg, words, [cells[i][0] for i in group], method, designs, gen)
+            want = study._run_group(unit, words, [unit_cells[i][0] for i in group], method,
+                                    designs, gen)
             np.testing.assert_allclose(got / R, want, rtol=1e-12, atol=0.0)
         aggs, skipped = study._cell_outcomes(cfg, cells, 0)
         assert not skipped and np.isfinite(aggs).all()
@@ -431,12 +434,12 @@ class TestRunStudy:
         # a corrected ratio of exactly one has no printed Weitzman bias: its NaN
         # corrected bounds must not count as interval misses
         cfg = tiny_config(formula_source=source, replications=3)
-        stack = [([(0.5, 2, 2, 2, "rss")], np.array([[0.8, 1.0, 1.25]]))]
+        blocks = [(np.array([[0.8, 1.0, 1.25]]), "rss", RssDesign(2, 2), RssDesign(2, 2))]
         if source == "as-published":
             with pytest.raises(DomainError, match="^bias must be finite"):
-                study._aggregate(cfg, stack)
+                study._aggregate(cfg, blocks, [0.5])
         else:
-            assert np.isfinite(study._aggregate(cfg, stack)).all()
+            assert np.isfinite(study._aggregate(cfg, blocks, [0.5])).all()
 
     def test_master_seed_changes_output(self):
         a = run_study(tiny_config())
@@ -533,11 +536,14 @@ class TestCsvRoundTrip:
 
 
 def single_cell_efficiency(measure, R, r1, r2, m, source="derived"):
-    """MSE(srs)/MSE(rss) of one cell, each MSE from a one-cell kernel call."""
+    """MSE(srs)/MSE(rss) of one cell, each MSE from a one-block kernel call."""
     k = MEASURES.index(measure)
-    srs = study._mse_block([R], "srs", [(SrsDesign(r1 * m), SrsDesign(r2 * m))], source)
-    rss = study._mse_block([R], "rss", [(RssDesign(r1, m), RssDesign(r2, m))], source)
-    return float(srs[k, 0, 0]) / float(rss[k, 0, 0])
+    mse = []
+    for method, d1, d2 in (("srs", SrsDesign(r1 * m), SrsDesign(r2 * m)),
+                           ("rss", RssDesign(r1, m), RssDesign(r2, m))):
+        _point, variance, bias, *_ = _assess_designs([([R], method, d1, d2)], source, 0.95)
+        mse.append(float(variance[k, 0] + bias[k, 0] * bias[k, 0]))
+    return mse[0] / mse[1]
 
 
 class TestAnalyticEfficiency:
@@ -612,6 +618,45 @@ class TestAnalyticEfficiency:
         assert degenerate == 3 * len(r_values) * 6
         # only the as-published Weitzman coefficient at R = 1, in every usable design
         assert nan == (len(set_sizes) * len(cycles) - 6 if source == "as-published" else 0)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_grid_over_cycles_equals_single_cycle_grids(self, source):
+        # one kernel call over every cycle count, a repeated one included,
+        # equals one grid per cycle count; refused srs designs stay None
+        r_values, set_sizes = (0.1, 1.0 / 3.0, 0.8, 2.5), ((1, 1), (2, 2), (3, 5), (2, 1))
+        cycles = (1, 8, 40, 8)
+        got = efficiency_grid(r_values, set_sizes, cycles, source)
+        want = [c for m in cycles for c in efficiency_grid(r_values, set_sizes, (m,), source)]
+        assert len(got) == len(want) == 3 * len(r_values) * len(set_sizes) * len(cycles)
+        for g, w in zip(got, want):
+            assert (g.measure, g.R, g.r1, g.r2, g.m) == (w.measure, w.R, w.r1, w.r2, w.m)
+            assert g.analytic_eff == w.analytic_eff, g
+        # at one cycle only (3, 5) leaves both srs samples with three values or more
+        refused = {(c.r1, c.r2, c.m) for c in got if c.analytic_eff is None}
+        assert refused == {(1, 1, 1), (2, 2, 1), (2, 1, 1)}
+
+    def test_grid_is_one_kernel_call(self, monkeypatch):
+        blocks, kernel = [], study._assess_designs
+
+        def counted(items, *args):
+            blocks.append(len(items))
+            return kernel(items, *args)
+
+        monkeypatch.setattr(study, "_assess_designs", counted)
+        efficiency_grid(cycles=(8, 40))
+        # both methods, both cycle counts, every set size
+        assert blocks == [2 * 2 * len(DEFAULT_SET_SIZES)]
+
+    def test_discrepancy_report_takes_one_grid(self, monkeypatch):
+        calls, grid = [], study.efficiency_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(study, "efficiency_grid", counted)
+        discrepancy_report()
+        assert len(calls) == 1
 
     def test_degenerate_srs_design_has_no_analytic_eff(self):
         # one cycle: r2 = 2 leaves the srs side with n2 = 2 < 3
