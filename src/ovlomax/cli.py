@@ -339,8 +339,6 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     # every text is built before the first write, and _write_all writes all or none
-    meta = dict(result.metadata)
-    meta["skipped_cells"] = result.skipped
     texts = {
         "study.csv": result.csv,
         "study_bias_corrected.csv": result.csv_corrected,
@@ -348,7 +346,7 @@ def cmd_simulate(args) -> int:
             efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
                             empirical=result.efficiency), "eff_table", "csv"),
         "discrepancy.csv": discrepancy_report(cfg.formula_source),
-        "metadata.json": json.dumps(meta, indent=2) + "\n",
+        "metadata.json": json.dumps(result.metadata, indent=2) + "\n",
     }
     if not args.no_figures:
         texts["figure_data.csv"] = emit_figure_data(cfg, workers=args.workers)

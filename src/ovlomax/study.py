@@ -21,10 +21,11 @@ Interpretation notes baked into the emitted artifacts:
   compared cell by cell in a discrepancy report instead of being asserted.
 
 The unit of simulation is a design group: the cells that share ``(r1, r2,
-m, method)`` and differ only in ``R``.  The unit of work is a slab:
-consecutive groups whose 32-byte rows of PCG64 state words fit in
-``_BLOCK_BYTES`` (2^14 replications), or a single larger group, seeded,
-simulated, assessed and aggregated in the process that runs it.  A group's
+m, method)`` and differ only in ``R``; refused groups are skipped before any
+slab forms.  The unit of work is a slab: consecutive accepted groups whose
+32-byte rows of PCG64 state words fit in ``_BLOCK_BYTES`` (2^14
+replications), or a single larger group, seeded, simulated, assessed and
+aggregated in the process that runs it: groups in, aggregates out.  A group's
 replications are the rows of draw blocks whose uniforms fit in the same
 budget (2^16 uniforms), ranked into ranked sets on the uniforms and
 estimated from ``T = -alpha * log(u)`` of the retained ones; a slab's groups
@@ -51,6 +52,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import repeat
@@ -136,6 +138,14 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _distinct(grid: tuple, keys, refusal: str) -> tuple:
+    """``grid``, refused with ``refusal % key`` for a key it repeats."""
+    twice = [key for key, count in Counter(keys).items() if count > 1]
+    if twice:
+        raise ConfigError(refusal % (twice[0],))
+    return grid
+
+
 def _ratio_grid(name: str, values) -> tuple:
     try:
         items = tuple(values)
@@ -146,7 +156,7 @@ def _ratio_grid(name: str, values) -> tuple:
     grid = tuple(float(r) for r in items)
     if not grid or any(not math.isfinite(r) or r <= 0 for r in grid):
         raise ConfigError(f"{name} must be nonempty, positive, and finite")
-    return grid
+    return _distinct(grid, map(_round6, grid), f"{name} repeats R = %.6g at six significant digits")
 
 
 def _set_size_grid(values) -> tuple:
@@ -157,7 +167,8 @@ def _set_size_grid(values) -> tuple:
     if not pairs or not all(_is_count(a) and _is_count(b) and a >= 1 and b >= 1
                             for a, b in pairs):
         raise ConfigError("set_sizes must hold integers >= 1")
-    return tuple((int(a), int(b)) for a, b in pairs)
+    pairs = tuple((int(a), int(b)) for a, b in pairs)
+    return _distinct(pairs, pairs, "set_sizes repeats the pair %s")
 
 
 def _cycle_grid(values) -> tuple:
@@ -167,7 +178,8 @@ def _cycle_grid(values) -> tuple:
         raise ConfigError("cycles must be a sequence of integers") from None
     if not cycles or not all(_is_count(m) and m >= 1 for m in cycles):
         raise ConfigError("cycles must be integers >= 1")
-    return tuple(int(m) for m in cycles)
+    cycles = tuple(int(m) for m in cycles)
+    return _distinct(cycles, cycles, "cycles repeats %d")
 
 
 def _listed(value):
@@ -401,13 +413,21 @@ def _enumerate_cells(cfg: StudyConfig) -> list:
     ]
 
 
-def _design_groups(cells) -> list:
-    """Indices of the cells of each design group: one group per (r1, r2, m,
-    method), holding one cell per R, in cell order."""
-    groups: dict = {}
-    for idx, (_R, *design) in enumerate(cells):
-        groups.setdefault(tuple(design), []).append(idx)
-    return list(groups.values())
+def _design_groups(cfg: StudyConfig, cells) -> tuple:
+    """Design groups, one per (r1, r2, m, method): R is the outermost loop of
+    :func:`_enumerate_cells`, so group g is every ``width``-th cell from g.
+    Returns ``(indices, method, designs)`` of each group the estimators
+    accept, and ``{cell index: reason}`` for the refused groups' cells."""
+    width = len(cells) // len(cfg.r_values)
+    groups, skipped = [], {}
+    for g, (_R, r1, r2, m, method) in enumerate(cells[:width]):
+        indices, designs = list(range(g, len(cells), width)), _designs(r1, r2, m, method)
+        reason = _refusal(method, *designs, cfg.formula_source)
+        if reason:
+            skipped.update(dict.fromkeys(indices, reason))
+        else:
+            groups.append((indices, method, designs))
+    return groups, skipped
 
 
 def _designs(r1, r2, m, method) -> tuple:
@@ -417,9 +437,9 @@ def _designs(r1, r2, m, method) -> tuple:
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
 
 
-def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, gen):
-    """Corrected ratios of one design group, the cells at ``r_values`` under
-    ``method`` and ``designs``, shaped ``(cells, replications)``.
+def _run_group(cfg: StudyConfig, words: np.ndarray, method, designs, gen):
+    """Corrected ratios of one design group, its cells at ``cfg.r_values``
+    under ``method`` and ``designs``, shaped ``(cells, replications)``.
 
     Row k of ``words`` is the initial PCG64 state of replication ``k %
     replications`` of cell ``k // replications``.  Each draw block of rows
@@ -433,7 +453,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, g
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
     # population 1's shape per row, its cell's R (checked by the config); population 2's is 1
-    shapes = np.repeat(r_values, cfg.replications)
+    shapes = np.repeat(cfg.r_values, cfg.replications)
     rows = len(words)
     step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
@@ -452,7 +472,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, g
             t *= -alpha
             alphas[k, lo:hi] = _shape_from_t(method, t)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    return ratios.reshape(len(r_values), cfg.replications)
+    return ratios.reshape(len(cfg.r_values), cfg.replications)
 
 
 # the aggregates of each (cell, measure), in the order of their last axis
@@ -478,44 +498,27 @@ def _aggregate(cfg: StudyConfig, blocks, r_values) -> np.ndarray:
     return np.stack([np.mean(values, axis=-1) for values in per_rep], axis=-1).transpose(1, 0, 2)
 
 
-def _slabs(groups, reps: int) -> list:
-    """Consecutive design groups whose 32-byte rows of state words fit in
-    :data:`_BLOCK_BYTES`, or a single larger group: the study's unit of work."""
-    slabs, size = [[]], 0
-    for group in groups:
-        if slabs[-1] and 32 * (size + len(group) * reps) > _BLOCK_BYTES:
-            slabs.append([])
-            size = 0
-        slabs[-1].append(group)
-        size += len(group) * reps
-    return slabs
+def _slabs(cfg: StudyConfig, groups) -> list:
+    """Consecutive design groups, equally many (each has one cell per R), whose
+    32-byte rows of state words fit in :data:`_BLOCK_BYTES`, or one group."""
+    count = max(1, _BLOCK_BYTES // (32 * len(cfg.r_values) * cfg.replications))
+    return [groups[k:k + count] for k in range(0, len(groups), count)]
 
 
-def _run_slab(cfg: StudyConfig, cells, slab, namespace: int) -> tuple:
-    """Seed, simulate, assess and aggregate one slab, the cell indices of
-    each of its groups (:func:`_slabs`): one pass makes the state words of all
-    its replications, and the groups the estimators do not refuse
-    (:func:`_refusal`) run in order and take one :func:`_aggregate` call.
-    Returns the indices of the cells that ran, their ``(cell, measure,
-    aggregate)`` array (None if none ran), and ``{cell index: reason}`` for
-    the skipped cells."""
-    reps = cfg.replications
+def _run_slab(cfg: StudyConfig, slab, namespace: int) -> np.ndarray:
+    """Seed, simulate, assess and aggregate one slab, ``(indices, method,
+    designs)`` of each of its accepted groups (:func:`_design_groups`): one
+    pass makes the state words of all its replications, and the groups run
+    in order and take one :func:`_aggregate` call, the slab's ``(cell,
+    measure, aggregate)`` array."""
+    indices = np.concatenate([group for group, *_ in slab])[:, None]
     words = _seeds.pcg64_states(_seeds.derive_seeds(
-        cfg.master_seed, namespace, np.concatenate(slab)[:, None], np.arange(reps)))
-    bounds = np.cumsum([len(group) * reps for group in slab[:-1]])
+        cfg.master_seed, namespace, indices, np.arange(cfg.replications)))
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
-    ran, blocks, skipped = [], [], {}
-    for group, rows in zip(slab, np.split(words, bounds)):
-        _R, r1, r2, m, method = cells[group[0]]
-        designs = _designs(r1, r2, m, method)
-        reason = _refusal(method, *designs, cfg.formula_source)
-        if reason:
-            skipped.update(dict.fromkeys(group, reason))
-        else:
-            ran += group
-            ratios = _run_group(cfg, rows, [cells[i][0] for i in group], method, designs, gen)
-            blocks.append((ratios, method, *designs))
-    return ran, _aggregate(cfg, blocks, [cells[i][0] for i in ran]) if blocks else None, skipped
+    # every group has one cell per R: an equal share of the (N, 4) state words
+    blocks = [(_run_group(cfg, rows, method, designs, gen), method, *designs)
+              for rows, (_indices, method, designs) in zip(words.reshape(len(slab), -1, 4), slab)]
+    return _aggregate(cfg, blocks, cfg.r_values * len(slab))
 
 
 def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> tuple:
@@ -523,14 +526,15 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}`` for
     the skipped cells, whose rows in the array are NaN.
 
-    Each slab (:func:`_slabs`) is one :func:`_run_slab` task, run here when
+    Skips are decided before any slab forms (:func:`_design_groups`); each
+    slab (:func:`_slabs`) is one :func:`_run_slab` task, run here when
     ``workers == 1`` and otherwise over a pool of at most one process per
     slab, the class bound to this module's ``ProcessPoolExecutor`` (imported
-    on first use): cell indices go in and aggregates come out, never state
-    words or ratios.
+    on first use): design groups in, aggregates out, never words or ratios.
     """
-    slabs = _slabs(_design_groups(cells), cfg.replications)
-    tasks = (repeat(cfg), repeat(cells), slabs, repeat(namespace))
+    groups, skipped = _design_groups(cfg, cells)
+    slabs = _slabs(cfg, groups)
+    tasks = (repeat(cfg), slabs, repeat(namespace))
     if workers > 1:
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=min(workers, len(slabs))) as pool:
@@ -538,11 +542,8 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     else:
         outcomes = map(_run_slab, *tasks)
     aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
-    skipped: dict = {}
-    for ran, block, reasons in outcomes:
-        if ran:
-            aggs[ran] = block
-        skipped.update(reasons)
+    for slab, block in zip(slabs, outcomes):
+        aggs[[i for indices, *_ in slab for i in indices]] = block
     return aggs, skipped
 
 
@@ -571,15 +572,14 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
     aggs, skipped = _cell_outcomes(cfg, cells, 0, workers)
     seeds = _seeds.derive_seeds(cfg.master_seed, 0, np.arange(len(cells))).tolist()
 
-    ran = [idx for idx in range(len(cells)) if idx not in skipped]
-    aggs = aggs[ran]  # the cells that ran, aggregates in _AGGREGATES order
-    # an rss cell's efficiency is the MSE of its srs sibling over its own
-    row_of = {cells[idx]: k for k, idx in enumerate(ran)}
-    srs = np.array([row_of.get((*cells[idx][:4], METHOD_SRS), -1)
-                    if cells[idx][4] == METHOD_RSS else -1 for idx in ran])
+    # an rss cell's efficiency is the MSE of its srs sibling, the cell just
+    # before it (METHODS is srs, rss, bayes), over its own; a skipped srs's is NaN
     mses = aggs[:, :, 1]
-    has_eff = (srs >= 0)[:, None] & (mses > 0.0)
-    effs = np.divide(mses[srs], mses, out=np.zeros_like(mses), where=has_eff)
+    srs = np.roll(mses, 1, axis=0)
+    has_eff = np.array([[cell[4] == METHOD_RSS] for cell in cells]) & np.isfinite(srs) & (mses > 0)
+    effs = np.divide(srs, mses, out=np.zeros_like(mses), where=has_eff)
+    ran = [idx for idx in range(len(cells)) if idx not in skipped]
+    aggs, effs, has_eff = aggs[ran], effs[ran], has_eff[ran]  # the cells that ran
     # each line from one %-template; the head (method ... mse) is formatted once
     # and shared by both files, which differ only in coverage and ci_length
     plain, corrected, efficiency = [], [], {}
@@ -616,12 +616,13 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
             "interval variants: plain intervals in study.csv, bias-corrected in "
             "study_bias_corrected.csv",
         ],
+        "skipped_cells": [dict(zip(("R", "r1", "r2", "m", "method"), cells[idx]), reason=reason)
+                          for idx, reason in sorted(skipped.items())],
     }
     return StudyResult(
         csv=_write_csv(STUDY_CSV_COLUMNS, plain),
         csv_corrected=_write_csv(STUDY_CSV_COLUMNS, corrected),
-        skipped=[{"R": R, "r1": r1, "r2": r2, "m": m, "method": method, "reason": skipped[idx]}
-                 for idx, (R, r1, r2, m, method) in enumerate(cells) if idx in skipped],
+        skipped=metadata["skipped_cells"],
         metadata=metadata,
         efficiency=efficiency,
     )

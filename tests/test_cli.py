@@ -584,6 +584,11 @@ class TestTables:
         err = capsys.readouterr().err
         assert "--cycles" in err and repr(value) in err
 
+    def test_repeated_cycles_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "--cycles", "8", "8")
+        assert code == 2 and out == ""
+        assert "cycles repeats 8" in err
+
     def test_discrepancy(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--kind", "discrepancy")
         assert code == 0

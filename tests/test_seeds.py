@@ -208,13 +208,14 @@ BUDGETS = {"minimum": 1, "small": 2400}
 def assert_cells_equal_reference(name, namespace):
     cfg = StudyConfig(**CONFIGS[name])
     cells = study._enumerate_cells(cfg)
-    groups = study._design_groups(cells)
-    assert sorted(i for g in groups for i in g) == list(range(len(cells)))
-    for indices in groups:
+    groups, refused = study._design_groups(cfg, cells)
+    assert sorted([i for g, *_ in groups for i in g] + list(refused)) == list(range(len(cells)))
+    for indices, *_ in groups:
         members = [cells[i] for i in indices]
         assert len({c[1:] for c in members}) == 1
         assert [c[0] for c in members] == list(cfg.r_values)
     aggs, skipped = study._cell_outcomes(cfg, cells, namespace)
+    assert skipped == refused
     assert aggs.shape == (len(cells), len(MEASURES), len(study._AGGREGATES))
     for idx, cell in enumerate(cells):
         want = reference_cell(cfg, namespace, idx, cell)
@@ -226,6 +227,26 @@ def assert_cells_equal_reference(name, namespace):
             assert aggs[idx].tolist() == [[want[meas][name] for name in study._AGGREGATES]
                                           for meas in MEASURES], cell
     assert len(skipped) == (2 * len(cfg.r_values) if name == "skipped_group" else 0)
+
+
+def count_seeding(monkeypatch):
+    """Lists that record the seeds of each fold and the rows of each hash."""
+    folds, hashes = [], []
+    derive, hash_seeds = _seeds.derive_seeds, _seeds.pcg64_states
+
+    def counted_derive(*parts):
+        seeds = derive(*parts)
+        folds.append(seeds.size)
+        return seeds
+
+    def counted_hash(seeds):
+        words = hash_seeds(seeds)
+        hashes.append(len(words))
+        return words
+
+    monkeypatch.setattr(_seeds, "derive_seeds", counted_derive)
+    monkeypatch.setattr(_seeds, "pcg64_states", counted_hash)
+    return folds, hashes
 
 
 def arrays_in(obj):
@@ -276,7 +297,7 @@ class TestGroupedEngine:
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
         study._cell_outcomes(cfg, cells, 0)
-        groups = len(study._design_groups(cells))
+        groups = len(study._design_groups(cfg, cells)[0])
         if budget == "minimum":
             assert rows == [1] * len(cells) * cfg.replications
             assert stacks == [1] * groups
@@ -293,6 +314,9 @@ class TestGroupedEngine:
             assert stacks == [groups]
 
     def test_designs_are_derived_once_per_group(self, monkeypatch):
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        cells = study._enumerate_cells(cfg)
+        groups = [cells[indices[0]][1:] for indices, *_ in study._design_groups(cfg, cells)[0]]
         calls, designs = [], study._designs
 
         def counted(*design):
@@ -300,10 +324,8 @@ class TestGroupedEngine:
             return designs(*design)
 
         monkeypatch.setattr(study, "_designs", counted)
-        cfg = StudyConfig(**CONFIGS["several_R"])
-        cells = study._enumerate_cells(cfg)
         study._cell_outcomes(cfg, cells, 0)
-        assert calls == [cells[group[0]][1:] for group in study._design_groups(cells)]
+        assert calls == groups
 
     # rows of each slab of the several_R study: 12 design groups of 5 cells
     # x 6 replications, at the shipped budget, the small one and the minimum
@@ -312,25 +334,25 @@ class TestGroupedEngine:
     def test_seeding_is_one_pass_per_slab(self, budget, slabs, monkeypatch):
         if budget in BUDGETS:
             monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
-        folds, hashes = [], []
-        derive, hash_seeds = _seeds.derive_seeds, _seeds.pcg64_states
-
-        def counted_derive(*parts):
-            seeds = derive(*parts)
-            folds.append(seeds.size)
-            return seeds
-
-        def counted_hash(seeds):
-            words = hash_seeds(seeds)
-            hashes.append(len(words))
-            return words
-
-        monkeypatch.setattr(_seeds, "derive_seeds", counted_derive)
-        monkeypatch.setattr(_seeds, "pcg64_states", counted_hash)
+        folds, hashes = count_seeding(monkeypatch)
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
         study._cell_outcomes(cfg, cells, 0)
         assert folds == hashes == slabs
+
+    @pytest.mark.parametrize("budget", ["shipped", "minimum"])
+    def test_refused_groups_are_never_seeded(self, budget, monkeypatch):
+        # the skipped_group study refuses its srs and bayes groups at (2, 1)
+        # before any slab forms: only the accepted cells' replications are
+        # folded and hashed
+        if budget in BUDGETS:
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
+        folds, hashes = count_seeding(monkeypatch)
+        cfg = StudyConfig(**CONFIGS["skipped_group"])
+        cells = study._enumerate_cells(cfg)
+        _aggs, skipped = study._cell_outcomes(cfg, cells, 0)
+        accepted = len(cells) - len(skipped)
+        assert sum(folds) == sum(hashes) == accepted * cfg.replications == 40
 
     def test_skipped_group_reported_per_cell(self):
         res = run_study(StudyConfig(**CONFIGS["skipped_group"]))
@@ -369,7 +391,7 @@ class TestGroupedEngine:
         monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
-        assert len(study._slabs(study._design_groups(cells), cfg.replications)) == 12
+        assert len(study._slabs(cfg, study._design_groups(cfg, cells)[0])) == 12
         pooled = run_study(cfg, workers=workers)
         assert sizes == [min(workers, 12)]
         assert pooled.csv_corrected == run_study(cfg).csv_corrected
@@ -403,20 +425,22 @@ class TestGroupedEngine:
         monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
         two, skipped_two = study._cell_outcomes(cfg, cells, 1, workers=2)
         assert two.tobytes() == one.tobytes() and skipped_two == skipped_one
-        slabs = study._slabs(study._design_groups(cells), cfg.replications)
-        assert [task[2] for task in tasks] == slabs
+        slabs = study._slabs(cfg, study._design_groups(cfg, cells)[0])
+        assert [task[1] for task in tasks] == slabs
         assert sizes == [min(2, len(slabs))]  # no more workers than slabs
-        for task in tasks:
-            assert not list(arrays_in(task))
-            assert all(type(i) is int for group in task[2] for i in group)
         shape = (len(MEASURES), len(study._AGGREGATES))
-        for ran, block, reasons in results:
-            assert all(type(i) is int for i in ran + list(reasons))
-            assert all(isinstance(reason, str) for reason in reasons.values())
-            if ran:  # the only array out is the aggregates of the cells that ran
-                assert block.shape == (len(ran), *shape)
-            else:
-                assert block is None
+        for task, block in zip(tasks, results, strict=True):
+            # (cfg, slab of (indices, method, designs), namespace): no array, no cell list
+            assert not list(arrays_in(task))
+            assert [type(item) for item in task] == [StudyConfig, list, int]
+            assert task[0] == cfg and task[2] == 1
+            for indices, method, designs in task[1]:
+                assert all(type(i) is int for i in indices)
+                assert (method, *designs) == (cells[indices[0]][4],
+                                              *study._designs(*cells[indices[0]][1:]))
+            # the one array out is the aggregates of the slab's cells
+            assert type(block) is np.ndarray
+            assert block.shape == (sum(len(indices) for indices, *_ in task[1]), *shape)
 
     def test_seed_column_is_the_cell_seed(self):
         cfg = StudyConfig(**CONFIGS["several_R"])

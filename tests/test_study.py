@@ -176,6 +176,22 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match=message):
             StudyConfig.from_dict(data)
 
+    # every output keys a cell by R at six significant digits, so 0.5000001
+    # repeats 0.5; efficiency_grid checks its grids by the same rules
+    @pytest.mark.parametrize("changes, message", [
+        ({"r_values": [0.5, 0.8, 0.5000001]}, "r_values repeats R = 0.5 "),
+        ({"figure_r_grid": [0.25, 0.5, 0.25]}, "figure_r_grid repeats R = 0.25 "),
+        ({"set_sizes": [[2, 2], [3, 2], [2, 2]]}, "set_sizes repeats the pair (2, 2)"),
+        ({"cycles": [8, 8]}, "cycles repeats 8"),
+    ])
+    def test_grid_that_repeats_a_value_is_refused(self, changes, message):
+        data = {**json.loads(SMOKE.read_text(encoding="utf-8")), **changes}
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            StudyConfig.from_dict(data)
+        if "figure_r_grid" not in changes:
+            with pytest.raises(ConfigError, match="^" + re.escape(message)):
+                efficiency_grid(**changes)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = StudyConfig(set_sizes=[(np.int64(2), np.int32(3))], cycles=[np.int8(4)],
                           r_values=[np.float32(0.5), 1], replications=np.int64(10),
@@ -277,14 +293,14 @@ def reference_rows(cfg, namespace=0):
 
 
 # small grids for the row-pass and figure references: one plain cell; an
-# srs/bayes group skipped for n2 < 3 first; repeated and irrational ratios;
-# n1 = 1, where the as-published bayes cell is skipped
+# srs/bayes group skipped for n2 < 3 first; irrational ratios; n1 = 1,
+# where the as-published bayes cell is skipped
 REFERENCE_CONFIGS = {
     "plain": dict(),
     "skipped_first": dict(r_values=(0.25, 0.8), set_sizes=((2, 1), (3, 2)), cycles=(2,),
                           figure_r_grid=(0.3, 0.6)),
-    "repeated_R": dict(r_values=(1 / 3, 0.5, 1 / 3, 2.0), set_sizes=((3, 2), (2, 2)),
-                       cycles=(2, 3), formula_source="as-published", figure_r_grid=(1 / 3,)),
+    "irrational_R": dict(r_values=(1 / 3, 0.5, 2 / 3, 2.0), set_sizes=((3, 2), (2, 2)),
+                         cycles=(2, 3), formula_source="as-published", figure_r_grid=(1 / 3,)),
     "bayes_n1": dict(r_values=(0.5, 0.2), set_sizes=((1, 3), (2, 2)), cycles=(1, 2)),
 }
 
@@ -415,16 +431,13 @@ class TestRunStudy:
         # the float range or loses their precision breaks this
         data = json.loads(SMOKE.read_text(encoding="utf-8"))
         cfg, unit = (StudyConfig.from_dict({**data, "r_values": [r]}) for r in (R, 1.0))
-        cells, unit_cells = study._enumerate_cells(cfg), study._enumerate_cells(unit)
+        cells = study._enumerate_cells(cfg)
         gen = np.random.Generator(np.random.PCG64(0))
-        for group in study._design_groups(cells):
+        for indices, method, designs in study._design_groups(cfg, cells)[0]:
             words = _seeds.pcg64_states(_seeds.derive_seeds(
-                cfg.master_seed, 0, np.array(group)[:, None], np.arange(cfg.replications)))
-            _R, r1, r2, m, method = cells[group[0]]
-            designs = study._designs(r1, r2, m, method)
-            got = study._run_group(cfg, words, [cells[i][0] for i in group], method, designs, gen)
-            want = study._run_group(unit, words, [unit_cells[i][0] for i in group], method,
-                                    designs, gen)
+                cfg.master_seed, 0, np.array(indices)[:, None], np.arange(cfg.replications)))
+            got = study._run_group(cfg, words, method, designs, gen)
+            want = study._run_group(unit, words, method, designs, gen)
             np.testing.assert_allclose(got / R, want, rtol=1e-12, atol=0.0)
         aggs, skipped = study._cell_outcomes(cfg, cells, 0)
         assert not skipped and np.isfinite(aggs).all()
@@ -621,10 +634,10 @@ class TestAnalyticEfficiency:
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_grid_over_cycles_equals_single_cycle_grids(self, source):
-        # one kernel call over every cycle count, a repeated one included,
-        # equals one grid per cycle count; refused srs designs stay None
+        # one kernel call over every cycle count, in the order given, equals
+        # one grid per cycle count; refused srs designs stay None
         r_values, set_sizes = (0.1, 1.0 / 3.0, 0.8, 2.5), ((1, 1), (2, 2), (3, 5), (2, 1))
-        cycles = (1, 8, 40, 8)
+        cycles = (8, 1, 40)
         got = efficiency_grid(r_values, set_sizes, cycles, source)
         want = [c for m in cycles for c in efficiency_grid(r_values, set_sizes, (m,), source)]
         assert len(got) == len(want) == 3 * len(r_values) * len(set_sizes) * len(cycles)
