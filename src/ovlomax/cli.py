@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from .estimators import METHODS, SOURCE_DERIVED, SOURCES
 from .overlap import MEASURES, QuadratureError, overlap_value, ovl_by_quadrature
 from .reports import (
     DatasetParseError,
+    _json_text,
     build_estimate_report,
     bundled_counts,
     parse_dataset,
@@ -61,21 +61,22 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _int_option(wanted: str, accepts):
-    """An argparse type for integers that ``accepts``; argparse names the option in a refusal."""
-    def parse(text: str) -> int:
+def _option(convert, wanted: str, accepts):
+    """An argparse type for ``convert``-ed values that ``accepts``; argparse names the option."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
         if not accepts(value):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
     return parse
 
 
-_positive_count = _int_option("a positive integer", lambda value: value >= 1)
-_seed = _int_option("an integer in [0, 2**64)", _seeds.SEEDS.__contains__)
+_positive_count = _option(int, "a positive integer", lambda value: value >= 1)
+_seed = _option(int, "an integer in [0, 2**64)", _seeds.SEEDS.__contains__)
+_level = _option(float, "a number strictly between 0 and 1", lambda value: 0.0 < value < 1.0)
 
 
 def _common_flags(sub, seed=False, source=True, fmt=True, level=False):
@@ -90,7 +91,7 @@ def _common_flags(sub, seed=False, source=True, fmt=True, level=False):
         sub.add_argument("--format", choices=FORMATS, default="text", dest="fmt",
                          help="output format (default text)")
     if level:
-        sub.add_argument("--level", type=float, default=0.95,
+        sub.add_argument("--level", type=_level, default=0.95,
                          help="confidence level (default 0.95)")
 
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="run the Monte Carlo study grid")
     p.add_argument("--config", help="JSON study configuration file")
-    p.add_argument("--reps", type=int, help="override replication count")
+    p.add_argument("--reps", type=_positive_count, help="override replication count")
     p.add_argument("--workers", type=_positive_count, default=1,
                    help="worker processes (default 1); at most one per slab of the "
                    "study is started")
@@ -190,7 +191,7 @@ def cmd_ovl(args) -> int:
             out[rec["measure"]] = rec["value"]
         if args.quadrature:
             out["quadrature"] = {rec["measure"]: rec["quadrature"] for rec in records}
-        print(json.dumps(out, indent=2))
+        print(_json_text(out), end="")
     elif args.fmt == "csv":
         cols = "measure,value" + (",quadrature" if args.quadrature else "")
         print(cols)
@@ -346,7 +347,7 @@ def cmd_simulate(args) -> int:
             efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles, cfg.formula_source,
                             empirical=result.efficiency), "eff_table", "csv"),
         "discrepancy.csv": discrepancy_report(cfg.formula_source),
-        "metadata.json": json.dumps(result.metadata, indent=2) + "\n",
+        "metadata.json": _json_text(result.metadata),
     }
     if not args.no_figures:
         texts["figure_data.csv"] = emit_figure_data(cfg, workers=args.workers)
@@ -380,13 +381,8 @@ def cmd_realdata(args) -> int:
         for method in ("srs", "bayes")
     ]
     if args.fmt == "json":
-        out = {
-            "datasets": {
-                d.label: {"n": d.n, "values": d.values.tolist()} for d in (d1, d2)
-            },
-            "reports": [rep.to_dict() for rep in reports],
-        }
-        print(json.dumps(out, indent=2))
+        datasets = {d.label: {"n": d.n, "values": d.values.tolist()} for d in (d1, d2)}
+        print(_json_text({"datasets": datasets, "reports": reports}), end="")
     elif args.fmt == "csv":
         for k, rep in enumerate(reports):
             _print_report_csv(rep, header=k == 0)

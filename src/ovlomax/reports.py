@@ -17,18 +17,19 @@ variants.  It takes the study engine's path: ``shape_estimates`` of each
 sample, ``corrected_ratio`` and ``ratio_variance_factor`` for the ratio, and
 one ``assess`` call for every measure.  The level, method and design rules,
 and their refusal texts, are the estimators'; this module writes none of
-them.  Reports serialize to and from JSON without losing precision; the
-dict is ``dataclasses.asdict`` of the report, and the JSON is written from
-the fields, byte for byte as ``json.dumps(indent=2)``.  The discrepancy
-report reads the reports of the bundled datasets (:func:`bundled_counts`)
-itself.
+them.  Reports serialize to and from JSON without losing precision; every
+JSON text of the package, reports or dicts and lists that may hold them,
+comes from one writer, :func:`_json_text`, as ``json.dumps(indent=2)`` writes
+it with each report as its ``dataclasses.asdict``.  The discrepancy report
+reads the reports of the bundled datasets (:func:`bundled_counts`) itself.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -189,11 +190,6 @@ class EstimateReport:
                 return rep
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        """Every field by name, measures and intervals as nested dicts
-        (``dataclasses.asdict``); ``json.dumps`` writes it as :meth:`to_json`."""
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "EstimateReport":
         def interval(iv):
@@ -205,20 +201,25 @@ class EstimateReport:
         return cls(**{**d, "measures": measures, "warnings": tuple(d["warnings"])})
 
     def to_json(self) -> str:
-        pieces = []
-        _json_into(pieces, self)
-        pieces.append("\n")
-        return "".join(pieces)
+        return _json_text(self)
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateReport":
         return cls.from_dict(json.loads(text))
 
 
+def _json_text(v) -> str:
+    """``json.dumps(v, indent=2) + "\\n"``: the package's one JSON writer."""
+    pieces = []
+    _json_into(pieces, v)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
 def _json_into(out: list, v, depth: int = 0, _repr=float.__repr__, _inf=math.inf) -> None:
     """Append ``v`` to ``out`` as ``json.dumps(v, indent=2)`` writes it at indent
-    level ``depth``, in short pieces that one join copies (``to_json``): lists and
-    tuples as arrays, reports, measures and intervals as objects by field."""
+    level ``depth``, in short pieces: lists and tuples as arrays, dicts (string
+    keys) as objects, and reports, measures and intervals as objects by field."""
     if isinstance(v, float):
         out.append("NaN" if v != v else "Infinity" if v == _inf else "-Infinity" if v == -_inf
                    else _repr(v))
@@ -228,14 +229,21 @@ def _json_into(out: list, v, depth: int = 0, _repr=float.__repr__, _inf=math.inf
         out.append("null" if v is None else "true" if v else "false")
     elif isinstance(v, int):
         out.append(int.__repr__(v))
-    elif (names := _JSON_NAMES.get(type(v))) or isinstance(v, (list, tuple)):
+    elif (names := _JSON_NAMES.get(type(v))) or isinstance(v, (list, tuple, dict)):
+        if names:
+            v, brackets = vars(v).values(), "{}"
+        elif isinstance(v, dict):  # its keys name its values, as a report's fields do
+            names = [json.encoder.encode_basestring_ascii(k) + ": " for k in v]
+            v, brackets = v.values(), "{}"
+        else:
+            names, brackets = repeat(""), "[]"
         pad = "\n" + "  " * (depth + 1)
-        sep, comma = ("{" if names else "[") + pad, "," + pad
-        for name, x in zip(names, vars(v).values()) if names else (("", x) for x in v):
+        sep, comma = brackets[0] + pad, "," + pad
+        for name, x in zip(names, v):
             out.append(sep + name)
             _json_into(out, x, depth + 1)
             sep = comma
-        out.append(pad[:-2] + ("}" if names else "]") if names or v else "[]")
+        out.append(pad[:-2] + brackets[1] if sep is comma else brackets)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 

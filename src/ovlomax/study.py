@@ -76,6 +76,7 @@ from .estimators import (
     corrected_ratio,
 )
 from .overlap import _CORES, MEASURES
+from .reports import _json_text, build_estimate_report, bundled_counts
 from .sampling import RssDesign, SrsDesign, rss_retained
 
 __all__ = [
@@ -267,7 +268,7 @@ class StudyConfig:
         return {name: _listed(value) for name, value in vars(self).items() if value is not None}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict())
 
 
 @dataclass
@@ -633,25 +634,17 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(header, lines, rows=None) -> str:
-    """The one CSV writer of the package's tables: the header, then ``lines``,
-    each one record's fields joined by commas and ended by a line feed.  When
-    the text holds exactly the commas and line feeds those fields make and no
-    quote or carriage return, ``csv.writer`` would quote nothing, and the text
-    is returned as it is; otherwise ``csv.writer`` writes ``rows``, the same
-    records as field texts, which tables of numbers and fixed names omit."""
+def _write_csv(header, lines) -> str:
+    """The one CSV writer of the package's tables, which hold numbers and fixed
+    names: the header, then ``lines``, each a record's fields joined by commas
+    and ended by a line feed.  Nothing is quoted: a comma or line-feed count off
+    the header width, a quote or a carriage return raises :class:`ValueError`."""
     text = ",".join(header) + "\n" + "".join(lines)
     count, width = len(lines) + 1, len(header)
-    if (width > 1 and text.count(",") == count * (width - 1) and text.count("\n") == count
-            and '"' not in text and "\r" not in text):
-        return text
-    if rows is None:
-        raise ValueError("a CSV field needs quoting, but no field texts were given")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    if (width < 2 or text.count(",") != count * (width - 1) or text.count("\n") != count
+            or '"' in text or "\r" in text):
+        raise ValueError("a CSV field needs quoting, and the package's tables quote none")
+    return text
 
 
 def _emit_csv(items, kind) -> str:
@@ -660,25 +653,36 @@ def _emit_csv(items, kind) -> str:
     kinds = fields(kind)
     columns = [["" if x is None else "%.6g" % x for x in col] if f.type == "float | None" else col
                for f, col in zip(kinds, zip(*(vars(item).values() for item in items)))]
-    records = list(zip(*columns))
-    conversions = [_CSV_CONVERSIONS[f.type] for f in kinds]
-    template = ",".join(conversions) + "\n"
-    return _write_csv([f.name for f in kinds], [template % rec for rec in records],
-                      ([conv % v for conv, v in zip(conversions, rec)] for rec in records))
+    template = ",".join(_CSV_CONVERSIONS[f.type] for f in kinds) + "\n"
+    return _write_csv([f.name for f in kinds], [template % rec for rec in zip(*columns)])
+
+
+def _check_row(row: StudyRow, where: str) -> StudyRow:
+    """``row`` if its names lie in :data:`METHODS`, :data:`MEASURES` and
+    :data:`SOURCES`, ``R`` is positive and finite, and ``r1``, ``r2``, ``m`` and
+    ``reps`` are at least 1; otherwise a :class:`ConfigError` starting ``where``."""
+    for name, known in _CSV_NAMES.items():
+        if getattr(row, name) not in known:
+            raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is not one of {known}")
+    if not (math.isfinite(row.R) and row.R > 0.0):
+        raise ConfigError(f"{where}: R = {row.R!r} is not positive and finite")
+    for name in ("r1", "r2", "m", "reps"):
+        if getattr(row, name) < 1:
+            raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is below 1")
+    return row
 
 
 def emit_rows_csv(rows) -> str:
-    """Pinned long-format schema, LF line endings, six significant digits."""
-    return _emit_csv(rows, StudyRow)
+    """Pinned long-format schema, LF line endings, six significant digits; a
+    row :func:`parse_rows_csv` would refuse is a :class:`ConfigError` naming
+    its index (:func:`_check_row`), so the text always parses back."""
+    return _emit_csv([_check_row(row, f"study row {k}") for k, row in enumerate(rows)], StudyRow)
 
 
 def parse_rows_csv(text: str) -> list:
-    """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit
-    values; :class:`StudyResult` builds its rows with it.  A method, measure
-    or formula source outside :data:`METHODS`, :data:`MEASURES` or
-    :data:`SOURCES`, an ``R`` that is not positive and finite, or an ``r1``,
-    ``r2``, ``m`` or ``reps`` below 1 is a :class:`ConfigError` naming its
-    line."""
+    """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit values
+    (:class:`StudyResult` builds its rows with it); a row :func:`_check_row`
+    refuses is a :class:`ConfigError` naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(STUDY_CSV_COLUMNS):
@@ -696,16 +700,7 @@ def parse_rows_csv(text: str) -> list:
             except ValueError:
                 raise ConfigError(
                     f"{where}: {f.name} = {cell!r} does not parse as {f.type}") from None
-        row = StudyRow(*values)
-        for name, known in _CSV_NAMES.items():
-            if getattr(row, name) not in known:
-                raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is not one of {known}")
-        if not (math.isfinite(row.R) and row.R > 0.0):
-            raise ConfigError(f"{where}: R = {row.R!r} is not positive and finite")
-        for name in ("r1", "r2", "m", "reps"):
-            if getattr(row, name) < 1:
-                raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is below 1")
-        rows.append(row)
+        rows.append(_check_row(StudyRow(*values), where))
     return rows
 
 
@@ -771,7 +766,7 @@ def _emit_eff_table(cells, fmt):
         return _emit_csv([present[k] for k in expected], EfficiencyCell)
     if fmt == "json":
         records = [asdict(present[k]) for k in expected]
-        return json.dumps({"layout": "eff_table", "cells": records}, indent=2) + "\n"
+        return _json_text({"layout": "eff_table", "cells": records})
 
     r1_set = sorted({p[0] for p in set_sizes})
     r2_set = sorted({p[1] for p in set_sizes})
@@ -832,7 +827,7 @@ def _emit_bias_table(rows, fmt):
     if fmt == "json":
         records = [{name: getattr(present[k], name) for name in _BIAS_TABLE_FIELDS}
                    for k in expected]
-        return json.dumps({"layout": "bias_table", "cells": records}, indent=2) + "\n"
+        return _json_text({"layout": "bias_table", "cells": records})
 
     lines = []
     some = next(iter(present.values()))
@@ -912,8 +907,6 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     no ranked-set design is stated for that example (the printed values are
     recorded, nothing is computable to compare them against).
     """
-    from .reports import build_estimate_report, bundled_counts
-
     fixtures = _published_tables()
     rows = []
 

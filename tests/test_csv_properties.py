@@ -1,23 +1,24 @@
 """Property tests of the package's text schemas.  Study CSV: template
-emission equals formatting each value on its own, parsing inverts emission,
-and the one writer's plain join equals what ``csv.writer`` writes.  Report
-JSON: ``to_json`` writes what ``json.dumps(indent=2)`` writes."""
+emission equals formatting each value on its own, emission refuses exactly
+the rows parsing refuses and parsing inverts it, and the one writer writes
+what ``csv.writer`` writes or refuses a field that needs quoting.  Report
+JSON: the one writer writes what ``json.dumps(indent=2)`` writes."""
 
 import csv
 import functools
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from ovlomax import (ConfigError, EfficiencyCell, StudyRow, emit_rows_csv, emit_tables,
-                     parse_rows_csv)
+from ovlomax import (STUDY_CSV_COLUMNS, ConfigError, EfficiencyCell, StudyRow, emit_rows_csv,
+                     emit_tables, parse_rows_csv)
 from ovlomax.estimators import METHODS, SOURCES, ConfidenceInterval
 from ovlomax.overlap import MEASURES
-from ovlomax.reports import EstimateReport, MeasureReport
+from ovlomax.reports import EstimateReport, MeasureReport, _json_into, _json_text
 from ovlomax.study import _write_csv
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -31,6 +32,11 @@ ints = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1).map(np.uin
                  st.integers(-2**63, 2**63 - 1).map(np.int64))
 sixg = st.one_of(st.sampled_from(EDGE_FLOATS[:-1]),
                  st.floats(allow_nan=False)).map(lambda x: float(f"{x:.6g}"))
+# values inside the study CSV's row rule: R positive and finite, design counts >= 1
+positive = st.one_of(st.sampled_from([x for x in EDGE_FLOATS if 0.0 < x < math.inf]),
+                     st.floats(5e-324, 1.7976931348623157e308))
+counts = st.one_of(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1).map(np.uint64),
+                   st.integers(1, 2**63 - 1).map(np.int64))
 
 
 def cell(v) -> str:
@@ -64,32 +70,25 @@ def csv_writer_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def study_rows(number, integer, names=None, ratio=None, size=None, min_size=0):
-    """Lists of rows; ``ratio`` and ``size`` draw ``R`` and the four design
-    counts when given, and ``number`` and ``integer`` otherwise."""
-    def name(known):
-        return st.sampled_from(known) if names is None else names
-
-    ratio = number if ratio is None else ratio
-    size = integer if size is None else size
+def study_rows(number, integer, ratio, size, names=st.sampled_from, min_size=0):
+    """Lists of rows: ``ratio`` draws ``R``, ``size`` the four design counts,
+    and ``names(known)`` each name field, ``number`` and ``integer`` the rest."""
     return st.lists(st.builds(
-        StudyRow, method=name(METHODS), measure=name(MEASURES),
+        StudyRow, method=names(METHODS), measure=names(MEASURES),
         R=ratio, r1=size, r2=size, m=size, reps=size, abs_bias=number,
         signed_bias=number, mse=number, coverage=number, ci_length=number,
-        efficiency=st.one_of(st.none(), number), formula_source=name(SOURCES),
+        efficiency=st.one_of(st.none(), number), formula_source=names(SOURCES),
         seed=integer), min_size=min_size, max_size=8)
 
 
-# rows that a saved study CSV may hold: R positive and finite, design counts >= 1
+# rows that a saved study CSV may hold, values at six significant digits
 saved_rows = functools.partial(
     study_rows, sixg, st.integers(0, 2**64 - 1),
-    ratio=st.one_of(st.sampled_from([x for x in EDGE_FLOATS if 0.0 < x < math.inf]),
-                    st.floats(5e-324, 1.7976931348623157e308)).map(lambda x: float(f"{x:.6g}")),
-    size=st.integers(1, 2**64 - 1))
+    positive.map(lambda x: float(f"{x:.6g}")), st.integers(1, 2**64 - 1))
 
 
 @settings(deadline=None)
-@given(study_rows(floats, ints))
+@given(study_rows(floats, ints, st.one_of(positive, positive.map(np.float64)), counts))
 def test_rows_csv_equals_per_value_formatting(rows):
     assert emit_rows_csv(rows) == per_value_csv(rows, StudyRow)
 
@@ -110,7 +109,7 @@ def test_parse_names_the_line_of_an_out_of_domain_value(rows, data):
         st.tuples(st.sampled_from(["r1", "r2", "m", "reps"]), st.integers(-2**63, 0))))
     setattr(rows[k], name, value)
     with pytest.raises(ConfigError, match=rf"^study CSV line {k + 2}: {name} = "):
-        parse_rows_csv(emit_rows_csv(rows))
+        parse_rows_csv(per_value_csv(rows, StudyRow))
 
 
 @settings(deadline=None)
@@ -130,8 +129,8 @@ def test_eff_table_csv_equals_per_value_formatting(r_values, set_sizes, cycles, 
 
 
 
-# text that csv.writer quotes (comma, quote, line feed), or that the writer's
-# plain join must not take on trust (carriage return), mixed with other text
+# text that csv.writer quotes (comma, quote, line feed) or that would split a
+# line (carriage return), mixed with other text
 field_text = st.text(st.one_of(st.sampled_from(',"\r\n a0.-'), st.characters()), max_size=5)
 
 
@@ -145,18 +144,74 @@ def tables(draw):
 @settings(deadline=None)
 @hypothesis.example(table=(["a"], [[""]]))  # csv.writer writes "" for the empty field
 @hypothesis.example(table=(["a", "b"], [["", ""], ["x,y", 'say "hi"'], ["\r", "\n"]]))
+@hypothesis.example(table=(["a", "b"], [["", "1.5"], ["x", "-"]]))
 @given(tables())
 def test_write_csv_equals_csv_writer(table):
+    # the writer quotes nothing: it writes the join where csv.writer would quote
+    # nothing and no bare carriage return splits a line, and refuses the rest
     header, rows = table
     lines = [",".join(row) + "\n" for row in rows]
-    assert _write_csv(header, lines, rows) == csv_writer_text(header, rows)
+    plain = ",".join(header) + "\n" + "".join(lines)
+    if len(header) > 1 and "\r" not in plain and plain == csv_writer_text(header, rows):
+        assert _write_csv(header, lines) == plain
+    else:
+        with pytest.raises(ValueError, match="needs quoting"):
+            _write_csv(header, lines)
+
+
+def parse_refusal(row) -> str | None:
+    """What :func:`parse_rows_csv` says of ``row`` alone, after naming its line,
+    every field quoted so that any text reads back as it is; None if it
+    reads the row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+        value_rows([row], StudyRow)[1])
+    try:
+        parse_rows_csv(",".join(STUDY_CSV_COLUMNS) + "\n" + buf.getvalue())
+    except ConfigError as exc:
+        return str(exc).partition(": ")[2]
+    return None
+
+
+def known_or_not(known):
+    return st.one_of(st.sampled_from(known), st.sampled_from(["a,b", 'x"y', "srs ", "derivd", ""]),
+                     field_text)
+
+
+# one field of a valid row set outside the row rule: names that need quoting,
+# a negative and a NaN ratio, no replications
+OFF_DOMAIN = [("method", "a,b"), ("R", -0.5), ("R", math.nan), ("reps", 0),
+              ("formula_source", 'x"y')]
+VALID_ROW = StudyRow("rss", "rho", 0.5, 2, 3, 8, 100, 0.01, -0.01, 0.002, 0.95, 0.1, 1.25,
+                     "derived", 12345)
 
 
 @settings(deadline=None)
-@given(study_rows(floats, ints, names=field_text))
-def test_rows_csv_quotes_names_like_csv_writer(rows):
-    # a library StudyRow may hold any text; emission quotes it as csv.writer does
-    assert emit_rows_csv(rows) == csv_writer_text(*value_rows(rows, StudyRow))
+@hypothesis.example(rows=[VALID_ROW, VALID_ROW])
+@given(st.one_of(saved_rows(), study_rows(
+    sixg, st.integers(0, 2**64 - 1),
+    st.one_of(positive.map(lambda x: float(f"{x:.6g}")),
+              st.sampled_from([0.0, -0.0, -0.5, -1e-300, math.inf, -math.inf, math.nan])),
+    st.integers(-2, 2**64 - 1), names=known_or_not)))
+def test_emit_refuses_exactly_the_rows_parse_refuses(rows):
+    # half the lists lie inside the row rule, half draw every field across it
+    refused = [(k, why) for k, why in enumerate(map(parse_refusal, rows)) if why is not None]
+    if refused:
+        k, why = refused[0]
+        with pytest.raises(ConfigError) as exc:
+            emit_rows_csv(rows)
+        assert str(exc.value) == f"study row {k}: {why}"
+    else:
+        assert parse_rows_csv(emit_rows_csv(rows)) == rows
+
+
+@pytest.mark.parametrize("name, value", OFF_DOMAIN)
+def test_emit_refuses_a_row_parse_refuses(name, value):
+    rows = [VALID_ROW, replace(VALID_ROW, **{name: value})]
+    with pytest.raises(ConfigError, match=rf"^study row 1: {name} = "):
+        emit_rows_csv(rows)
+    assert parse_refusal(rows[1]).startswith(f"{name} = ")
+    assert parse_rows_csv(emit_rows_csv(rows[:1])) == rows[:1]
 
 
 # values whose sixth significant digit rounds (half-way cases included)
@@ -179,8 +234,8 @@ def test_percent_template_formats_like_format_anywhere(x):
 
 
 def test_write_csv_refuses_to_guess_unquoted_fields():
-    # tables of numbers and fixed names pass no field texts; a line whose
-    # commas do not match its header would be ambiguous, so it is an error
+    # the tables hold numbers and fixed names; a line whose commas do not
+    # match its header would be ambiguous, so it is an error
     with pytest.raises(ValueError, match="needs quoting"):
         _write_csv(["a", "b"], ["x,y,z\n"])
 
@@ -224,6 +279,29 @@ def estimate_reports(allow_nan: bool):
 def test_report_json_equals_json_dumps(case):
     allow_nan, report = case
     text = report.to_json()
-    assert text == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert text == json.dumps(asdict(report), indent=2) + "\n"
     if not allow_nan:
         assert EstimateReport.from_json(text) == report
+
+
+# JSON documents of dicts, lists and tuples, whose leaves may be reports
+json_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), report_text,
+              estimate_reports(allow_nan=True)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(report_text, inner, max_size=3)),
+    max_leaves=10)
+
+
+@settings(deadline=None)
+@hypothesis.example({})
+@hypothesis.example({"a": [], "b": {}, "c": [{}], "d": ((),)})
+@hypothesis.example({"datasets": {"x": {"n": 2, "values": [0.5, 1e300]}}, "reports": []})
+@given(json_documents)
+def test_json_writer_of_dicts_and_lists_equals_json_dumps(doc):
+    # a report inside a document is written as json.dumps writes its asdict
+    want = json.dumps(doc, indent=2, default=asdict)
+    pieces = []
+    _json_into(pieces, doc)
+    assert "".join(pieces) == want
+    assert _json_text(doc) == want + "\n"

@@ -48,12 +48,15 @@ def test_version_declared_once():
 # interpreter; SciPy is for the quadrature oracle and the tests alone, and the
 # process pool (multiprocessing, concurrent.futures) for --workers > 1 alone.
 _NO_SCIPY_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import ovlomax, ovlomax.cli
 smoke, out_dir, data1, data2 = sys.argv[1:]
 runs = [["simulate", "--config", smoke, "--out-dir", out_dir], ["realdata"],
         ["estimate", data1, data2], ["tables", "--kind", "discrepancy"],
-        ["ovl", "--ratio", "0.5"]]
+        ["ovl", "--ratio", "0.5"], ["realdata", "--format", "json"],
+        ["estimate", data1, data2, "--format", "json"],
+        ["tables", "--kind", "bias", "--rows", os.path.join(out_dir, "study.csv"),
+         "--format", "csv"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ovlomax.cli.main(argv) for argv in runs]
 print(json.dumps({"codes": codes, "modules": sorted(
@@ -77,7 +80,7 @@ def test_cli_paths_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 8
     assert result["modules"] == []
 
 

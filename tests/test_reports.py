@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -179,18 +179,18 @@ class TestBuildEstimateReport:
         rep = build_estimate_report(self.DATA1, self.DATA2, "srs", level=0.9)
         back = EstimateReport.from_json(rep.to_json())
         assert back == rep
-        assert EstimateReport.from_dict(rep.to_dict()) == rep
+        assert EstimateReport.from_dict(asdict(rep)) == rep
 
     def test_json_round_trip_without_variance(self):
         rep = build_estimate_report(self.DATA1, self.DATA2[:2], "srs")
         back = EstimateReport.from_json(rep.to_json())
         assert back == rep
         assert back.measures[0].interval is None
-        assert EstimateReport.from_dict(rep.to_dict()) == rep
+        assert EstimateReport.from_dict(asdict(rep)) == rep
 
     def test_dict_keys_are_the_fields_in_order(self):
         rep = build_estimate_report(self.DATA1, self.DATA2, "srs")
-        doc = rep.to_dict()
+        doc = asdict(rep)
         assert list(doc) == [f.name for f in fields(EstimateReport)]
         for m in doc["measures"]:
             assert list(m) == [f.name for f in fields(MeasureReport)]
