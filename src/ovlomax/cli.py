@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__, _seeds
 from .dist_core import DomainError, InverseLomax
 from .estimators import METHODS, SOURCE_DERIVED, SOURCES
-from .overlap import MEASURES, QuadratureError, overlap_value, ovl_by_quadrature
+from .overlap import MEASURES, overlap_value
 from .reports import (
     DatasetParseError,
     _json_text,
@@ -110,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alphas", type=float, nargs=2, metavar=("A1", "A2"),
                        help="the two shape parameters")
     p.add_argument("--measure", choices=MEASURES + ("all",), default="all")
-    p.add_argument("--quadrature", action="store_true",
-                   help="also compute each value by numeric integration")
     _common_flags(p, source=False)
     p.set_defaults(func=cmd_ovl)
 
@@ -169,44 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_ovl(args) -> int:
     if args.ratio is not None:
         ratio = args.ratio
-        f1 = f2 = None
     else:
-        a1, a2 = args.alphas
-        f1, f2 = InverseLomax(a1), InverseLomax(a2)  # each refuses a shape that is not positive
+        # each InverseLomax refuses a shape that is not positive
+        a1, a2 = (InverseLomax(a).alpha for a in args.alphas)
         ratio = a1 / a2
     measures = MEASURES if args.measure == "all" else (args.measure,)
-
-    records = []
-    for meas in measures:
-        rec = {"measure": meas, "value": float(overlap_value(meas, ratio))}
-        if args.quadrature:
-            q1 = f1 if f1 is not None else InverseLomax(ratio)
-            q2 = f2 if f2 is not None else InverseLomax(1.0)
-            rec["quadrature"] = float(ovl_by_quadrature(q1, q2, meas))
-        records.append(rec)
+    values = {meas: float(overlap_value(meas, ratio)) for meas in measures}
 
     if args.fmt == "json":
-        out = {"ratio": ratio}
-        for rec in records:
-            out[rec["measure"]] = rec["value"]
-        if args.quadrature:
-            out["quadrature"] = {rec["measure"]: rec["quadrature"] for rec in records}
-        print(_json_text(out), end="")
+        print(_json_text({"ratio": ratio, **values}), end="")
     elif args.fmt == "csv":
-        cols = "measure,value" + (",quadrature" if args.quadrature else "")
-        print(cols)
-        for rec in records:
-            line = f"{rec['measure']},{rec['value']:.10g}"
-            if args.quadrature:
-                line += f",{rec['quadrature']:.10g}"
-            print(line)
+        print("measure,value")
+        for meas, value in values.items():
+            print(f"{meas},{value:.10g}")
     else:
         print(f"shape ratio: {ratio:.10g}")
-        for rec in records:
-            line = f"  {rec['measure']:<8}{rec['value']:.10g}"
-            if args.quadrature:
-                line += f"   (quadrature {rec['quadrature']:.10g})"
-            print(line)
+        for meas, value in values.items():
+            print(f"  {meas:<8}{value:.10g}")
     return EXIT_OK
 
 
@@ -239,9 +216,16 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; bytes that do not decode are a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_samples(path1: str, path2: str, method: str):
-    text1 = Path(path1).read_text(encoding="utf-8")
-    text2 = Path(path2).read_text(encoding="utf-8")
+    text1, text2 = _read_text(path1), _read_text(path2)
     if method == "rss":
         return parse_ranked_dataset(text1), parse_ranked_dataset(text2)
     return parse_dataset(text1, path1).values, parse_dataset(text2, path2).values
@@ -321,7 +305,7 @@ def _write_all(out: Path, texts: dict) -> None:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        cfg = StudyConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        cfg = StudyConfig.from_json(_read_text(args.config))
     else:
         cfg = StudyConfig()
     overrides = {}
@@ -369,7 +353,7 @@ def cmd_tables(args) -> int:
         return EXIT_OK
     if not args.rows:
         raise ConfigError("--kind bias requires --rows with a saved study.csv")
-    rows = parse_rows_csv(Path(args.rows).read_text(encoding="utf-8"))
+    rows = parse_rows_csv(_read_text(args.rows))
     print(emit_tables(rows, "bias_table", args.fmt), end="")
     return EXIT_OK
 
@@ -405,7 +389,7 @@ def main(argv=None) -> int:
     except (ConfigError, DatasetParseError, MissingCellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, QuadratureError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except OSError as exc:

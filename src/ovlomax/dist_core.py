@@ -8,7 +8,7 @@ the overlap coefficients of their standardized laws.  Under this convention
 every estimator in :mod:`ovlomax.estimators` tractable; the exact laws of
 its estimates are ``scipy.stats`` gamma and F laws, named there.
 The normal quantile of the intervals comes from the standard library, so
-importing the package loads no SciPy.  A draw lies below the smallest normal
+the package needs numpy alone.  A draw lies below the smallest normal
 float with probability ``exp(-708.4/alpha)``; sampling and the quantile refuse
 such values.
 """

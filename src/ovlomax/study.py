@@ -679,17 +679,27 @@ def emit_rows_csv(rows) -> str:
     return _emit_csv([_check_row(row, f"study row {k}") for k, row in enumerate(rows)], StudyRow)
 
 
+def _records(reader):
+    """``reader``'s records; a ``csv.Error`` is a :class:`ConfigError` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigError(f"study CSV line {reader.line_num}: {exc}") from None
+
+
 def parse_rows_csv(text: str) -> list:
     """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit values
     (:class:`StudyResult` builds its rows with it); a row :func:`_check_row`
-    refuses is a :class:`ConfigError` naming its line."""
+    refuses, or that the ``csv`` module cannot read, is a :class:`ConfigError`
+    naming its line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    records = _records(reader)
+    header = next(records, None)
     if header != list(STUDY_CSV_COLUMNS):
         raise ConfigError(f"unexpected study CSV header: {header}")
     kinds = fields(StudyRow)
     rows = []
-    for rec in filter(None, reader):
+    for rec in filter(None, records):
         where = f"study CSV line {reader.line_num}"
         if len(rec) != len(kinds):
             raise ConfigError(f"{where}: expected {len(kinds)} fields, got {len(rec)}")

@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 from conftest import ACCEPTANCE_LINES, curvature, slope
+from quadrature import ovl_by_quadrature
 
 from ovlomax import (
     InverseLomax,
@@ -32,7 +33,6 @@ from ovlomax import (
     emit_rows_csv,
     harmonic,
     overlap_value,
-    ovl_by_quadrature,
     ratio_variance_factor,
     run_study,
     shape_estimates,

@@ -89,21 +89,28 @@ class TestOvl:
         assert len(lines) == 2
         assert lines[1].startswith("rho,")
 
-    def test_quadrature_matches_closed_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ovl", "--ratio", "0.5", "--quadrature", "--format", "json"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        for meas in ("rho", "delta", "lambda"):
-            assert doc["quadrature"][meas] == pytest.approx(doc[meas], abs=1e-8)
+    @pytest.mark.parametrize("argv, expected", [
+        (["--ratio", "0.5"],
+         "shape ratio: 0.5\n  rho     0.9428090416\n  delta   0.75\n  lambda  0.6666666667\n"),
+        (["--ratio", "0.5", "--format", "csv"],
+         "measure,value\nrho,0.9428090416\ndelta,0.75\nlambda,0.6666666667\n"),
+        (["--ratio", "0.5", "--format", "json"],
+         '{\n  "ratio": 0.5,\n  "rho": 0.9428090415820635,\n  "delta": 0.75,\n'
+         '  "lambda": 0.6666666666666666\n}\n'),
+        (["--alphas", "1", "2", "--measure", "delta"], "shape ratio: 0.5\n  delta   0.75\n"),
+        (["--alphas", "1", "2", "--measure", "delta", "--format", "csv"],
+         "measure,value\ndelta,0.75\n"),
+        (["--alphas", "1", "2", "--measure", "delta", "--format", "json"],
+         '{\n  "ratio": 0.5,\n  "delta": 0.75\n}\n'),
+    ], ids=["ratio-text", "ratio-csv", "ratio-json", "alphas-text", "alphas-csv", "alphas-json"])
+    def test_output_bytes_are_pinned(self, capsys, argv, expected):
+        assert run_cli(capsys, "ovl", *argv) == (0, expected, "")
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_quadrature_out_of_reach_is_estimation_error(self, capsys):
-        # a shape of 100 leaves 8e-4 of its mass below the smallest normal x
-        code, out, err = run_cli(capsys, "ovl", "--ratio", "100", "--quadrature")
-        assert code == 1 and out == ""
-        assert "smallest normal float" in err
+    def test_quadrature_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ovl", "--ratio", "0.5", "--quadrature"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quadrature" in capsys.readouterr().err
 
     def test_huge_ratio_keeps_delta(self, capsys):
         # delta(R) = delta(1/R) ~ 4.6e-198 here, not a cancelled 0
@@ -247,6 +254,12 @@ class TestEstimate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == JSON_PINS[method, source]
 
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, files):
+        Path(files[1]).write_bytes(b"23 261\xff 87\n")
+        code, out, err = run_cli(capsys, "estimate", *files)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {files[1]}: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize("value", LEVELS_OUTSIDE)
     def test_level_outside_the_unit_interval_is_usage_error(self, capsys, tmp_path, value):
         # refused before either file is opened
@@ -374,6 +387,13 @@ class TestSimulate:
         lines = out.strip().splitlines()
         assert lines[0] == ",".join(STUDY_CSV_COLUMNS)
         assert len(lines) == 1 + 9  # one cell, three methods, three measures
+
+    def test_config_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"r_values": [0.5]\xff}')
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_bad_reps_is_usage_error(self, capsys, tmp_path, value):
@@ -713,9 +733,12 @@ class TestTables:
          "rows mix formula sources ['as-published', 'derived']"),
         (lambda rec: rec[:2] + ["0.5"] + rec[3:],
          "repeated row: method=srs measure=rho R=0.5 r1=2 r2=2 m=2"),
+        # a seed longer than the csv module's field size limit of 131072 characters
+        (lambda rec: rec[:14] + ["7" * 200_000],
+         "error: study CSV line 3: field larger than field limit (131072)"),
     ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
             "bad-source", "negative-R", "zero-R", "nan-R", "inf-R", "zero-r1", "negative-r2",
-            "zero-m", "zero-reps", "mixed-sources", "repeated-row"])
+            "zero-m", "zero-reps", "mixed-sources", "repeated-row", "oversized-field"])
     def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
         # three rows of distinct cells (R = 0.5, 0.75, 0.8); the third line is damaged
         rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
@@ -738,6 +761,13 @@ class TestTables:
         assert code == 2
         assert out == ""
         assert err == "error: no rows to tabulate\n"
+
+    def test_bias_from_rows_that_are_not_utf8_is_usage_error(self, capsys, tmp_path):
+        saved = tmp_path / "study.csv"
+        saved.write_bytes(",".join(STUDY_CSV_COLUMNS).encode() + b"\n\xff\n")
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {saved}: 'utf-8' codec can't decode byte 0xff")
 
     def test_bias_missing_rows_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "tables", "--kind", "bias",

@@ -7,15 +7,8 @@ import pytest
 
 from conftest import curvature, slope
 from ovlomax.dist_core import DomainError, InverseLomax
-from ovlomax.overlap import (
-    _CORES,
-    MEASURES,
-    QuadratureError,
-    _terms,
-    kl_symmetrized,
-    overlap_value,
-    ovl_by_quadrature,
-)
+from ovlomax.overlap import _CORES, MEASURES, _terms, overlap_value
+from quadrature import QuadratureError, kl_symmetrized, ovl_by_quadrature
 
 GRID = np.concatenate([np.logspace(-2, 0, 40, endpoint=False), np.logspace(0, 2, 40)])
 # log-spaced ratios (1 itself left out) and the neighbours 1 +- 10**-k of the symmetry point

@@ -1,11 +1,12 @@
 """The package namespace: each public name is declared once, in its module,
-and importing it or running the CLI's one-worker paths loads neither SciPy
-nor the process pool."""
+numpy is its one runtime dependency, and importing any module of it or
+running the CLI's one-worker paths loads neither SciPy nor the process pool."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,19 +45,39 @@ def test_version_declared_once():
     assert getattr(sys.modules[module], name) == ovlomax.__version__
 
 
-# The study, report, estimate, tables and closed-form paths run in one fresh
-# interpreter; SciPy is for the quadrature oracle and the tests alone, and the
-# process pool (multiprocessing, concurrent.futures) for --workers > 1 alone.
+def test_runtime_dependency_is_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9._-]+", req).group() for req in requirements]
+
+    assert names(meta["dependencies"]) == ["numpy"]
+    assert "scipy" in names(meta["optional-dependencies"]["test"])
+
+
+# Every module of the package is imported and every subcommand runs in one
+# fresh interpreter; SciPy is for the tests alone, and the process pool
+# (multiprocessing, concurrent.futures) for --workers > 1 alone.
 _NO_SCIPY_RUN = """
-import contextlib, io, json, os, sys
+import contextlib, importlib, io, json, os, pkgutil, sys
 import ovlomax, ovlomax.cli
+for info in pkgutil.iter_modules(ovlomax.__path__):
+    importlib.import_module(f"ovlomax.{info.name}")
 smoke, out_dir, data1, data2 = sys.argv[1:]
 runs = [["simulate", "--config", smoke, "--out-dir", out_dir], ["realdata"],
         ["estimate", data1, data2], ["tables", "--kind", "discrepancy"],
         ["ovl", "--ratio", "0.5"], ["realdata", "--format", "json"],
         ["estimate", data1, data2, "--format", "json"],
         ["tables", "--kind", "bias", "--rows", os.path.join(out_dir, "study.csv"),
-         "--format", "csv"]]
+         "--format", "csv"],
+        ["ovl", "--alphas", "1", "2"], ["ovl", "--ratio", "0.5", "--format", "csv"],
+        ["ovl", "--ratio", "0.5", "--format", "json"],
+        ["sample", "--alpha", "1", "--design", "srs:5"],
+        ["sample", "--alpha", "1", "--design", "rss:3,2"],
+        *(["tables", "--kind", "efficiency", "--format", fmt] for fmt in ("text", "csv", "json")),
+        ["estimate", data1, data2, "--format", "csv"], ["realdata", "--format", "csv"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ovlomax.cli.main(argv) for argv in runs]
 print(json.dumps({"codes": codes, "modules": sorted(
@@ -80,7 +101,7 @@ def test_cli_paths_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 8
+    assert result["codes"] == [0] * 18
     assert result["modules"] == []
 
 

@@ -547,6 +547,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             parse_rows_csv(tampered)
 
+    def test_record_the_csv_module_refuses_names_its_line(self):
+        # a bare carriage return inside an unquoted field
+        text = emit_rows_csv([]) + "s\rrs,rho,0.5,2,2,2,10,0.1,0.1,0.1,0.9,0.2,,derived,1\n"
+        with pytest.raises(ConfigError, match="^study CSV line 2: new-line character seen"):
+            parse_rows_csv(text)
+
 
 def single_cell_efficiency(measure, R, r1, r2, m, source="derived"):
     """MSE(srs)/MSE(rss) of one cell, each MSE from a one-block kernel call."""
