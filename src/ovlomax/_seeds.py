@@ -148,13 +148,6 @@ def pcg64_states(seeds) -> np.ndarray:
     return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
 
-def _set_state(bitgen: np.random.PCG64, lo: int, hi: int, inc_lo: int, inc_hi: int) -> None:
-    # the public setter, from one row of pcg64_states
-    bitgen.state = {"bit_generator": "PCG64",
-                    "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-                    "has_uint32": 0, "uinteger": 0}
-
-
 def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
     """A writable ``uint64`` view of the four words of ``bitgen``'s ``{state,
     inc}`` struct.  ``ctypes.state_address`` points at numpy's
@@ -169,24 +162,28 @@ _PROBE = (0x0123456789ABCDEF, 0x0FEDCBA987654321, 0x1122334455667789, 0x0899AABB
 
 
 @functools.cache
-def _word_order():
+def _word_order() -> tuple:
     """The columns of :func:`pcg64_states` in the order the generator's struct
-    holds its words, probed once per process, or None.
+    holds its words, probed once per process.
 
     The probe sets a known state through the public setter and reads it back
     through :func:`_state_words`.  Little-endian builds with a native 128-bit
     integer hold ``(lo, hi, inc_lo, inc_hi)``; the emulated ``{high, low}``
-    struct and big-endian builds hold ``(hi, lo, inc_hi, inc_lo)``.  For any
-    other layout it is None, and streams are restarted through the public
-    setter instead.
+    struct and big-endian builds hold ``(hi, lo, inc_hi, inc_lo)``.  Any other
+    layout raises ``RuntimeError`` naming numpy's version: the in-place write
+    is the only way :func:`fill_uniforms` restarts a stream.
     """
     bitgen = np.random.PCG64(0)
-    _set_state(bitgen, *_PROBE)
+    lo, hi, inc_lo, inc_hi = _PROBE
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                    "has_uint32": 0, "uinteger": 0}
     held = _state_words(bitgen).tolist()
     for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
         if held == [_PROBE[i] for i in order]:
             return order
-    return None
+    raise RuntimeError(f"numpy {np.__version__}: PCG64 holds its state words in an "
+                       "unrecognised order; streams cannot be restarted in place")
 
 
 def fill_uniforms(out: np.ndarray, words: np.ndarray, gen: np.random.Generator) -> None:
@@ -199,18 +196,10 @@ def fill_uniforms(out: np.ndarray, words: np.ndarray, gen: np.random.Generator) 
     write leaves the generator's buffered 32-bit half alone: a generator that
     only ever draws doubles, as the study's does, never fills it, so
     ``has_uint32`` stays 0 and every row starts where a freshly seeded
-    ``PCG64`` does.  Where the probe did not recognise the layout, each row
-    goes through the public ``state`` setter instead, with the same draws.
+    ``PCG64`` does.
     """
-    bitgen = gen.bit_generator
-    order = _word_order()
-    if order is None:
-        for row, seed_words in zip(out, words.tolist()):
-            _set_state(bitgen, *seed_words)
-            gen.random(out=row)
-        return
-    held = _state_words(bitgen)
-    for row, seed_words in zip(out, words[:, order]):
+    held = _state_words(gen.bit_generator)
+    for row, seed_words in zip(out, words[:, _word_order()]):
         held[...] = seed_words
         gen.random(out=row)
 

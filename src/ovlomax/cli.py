@@ -216,19 +216,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of ``path``; bytes that do not decode are a ConfigError naming it."""
+def _read_file(path: str, parse):
+    """``parse`` of the UTF-8 text of ``path``.  Bytes that do not decode, and
+    a ConfigError or DatasetParseError of ``parse``, are a ConfigError whose
+    text starts with the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ConfigError, DatasetParseError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _load_samples(path1: str, path2: str, method: str):
-    text1, text2 = _read_text(path1), _read_text(path2)
-    if method == "rss":
-        return parse_ranked_dataset(text1), parse_ranked_dataset(text2)
-    return parse_dataset(text1, path1).values, parse_dataset(text2, path2).values
 
 
 def _columns(m) -> tuple:
@@ -265,7 +260,8 @@ def _print_report_csv(rep, header: bool = True) -> None:
 
 
 def cmd_estimate(args) -> int:
-    s1, s2 = _load_samples(args.data1, args.data2, args.method)
+    parse = parse_ranked_dataset if args.method == "rss" else lambda text: parse_dataset(text).values
+    s1, s2 = (_read_file(path, parse) for path in (args.data1, args.data2))
     rep = build_estimate_report(s1, s2, args.method, args.source, args.level)
     if args.fmt == "json":
         print(rep.to_json(), end="")
@@ -305,7 +301,7 @@ def _write_all(out: Path, texts: dict) -> None:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        cfg = StudyConfig.from_json(_read_text(args.config))
+        cfg = _read_file(args.config, StudyConfig.from_json)
     else:
         cfg = StudyConfig()
     overrides = {}
@@ -353,7 +349,7 @@ def cmd_tables(args) -> int:
         return EXIT_OK
     if not args.rows:
         raise ConfigError("--kind bias requires --rows with a saved study.csv")
-    rows = parse_rows_csv(_read_text(args.rows))
+    rows = _read_file(args.rows, parse_rows_csv)
     print(emit_tables(rows, "bias_table", args.fmt), end="")
     return EXIT_OK
 

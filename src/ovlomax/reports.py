@@ -15,9 +15,9 @@ shape estimates for both populations, raw and corrected ratio, the three
 overlap point estimates, per-measure variance and bias, and both interval
 variants.  It takes the study engine's path: ``shape_estimates`` of each
 sample, ``corrected_ratio`` and ``ratio_variance_factor`` for the ratio, and
-one ``assess`` call for every measure.  The level, method and design rules,
-and their refusal texts, are the estimators'; this module writes none of
-them.  Reports serialize to and from JSON without losing precision; every
+one call of the study's kernel, ``_assess_designs``, for all three
+measures.  The level, method and design rules, and their refusal texts,
+are the estimators'; this module writes none of them.  Reports serialize to and from JSON without losing precision; every
 JSON text of the package, reports or dicts and lists that may hold them,
 comes from one writer, :func:`_json_text`, as ``json.dumps(indent=2)`` writes
 it with each report as its ``dataclasses.asdict``.  The discrepancy report
@@ -41,8 +41,8 @@ from .estimators import (
     SOURCE_DERIVED,
     ConfidenceInterval,
     DegenerateDesignError,
+    _assess_designs,
     _normal_z,
-    assess,
     corrected_ratio,
     ratio_variance_factor,
     shape_estimates,
@@ -113,15 +113,25 @@ def parse_ranked_dataset(text: str) -> RankedSample:
     lines = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
     kept = [(i, ln) for i, ln in enumerate(lines, start=1) if ln]
     reader = csv.reader(ln for _, ln in kept)
+
     # errors name the physical line the last record ended on, comments and
-    # blank lines counted
-    header = next(reader, None)
+    # blank lines counted; so does a csv.Error
+    def physical() -> int:
+        return kept[reader.line_num - 1][0] if reader.line_num else 1
+
+    def records():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DatasetParseError(physical(), "", str(exc)) from None
+
+    recs = records()
+    header = next(recs, None)
     if header is None or [h.strip().lower() for h in header] != ["rank", "cycle", "value"]:
-        lineno = kept[reader.line_num - 1][0] if reader.line_num else 1
-        raise DatasetParseError(lineno, ",".join(header or []), "expected header 'rank,cycle,value'")
+        raise DatasetParseError(physical(), ",".join(header or []), "expected header 'rank,cycle,value'")
     seen: dict = {}
-    for rec in reader:
-        lineno = kept[reader.line_num - 1][0]
+    for rec in recs:
+        lineno = physical()
         if len(rec) != 3:
             raise DatasetParseError(lineno, ",".join(rec), "expected three fields")
         try:
@@ -267,10 +277,6 @@ def _alpha_for(method: str, sample) -> tuple:
     return float(shape_estimates(method, arr)), SrsDesign(arr.size)
 
 
-def _interval(lo, hi, clamped, level, bias_corrected) -> ConfidenceInterval:
-    return ConfidenceInterval(lo.item(), hi.item(), float(level), bias_corrected, clamped.item())
-
-
 def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DERIVED,
                           level: float = 0.95) -> EstimateReport:
     """Estimate the overlap coefficients from two observed samples.
@@ -324,19 +330,21 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
             for meas in MEASURES
         ]
     else:
+        # one (measure, ratio) array per quantity, one ratio: a column of floats each
+        arrays = _assess_designs([([rhat], method, design1, design2)], source, level)
         reports = []
-        for meas, a in assess([rhat], method, design1, design2, source, level).items():
-            bias = a.bias.item()
+        for meas, point, var, bias, lo, hi, clamped, lo_c, hi_c, clamped_c in zip(
+                MEASURES, *(a[:, 0].tolist() for a in arrays)):
             corrected = None
             if math.isfinite(bias):
-                corrected = _interval(a.lo_corrected, a.hi_corrected, a.clamped_corrected, level, True)
+                corrected = ConfidenceInterval(lo_c, hi_c, float(level), True, clamped_c)
             else:
                 warnings.append(
                     f"{source} {meas} bias is not finite at corrected ratio {rhat:.9g}: "
                     "no bias-corrected interval"
                 )
-            plain = _interval(a.lo, a.hi, a.clamped, level, False)
-            reports.append(MeasureReport(meas, a.point.item(), a.variance.item(), bias, plain, corrected))
+            plain = ConfidenceInterval(lo, hi, float(level), False, clamped)
+            reports.append(MeasureReport(meas, point, var, bias, plain, corrected))
 
     return EstimateReport(
         method=method,

@@ -734,17 +734,35 @@ def emit_tables(items, layout: str, fmt: str = "text") -> str:
     |bias| / coverage / interval-length blocks per method and measure.
 
     ``fmt`` is text, csv or json; any other raises :class:`DomainError`
-    before the items are read.  The expected grid is every R, (r1, r2) and
-    m the items hold; missing cells raise :class:`MissingCellError` naming
-    every absent cell, and no items at all raise it as "no rows to tabulate".
+    before the items are read, and so does an item of the other layout's
+    type.  A cell or row given twice raises :class:`ConfigError` naming it.
+    The expected grid is every R, (r1, r2) and m the items hold; missing
+    cells raise :class:`MissingCellError` naming every absent cell, and no
+    items at all raise it as "no rows to tabulate".
     """
     if fmt not in ("text", "csv", "json"):
         raise DomainError(f"unknown format {fmt!r}; expected text, csv, or json")
-    if layout == "eff_table":
-        return _emit_eff_table(items, fmt)
-    if layout == "bias_table":
-        return _emit_bias_table(items, fmt)
-    raise DomainError(f"unknown layout {layout!r}; expected 'eff_table' or 'bias_table'")
+    if layout not in _LAYOUTS:
+        raise DomainError(f"unknown layout {layout!r}; expected 'eff_table' or 'bias_table'")
+    kind, emit = _LAYOUTS[layout]
+    items = list(items)  # each renderer reads the items more than once
+    stray = next((it for it in items if not isinstance(it, kind)), None)
+    if stray is not None:
+        raise DomainError(f"layout {layout!r} takes {kind.__name__} items, "
+                          f"got {type(stray).__name__}")
+    return emit(items, fmt)
+
+
+def _index(items, key, describe, what: str) -> dict:
+    """``items`` by ``key(item)``; a key given twice raises :class:`ConfigError`
+    naming the repeated ``what`` by ``describe(key)``."""
+    present = {}
+    for it in items:
+        k = key(it)
+        if k in present:
+            raise ConfigError(f"repeated {what}: {describe(k)}")
+        present[k] = it
+    return present
 
 
 def _expected_grid(items):
@@ -756,9 +774,13 @@ def _expected_grid(items):
     return r_values, set_sizes, cycles
 
 
+def _describe_cell(c) -> str:
+    return f"measure={c[0]} R={c[1]:.6g} r1={c[2]} r2={c[3]} m={c[4]}"
+
+
 def _emit_eff_table(cells, fmt):
+    present = _index(cells, lambda c: (c.measure, c.R, c.r1, c.r2, c.m), _describe_cell, "cell")
     r_values, set_sizes, cycles = _expected_grid(cells)
-    present = {(c.measure, c.R, c.r1, c.r2, c.m): c for c in cells}
     expected = [
         (meas, R, r1, r2, m)
         for m in cycles
@@ -766,11 +788,7 @@ def _emit_eff_table(cells, fmt):
         for R in r_values
         for (r1, r2) in set_sizes
     ]
-    _check_grid(
-        set(present),
-        expected,
-        lambda c: f"measure={c[0]} R={c[1]:.6g} r1={c[2]} r2={c[3]} m={c[4]}",
-    )
+    _check_grid(set(present), expected, _describe_cell)
 
     if fmt == "csv":
         return _emit_csv([present[k] for k in expected], EfficiencyCell)
@@ -812,12 +830,8 @@ def _emit_bias_table(rows, fmt):
     sources = sorted({r.formula_source for r in rows})
     if len(sources) > 1:
         raise ConfigError(f"rows mix formula sources {sources}; a table takes one study")
-    present = {}
-    for r in rows:
-        key = (r.method, r.measure, r.R, r.r1, r.r2, r.m)
-        if key in present:
-            raise ConfigError(f"repeated row: {_describe_row(key)}")
-        present[key] = r
+    present = _index(rows, lambda r: (r.method, r.measure, r.R, r.r1, r.r2, r.m),
+                     _describe_row, "row")
     r_values, set_sizes, cycles = _expected_grid(rows)
     # the cells a study skips have no rows: '-' in text, left out of csv and json
     source = sources[0] if sources else SOURCE_DERIVED
@@ -864,6 +878,10 @@ def _emit_bias_table(rows, fmt):
                     lines.append(line)
             lines.append("")
     return "\n".join(lines) + "\n"
+
+
+# each layout's item type and renderer
+_LAYOUTS = {"eff_table": (EfficiencyCell, _emit_eff_table), "bias_table": (StudyRow, _emit_bias_table)}
 
 
 # ---------------------------------------------------------------------------

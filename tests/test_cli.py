@@ -288,6 +288,26 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", files[0], str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("method, text, reason", [
+        ("srs", "x\n", "line 1: not a number (got 'x')"),
+        ("bayes", "# nothing here\n", "no observations found"),
+        ("rss", "rank,cycle,value\n1,1,x\n",
+         "line 2: rank/cycle must be integers, value numeric (got '1,1,x')"),
+        ("rss", "rank,cycle,value\n\n1,1," + "7" * 200_000 + "\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["not-a-number", "empty", "ranked-bad-value", "ranked-oversized-field"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_data_error_names_its_file(self, capsys, tmp_path, method, text, reason, which):
+        good = tmp_path / "good.txt"
+        good.write_text("rank,cycle,value\n1,1,5\n2,1,7\n" if method == "rss" else DATA1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        paths = [str(good), str(good)]
+        paths[which] = str(bad)
+        code, out, err = run_cli(capsys, "estimate", *paths, "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {reason}\n"
+
     @pytest.fixture
     def extreme_files(self, tmp_path):
         # a corrected ratio of ~1e-311, where the printed Weitzman bias overflows
@@ -456,8 +476,8 @@ class TestSimulate:
         out_dir = tmp_path / "out"
         proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: a sample of up to 6 values (set_sizes x cycles) "
-                                      "at shape 1e+308 (the largest R of r_values")
+        assert proc.stderr.startswith(f"error: {path}: a sample of up to 6 values "
+                                      "(set_sizes x cycles) at shape 1e+308 (the largest R of r_values")
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not out_dir.exists()
 
@@ -468,7 +488,7 @@ class TestSimulate:
         out_dir = tmp_path / "out"
         proc = run_process("simulate", "--config", str(path), "--out-dir", str(out_dir))
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: r_values or figure_r_grid reaches R = 1e-310")
+        assert proc.stderr.startswith(f"error: {path}: r_values or figure_r_grid reaches R = 1e-310")
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
@@ -478,7 +498,7 @@ class TestSimulate:
         path.write_text(json.dumps({**json.loads(SMOKE.read_text()), "master_seed": 2**64 + 5}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2 and out == ""
-        assert err == "error: master_seed must be an integer in [0, 2**64)\n"
+        assert err == f"error: {path}: master_seed must be an integer in [0, 2**64)\n"
 
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
@@ -603,6 +623,17 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{broken", "invalid JSON: "),
+        ('{"cycles": 8}', "cycles must be a sequence of integers"),
+    ])
+    def test_config_error_names_its_file(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {reason}")
 
 
 class TestTables:
@@ -735,7 +766,7 @@ class TestTables:
          "repeated row: method=srs measure=rho R=0.5 r1=2 r2=2 m=2"),
         # a seed longer than the csv module's field size limit of 131072 characters
         (lambda rec: rec[:14] + ["7" * 200_000],
-         "error: study CSV line 3: field larger than field limit (131072)"),
+         "study.csv: study CSV line 3: field larger than field limit (131072)"),
     ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
             "bad-source", "negative-R", "zero-R", "nan-R", "inf-R", "zero-r1", "negative-r2",
             "zero-m", "zero-reps", "mixed-sources", "repeated-row", "oversized-field"])
@@ -753,6 +784,13 @@ class TestTables:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_rows_error_names_its_file(self, capsys, tmp_path):
+        saved = tmp_path / "study.csv"
+        saved.write_text("method,measure\nsrs,rho\n")
+        code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
+        assert (code, out) == (2, "")
+        assert err == f"error: {saved}: unexpected study CSV header: ['method', 'measure']\n"
 
     def test_bias_from_header_only_rows(self, capsys, tmp_path):
         saved = tmp_path / "study.csv"

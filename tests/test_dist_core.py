@@ -50,6 +50,12 @@ class TestDensity:
             with pytest.raises(DomainError):
                 InverseLomax(bad)
 
+    def test_non_numeric_shape_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            InverseLomax("x")
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "alpha must be a positive finite number"
+
 
 class TestCdfQuantile:
     def test_cdf_example(self):

@@ -10,6 +10,7 @@ from ovlomax.estimators import (
     METHOD_BAYES,
     METHOD_RSS,
     METHOD_SRS,
+    METHODS,
     SOURCE_AS_PUBLISHED,
     SOURCE_DERIVED,
     SOURCES,
@@ -160,6 +161,12 @@ class TestRatioEstimate:
                                SOURCE_AS_PUBLISHED)
         constant = n1 * (n1 - 1) * (n1 + 1) / (n2**2 * (n2 + 1))
         assert rhat == pytest.approx(raw * constant, rel=1e-13)
+
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            corrected_ratio(1.0, "foo", SrsDesign(4), SrsDesign(4))
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"unknown method 'foo'; expected one of {METHODS}"
 
     @pytest.mark.parametrize("method", [METHOD_SRS, METHOD_RSS, METHOD_BAYES])
     def test_unknown_source_is_refused(self, method):
@@ -498,6 +505,13 @@ class TestAssess:
         for a in block.values():
             assert np.all(a.lo <= a.hi)
         assert block["delta"].lo_corrected[0] <= block["delta"].hi_corrected[0]
+
+    def test_rss_requires_ranked_designs(self):
+        # a plain domain error, not a design refusal the study would skip
+        with pytest.raises(DomainError) as err:
+            assess([0.5], METHOD_RSS, SrsDesign(4), SrsDesign(4))
+        assert type(err.value) is DomainError
+        assert str(err.value) == "rss variance requires ranked designs"
 
     @pytest.mark.parametrize("ratios", [[[0.5]], [0.5, 0.0], [math.nan], [0.5, math.inf]])
     def test_rejects_bad_ratios(self, ratios):

@@ -14,9 +14,12 @@ import json
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ovlomax.cli import main
+from ovlomax.reports import build_estimate_report
+from ovlomax.sampling import RankedSample, RssDesign
 from ovlomax.study import StudyConfig, discrepancy_report, efficiency_grid, emit_tables
 
 BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
@@ -81,3 +84,43 @@ def test_benchmark_tables_match_pinned_hashes():
         texts[f"discrepancy_{source}.csv"] = discrepancy_report(source)
     got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert got == want
+
+
+# the estimate reports of _report_inputs, their JSON texts concatenated; recorded
+# while build_estimate_report still assessed each measure through assess
+REPORTS_SHA256 = "f7298166fcad3b9937c5e7b6e6cb62cd95ae67fda34234ce83e7f421d217a33e"
+
+
+def _report_inputs():
+    """Sample pairs from a fixed numpy seed: plain samples at the bundled
+    sizes (12 and 30) and with n2 = 2 (point estimates only), ranked samples
+    of 12 and 30 values with set sizes 2 to 5, and identical pairs, whose
+    ranked corrected ratio of one has no as-published Weitzman bias."""
+    rng = np.random.default_rng(20261020)
+
+    def plain(n, scale):
+        return rng.exponential(scale, n) + 0.01
+
+    def ranked(r, m, scale):
+        values = np.sort(rng.exponential(scale, (r, m)), axis=0) + 0.01
+        return RankedSample(values=values, design=RssDesign(r=r, m=m))
+
+    a = plain(12, 1.0)
+    pairs = [("srs", (a, plain(30, 3.0))), ("srs", (plain(30, 0.5), a)),
+             ("srs", (a, plain(2, 2.0))), ("srs", (a, a))]
+    r12 = ranked(3, 4, 1.0)
+    for rank1, rank2 in [((2, 6), (5, 6)), ((3, 10), (4, 3)), ((4, 3), (2, 15)), ((5, 6), (3, 4))]:
+        pairs.append(("rss", (ranked(*rank1, 1.0), ranked(*rank2, 2.5))))
+    pairs.append(("rss", (r12, r12)))
+    for kind, (s1, s2) in pairs:
+        for method in (("srs", "bayes") if kind == "srs" else ("rss",)):
+            for source in ("derived", "as-published"):
+                for level in (0.95, 0.9):
+                    yield s1, s2, method, source, level
+
+
+def test_reports_match_pinned_hash():
+    texts = [build_estimate_report(*args).to_json() for args in _report_inputs()]
+    assert len(texts) == 52
+    got = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert got == REPORTS_SHA256

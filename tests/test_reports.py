@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from ovlomax import estimators
+from ovlomax import estimators, reports
 from ovlomax import (
     ConfidenceInterval,
     Dataset,
@@ -133,6 +133,18 @@ class TestParseRankedDataset:
             parse_ranked_dataset("# ranked sample\n\nrank,value\n1,2")
         assert exc.value.lineno == 3
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("rank,cycle,value\n1,1,5\n\n# note\n2,1,{big}\n", 5),
+        ("# header next\n{big},cycle,value\n", 2),
+    ])
+    def test_field_over_the_csv_limit_names_its_line(self, text, lineno):
+        # the csv module refuses a field longer than 131072 characters
+        text = text.format(big="7" * 200_000)
+        message = rf"^line {lineno}: field larger than field limit \(131072\)$"
+        with pytest.raises(DatasetParseError, match=message) as exc:
+            parse_ranked_dataset(text)
+        assert exc.value.lineno == lineno
+
     def test_trailing_comments_stripped(self):
         # a comment after a record or the header is dropped, as in plain lists
         text = "rank,cycle,value # header\n1,1,5 # first\n# note\n2,1,7\n"
@@ -255,8 +267,8 @@ class TestBuildEstimateReport:
     def test_one_kernel_call_per_report(self, method, source, same, rng, monkeypatch):
         # same rss samples give a corrected ratio of one, a NaN bias as published
         calls = []
-        kernel = estimators._assess_designs
-        monkeypatch.setattr(estimators, "_assess_designs",
+        kernel = reports._assess_designs
+        monkeypatch.setattr(reports, "_assess_designs",
                             lambda *args: calls.append(args) or kernel(*args))
         if method == "rss":
             s1, s2 = (draw_rss(InverseLomax(0.8), RssDesign(r=3, m=4), rng) for _ in range(2))

@@ -15,6 +15,7 @@ warnings into errors.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -110,13 +111,13 @@ class TestPcg64States:
             assert np.array_equal(out[rep], _seeds.stream(4, 0, 2, rep).random(6))
 
     @pytest.mark.parametrize("length", [1, 32, 2000])
-    @pytest.mark.parametrize("probed", [True, False])
-    def test_fill_uniforms_rows_equal_fresh_generators(self, length, probed, monkeypatch):
-        if not probed:  # a layout the probe does not recognise: the public setter
-            monkeypatch.setattr(_seeds, "_word_order", lambda: None)
+    @pytest.mark.parametrize("advanced", [True, False])
+    def test_fill_uniforms_rows_equal_fresh_generators(self, length, advanced):
         seeds = [*EDGE_SEEDS, *np.random.default_rng(length).integers(0, 2**64, 10, np.uint64)]
         words = _seeds.pcg64_states(np.array(seeds, dtype=np.uint64))
         gen = np.random.Generator(np.random.PCG64(0))
+        if advanced:  # a generator that has drawn doubles restarts all the same
+            gen.random(length + 3)
         out = np.empty((1, length))
         for seed, row in zip(seeds, words):
             _seeds.fill_uniforms(out, row[None], gen)
@@ -124,19 +125,24 @@ class TestPcg64States:
             assert np.array_equal(out[0], fresh.random(length)), seed
             assert public_state(gen.bit_generator) == public_state(fresh.bit_generator), seed
 
-    def test_unrecognised_layout_draws_the_same_bytes(self, monkeypatch):
-        words = _seeds.pcg64_states(_seeds.derive_seeds(7, 1, np.arange(40), np.arange(25)[:, None]))
-        gen = np.random.Generator(np.random.PCG64(0))
-        probed, fallback = np.empty((2, len(words), 23))
-        _seeds.fill_uniforms(probed, words, gen)
-        monkeypatch.setattr(_seeds, "_word_order", lambda: None)
-        _seeds.fill_uniforms(fallback, words, gen)
-        assert probed.tobytes() == fallback.tobytes()
-
     def test_probe_recognises_this_numpy(self):
-        # an unrecognised layout still draws the same bytes, through the public
-        # setter at about twice the cost, so only this test would show it
         assert _seeds._word_order() in ((0, 1, 2, 3), (1, 0, 3, 2)), np.__version__
+
+    def test_unrecognised_layout_is_refused(self, monkeypatch):
+        # the probe reads its words back in an order no known build holds
+        held = _seeds._state_words
+        monkeypatch.setattr(_seeds, "_state_words", lambda bitgen: held(bitgen)[::-1])
+        words = _seeds.pcg64_states(_seeds.derive_seeds(7, 1, np.arange(3)))
+        message = (rf"^numpy {re.escape(np.__version__)}: "
+                   "PCG64 holds its state words in an unrecognised order")
+        _seeds._word_order.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=message):
+                _seeds._word_order()
+            with pytest.raises(RuntimeError, match=message):
+                _seeds.fill_uniforms(np.empty((3, 5)), words, np.random.Generator(np.random.PCG64(0)))
+        finally:
+            _seeds._word_order.cache_clear()  # the next call probes the real layout again
 
 
 def reference_cell(cfg, namespace, cell_index, cell):

@@ -68,6 +68,16 @@ def tiny_config(**over):
 
 
 class TestStudyConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r_values": 0.5}, "r_values must be a sequence of numbers"),
+        ({"cycles": 8}, "cycles must be a sequence of integers"),
+    ])
+    def test_scalar_in_place_of_a_sequence(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            StudyConfig(**kwargs)
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == message
+
     def test_defaults(self):
         cfg = StudyConfig()
         assert cfg.r_values == DEFAULT_R_VALUES
@@ -761,6 +771,31 @@ class TestEmitTables:
         bias = json.loads(emit_tables(rows, "bias_table", "json"))
         assert len(bias["cells"]) == len(rows) == 9
         assert "R=0.333333" in emit_tables(rows, "bias_table", "text")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_repeated_eff_cell_is_refused(self, fmt):
+        # a second copy of a cell would otherwise replace the first unseen
+        cells = [*self.cells, replace(self.cells[1], analytic_eff=9.0)]
+        c = self.cells[1]
+        cell = f"measure={c.measure} R={c.R:.6g} r1={c.r1} r2={c.r2} m={c.m}"
+        with pytest.raises(ConfigError, match=f"^repeated cell: {re.escape(cell)}$"):
+            emit_tables(cells, "eff_table", fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_items_of_the_other_layout_are_refused(self, fmt):
+        with pytest.raises(DomainError,
+                           match="^layout 'eff_table' takes EfficiencyCell items, got StudyRow$"):
+            emit_tables(self.res.rows, "eff_table", fmt)
+        with pytest.raises(DomainError,
+                           match="^layout 'bias_table' takes StudyRow items, got EfficiencyCell$"):
+            emit_tables([*self.res.rows, self.cells[0]], "bias_table", fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_items_from_an_iterator_render_as_a_list_does(self, fmt):
+        assert emit_tables(iter(self.cells), "eff_table", fmt) == emit_tables(
+            self.cells, "eff_table", fmt)
+        rows = self.res.rows
+        assert emit_tables(iter(rows), "bias_table", fmt) == emit_tables(rows, "bias_table", fmt)
 
     def test_empty_without_grid(self):
         with pytest.raises(MissingCellError, match="^no rows to tabulate$"):
