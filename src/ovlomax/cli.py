@@ -9,8 +9,9 @@ Subcommands::
     tables     analytic efficiency tables, saved-study tables, discrepancies
     realdata   analysis of the bundled failure-interval datasets
 
-Exit codes: 0 success, 1 estimation/domain failure, 2 usage or
-configuration error, 3 I/O failure.
+Exit codes: 0 success, 1 estimation/domain failure (``DomainError``), 2
+usage or configuration error (``ConfigError``), 3 I/O failure (``OSError``);
+every error class of the package derives from one of the first two.
 """
 from __future__ import annotations
 
@@ -23,11 +24,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, _seeds
-from .dist_core import DomainError, InverseLomax
+from .dist_core import ConfigError, DomainError, InverseLomax
 from .estimators import METHODS, SOURCE_DERIVED, SOURCES
 from .overlap import MEASURES, overlap_value
 from .reports import (
-    DatasetParseError,
     _json_text,
     build_estimate_report,
     bundled_counts,
@@ -36,8 +36,6 @@ from .reports import (
 )
 from .sampling import RssDesign, SrsDesign, draw_rss, draw_srs
 from .study import (
-    ConfigError,
-    MissingCellError,
     StudyConfig,
     discrepancy_report,
     efficiency_grid,
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON study configuration file")
     p.add_argument("--reps", type=_positive_count, help="override replication count")
     p.add_argument("--workers", type=_positive_count, default=1,
-                   help="worker processes (default 1); at most one per slab of the "
-                   "study is started")
+                   help="worker processes (default 1); only a study or figure grid "
+                   "of two or more slabs starts a pool, of min(workers, slabs)")
     p.add_argument("--out-dir", help="write study.csv, study_bias_corrected.csv, "
                    "efficiency.csv, discrepancy.csv, figure_data.csv, metadata.json here")
     p.add_argument("--no-figures", action="store_true",
@@ -195,7 +193,7 @@ def _parse_design(spec: str):
         if kind == "rss":
             r_txt, _, m_txt = rest.partition(",")
             return RssDesign(r=int(r_txt), m=int(m_txt))
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:  # a DomainError is a ValueError
         raise ConfigError(f"bad design {spec!r}: {exc}") from None
     raise ConfigError(f"bad design {spec!r}: expected 'srs:N' or 'rss:R,M'")
 
@@ -217,12 +215,12 @@ def cmd_sample(args) -> int:
 
 
 def _read_file(path: str, parse):
-    """``parse`` of the UTF-8 text of ``path``.  Bytes that do not decode, and
-    a ConfigError or DatasetParseError of ``parse``, are a ConfigError whose
-    text starts with the path."""
+    """``parse`` of the UTF-8 text of ``path``, a byte-order mark at its start
+    dropped.  Bytes that do not decode, and a ConfigError of ``parse``, are a
+    ConfigError whose text starts with the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, ConfigError, DatasetParseError) as exc:
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
+    except (UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -382,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetParseError, MissingCellError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

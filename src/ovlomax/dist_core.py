@@ -21,6 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "DomainError",
     "InverseLomax",
     "log_transform",
@@ -31,8 +32,12 @@ _TINY = np.finfo(float).tiny
 _STD_NORMAL = NormalDist()
 
 
+class ConfigError(ValueError):
+    """A configuration, command line or input file is malformed (exit code 2)."""
+
+
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation (exit code 1)."""
 
 
 def _positive_int(name: str, v) -> int:

@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dist_core import DomainError
+from .dist_core import ConfigError, DomainError
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-class DatasetParseError(ValueError):
+class DatasetParseError(ConfigError):
     """Raised with the offending line number when input data cannot be read."""
 
     def __init__(self, lineno: int, token: str, reason: str):

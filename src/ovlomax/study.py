@@ -25,18 +25,24 @@ m, method)`` and differ only in ``R``; refused groups are skipped before any
 slab forms.  The unit of work is a slab: consecutive accepted groups whose
 32-byte rows of PCG64 state words fit in ``_BLOCK_BYTES`` (2^14
 replications), or a single larger group, seeded, simulated, assessed and
-aggregated in the process that runs it: groups in, aggregates out.  A group's
-replications are the rows of draw blocks whose uniforms fit in the same
-budget (2^16 uniforms), ranked into ranked sets on the uniforms and
-estimated from ``T = -alpha * log(u)`` of the retained ones; a slab's groups
-are one block list of one delta-method assessment, then one mean per
-aggregate.  No output depends on the budget.
+aggregated in the process that runs it: groups in, aggregates out.  The
+slabs run over a pool of ``min(workers, slabs)`` processes when that is two
+or more, and in the calling process otherwise.  A group's replications are
+the rows of draw blocks whose uniforms fit in the same budget (2^16
+uniforms), ranked into ranked sets on the uniforms and estimated from ``T =
+-alpha * log(u)`` of the retained ones; a slab's groups are one block list
+of one delta-method assessment, then one mean per aggregate.  No output
+depends on the budget.
 
 Reproducibility: every replication draws from its own PCG64 stream seeded by
 a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
 the seeding arithmetic and the kernel calls are batched.  Results are
 therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
+
+A :class:`StudyConfig` is frozen and checked once, when made.  Its refusals,
+and those of a malformed study CSV or table request, are a ``ConfigError``
+(:mod:`ovlomax.dist_core`), of which :class:`MissingCellError` is one.
 
 Output is text-first: all cells' aggregates form one ``(cell, measure,
 aggregate)`` array, and each line of both study CSVs comes from one
@@ -54,13 +60,13 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
 
 from . import __version__, _seeds
-from .dist_core import _TINY, DomainError
+from .dist_core import _TINY, ConfigError, DomainError
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -84,7 +90,6 @@ __all__ = [
     "DEFAULT_SET_SIZES",
     "DEFAULT_FIGURE_R_GRID",
     "STUDY_CSV_COLUMNS",
-    "ConfigError",
     "MissingCellError",
     "StudyConfig",
     "StudyRow",
@@ -111,11 +116,7 @@ _BLOCK_BYTES = 2**19
 _SEED_LAYOUT = 1
 
 
-class ConfigError(ValueError):
-    """A study configuration is malformed."""
-
-
-class MissingCellError(ValueError):
+class MissingCellError(ConfigError):
     """Table emission was asked for a grid the rows do not cover, or was
     given no rows at all (``cells`` empty)."""
 
@@ -187,14 +188,15 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """Grid and execution parameters for one study run.
 
     Each cell draws population 1 at shape ``R`` and population 2 at shape 1,
     so every output depends on the two shapes only through ``R``.
     ``figure_r_grid`` is only consulted by :func:`emit_figure_data`; the
-    dense default covers (0, 1) in steps of 0.05.
+    dense default covers (0, 1) in steps of 0.05.  Frozen, and checked
+    once, when made: ``dataclasses.replace`` checks each config it makes.
     """
 
     r_values: tuple = DEFAULT_R_VALUES
@@ -207,25 +209,23 @@ class StudyConfig:
     figure_r_grid: tuple | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        self.r_values = _ratio_grid("r_values", self.r_values)
-        self.set_sizes = _set_size_grid(self.set_sizes)
-        self.cycles = _cycle_grid(self.cycles)
+        store = partial(object.__setattr__, self)
+        store("r_values", _ratio_grid("r_values", self.r_values))
+        store("set_sizes", _set_size_grid(self.set_sizes))
+        store("cycles", _cycle_grid(self.cycles))
         if not _is_count(self.replications) or self.replications < 1:
             raise ConfigError("replications must be an integer >= 1")
-        self.replications = int(self.replications)
+        store("replications", int(self.replications))
         if not _is_number(self.level_alpha0) or not (0.0 < self.level_alpha0 < 1.0):
             raise ConfigError("level_alpha0 must be a number strictly inside (0, 1)")
-        self.level_alpha0 = float(self.level_alpha0)
+        store("level_alpha0", float(self.level_alpha0))
         if not _is_count(self.master_seed) or int(self.master_seed) not in _seeds.SEEDS:
             raise ConfigError("master_seed must be an integer in [0, 2**64)")
-        self.master_seed = int(self.master_seed)
+        store("master_seed", int(self.master_seed))
         if self.formula_source not in SOURCES:
             raise ConfigError(f"formula_source must be one of {SOURCES}")
         if self.figure_r_grid is not None:
-            self.figure_r_grid = _ratio_grid("figure_r_grid", self.figure_r_grid)
+            store("figure_r_grid", _ratio_grid("figure_r_grid", self.figure_r_grid))
         # worst case of a sample's sum of T = -alpha * log(u), u >= tiny: the largest
         # shape any cell draws (an R of either grid, or population 2's 1) times the largest n
         figure = DEFAULT_FIGURE_R_GRID if self.figure_r_grid is None else self.figure_r_grid
@@ -528,17 +528,17 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
     the skipped cells, whose rows in the array are NaN.
 
     Skips are decided before any slab forms (:func:`_design_groups`); each
-    slab (:func:`_slabs`) is one :func:`_run_slab` task, run here when
-    ``workers == 1`` and otherwise over a pool of at most one process per
-    slab, the class bound to this module's ``ProcessPoolExecutor`` (imported
-    on first use): design groups in, aggregates out, never words or ratios.
+    slab (:func:`_slabs`) is one :func:`_run_slab` task, run over a pool of
+    ``min(workers, slabs)`` processes when that is two or more, the class
+    bound to this module's ``ProcessPoolExecutor`` (imported on first use),
+    and here otherwise: design groups in, aggregates out, never words or ratios.
     """
     groups, skipped = _design_groups(cfg, cells)
     slabs = _slabs(cfg, groups)
     tasks = (repeat(cfg), slabs, repeat(namespace))
-    if workers > 1:
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=min(workers, len(slabs))) as pool:
+    size = min(workers, len(slabs))
+    if size > 1:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
             outcomes = list(pool.map(_run_slab, *tasks))
     else:
         outcomes = map(_run_slab, *tasks)
@@ -549,8 +549,8 @@ def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) ->
 
 
 def __getattr__(name: str):
-    # the pool class loads on first use: only runs with workers > 1 need
-    # multiprocessing, and it costs every other run start-up time and memory
+    # the pool class loads on first use: only a pool of two or more workers
+    # needs multiprocessing, and it costs every other run start-up time and memory
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -563,12 +563,11 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
     """Execute the full grid and aggregate per-cell rows.
 
     The unit of work is a slab of design groups (cells that share (r1, r2,
-    m, method) and differ only in R).  ``workers > 1`` distributes the slabs
-    over a process pool of at most one worker per slab; the per-replication
-    seeding makes the result identical to the sequential run.  The study
-    draws from seed namespace 0, the figure data from namespace 1.
+    m, method) and differ only in R).  ``workers`` bounds the pool the slabs
+    run over (:func:`_cell_outcomes`); the per-replication seeding makes the
+    result identical to the sequential run.  The study draws from seed
+    namespace 0, the figure data from namespace 1.
     """
-    cfg.validate()
     cells = _enumerate_cells(cfg)
     aggs, skipped = _cell_outcomes(cfg, cells, 0, workers)
     seeds = _seeds.derive_seeds(cfg.master_seed, 0, np.arange(len(cells))).tolist()
@@ -659,8 +658,9 @@ def _emit_csv(items, kind) -> str:
 
 def _check_row(row: StudyRow, where: str) -> StudyRow:
     """``row`` if its names lie in :data:`METHODS`, :data:`MEASURES` and
-    :data:`SOURCES`, ``R`` is positive and finite, and ``r1``, ``r2``, ``m`` and
-    ``reps`` are at least 1; otherwise a :class:`ConfigError` starting ``where``."""
+    :data:`SOURCES`, ``R`` is positive and finite, ``r1``, ``r2``, ``m`` and
+    ``reps`` are at least 1, and ``seed`` lies in :data:`_seeds.SEEDS`;
+    otherwise a :class:`ConfigError` starting ``where``."""
     for name, known in _CSV_NAMES.items():
         if getattr(row, name) not in known:
             raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is not one of {known}")
@@ -669,6 +669,8 @@ def _check_row(row: StudyRow, where: str) -> StudyRow:
     for name in ("r1", "r2", "m", "reps"):
         if getattr(row, name) < 1:
             raise ConfigError(f"{where}: {name} = {getattr(row, name)!r} is below 1")
+    if int(row.seed) not in _seeds.SEEDS:  # an int: a range tests it by arithmetic
+        raise ConfigError(f"{where}: seed = {row.seed!r} is outside [0, 2**64)")
     return row
 
 
@@ -894,7 +896,7 @@ def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
 
     Uses the first (r1, r2) pair and first cycle count of the config as the
     fixed design, and a separate seed namespace so figure replications never
-    reuse study streams.
+    reuse study streams.  ``workers`` is taken as :func:`run_study` takes it.
     """
     grid = cfg.figure_r_grid if cfg.figure_r_grid is not None else DEFAULT_FIGURE_R_GRID
     sub = replace(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import ACCEPTANCE_LINES, curvature, slope
+from conftest import ACCEPTANCE_LINES, curvature, recorded_pools, slope
 from quadrature import ovl_by_quadrature
 
 from ovlomax import (
@@ -404,15 +404,21 @@ def test_criterion_10_determinism():
     cfg = StudyConfig.from_json(cfg_text)
     first = run_study(cfg)
     second = run_study(cfg)
-    parallel = run_study(cfg, workers=2)
+    # a slab per design group: six study slabs and three figure slabs, each
+    # run over a real pool of two workers
+    with recorded_pools(1) as pools:
+        parallel = run_study(cfg, workers=2)
+        figure = emit_figure_data(cfg, workers=2)
     problems = []
+    if pools != [2, 2]:
+        problems.append(f"pools of {pools} workers started, expected two of 2")
     if emit_rows_csv(first.rows) != emit_rows_csv(second.rows):
         problems.append("sequential rerun differs")
     if emit_rows_csv(first.rows) != emit_rows_csv(parallel.rows):
         problems.append("parallel run differs")
     if first.csv_corrected != parallel.csv_corrected:
         problems.append("corrected rows differ under parallelism")
-    if emit_figure_data(cfg) != emit_figure_data(cfg, workers=2):
+    if emit_figure_data(cfg) != figure:
         problems.append("figure data differs under parallelism")
     report(
         10,

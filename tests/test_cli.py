@@ -8,10 +8,12 @@ generated wrapper calls it, so it needs no install; when an installed
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -20,9 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import recorded_pools
+
 import ovlomax
+from ovlomax import cli
 from ovlomax.cli import main
-from ovlomax.dist_core import DomainError
+from ovlomax.dist_core import ConfigError, DomainError
 from ovlomax.study import STUDY_CSV_COLUMNS, parse_rows_csv
 
 DATA1 = "120 14 62 47 225 71 246 21\n"
@@ -503,8 +508,12 @@ class TestSimulate:
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
         run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d1))
-        run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d2),
-                "--workers", "2")
+        # a slab per design group: the study and the figure grid each run
+        # three slabs over a real pool of two workers
+        with recorded_pools(1) as pools:
+            run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d2),
+                    "--workers", "2")
+        assert pools == [2, 2]
         for name in ("study.csv", "study_bias_corrected.csv", "figure_data.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
@@ -760,6 +769,8 @@ class TestTables:
         (lambda rec: rec[:4] + ["-2"] + rec[5:], "line 3: r2 = -2 is below 1"),
         (lambda rec: rec[:5] + ["0"] + rec[6:], "line 3: m = 0 is below 1"),
         (lambda rec: rec[:6] + ["0"] + rec[7:], "line 3: reps = 0 is below 1"),
+        (lambda rec: rec[:14] + ["-5"], "line 3: seed = -5 is outside [0, 2**64)"),
+        (lambda rec: rec[:14] + [str(2**70)], f"line 3: seed = {2**70} is outside [0, 2**64)"),
         (lambda rec: rec[:13] + ["as-published"] + rec[14:],
          "rows mix formula sources ['as-published', 'derived']"),
         (lambda rec: rec[:2] + ["0.5"] + rec[3:],
@@ -769,7 +780,7 @@ class TestTables:
          "study.csv: study CSV line 3: field larger than field limit (131072)"),
     ], ids=["short", "long", "bad-int", "bad-float", "bad-method", "bad-measure",
             "bad-source", "negative-R", "zero-R", "nan-R", "inf-R", "zero-r1", "negative-r2",
-            "zero-m", "zero-reps", "mixed-sources", "repeated-row", "oversized-field"])
+            "zero-m", "zero-reps", "negative-seed", "wide-seed", "mixed-sources", "repeated-row", "oversized-field"])
     def test_bias_from_malformed_rows_is_usage_error(self, capsys, tmp_path, damage, message):
         # three rows of distinct cells (R = 0.5, 0.75, 0.8); the third line is damaged
         rows_csv = ",".join(STUDY_CSV_COLUMNS) + "\n" + "\n".join(
@@ -853,6 +864,75 @@ class TestRealdata:
         code, out, _ = run_cli(capsys, "realdata", "--source", "as-published")
         assert code == 0
         assert "disagree" in out
+
+
+# a ranked set sample of two ranks and three cycles, and a one-cell study config
+RANKED = "rank,cycle,value\n1,1,0.41\n2,1,3.07\n1,2,0.88\n2,2,1.9\n1,3,0.3\n2,3,2.2\n"
+SMALL_CONFIG = json.dumps({"r_values": [0.5], "set_sizes": [[2, 2]], "cycles": [2],
+                           "replications": 4, "master_seed": 9})
+
+
+class TestInputFiles:
+    # each command that reads input files: its arguments around the paths
+    COMMANDS = {
+        "estimate": lambda paths: ["estimate", *paths],
+        "estimate-rss": lambda paths: ["estimate", *paths, "--method", "rss"],
+        "simulate": lambda paths: ["simulate", "--config", *paths],
+        "tables": lambda paths: ["tables", "--kind", "bias", "--rows", *paths],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, command):
+        texts = {"estimate": [DATA1, DATA2], "estimate-rss": [RANKED, RANKED],
+                 "simulate": [SMALL_CONFIG],
+                 "tables": [ovlomax.run_study(ovlomax.StudyConfig.from_json(SMALL_CONFIG)).csv]}
+
+        def files(tag, head, tail=b""):
+            paths = [tmp_path / f"{tag}{k}" for k in range(len(texts[command]))]
+            for path, text in zip(paths, texts[command]):
+                path.write_bytes(head + text.encode() + tail)
+            return self.COMMANDS[command](map(str, paths))
+
+        plain = run_cli(capsys, *files("plain", b""))
+        assert plain[0] == 0 and plain[1]
+        assert run_cli(capsys, *files("bom", "\ufeff".encode())) == plain
+        # a byte that is not UTF-8 after the mark is still refused
+        code, out, err = run_cli(capsys, *files("bad", "\ufeff".encode(), b"\xff"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tmp_path / 'bad0'}: 'utf-8' codec can't decode byte 0xff")
+
+
+def error_classes():
+    """Every exception class that a module of the package defines."""
+    for info in pkgutil.iter_modules(ovlomax.__path__):
+        module = importlib.import_module(f"ovlomax.{info.name}")
+        yield from (obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__)
+
+
+class TestErrorClasses:
+    def test_every_error_class_has_an_exit_code(self, capsys, monkeypatch):
+        # a class that derives from neither would escape main as a traceback
+        classes = sorted(error_classes(), key=lambda cls: cls.__name__)
+        assert {"ConfigError", "DatasetParseError", "DegenerateDesignError", "DomainError",
+                "MissingCellError"} <= {cls.__name__ for cls in classes}
+        for cls in classes:
+            assert issubclass(cls, (ConfigError, DomainError)), cls
+            # made without its __init__, whose arguments differ by class
+            error = cls.__new__(cls, "stub")
+
+            def stub(args, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "cmd_ovl", stub)
+            code = 2 if issubclass(cls, ConfigError) else 1
+            assert run_cli(capsys, "ovl", "--ratio", "0.5") == (code, "", "error: stub\n"), cls
+
+    def test_config_error_is_one_class(self):
+        from ovlomax.study import ConfigError as from_study
+
+        assert from_study is ConfigError is ovlomax.ConfigError
 
 
 class TestEntryPoint:

@@ -28,8 +28,9 @@ given, settings = hypothesis.given, hypothesis.settings
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
                -1e300, 999999.5, 9.999995, 0.1, float("inf"), float("-inf"), float("nan")]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(np.float64))
+# seeds of every integer type, inside the row rule's [0, 2**64)
 ints = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1).map(np.uint64),
-                 st.integers(-2**63, 2**63 - 1).map(np.int64))
+                 st.integers(0, 2**63 - 1).map(np.int64))
 sixg = st.one_of(st.sampled_from(EDGE_FLOATS[:-1]),
                  st.floats(allow_nan=False)).map(lambda x: float(f"{x:.6g}"))
 # values inside the study CSV's row rule: R positive and finite, design counts >= 1
@@ -179,9 +180,9 @@ def known_or_not(known):
 
 
 # one field of a valid row set outside the row rule: names that need quoting,
-# a negative and a NaN ratio, no replications
+# a negative and a NaN ratio, no replications, a seed on either side of [0, 2**64)
 OFF_DOMAIN = [("method", "a,b"), ("R", -0.5), ("R", math.nan), ("reps", 0),
-              ("formula_source", 'x"y')]
+              ("formula_source", 'x"y'), ("seed", -1), ("seed", 2**64)]
 VALID_ROW = StudyRow("rss", "rho", 0.5, 2, 3, 8, 100, 0.01, -0.01, 0.002, 0.95, 0.1, 1.25,
                      "derived", 12345)
 
@@ -189,7 +190,7 @@ VALID_ROW = StudyRow("rss", "rho", 0.5, 2, 3, 8, 100, 0.01, -0.01, 0.002, 0.95, 
 @settings(deadline=None)
 @hypothesis.example(rows=[VALID_ROW, VALID_ROW])
 @given(st.one_of(saved_rows(), study_rows(
-    sixg, st.integers(0, 2**64 - 1),
+    sixg, st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, -2**63, 2**64, 2**70])),
     st.one_of(positive.map(lambda x: float(f"{x:.6g}")),
               st.sampled_from([0.0, -0.0, -0.5, -1e-300, math.inf, -math.inf, math.nan])),
     st.integers(-2, 2**64 - 1), names=known_or_not)))

@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in its module,
 numpy is its one runtime dependency, and importing any module of it or
-running the CLI's one-worker paths loads neither SciPy nor the process pool."""
+running the CLI's one-worker or one-slab paths loads neither SciPy nor the
+process pool."""
 
 import ast
 import importlib
@@ -59,7 +60,8 @@ def test_runtime_dependency_is_numpy_alone():
 
 # Every module of the package is imported and every subcommand runs in one
 # fresh interpreter; SciPy is for the tests alone, and the process pool
-# (multiprocessing, concurrent.futures) for --workers > 1 alone.
+# (multiprocessing, concurrent.futures) for two or more slabs at --workers > 1
+# alone: the smoke study and its figure grid are one slab each.
 _NO_SCIPY_RUN = """
 import contextlib, importlib, io, json, os, pkgutil, sys
 import ovlomax, ovlomax.cli
@@ -67,6 +69,7 @@ for info in pkgutil.iter_modules(ovlomax.__path__):
     importlib.import_module(f"ovlomax.{info.name}")
 smoke, out_dir, data1, data2 = sys.argv[1:]
 runs = [["simulate", "--config", smoke, "--out-dir", out_dir], ["realdata"],
+        ["simulate", "--config", smoke, "--out-dir", out_dir + "2", "--workers", "2"],
         ["estimate", data1, data2], ["tables", "--kind", "discrepancy"],
         ["ovl", "--ratio", "0.5"], ["realdata", "--format", "json"],
         ["estimate", data1, data2, "--format", "json"],
@@ -101,7 +104,7 @@ def test_cli_paths_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 18
+    assert result["codes"] == [0] * 19
     assert result["modules"] == []
 
 

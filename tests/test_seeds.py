@@ -20,7 +20,9 @@ import re
 import numpy as np
 import pytest
 
-from ovlomax import StudyConfig, run_study, study
+from conftest import recorded_pools
+
+from ovlomax import StudyConfig, emit_figure_data, run_study, study
 from ovlomax import _seeds
 from ovlomax.estimators import METHOD_BAYES, METHOD_RSS, assess, corrected_ratio
 from ovlomax.overlap import MEASURES, overlap_value
@@ -369,8 +371,13 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_two_workers_equal_one(self, name):
+        # at the minimum budget every config has four or more slabs, run over
+        # a real pool of two workers
         cfg = StudyConfig(**CONFIGS[name])
-        one, two = run_study(cfg, workers=1), run_study(cfg, workers=2)
+        one = run_study(cfg, workers=1)
+        with recorded_pools(BUDGETS["minimum"]) as pools:
+            two = run_study(cfg, workers=2)
+        assert pools == [2]
         assert one.rows == two.rows
         assert one.csv_corrected == two.csv_corrected
         assert one.skipped == two.skipped
@@ -402,6 +409,26 @@ class TestGroupedEngine:
         assert sizes == [min(workers, 12)]
         assert pooled.csv_corrected == run_study(cfg).csv_corrected
 
+    @pytest.mark.parametrize("workers", [2, 64])
+    def test_one_slab_starts_no_pool(self, workers, monkeypatch):
+        # the several_R study and its figure grid are one slab each at the
+        # shipped budget: both run here, whatever the worker count
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers started")
+
+        slabs, run_slab = [], study._run_slab
+
+        def counted(cfg, slab, namespace):
+            slabs.append(namespace)
+            return run_slab(cfg, slab, namespace)
+
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        one = run_study(cfg).csv_corrected, emit_figure_data(cfg)
+        monkeypatch.setattr(study, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(study, "_run_slab", counted)
+        assert (run_study(cfg, workers).csv_corrected, emit_figure_data(cfg, workers)) == one
+        assert slabs == [0, 1]
+
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, monkeypatch):
         # a pool that runs each task here, on pickled copies of what a worker
@@ -424,7 +451,8 @@ class TestGroupedEngine:
                     results.append(fn(*tasks[-1]))
                     yield pickle.loads(pickle.dumps(results[-1]))
 
-        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["small"])
+        # a slab per design group: four or more slabs in every config
+        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["minimum"])
         cfg = StudyConfig(**CONFIGS[name])
         cells = study._enumerate_cells(cfg)
         one, skipped_one = study._cell_outcomes(cfg, cells, 1)
@@ -433,7 +461,7 @@ class TestGroupedEngine:
         assert two.tobytes() == one.tobytes() and skipped_two == skipped_one
         slabs = study._slabs(cfg, study._design_groups(cfg, cells)[0])
         assert [task[1] for task in tasks] == slabs
-        assert sizes == [min(2, len(slabs))]  # no more workers than slabs
+        assert len(slabs) >= 4 and sizes == [2]
         shape = (len(MEASURES), len(study._AGGREGATES))
         for task, block in zip(tasks, results, strict=True):
             # (cfg, slab of (indices, method, designs), namespace): no array, no cell list

@@ -7,11 +7,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from importlib.resources import files
 
 import numpy as np
 import pytest
+
+from conftest import recorded_pools
 
 from ovlomax import (
     ConfigError,
@@ -128,6 +130,19 @@ class TestStudyConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             StudyConfig(**kwargs)
+
+    def test_frozen_and_checked_once_when_made(self):
+        # a config cannot be changed after its check, so it has no second check
+        cfg = tiny_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.replications = 0
+        assert cfg.replications == 5 and not hasattr(StudyConfig, "validate")
+
+    @pytest.mark.parametrize("kwargs", [{"replications": 0}, {"master_seed": 2**64},
+                                        {"r_values": (0.5, 0.5)}])
+    def test_replace_checks_the_config_it_makes(self, kwargs):
+        with pytest.raises(ConfigError):
+            replace(tiny_config(), **kwargs)
 
     @pytest.mark.parametrize(
         "text, field",
@@ -323,10 +338,13 @@ class TestRunStudy:
         for source in SOURCES:
             cfg = tiny_config(**{**REFERENCE_CONFIGS[name], "formula_source": source})
             rows, rows_corrected = reference_rows(cfg)
-            for workers in (1, 2):
-                res = run_study(cfg, workers=workers)
-                assert res.csv == emit_rows_csv(rows)
-                assert res.csv_corrected == emit_rows_csv(rows_corrected)
+            # two workers over a real pool: a slab per design group
+            with recorded_pools(1) as pools:
+                for workers in (1, 2):
+                    res = run_study(cfg, workers=workers)
+                    assert res.csv == emit_rows_csv(rows)
+                    assert res.csv_corrected == emit_rows_csv(rows_corrected)
+            assert pools == [2]
             assert (res.rows, parse_rows_csv(res.csv_corrected)) == (rows, rows_corrected)
             assert any(row.efficiency is not None for row in res.rows)
 
@@ -416,7 +434,9 @@ class TestRunStudy:
     def test_parallel_matches_sequential(self):
         cfg = tiny_config(r_values=(0.5, 0.8))
         seq = run_study(cfg, workers=1)
-        par = run_study(cfg, workers=2)
+        with recorded_pools(1) as pools:  # three slabs, over a real pool of two
+            par = run_study(cfg, workers=2)
+        assert pools == [2]
         assert seq.rows == par.rows
 
     def test_seed_column_is_derived_per_cell(self):

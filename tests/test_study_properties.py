@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import pytest
 
+from conftest import recorded_pools
+
 from ovlomax import StudyConfig, run_study, study
 from ovlomax.estimators import SOURCES, _refusal
 from ovlomax.study import ConfigError
@@ -65,7 +67,12 @@ def test_two_workers_equal_one(r_values, set_sizes, m, replications, master_seed
     cfg = StudyConfig(r_values=r_values, set_sizes=set_sizes, cycles=(m,),
                       replications=replications, master_seed=master_seed,
                       formula_source=source)
-    one, two = run_study(cfg, workers=1), run_study(cfg, workers=2)
+    one = run_study(cfg, workers=1)
+    # a slab per accepted design group: two or more run over a real pool of two
+    with recorded_pools(1) as pools:
+        two = run_study(cfg, workers=2)
+    groups = len(study._design_groups(cfg, study._enumerate_cells(cfg))[0])
+    assert pools == ([2] if groups > 1 else [])
     assert one.rows == two.rows
     assert one.csv_corrected == two.csv_corrected
     assert one.skipped == two.skipped
