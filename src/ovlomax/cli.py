@@ -39,7 +39,6 @@ from .study import (
     StudyConfig,
     discrepancy_report,
     efficiency_grid,
-    emit_figure_data,
     emit_tables,
     parse_rows_csv,
     run_study,
@@ -129,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON study configuration file")
     p.add_argument("--reps", type=_positive_count, help="override replication count")
     p.add_argument("--workers", type=_positive_count, default=1,
-                   help="worker processes (default 1); only a study or figure grid "
-                   "of two or more slabs starts a pool, of min(workers, slabs)")
+                   help="worker processes (default 1); the study's and the figure grid's "
+                   "slabs share one pool, of min(workers, slabs), started only for two or more")
     p.add_argument("--out-dir", help="write study.csv, study_bias_corrected.csv, "
                    "efficiency.csv, discrepancy.csv, figure_data.csv, metadata.json here")
     p.add_argument("--no-figures", action="store_true",
-                   help="skip the dense figure-data curves (they rerun the engine "
-                   "over the full ratio grid)")
+                   help="skip the dense figure-data curves (their design groups join "
+                   "the study's engine pass)")
     p.add_argument("--seed", type=_seed, default=None, help="override the master seed")
     p.add_argument("--source", choices=SOURCES, default=None,
                    help="override the formula source")
@@ -312,7 +311,7 @@ def cmd_simulate(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)  # validated again by __post_init__
 
-    result = run_study(cfg, workers=args.workers)
+    result = run_study(cfg, args.workers, figures=bool(args.out_dir) and not args.no_figures)
     if not args.out_dir:
         print(result.csv, end="")
         return EXIT_OK
@@ -327,8 +326,8 @@ def cmd_simulate(args) -> int:
         "discrepancy.csv": discrepancy_report(cfg.formula_source),
         "metadata.json": _json_text(result.metadata),
     }
-    if not args.no_figures:
-        texts["figure_data.csv"] = emit_figure_data(cfg, workers=args.workers)
+    if result.figure_csv is not None:
+        texts["figure_data.csv"] = result.figure_csv
     out = Path(args.out_dir)
     _write_all(out, texts)
     print(f"wrote {', '.join(texts)} to {out}")

@@ -9,8 +9,8 @@ every estimator in :mod:`ovlomax.estimators` tractable; the exact laws of
 its estimates are ``scipy.stats`` gamma and F laws, named there.
 The normal quantile of the intervals comes from the standard library, so
 the package needs numpy alone.  A draw lies below the smallest normal
-float with probability ``exp(-708.4/alpha)``; sampling and the quantile refuse
-such values.
+float with probability ``exp(-708.4/alpha)``; sampling, the quantile and
+``log_transform`` refuse such values.
 """
 from __future__ import annotations
 
@@ -123,18 +123,25 @@ def _from_t(t: np.ndarray) -> np.ndarray:
     log(u)`` the quantile of u); DomainError if any is below the float range."""
     with np.errstate(over="ignore"):  # an overflowing expm1 is counted below
         x = 1.0 / np.expm1(t)
+    return _check_normal(x, "too large a shape for x")
+
+
+def _check_normal(x: np.ndarray, why: str) -> np.ndarray:
+    """``x``, or a DomainError counting its values below the smallest normal float."""
     below = np.count_nonzero(x < _TINY)
     if below:
-        raise DomainError(
-            f"{below} of {x.size} values lie below the smallest normal float "
-            f"({_TINY:.4g}); too large a shape for x")
+        raise DomainError(f"{below} of {x.size} values lie below the smallest normal float "
+                          f"({_TINY:.4g}); {why}")
     return x
 
 
 def log_transform(x) -> float | np.ndarray:
     """``log(1 + 1/x)`` elementwise; exponential with mean alpha when x is
-    a standardized inverse Lomax draw."""
-    arr = _positive_array("x", x)
+    a standardized inverse Lomax draw.  An x below the smallest normal float,
+    whose 1/x overflows, is a DomainError, as a draw there is."""
+    arr = np.asarray(x, dtype=float)
+    if not ((arr >= _TINY).all() and (arr < np.inf).all()):  # NaN fails both
+        _check_normal(_positive_array("x", arr), "1/x overflows")
     return _as_input_shape(np.log1p(1.0 / arr), x)
 
 

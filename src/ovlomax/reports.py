@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dist_core import ConfigError, DomainError
+from .dist_core import _TINY, ConfigError, DomainError
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -86,6 +86,17 @@ class Dataset:
         return int(self.values.size)
 
 
+# an observation lies in [smallest normal float, inf), as a draw of the sampler does
+_SMALLEST = float(_TINY)
+
+
+def _observation_refusal(v: float) -> str:
+    """Why an observation outside ``[_SMALLEST, inf)`` is refused."""
+    if math.isfinite(v) and v > 0.0:
+        return f"observation lies below the smallest normal float ({_TINY:.4g})"
+    return "observations must be positive and finite"
+
+
 def parse_dataset(text: str, label: str = "") -> Dataset:
     """Parse a plain observation list (whitespace or comma separated)."""
     values = []
@@ -96,8 +107,8 @@ def parse_dataset(text: str, label: str = "") -> Dataset:
                 v = float(token)
             except ValueError:
                 raise DatasetParseError(lineno, token, "not a number") from None
-            if not math.isfinite(v) or v <= 0.0:
-                raise DatasetParseError(lineno, token, "observations must be positive and finite")
+            if not _SMALLEST <= v < math.inf:
+                raise DatasetParseError(lineno, token, _observation_refusal(v))
             values.append(v)
     if not values:
         raise DatasetParseError(0, "", "no observations found")
@@ -141,8 +152,8 @@ def parse_ranked_dataset(text: str) -> RankedSample:
             raise DatasetParseError(lineno, ",".join(rec), "rank/cycle must be integers, value numeric") from None
         if rank < 1 or cycle < 1:
             raise DatasetParseError(lineno, ",".join(rec), "rank and cycle are 1-based")
-        if not math.isfinite(value) or value <= 0.0:
-            raise DatasetParseError(lineno, rec[2], "observations must be positive and finite")
+        if not _SMALLEST <= value < math.inf:
+            raise DatasetParseError(lineno, rec[2], _observation_refusal(value))
         if (rank, cycle) in seen:
             raise DatasetParseError(lineno, ",".join(rec), f"duplicate slot rank={rank} cycle={cycle}")
         seen[(rank, cycle)] = value

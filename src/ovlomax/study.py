@@ -22,21 +22,24 @@ Interpretation notes baked into the emitted artifacts:
 
 The unit of simulation is a design group: the cells that share ``(r1, r2,
 m, method)`` and differ only in ``R``; refused groups are skipped before any
-slab forms.  The unit of work is a slab: consecutive accepted groups whose
+slab forms.  One pass runs the study grid's groups and, when asked, the
+figure grid's (the figure R grid at the first ``(r1, r2)`` and cycle count).
+The unit of work is a slab: consecutive accepted groups of either grid whose
 32-byte rows of PCG64 state words fit in ``_BLOCK_BYTES`` (2^14
 replications), or a single larger group, seeded, simulated, assessed and
 aggregated in the process that runs it: groups in, aggregates out.  The
-slabs run over a pool of ``min(workers, slabs)`` processes when that is two
-or more, and in the calling process otherwise.  A group's replications are
-the rows of draw blocks whose uniforms fit in the same budget (2^16
+slabs run over one pool of ``min(workers, slabs)`` processes when that is
+two or more, and in the calling process otherwise.  A group's replications
+are the rows of draw blocks whose uniforms fit in the same budget (2^16
 uniforms), ranked into ranked sets on the uniforms and estimated from ``T =
 -alpha * log(u)`` of the retained ones; a slab's groups are one block list
-of one delta-method assessment, then one mean per aggregate.  No output
-depends on the budget.
+of one delta-method assessment, then one mean per aggregate, each group's
+cells against their own ``R``.  No output depends on the budget.
 
 Reproducibility: every replication draws from its own PCG64 stream seeded by
-a SplitMix64 fold of (master_seed, namespace, cell_index, replication); only
-the seeding arithmetic and the kernel calls are batched.  Results are
+a SplitMix64 fold of (master_seed, namespace, cell_index, replication), the
+study in namespace 0 and the figure grid in 1; only the seeding arithmetic
+and the kernel calls are batched.  Results are
 therefore independent of scheduling, grouping and block sizes, and re-running
 a config yields byte-identical CSV output, with any number of workers.
 
@@ -59,7 +62,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from itertools import repeat
 
@@ -100,7 +103,6 @@ __all__ = [
     "emit_rows_csv",
     "parse_rows_csv",
     "emit_tables",
-    "emit_figure_data",
     "discrepancy_report",
 ]
 
@@ -194,8 +196,8 @@ class StudyConfig:
 
     Each cell draws population 1 at shape ``R`` and population 2 at shape 1,
     so every output depends on the two shapes only through ``R``.
-    ``figure_r_grid`` is only consulted by :func:`emit_figure_data`; the
-    dense default covers (0, 1) in steps of 0.05.  Frozen, and checked
+    ``figure_r_grid`` is only consulted by ``run_study(..., figures=True)``;
+    the dense default covers (0, 1) in steps of 0.05.  Frozen, and checked
     once, when made: ``dataclasses.replace`` checks each config it makes.
     """
 
@@ -257,8 +259,9 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        try:
-            data = json.loads(text)
+        try:  # a key given twice is refused, not read as its last value
+            data = json.loads(text, object_pairs_hook=lambda pairs: dict(_distinct(
+                pairs, (key for key, _value in pairs), "repeated configuration key: %s")))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from None
         return cls.from_dict(data)
@@ -333,13 +336,15 @@ class StudyResult:
     (``csv``) and bias-corrected (``csv_corrected``) intervals; ``rows`` parses
     the plain text on first use, and :func:`parse_rows_csv` parses either.
     ``efficiency`` maps each rss cell's ``(measure, R, r1, r2, m)`` to its
-    simulated efficiency, as :func:`efficiency_grid` takes."""
+    simulated efficiency, as :func:`efficiency_grid` takes; ``figure_csv`` is
+    ``figure_data.csv``'s text, or None for a run without figures."""
 
     csv: str
     csv_corrected: str
     skipped: list
     metadata: dict
     efficiency: dict
+    figure_csv: str | None
 
     @cached_property
     def rows(self) -> list:
@@ -404,22 +409,24 @@ def efficiency_grid(
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_cells(cfg: StudyConfig) -> list:
-    return [
-        (R, r1, r2, m, method)
-        for R in cfg.r_values
-        for (r1, r2) in cfg.set_sizes
-        for m in cfg.cycles
-        for method in METHODS
-    ]
+def _enumerate_cells(cfg: StudyConfig, figures: bool = False) -> list:
+    """The study grid's cells, R outermost; with ``figures``, the figure grid's:
+    ``figure_r_grid`` (or the default) at the first (r1, r2) pair and cycle count."""
+    r_values, set_sizes, cycles = cfg.r_values, cfg.set_sizes, cfg.cycles
+    if figures:
+        r_values = cfg.figure_r_grid or DEFAULT_FIGURE_R_GRID
+        set_sizes, cycles = set_sizes[:1], cycles[:1]
+    return [(R, r1, r2, m, method) for R in r_values for r1, r2 in set_sizes for m in cycles
+            for method in METHODS]
 
 
-def _design_groups(cfg: StudyConfig, cells) -> tuple:
+def _design_groups(cfg: StudyConfig, cells, namespace: int = 0) -> tuple:
     """Design groups, one per (r1, r2, m, method): R is the outermost loop of
     :func:`_enumerate_cells`, so group g is every ``width``-th cell from g.
-    Returns ``(indices, method, designs)`` of each group the estimators
-    accept, and ``{cell index: reason}`` for the refused groups' cells."""
-    width = len(cells) // len(cfg.r_values)
+    Returns ``(namespace, indices, r_values, method, designs)`` of each group
+    the estimators accept, and ``{cell index: reason}`` for the refused
+    groups' cells."""
+    width = len(dict.fromkeys(cell[1:] for cell in cells))
     groups, skipped = [], {}
     for g, (_R, r1, r2, m, method) in enumerate(cells[:width]):
         indices, designs = list(range(g, len(cells), width)), _designs(r1, r2, m, method)
@@ -427,7 +434,8 @@ def _design_groups(cfg: StudyConfig, cells) -> tuple:
         if reason:
             skipped.update(dict.fromkeys(indices, reason))
         else:
-            groups.append((indices, method, designs))
+            r_values = tuple(cells[i][0] for i in indices)
+            groups.append((namespace, indices, r_values, method, designs))
     return groups, skipped
 
 
@@ -438,9 +446,9 @@ def _designs(r1, r2, m, method) -> tuple:
     return SrsDesign(r1 * m), SrsDesign(r2 * m)
 
 
-def _run_group(cfg: StudyConfig, words: np.ndarray, method, designs, gen):
-    """Corrected ratios of one design group, its cells at ``cfg.r_values``
-    under ``method`` and ``designs``, shaped ``(cells, replications)``.
+def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, gen):
+    """Corrected ratios of one design group, its cells at ``r_values`` under
+    ``method`` and ``designs``, shaped ``(cells, replications)``.
 
     Row k of ``words`` is the initial PCG64 state of replication ``k %
     replications`` of cell ``k // replications``.  Each draw block of rows
@@ -454,7 +462,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, method, designs, gen):
     draws = [d.n * (d.r if method == METHOD_RSS else 1) for d in designs]
 
     # population 1's shape per row, its cell's R (checked by the config); population 2's is 1
-    shapes = np.repeat(cfg.r_values, cfg.replications)
+    shapes = np.repeat(r_values, cfg.replications)
     rows = len(words)
     step = max(1, _BLOCK_BYTES // (8 * sum(draws)))  # rows of 8-byte uniforms
     uniforms = np.empty((min(step, rows), sum(draws)))  # one draw block, reused
@@ -473,7 +481,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, method, designs, gen):
             t *= -alpha
             alphas[k, lo:hi] = _shape_from_t(method, t)
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
-    return ratios.reshape(len(cfg.r_values), cfg.replications)
+    return ratios.reshape(len(r_values), cfg.replications)
 
 
 # the aggregates of each (cell, measure), in the order of their last axis
@@ -500,52 +508,66 @@ def _aggregate(cfg: StudyConfig, blocks, r_values) -> np.ndarray:
 
 
 def _slabs(cfg: StudyConfig, groups) -> list:
-    """Consecutive design groups, equally many (each has one cell per R), whose
-    32-byte rows of state words fit in :data:`_BLOCK_BYTES`, or one group."""
-    count = max(1, _BLOCK_BYTES // (32 * len(cfg.r_values) * cfg.replications))
-    return [groups[k:k + count] for k in range(0, len(groups), count)]
+    """Consecutive design groups whose 32-byte rows of state words fit in
+    :data:`_BLOCK_BYTES` together, or one group that does not fit alone."""
+    slabs, rows = [], math.inf
+    for group in groups:
+        size = len(group[1]) * cfg.replications
+        if rows + size > _BLOCK_BYTES // 32:
+            slabs.append([])
+            rows = 0
+        slabs[-1].append(group)
+        rows += size
+    return slabs
 
 
-def _run_slab(cfg: StudyConfig, slab, namespace: int) -> np.ndarray:
-    """Seed, simulate, assess and aggregate one slab, ``(indices, method,
-    designs)`` of each of its accepted groups (:func:`_design_groups`): one
-    pass makes the state words of all its replications, and the groups run
-    in order and take one :func:`_aggregate` call, the slab's ``(cell,
-    measure, aggregate)`` array."""
-    indices = np.concatenate([group for group, *_ in slab])[:, None]
+def _run_slab(cfg: StudyConfig, slab) -> np.ndarray:
+    """Seed, simulate, assess and aggregate one slab, ``(namespace, indices,
+    r_values, method, designs)`` of each of its accepted groups
+    (:func:`_design_groups`): one fold of every cell's (namespace, index)
+    and one hash make the state words of all its replications, and the
+    groups run in order and take one :func:`_aggregate` call, the slab's
+    ``(cell, measure, aggregate)`` array."""
+    keys = np.array([(group[0], i) for group in slab for i in group[1]])
     words = _seeds.pcg64_states(_seeds.derive_seeds(
-        cfg.master_seed, namespace, indices, np.arange(cfg.replications)))
+        cfg.master_seed, keys[:, :1], keys[:, 1:], np.arange(cfg.replications)))
     gen = np.random.Generator(np.random.PCG64(0))  # restarted on every stream
-    # every group has one cell per R: an equal share of the (N, 4) state words
-    blocks = [(_run_group(cfg, rows, method, designs, gen), method, *designs)
-              for rows, (_indices, method, designs) in zip(words.reshape(len(slab), -1, 4), slab)]
-    return _aggregate(cfg, blocks, cfg.r_values * len(slab))
+    ends = np.cumsum([len(group[1]) * cfg.replications for group in slab])
+    blocks = [(_run_group(cfg, rows, r_values, method, designs, gen), method, *designs)
+              for rows, (*_, r_values, method, designs) in zip(np.split(words, ends[:-1]), slab)]
+    return _aggregate(cfg, blocks, [R for group in slab for R in group[2]])
 
 
-def _cell_outcomes(cfg: StudyConfig, cells, namespace: int, workers: int = 1) -> tuple:
-    """Every cell's aggregates as one ``(cell, measure, aggregate)`` array,
-    aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}`` for
-    the skipped cells, whose rows in the array are NaN.
+def _cell_outcomes(cfg: StudyConfig, grids: dict, workers: int = 1) -> dict:
+    """``{namespace: (aggs, skipped)}`` of ``grids``, ``{namespace: cells}``:
+    a grid's cells' aggregates as one ``(cell, measure, aggregate)`` array,
+    aggregates in :data:`_AGGREGATES` order, and ``{cell index: reason}``
+    for its skipped cells, whose rows in the array are NaN.
 
-    Skips are decided before any slab forms (:func:`_design_groups`); each
-    slab (:func:`_slabs`) is one :func:`_run_slab` task, run over a pool of
-    ``min(workers, slabs)`` processes when that is two or more, the class
-    bound to this module's ``ProcessPoolExecutor`` (imported on first use),
-    and here otherwise: design groups in, aggregates out, never words or ratios.
+    Skips are decided before any slab forms (:func:`_design_groups`); the
+    groups of all grids form the slabs (:func:`_slabs`), and each slab is
+    one :func:`_run_slab` task, run over one pool of ``min(workers, slabs)``
+    processes when that is two or more, the class bound to this module's
+    ``ProcessPoolExecutor`` (imported on first use), and here otherwise:
+    design groups in, aggregates out, never words or ratios.
     """
-    groups, skipped = _design_groups(cfg, cells)
+    groups, outcomes = [], {}
+    for namespace, cells in grids.items():
+        found, skipped = _design_groups(cfg, cells, namespace)
+        groups += found
+        aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
+        outcomes[namespace] = aggs, skipped
     slabs = _slabs(cfg, groups)
-    tasks = (repeat(cfg), slabs, repeat(namespace))
     size = min(workers, len(slabs))
     if size > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=size) as pool:
-            outcomes = list(pool.map(_run_slab, *tasks))
+            blocks = list(pool.map(_run_slab, repeat(cfg), slabs))
     else:
-        outcomes = map(_run_slab, *tasks)
-    aggs = np.full((len(cells), len(MEASURES), len(_AGGREGATES)), np.nan)
-    for slab, block in zip(slabs, outcomes):
-        aggs[[i for indices, *_ in slab for i in indices]] = block
-    return aggs, skipped
+        blocks = map(_run_slab, repeat(cfg), slabs)
+    for slab, block in zip(slabs, blocks):
+        for namespace, indices, *_ in slab:  # the slab's cells, group by group
+            outcomes[namespace][0][indices], block = block[:len(indices)], block[len(indices):]
+    return outcomes
 
 
 def __getattr__(name: str):
@@ -559,17 +581,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Execute the full grid and aggregate per-cell rows.
+def run_study(cfg: StudyConfig, workers: int = 1, figures: bool = False) -> StudyResult:
+    """Execute the full grid and aggregate per-cell rows; with ``figures``,
+    the figure grid's design groups join the same pass (:attr:`StudyResult.figure_csv`).
 
     The unit of work is a slab of design groups (cells that share (r1, r2,
-    m, method) and differ only in R).  ``workers`` bounds the pool the slabs
-    run over (:func:`_cell_outcomes`); the per-replication seeding makes the
-    result identical to the sequential run.  The study draws from seed
-    namespace 0, the figure data from namespace 1.
+    m, method) and differ only in R).  ``workers`` bounds the one pool the
+    slabs run over (:func:`_cell_outcomes`); the per-replication seeding
+    makes the result identical to the sequential run.  The study draws from
+    seed namespace 0, the figure curves from namespace 1.
     """
-    cells = _enumerate_cells(cfg)
-    aggs, skipped = _cell_outcomes(cfg, cells, 0, workers)
+    grids = {0: _enumerate_cells(cfg)}
+    if figures:
+        grids[1] = _enumerate_cells(cfg, figures=True)
+    outcomes = _cell_outcomes(cfg, grids, workers)
+    cells, (aggs, skipped) = grids[0], outcomes[0]
     seeds = _seeds.derive_seeds(cfg.master_seed, 0, np.arange(len(cells))).tolist()
 
     # an rss cell's efficiency is the MSE of its srs sibling, the cell just
@@ -625,6 +651,7 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
         skipped=metadata["skipped_cells"],
         metadata=metadata,
         efficiency=efficiency,
+        figure_csv=_figure_csv(grids[1], *outcomes[1]) if figures else None,
     )
 
 
@@ -891,23 +918,9 @@ _LAYOUTS = {"eff_table": (EfficiencyCell, _emit_eff_table), "bias_table": (Study
 # ---------------------------------------------------------------------------
 
 
-def emit_figure_data(cfg: StudyConfig, workers: int = 1) -> str:
-    """Long-format (method, measure, R, bias, mse) curves over a dense ratio grid.
-
-    Uses the first (r1, r2) pair and first cycle count of the config as the
-    fixed design, and a separate seed namespace so figure replications never
-    reuse study streams.  ``workers`` is taken as :func:`run_study` takes it.
-    """
-    grid = cfg.figure_r_grid if cfg.figure_r_grid is not None else DEFAULT_FIGURE_R_GRID
-    sub = replace(
-        cfg,
-        r_values=tuple(grid),
-        set_sizes=(cfg.set_sizes[0],),
-        cycles=(cfg.cycles[0],),
-        figure_r_grid=None,
-    )
-    cells = _enumerate_cells(sub)
-    aggs, skipped = _cell_outcomes(sub, cells, namespace=1, workers=workers)
+def _figure_csv(cells, aggs, skipped) -> str:
+    """Long-format (method, measure, R, bias, mse) curves of the figure grid's
+    ``cells``, written straight from their aggregates."""
     return _write_csv(["method", "measure", "R", "bias", "mse"], [
         "%s,%s,%.6g,%.6g,%.6g\n" % (method, meas, R, bias, mse)
         for idx, (R, _r1, _r2, _m, method) in enumerate(cells) if idx not in skipped

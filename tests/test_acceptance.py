@@ -29,7 +29,6 @@ from ovlomax import (
     discrepancy_report,
     draw_rss,
     draw_srs,
-    emit_figure_data,
     emit_rows_csv,
     harmonic,
     overlap_value,
@@ -402,23 +401,22 @@ def test_criterion_10_determinism():
 
     cfg_text = files("ovlomax.data").joinpath("configs/smoke.json").read_text(encoding="utf-8")
     cfg = StudyConfig.from_json(cfg_text)
-    first = run_study(cfg)
+    first = run_study(cfg, figures=True)
     second = run_study(cfg)
-    # a slab per design group: six study slabs and three figure slabs, each
-    # run over a real pool of two workers
+    # a slab per design group: six study slabs and three figure slabs, all
+    # run over one real pool of two workers
     with recorded_pools(1) as pools:
-        parallel = run_study(cfg, workers=2)
-        figure = emit_figure_data(cfg, workers=2)
+        parallel = run_study(cfg, workers=2, figures=True)
     problems = []
-    if pools != [2, 2]:
-        problems.append(f"pools of {pools} workers started, expected two of 2")
+    if pools != [2]:
+        problems.append(f"pools of {pools} workers started, expected one of 2")
     if emit_rows_csv(first.rows) != emit_rows_csv(second.rows):
         problems.append("sequential rerun differs")
     if emit_rows_csv(first.rows) != emit_rows_csv(parallel.rows):
         problems.append("parallel run differs")
     if first.csv_corrected != parallel.csv_corrected:
         problems.append("corrected rows differ under parallelism")
-    if emit_figure_data(cfg) != figure:
+    if first.figure_csv != parallel.figure_csv:
         problems.append("figure data differs under parallelism")
     report(
         10,

@@ -300,7 +300,12 @@ class TestEstimate:
          "line 2: rank/cycle must be integers, value numeric (got '1,1,x')"),
         ("rss", "rank,cycle,value\n\n1,1," + "7" * 200_000 + "\n",
          "line 3: field larger than field limit (131072)"),
-    ], ids=["not-a-number", "empty", "ranked-bad-value", "ranked-oversized-field"])
+        ("srs", "3\n1e-310\n",
+         "line 2: observation lies below the smallest normal float (2.225e-308) (got '1e-310')"),
+        ("rss", "rank,cycle,value\n1,1,1e-310\n",
+         "line 2: observation lies below the smallest normal float (2.225e-308) (got '1e-310')"),
+    ], ids=["not-a-number", "empty", "ranked-bad-value", "ranked-oversized-field", "subnormal",
+            "ranked-subnormal"])
     @pytest.mark.parametrize("which", [0, 1])
     def test_data_error_names_its_file(self, capsys, tmp_path, method, text, reason, which):
         good = tmp_path / "good.txt"
@@ -508,14 +513,54 @@ class TestSimulate:
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
         run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d1))
-        # a slab per design group: the study and the figure grid each run
-        # three slabs over a real pool of two workers
+        # a slab per design group: the study's three slabs and the figure
+        # grid's three run over one real pool of two workers
+        cfg = ovlomax.StudyConfig.from_json(Path(config).read_text())
         with recorded_pools(1) as pools:
+            slabs = [len(ovlomax.study._slabs(cfg, ovlomax.study._design_groups(
+                cfg, ovlomax.study._enumerate_cells(cfg, figures))[0])) for figures in (False, True)]
             run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d2),
                     "--workers", "2")
-        assert pools == [2, 2]
-        for name in ("study.csv", "study_bias_corrected.csv", "figure_data.csv"):
+        assert slabs == [3, 3] and pools == [2]
+        names = sorted(p.name for p in d1.iterdir())
+        assert names == sorted(p.name for p in d2.iterdir()) and len(names) == 6
+        for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flags, namespaces", [
+        ([], [0]), (["--out-dir", "OUT", "--no-figures"], [0]), (["--out-dir", "OUT"], [0, 1])],
+        ids=["stdout", "no-figures", "out-dir"])
+    def test_one_engine_pass_per_run(self, capsys, config, tmp_path, monkeypatch, flags,
+                                     namespaces):
+        # the figure grid joins the study's pass only when figure_data.csv is
+        # written; either way simulate makes one _cell_outcomes call
+        calls, real = [], ovlomax.study._cell_outcomes
+
+        def counted(cfg, grids, workers=1):
+            calls.append(sorted(grids))
+            return real(cfg, grids, workers)
+
+        monkeypatch.setattr(ovlomax.study, "_cell_outcomes", counted)
+        argv = [str(tmp_path / "out") if flag == "OUT" else flag for flag in flags]
+        code, _out, _err = run_cli(capsys, "simulate", "--config", config, *argv)
+        assert code == 0 and calls == [namespaces]
+        assert (tmp_path / "out" / "figure_data.csv").exists() == (namespaces == [0, 1])
+
+    def test_paper_m8_at_ten_replications_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        # the study's 48 groups and the figure grid's 3 are 2970 replications,
+        # one slab: two workers run it here and start no process
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers started")
+
+        paper = str(SMOKE.with_name("paper_m8.json"))
+        one, two = tmp_path / "one", tmp_path / "two"
+        run_cli(capsys, "simulate", "--config", paper, "--reps", "10", "--out-dir", str(one))
+        monkeypatch.setattr(ovlomax.study, "ProcessPoolExecutor", no_pool)
+        code, _out, _err = run_cli(capsys, "simulate", "--config", paper, "--reps", "10",
+                                   "--workers", "2", "--out-dir", str(two))
+        assert code == 0
+        for p in one.iterdir():
+            assert p.read_bytes() == (two / p.name).read_bytes(), p.name
 
     def test_overrides_recorded(self, capsys, config, tmp_path):
         out_dir = tmp_path / "ovr"
@@ -636,6 +681,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text, reason", [
         ("{broken", "invalid JSON: "),
         ('{"cycles": 8}', "cycles must be a sequence of integers"),
+        ('{"replications": 10, "replications": 20}', "repeated configuration key: replications"),
     ])
     def test_config_error_names_its_file(self, capsys, tmp_path, text, reason):
         path = tmp_path / "bad.json"

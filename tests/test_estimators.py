@@ -91,6 +91,16 @@ class TestAlphaEstimators:
         with pytest.raises(DomainError):
             shape_estimates(METHOD_SRS, np.array([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_values_below_the_smallest_normal_float(self):
+        # their 1/x overflows: refused as the sampler refuses a draw there, with no warning
+        message = r"^1 of 3 values lie below the smallest normal float \(2.225e-308\)"
+        for method in (METHOD_SRS, METHOD_BAYES):
+            with pytest.raises(DomainError, match=message):
+                shape_estimates(method, np.array([1.0, 1e-310, 2.0]))
+        tiny = np.finfo(float).tiny
+        assert float(shape_estimates(METHOD_SRS, np.array([tiny]))) == math.log1p(1.0 / tiny)
+
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     def test_mean_shape_is_np_mean_bit_for_bit(self, layout):
         # the srs/rss estimate divides the sum by n: the same bits as np.mean,

@@ -55,6 +55,17 @@ class TestParseDataset:
         with pytest.raises(DatasetParseError):
             parse_dataset("0")
 
+    def test_below_the_smallest_normal_float_rejected(self):
+        # 1/x of a subnormal x overflows: refused by the sampler's rule, naming
+        # the line and the token; the smallest normal float itself is kept
+        message = r"^line 2: observation lies below the smallest normal float \(2.225e-308\)"
+        for token in ("1e-310", "5e-324", "2.2250738585072e-308"):
+            with pytest.raises(DatasetParseError, match=message) as exc:
+                parse_dataset(f"3\n7 {token}")
+            assert (exc.value.lineno, exc.value.token) == (2, token)
+        tiny = float(np.finfo(float).tiny)
+        assert parse_dataset(f"{tiny!r} 1").values.tolist() == [tiny, 1.0]
+
     def test_non_numeric_rejected(self):
         with pytest.raises(DatasetParseError) as exc:
             parse_dataset("1 two 3")
@@ -119,6 +130,12 @@ class TestParseRankedDataset:
     def test_nonpositive_value_rejected(self):
         with pytest.raises(DatasetParseError):
             parse_ranked_dataset("rank,cycle,value\n1,1,-4")
+
+    def test_value_below_the_smallest_normal_float_rejected(self):
+        message = r"^line 3: observation lies below the smallest normal float \(2.225e-308\)"
+        with pytest.raises(DatasetParseError, match=message) as exc:
+            parse_ranked_dataset("rank,cycle,value\n1,1,4\n2,1,1e-310\n")
+        assert (exc.value.lineno, exc.value.token) == (3, "1e-310")
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetParseError):

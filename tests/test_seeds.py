@@ -22,7 +22,7 @@ import pytest
 
 from conftest import recorded_pools
 
-from ovlomax import StudyConfig, emit_figure_data, run_study, study
+from ovlomax import StudyConfig, run_study, study
 from ovlomax import _seeds
 from ovlomax.estimators import METHOD_BAYES, METHOD_RSS, assess, corrected_ratio
 from ovlomax.overlap import MEASURES, overlap_value
@@ -216,13 +216,14 @@ BUDGETS = {"minimum": 1, "small": 2400}
 def assert_cells_equal_reference(name, namespace):
     cfg = StudyConfig(**CONFIGS[name])
     cells = study._enumerate_cells(cfg)
-    groups, refused = study._design_groups(cfg, cells)
-    assert sorted([i for g, *_ in groups for i in g] + list(refused)) == list(range(len(cells)))
-    for indices, *_ in groups:
+    groups, refused = study._design_groups(cfg, cells, namespace)
+    assert sorted([i for _ns, g, *_ in groups for i in g] + list(refused)) == list(range(len(cells)))
+    for ns, indices, r_values, *_ in groups:
         members = [cells[i] for i in indices]
+        assert ns == namespace
         assert len({c[1:] for c in members}) == 1
-        assert [c[0] for c in members] == list(cfg.r_values)
-    aggs, skipped = study._cell_outcomes(cfg, cells, namespace)
+        assert [c[0] for c in members] == list(r_values) == list(cfg.r_values)
+    aggs, skipped = study._cell_outcomes(cfg, {namespace: cells})[namespace]
     assert skipped == refused
     assert aggs.shape == (len(cells), len(MEASURES), len(study._AGGREGATES))
     for idx, cell in enumerate(cells):
@@ -304,7 +305,7 @@ class TestGroupedEngine:
         monkeypatch.setattr(study, "_aggregate", counted_aggregate)
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
-        study._cell_outcomes(cfg, cells, 0)
+        study._cell_outcomes(cfg, {0: cells})
         groups = len(study._design_groups(cfg, cells)[0])
         if budget == "minimum":
             assert rows == [1] * len(cells) * cfg.replications
@@ -324,7 +325,7 @@ class TestGroupedEngine:
     def test_designs_are_derived_once_per_group(self, monkeypatch):
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
-        groups = [cells[indices[0]][1:] for indices, *_ in study._design_groups(cfg, cells)[0]]
+        groups = [cells[indices[0]][1:] for _ns, indices, *_ in study._design_groups(cfg, cells)[0]]
         calls, designs = [], study._designs
 
         def counted(*design):
@@ -332,7 +333,7 @@ class TestGroupedEngine:
             return designs(*design)
 
         monkeypatch.setattr(study, "_designs", counted)
-        study._cell_outcomes(cfg, cells, 0)
+        study._cell_outcomes(cfg, {0: cells})
         assert calls == groups
 
     # rows of each slab of the several_R study: 12 design groups of 5 cells
@@ -345,7 +346,22 @@ class TestGroupedEngine:
         folds, hashes = count_seeding(monkeypatch)
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
-        study._cell_outcomes(cfg, cells, 0)
+        study._cell_outcomes(cfg, {0: cells})
+        assert folds == hashes == slabs
+
+    # the several_R study (12 groups of 5 cells x 6 replications) and its
+    # figure grid (3 groups of 19 cells x 6): one slab at the shipped budget,
+    # whose cells of both namespaces take one fold and one hash; at the small
+    # budget (75 replications) two study groups a slab, and each figure group alone
+    @pytest.mark.parametrize("budget, slabs", [("shipped", [702]),
+                                               ("small", [60] * 6 + [114] * 3)])
+    def test_a_pass_of_both_grids_is_seeded_once_per_slab(self, budget, slabs, monkeypatch):
+        if budget in BUDGETS:
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
+        folds, hashes = count_seeding(monkeypatch)
+        cfg = StudyConfig(**CONFIGS["several_R"])
+        study._cell_outcomes(cfg, {0: study._enumerate_cells(cfg),
+                                   1: study._enumerate_cells(cfg, figures=True)})
         assert folds == hashes == slabs
 
     @pytest.mark.parametrize("budget", ["shipped", "minimum"])
@@ -358,7 +374,7 @@ class TestGroupedEngine:
         folds, hashes = count_seeding(monkeypatch)
         cfg = StudyConfig(**CONFIGS["skipped_group"])
         cells = study._enumerate_cells(cfg)
-        _aggs, skipped = study._cell_outcomes(cfg, cells, 0)
+        _aggs, skipped = study._cell_outcomes(cfg, {0: cells})[0]
         accepted = len(cells) - len(skipped)
         assert sum(folds) == sum(hashes) == accepted * cfg.replications == 40
 
@@ -411,23 +427,24 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("workers", [2, 64])
     def test_one_slab_starts_no_pool(self, workers, monkeypatch):
-        # the several_R study and its figure grid are one slab each at the
-        # shipped budget: both run here, whatever the worker count
+        # the several_R study and its figure grid fit in one slab at the
+        # shipped budget: it runs here, whatever the worker count
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} workers started")
 
         slabs, run_slab = [], study._run_slab
 
-        def counted(cfg, slab, namespace):
-            slabs.append(namespace)
-            return run_slab(cfg, slab, namespace)
+        def counted(cfg, slab):
+            slabs.append(sorted({namespace for namespace, *_ in slab}))
+            return run_slab(cfg, slab)
 
         cfg = StudyConfig(**CONFIGS["several_R"])
-        one = run_study(cfg).csv_corrected, emit_figure_data(cfg)
+        one = run_study(cfg, figures=True)
         monkeypatch.setattr(study, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(study, "_run_slab", counted)
-        assert (run_study(cfg, workers).csv_corrected, emit_figure_data(cfg, workers)) == one
-        assert slabs == [0, 1]
+        two = run_study(cfg, workers, figures=True)
+        assert (two.csv_corrected, two.figure_csv) == (one.csv_corrected, one.figure_csv)
+        assert slabs == [[0, 1]]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, monkeypatch):
@@ -451,30 +468,38 @@ class TestGroupedEngine:
                     results.append(fn(*tasks[-1]))
                     yield pickle.loads(pickle.dumps(results[-1]))
 
-        # a slab per design group: four or more slabs in every config
+        # a slab per design group: four or more slabs in every config, the
+        # study's and the figure grid's groups over one pool
         monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["minimum"])
         cfg = StudyConfig(**CONFIGS[name])
-        cells = study._enumerate_cells(cfg)
-        one, skipped_one = study._cell_outcomes(cfg, cells, 1)
+        grids = {0: study._enumerate_cells(cfg), 1: study._enumerate_cells(cfg, figures=True)}
+        one = study._cell_outcomes(cfg, grids)
         monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
-        two, skipped_two = study._cell_outcomes(cfg, cells, 1, workers=2)
-        assert two.tobytes() == one.tobytes() and skipped_two == skipped_one
-        slabs = study._slabs(cfg, study._design_groups(cfg, cells)[0])
-        assert [task[1] for task in tasks] == slabs
+        two = study._cell_outcomes(cfg, grids, workers=2)
+        for namespace in grids:
+            assert two[namespace][0].tobytes() == one[namespace][0].tobytes()
+            assert two[namespace][1] == one[namespace][1]
+        groups = [group for ns, cells in grids.items()
+                  for group in study._design_groups(cfg, cells, ns)[0]]
+        slabs = study._slabs(cfg, groups)
+        assert [task[1] for task in tasks] == slabs == [[group] for group in groups]
         assert len(slabs) >= 4 and sizes == [2]
         shape = (len(MEASURES), len(study._AGGREGATES))
         for task, block in zip(tasks, results, strict=True):
-            # (cfg, slab of (indices, method, designs), namespace): no array, no cell list
+            # (cfg, slab of (namespace, indices, r_values, method, designs)):
+            # no array, no cell list
             assert not list(arrays_in(task))
-            assert [type(item) for item in task] == [StudyConfig, list, int]
-            assert task[0] == cfg and task[2] == 1
-            for indices, method, designs in task[1]:
+            assert [type(item) for item in task] == [StudyConfig, list]
+            assert task[0] == cfg
+            for namespace, indices, r_values, method, designs in task[1]:
+                cells = grids[namespace]
                 assert all(type(i) is int for i in indices)
+                assert r_values == tuple(cells[i][0] for i in indices)
                 assert (method, *designs) == (cells[indices[0]][4],
                                               *study._designs(*cells[indices[0]][1:]))
             # the one array out is the aggregates of the slab's cells
             assert type(block) is np.ndarray
-            assert block.shape == (sum(len(indices) for indices, *_ in task[1]), *shape)
+            assert block.shape == (sum(len(group[1]) for group in task[1]), *shape)
 
     def test_seed_column_is_the_cell_seed(self):
         cfg = StudyConfig(**CONFIGS["several_R"])

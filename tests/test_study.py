@@ -28,7 +28,6 @@ from ovlomax import (
     assess,
     discrepancy_report,
     efficiency_grid,
-    emit_figure_data,
     emit_rows_csv,
     emit_tables,
     parse_rows_csv,
@@ -232,6 +231,16 @@ class TestStudyConfig:
             StudyConfig.from_dict({"replications": 10, "repz": 3})
         assert "repz" in str(exc.value)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"replications": 10, "replications": 20}', "replications"),
+        ('{"cycles": [8], "r_values": [0.5], "cycles": [8]}', "cycles"),  # even at one value
+        ('{"replications": 10, "repz": 1, "repz": 2}', "repz"),
+    ])
+    def test_from_json_rejects_a_repeated_key(self, text, key):
+        # json.loads alone would keep the last value and run 20 replications
+        with pytest.raises(ConfigError, match=f"^repeated configuration key: {key}$"):
+            StudyConfig.from_json(text)
+
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ConfigError):
             StudyConfig.from_dict([1, 2])
@@ -287,7 +296,7 @@ def reference_rows(cfg, namespace=0):
         return float(f"{float(x):.6g}")
 
     cells = study._enumerate_cells(cfg)
-    aggs, skipped = study._cell_outcomes(cfg, cells, namespace)
+    aggs, skipped = study._cell_outcomes(cfg, {namespace: cells})[namespace]
     outcomes = {idx: {meas: dict(zip(study._AGGREGATES, aggs[idx, k].tolist()))
                       for k, meas in enumerate(MEASURES)}
                 for idx in range(len(cells)) if idx not in skipped}
@@ -366,12 +375,13 @@ class TestRunStudy:
         # leaves that cell with no efficiency
         real = study._cell_outcomes
 
-        def crafted(cfg, cells, namespace, workers=1):
-            aggs, skipped = real(cfg, cells, namespace, workers)
+        def crafted(cfg, grids, workers=1):
+            outcomes = real(cfg, grids, workers)
+            aggs = outcomes[0][0]
             aggs[0, :, 0] = [0.0, -0.0, -4.9999996e-7]
             aggs[1, :, 0] = [-1e-300, -123456.75, 9.9999996]
             aggs[1, 0, 1] = 0.0
-            return aggs, skipped
+            return outcomes
 
         monkeypatch.setattr(study, "_cell_outcomes", crafted)
         cfg = tiny_config()
@@ -460,16 +470,16 @@ class TestRunStudy:
         # ratio at R is R times the one at 1; a sampler that clamps draws to
         # the float range or loses their precision breaks this
         data = json.loads(SMOKE.read_text(encoding="utf-8"))
-        cfg, unit = (StudyConfig.from_dict({**data, "r_values": [r]}) for r in (R, 1.0))
+        cfg = StudyConfig.from_dict({**data, "r_values": [R]})
         cells = study._enumerate_cells(cfg)
         gen = np.random.Generator(np.random.PCG64(0))
-        for indices, method, designs in study._design_groups(cfg, cells)[0]:
+        for _ns, indices, r_values, method, designs in study._design_groups(cfg, cells)[0]:
             words = _seeds.pcg64_states(_seeds.derive_seeds(
                 cfg.master_seed, 0, np.array(indices)[:, None], np.arange(cfg.replications)))
-            got = study._run_group(cfg, words, method, designs, gen)
-            want = study._run_group(unit, words, method, designs, gen)
+            got = study._run_group(cfg, words, r_values, method, designs, gen)
+            want = study._run_group(cfg, words, (1.0,), method, designs, gen)
             np.testing.assert_allclose(got / R, want, rtol=1e-12, atol=0.0)
-        aggs, skipped = study._cell_outcomes(cfg, cells, 0)
+        aggs, skipped = study._cell_outcomes(cfg, {0: cells})[0]
         assert not skipped and np.isfinite(aggs).all()
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -835,7 +845,7 @@ class TestEmitTables:
 class TestFigureData:
     def test_header_and_row_count(self):
         cfg = tiny_config(figure_r_grid=(0.25, 0.5))
-        out = emit_figure_data(cfg)
+        out = run_study(cfg, figures=True).figure_csv
         recs = list(csv.reader(io.StringIO(out)))
         assert recs[0] == ["method", "measure", "R", "bias", "mse"]
         # two ratio points, three methods, three measures
@@ -843,7 +853,7 @@ class TestFigureData:
 
     def test_deterministic(self):
         cfg = tiny_config(figure_r_grid=(0.25, 0.5))
-        assert emit_figure_data(cfg) == emit_figure_data(cfg)
+        assert run_study(cfg, figures=True).figure_csv == run_study(cfg, figures=True).figure_csv
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_equals_study_rows_of_the_figure_grid(self, name):
@@ -854,13 +864,13 @@ class TestFigureData:
         want = [["method", "measure", "R", "bias", "mse"]] + [
             [r.method, r.measure, f"{r.R:.6g}", f"{r.signed_bias:.6g}", f"{r.mse:.6g}"]
             for r in rows]
-        assert list(csv.reader(io.StringIO(emit_figure_data(cfg)))) == want
+        assert list(csv.reader(io.StringIO(run_study(cfg, figures=True).figure_csv))) == want
         methods = {r.method for r in rows}
         assert methods == ({"rss"} if name == "skipped_first" else {"srs", "bayes", "rss"})
 
     def test_namespace_separates_figure_from_study_streams(self):
         cfg = tiny_config(r_values=(0.25, 0.5), figure_r_grid=(0.25, 0.5))
-        fig = emit_figure_data(cfg)
+        fig = run_study(cfg, figures=True).figure_csv
         study_rows = {
             (r.method, r.measure, r.R): r.signed_bias for r in run_study(cfg).rows
         }

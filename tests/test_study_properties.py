@@ -12,7 +12,7 @@ from conftest import recorded_pools
 
 from ovlomax import StudyConfig, run_study, study
 from ovlomax.estimators import SOURCES, _refusal
-from ovlomax.study import ConfigError
+from ovlomax.study import DEFAULT_FIGURE_R_GRID, ConfigError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -30,24 +30,29 @@ distinct_ratios = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3,
                        min_size=1, max_size=3, unique=True),
     cycles=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True),
     source=st.sampled_from(SOURCES),
+    figures=st.booleans(),
 )
-def test_design_groups_partition_the_grid(r_values, set_sizes, cycles, source):
+def test_design_groups_partition_the_grid(r_values, set_sizes, cycles, source, figures):
     cfg = StudyConfig(r_values=r_values, set_sizes=set_sizes, cycles=cycles,
                       formula_source=source)
-    cells = study._enumerate_cells(cfg)
-    groups, skipped = study._design_groups(cfg, cells)
-    ran = [i for indices, _method, _designs in groups for i in indices]
+    cells = study._enumerate_cells(cfg, figures)
+    namespace = int(figures)
+    groups, skipped = study._design_groups(cfg, cells, namespace)
+    ran = [i for _ns, indices, *_ in groups for i in indices]
     assert sorted(ran + list(skipped)) == list(range(len(cells)))
-    # group g is every width-th cell from g: one design, one cell per R in config order
-    width = len(cells) // len(cfg.r_values)
+    # group g is every width-th cell from g: one design, one cell per R in grid order;
+    # the figure grid is its R grid at the first set sizes and cycle count
+    grid = DEFAULT_FIGURE_R_GRID if figures else cfg.r_values
+    width = len(cells) // len(grid)
+    assert width == (3 if figures else 3 * len(set_sizes) * len(cycles))
     accepted = []
     for g, (_R, *design) in enumerate(cells[:width]):
         indices, method = list(range(g, len(cells), width)), design[-1]
-        assert cells[g::width] == [(R, *design) for R in cfg.r_values]
+        assert cells[g::width] == [(R, *design) for R in grid]
         designs = study._designs(*design)
         reason = _refusal(method, *designs, source)
         if reason is None:
-            accepted.append((indices, method, designs))
+            accepted.append((namespace, indices, grid, method, designs))
         else:
             assert [skipped[i] for i in indices] == [reason] * len(indices)
     assert groups == accepted
@@ -67,14 +72,17 @@ def test_two_workers_equal_one(r_values, set_sizes, m, replications, master_seed
     cfg = StudyConfig(r_values=r_values, set_sizes=set_sizes, cycles=(m,),
                       replications=replications, master_seed=master_seed,
                       formula_source=source)
-    one = run_study(cfg, workers=1)
-    # a slab per accepted design group: two or more run over a real pool of two
+    one = run_study(cfg, workers=1, figures=True)
+    # a slab per accepted design group of either grid: two or more run over
+    # one real pool of two
     with recorded_pools(1) as pools:
-        two = run_study(cfg, workers=2)
-    groups = len(study._design_groups(cfg, study._enumerate_cells(cfg))[0])
+        two = run_study(cfg, workers=2, figures=True)
+    groups = sum(len(study._design_groups(cfg, study._enumerate_cells(cfg, figures))[0])
+                 for figures in (False, True))
     assert pools == ([2] if groups > 1 else [])
     assert one.rows == two.rows
     assert one.csv_corrected == two.csv_corrected
+    assert one.figure_csv == two.figure_csv
     assert one.skipped == two.skipped
 
 
