@@ -10,7 +10,8 @@ Subcommands::
     realdata   analysis of the bundled failure-interval datasets
 
 Exit codes: 0 success, 1 estimation/domain failure (``DomainError``), 2
-usage or configuration error (``ConfigError``), 3 I/O failure (``OSError``);
+usage or configuration error (``ConfigError``), 3 I/O failure (``OSError``)
+or a request for more memory than the machine grants (``MemoryError``);
 every error class of the package derives from one of the first two.
 """
 from __future__ import annotations
@@ -186,15 +187,18 @@ def cmd_ovl(args) -> int:
 
 def _parse_design(spec: str):
     kind, _, rest = spec.partition(":")
+    r_txt, _, m_txt = rest.partition(",")
     try:
-        if kind == "srs":
-            return SrsDesign(n=int(rest))
-        if kind == "rss":
-            r_txt, _, m_txt = rest.partition(",")
-            return RssDesign(r=int(r_txt), m=int(m_txt))
+        if kind not in ("srs", "rss"):
+            raise ValueError("expected 'srs:N' or 'rss:R,M'")
+        design = SrsDesign(n=int(rest)) if kind == "srs" else RssDesign(r=int(r_txt), m=int(m_txt))
+        draws = design.n * (design.r if kind == "rss" else 1)
+        if draws > sys.maxsize // 8:  # a float64 array's byte count is a Py_ssize_t
+            raise ValueError(f"its {draws} raw draws exceed the {sys.maxsize // 8} values "
+                             "a float64 array can hold")
     except ValueError as exc:  # a DomainError is a ValueError
         raise ConfigError(f"bad design {spec!r}: {exc}") from None
-    raise ConfigError(f"bad design {spec!r}: expected 'srs:N' or 'rss:R,M'")
+    return design
 
 
 def cmd_sample(args) -> int:
@@ -385,8 +389,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
 
 

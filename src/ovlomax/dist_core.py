@@ -10,7 +10,7 @@ its estimates are ``scipy.stats`` gamma and F laws, named there.
 The normal quantile of the intervals comes from the standard library, so
 the package needs numpy alone.  A draw lies below the smallest normal
 float with probability ``exp(-708.4/alpha)``; sampling, the quantile and
-``log_transform`` refuse such values.
+``log_transform`` refuse such values, and the cdf and densities take them.
 """
 from __future__ import annotations
 
@@ -85,17 +85,18 @@ class InverseLomax:
     def logpdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
         out = (-math.log(self.alpha) - 2.0 * np.log(arr)
-               - (1.0 + 1.0 / self.alpha) * np.log1p(1.0 / arr))
+               - (1.0 + 1.0 / self.alpha) * _log1p_recip(arr))
         return _as_input_shape(out, x)
 
     def pdf(self, x) -> float | np.ndarray:
         # exp of the log form: underflows cleanly to 0 in the far tail instead
-        # of producing NaN from 0 * inf products.
-        return _as_input_shape(np.exp(self.logpdf(np.asarray(x, dtype=float))), x)
+        # of producing NaN from 0 * inf products; inf above the float range
+        with np.errstate(over="ignore"):
+            return _as_input_shape(np.exp(self.logpdf(np.asarray(x, dtype=float))), x)
 
     def cdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
-        out = np.exp(-np.log1p(1.0 / arr) / self.alpha)
+        out = np.exp(-_log1p_recip(arr) / self.alpha)
         return _as_input_shape(out, x)
 
     def quantile(self, u) -> float | np.ndarray:
@@ -135,6 +136,15 @@ def _check_normal(x: np.ndarray, why: str) -> np.ndarray:
     return x
 
 
+def _log1p_recip(arr: np.ndarray) -> np.ndarray:
+    """``log(1 + 1/x)`` of positive ``x``, as ``log1p(x) - log(x)`` below the
+    smallest normal float, where 1/x may overflow."""
+    if (arr >= _TINY).all():
+        return np.log1p(1.0 / arr)
+    with np.errstate(over="ignore"):  # the overflowing 1/x are not kept
+        return np.where(arr < _TINY, np.log1p(arr) - np.log(arr), np.log1p(1.0 / arr))
+
+
 def log_transform(x) -> float | np.ndarray:
     """``log(1 + 1/x)`` elementwise; exponential with mean alpha when x is
     a standardized inverse Lomax draw.  An x below the smallest normal float,
@@ -142,7 +152,7 @@ def log_transform(x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not ((arr >= _TINY).all() and (arr < np.inf).all()):  # NaN fails both
         _check_normal(_positive_array("x", arr), "1/x overflows")
-    return _as_input_shape(np.log1p(1.0 / arr), x)
+    return _as_input_shape(_log1p_recip(arr), x)
 
 
 def std_normal_quantile(p: float) -> float:

@@ -8,7 +8,9 @@ Two input formats are understood:
   observation per (rank, cycle) slot, all slots required.
 
 In both, ``#`` starts a comment running to the end of its line, and errors
-name the physical line, comment and blank lines counted.
+name the physical line, comment and blank lines counted: ranked files, like
+saved study CSVs, go through :func:`_csv_records`, whose ``csv`` module reads
+every physical line.
 
 :func:`build_estimate_report` bundles everything a data analysis needs:
 shape estimates for both populations, raw and corrected ratio, the three
@@ -115,34 +117,32 @@ def parse_dataset(text: str, label: str = "") -> Dataset:
     return Dataset(values=np.asarray(values, dtype=float), label=label)
 
 
+def _csv_records(lines, error):
+    """``(line, record)`` for each nonempty record the ``csv`` module reads from
+    ``lines``, ``line`` the one it ends on; a ``csv.Error`` raises ``error(line, why)``."""
+    reader = csv.reader(lines)
+    try:
+        for rec in reader:
+            if rec:
+                yield reader.line_num, rec
+    except csv.Error as exc:
+        raise error(reader.line_num, str(exc)) from None
+
+
 def parse_ranked_dataset(text: str) -> RankedSample:
     """Parse a ranked set sample from ``rank,cycle,value`` CSV.
 
     Ranks must cover 1..r and cycles 1..m with every slot filled exactly
-    once; duplicates and holes are reported with their coordinates.
+    once; duplicates and holes are reported with their coordinates.  Line
+    numbers are the ``csv`` module's count of every physical line read.
     """
     lines = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
-    kept = [(i, ln) for i, ln in enumerate(lines, start=1) if ln]
-    reader = csv.reader(ln for _, ln in kept)
-
-    # errors name the physical line the last record ended on, comments and
-    # blank lines counted; so does a csv.Error
-    def physical() -> int:
-        return kept[reader.line_num - 1][0] if reader.line_num else 1
-
-    def records():
-        try:
-            yield from reader
-        except csv.Error as exc:
-            raise DatasetParseError(physical(), "", str(exc)) from None
-
-    recs = records()
-    header = next(recs, None)
-    if header is None or [h.strip().lower() for h in header] != ["rank", "cycle", "value"]:
-        raise DatasetParseError(physical(), ",".join(header or []), "expected header 'rank,cycle,value'")
+    recs = _csv_records(lines, lambda lineno, why: DatasetParseError(lineno, "", why))
+    lineno, header = next(recs, (1, []))  # a file with no header fails at line 1
+    if [h.strip().lower() for h in header] != ["rank", "cycle", "value"]:
+        raise DatasetParseError(lineno, ",".join(header), "expected header 'rank,cycle,value'")
     seen: dict = {}
-    for rec in recs:
-        lineno = physical()
+    for lineno, rec in recs:
         if len(rec) != 3:
             raise DatasetParseError(lineno, ",".join(rec), "expected three fields")
         try:
@@ -378,15 +378,18 @@ def build_estimate_report(sample1, sample2, method: str, source: str = SOURCE_DE
 # ---------------------------------------------------------------------------
 
 
+def _bundled_text(name: str) -> str:
+    """The text of ``name`` in ``ovlomax.data``: the one reader of the bundled data files."""
+    from importlib.resources import files
+
+    return files("ovlomax.data").joinpath(name).read_text(encoding="utf-8")
+
+
 def bundled_counts() -> tuple:
     """The two bundled air conditioning failure-interval datasets.
 
     Returns (plane 8044 with 12 observations, plane 7912 with 30
     observations), the classic Proschan maintenance data.
     """
-    from importlib.resources import files
-
-    pkg = files("ovlomax.data")
-    d1 = parse_dataset(pkg.joinpath("proschan_8044.txt").read_text(encoding="utf-8"), "plane_8044")
-    d2 = parse_dataset(pkg.joinpath("proschan_7912.txt").read_text(encoding="utf-8"), "plane_7912")
-    return d1, d2
+    return tuple(parse_dataset(_bundled_text(f"proschan_{plane}.txt"), f"plane_{plane}")
+                 for plane in ("8044", "7912"))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DomainError, InverseLomax, _positive_int
+from .dist_core import DomainError, InverseLomax, _positive_array, _positive_int
 
 __all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss", "rss_retained"]
 
@@ -81,9 +81,7 @@ class RankedSample:
                 f"values shape {arr.shape} does not match design "
                 f"(r={self.design.r}, m={self.design.m})"
             )
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("ranked sample values must be positive and finite")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _positive_array("ranked sample values", arr))
 
 
 def draw_srs(d: InverseLomax, design: SrsDesign, rng: np.random.Generator) -> np.ndarray:

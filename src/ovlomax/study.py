@@ -55,7 +55,6 @@ parses its rows from it only when asked for them.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -85,7 +84,7 @@ from .estimators import (
     corrected_ratio,
 )
 from .overlap import _CORES, MEASURES
-from .reports import _json_text, build_estimate_report, bundled_counts
+from .reports import _bundled_text, _csv_records, _json_text, build_estimate_report, bundled_counts
 from .sampling import RssDesign, SrsDesign, rss_retained
 
 __all__ = [
@@ -708,28 +707,20 @@ def emit_rows_csv(rows) -> str:
     return _emit_csv([_check_row(row, f"study row {k}") for k, row in enumerate(rows)], StudyRow)
 
 
-def _records(reader):
-    """``reader``'s records; a ``csv.Error`` is a :class:`ConfigError` naming its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ConfigError(f"study CSV line {reader.line_num}: {exc}") from None
-
-
 def parse_rows_csv(text: str) -> list:
     """Inverse of :func:`emit_rows_csv`, exact on six-significant-digit values
     (:class:`StudyResult` builds its rows with it); a row :func:`_check_row`
     refuses, or that the ``csv`` module cannot read, is a :class:`ConfigError`
     naming its line."""
-    reader = csv.reader(io.StringIO(text))
-    records = _records(reader)
-    header = next(records, None)
+    records = _csv_records(io.StringIO(text),
+                           lambda lineno, why: ConfigError(f"study CSV line {lineno}: {why}"))
+    _, header = next(records, (1, None))
     if header != list(STUDY_CSV_COLUMNS):
         raise ConfigError(f"unexpected study CSV header: {header}")
     kinds = fields(StudyRow)
     rows = []
-    for rec in filter(None, records):
-        where = f"study CSV line {reader.line_num}"
+    for lineno, rec in records:
+        where = f"study CSV line {lineno}"
         if len(rec) != len(kinds):
             raise ConfigError(f"{where}: expected {len(kinds)} fields, got {len(rec)}")
         values = []
@@ -933,13 +924,6 @@ def _figure_csv(cells, aggs, skipped) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _published_tables() -> dict:
-    from importlib.resources import files
-
-    text = files("ovlomax.data").joinpath("published_tables.json").read_text(encoding="utf-8")
-    return json.loads(text)
-
-
 def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     """CSV of printed vs computed values for every transcribed table cell.
 
@@ -950,7 +934,7 @@ def discrepancy_report(source: str = SOURCE_DERIVED) -> str:
     no ranked-set design is stated for that example (the printed values are
     recorded, nothing is computable to compare them against).
     """
-    fixtures = _published_tables()
+    fixtures = json.loads(_bundled_text("published_tables.json"))
     rows = []
 
     tables = {int(m): block for m, block in fixtures["efficiency"].items()}

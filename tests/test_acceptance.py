@@ -7,6 +7,7 @@ pinned seeds so the suite is deterministic.
 
 import csv
 import io
+import json
 import math
 import time
 
@@ -361,7 +362,7 @@ def test_criterion_08_real_data():
 
 
 def test_criterion_09_discrepancy_report():
-    from ovlomax.study import _published_tables
+    from ovlomax.reports import _bundled_text
 
     first = discrepancy_report()
     problems = []
@@ -374,7 +375,7 @@ def test_criterion_09_discrepancy_report():
     if any(len(r) != 5 or r[2] == "" for r in body):
         problems.append("incomplete rows")
 
-    fixtures = _published_tables()
+    fixtures = json.loads(_bundled_text("published_tables.json"))
     expected_eff = sum(
         len(block[R][meas]) * len(block[R][meas][0])
         for block in fixtures["efficiency"].values()

@@ -216,6 +216,15 @@ class TestSample:
             assert code == 2, design
             assert "design" in err
 
+    # numpy refuses both before it allocates; a size the machine could grant,
+    # such as srs:10**13, would be a MemoryError instead, tested by a stub below
+    @pytest.mark.parametrize("design, draws", [(f"srs:{10**19}", 10**19),
+                                               (f"rss:{10**8},{10**8}", 10**24)])
+    def test_design_too_large_for_an_array_is_refused(self, capsys, design, draws):
+        assert run_cli(capsys, "sample", "--alpha", "1", "--design", design) == (
+            2, "", f"error: bad design {design!r}: its {draws} raw draws exceed the "
+                   f"{sys.maxsize // 8} values a float64 array can hold\n")
+
     def test_bad_alpha(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--alpha", "-1", "--design", "srs:5")
         assert code == 1
@@ -974,6 +983,19 @@ class TestErrorClasses:
             monkeypatch.setattr(cli, "cmd_ovl", stub)
             code = 2 if issubclass(cls, ConfigError) else 1
             assert run_cli(capsys, "ovl", "--ratio", "0.5") == (code, "", "error: stub\n"), cls
+
+    @pytest.mark.parametrize("error, shown", [
+        (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"),
+         "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_exit_3(self, capsys, monkeypatch, error, shown):
+        def stub(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_sample", stub)
+        assert run_cli(capsys, "sample", "--alpha", "1", "--design", "srs:5") == (
+            3, "", f"error: {shown}\n")
 
     def test_config_error_is_one_class(self):
         from ovlomax.study import ConfigError as from_study

@@ -1,12 +1,17 @@
 """Property tests of the dataset parsers: any text either parses or fails
-with :class:`DatasetParseError`, never with another exception, and a ranked
-file naming a huge rank or cycle fails at once."""
+with :class:`DatasetParseError`, never with another exception, a ranked
+file naming a huge rank or cycle fails at once, and the two CSV readers
+skip blank and comment lines and name the physical line of a bad record."""
 
+import string
 import time
 
 import numpy as np
 import pytest
 
+from ovlomax import ConfigError, StudyRow, emit_rows_csv, parse_rows_csv
+from ovlomax.estimators import METHODS, SOURCES
+from ovlomax.overlap import MEASURES
 from ovlomax.reports import DatasetParseError, parse_dataset, parse_ranked_dataset
 from ovlomax.sampling import RankedSample
 
@@ -78,3 +83,73 @@ def test_huge_rank_and_cycle_fail_at_once(rank, cycle, shown):
     assert time.perf_counter() - start < 0.05
     assert str(exc.value) == (f"incomplete design ({rank} ranks x {cycle} cycles): "
                               f"missing {shown} (and {rank * cycle - 3 - 5} more)")
+
+
+@pytest.mark.parametrize("text", ["", "# no header\n\n  # nor here\n"])
+def test_a_ranked_file_without_a_header_fails_at_line_one(text):
+    with pytest.raises(DatasetParseError) as exc:
+        parse_ranked_dataset(text)
+    assert str(exc.value) == "line 1: expected header 'rank,cycle,value'"
+
+
+COMMENT = st.text(string.printable.strip(), max_size=8).map("#".__add__)
+BLANK = st.sampled_from(["", " ", "\t  "])
+SIXG = st.floats(-1e3, 1e3).map(lambda x: float(f"{x:.6g}"))
+STUDY_ROWS = st.lists(st.builds(
+    StudyRow, method=st.sampled_from(METHODS), measure=st.sampled_from(MEASURES),
+    R=st.floats(1e-3, 1e3).map(lambda x: float(f"{x:.6g}")), r1=st.integers(1, 9),
+    r2=st.integers(1, 9), m=st.integers(1, 9), reps=st.integers(1, 10**6), abs_bias=SIXG,
+    signed_bias=SIXG, mse=SIXG, coverage=SIXG, ci_length=SIXG,
+    efficiency=st.one_of(st.none(), SIXG), formula_source=st.sampled_from(SOURCES),
+    seed=st.integers(0, 2**64 - 1)), min_size=1, max_size=5)
+
+
+def with_filler(data, lines: list, filler) -> list:
+    """``lines`` in order with up to two ``filler`` lines before each and at the end."""
+    out = []
+    for line in lines:
+        out += [*data.draw(st.lists(filler, max_size=2)), line]
+    return out + data.draw(st.lists(filler, max_size=2))
+
+
+def with_bad_line(data, lines: list, bad: str) -> tuple:
+    """``lines`` with ``bad`` inserted after the first, and its physical line."""
+    at = data.draw(st.integers(1, len(lines)))
+    return [*lines[:at], bad, *lines[at:]], at + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_ranked_file_with_comments_and_blank_lines(r, m, data):
+    slots = data.draw(st.permutations([(i, k) for i in range(1, r + 1) for k in range(1, m + 1)]))
+    value = st.floats(1e-3, 1e3).map(repr)
+    records = [f"{i},{k},{data.draw(value)}" for i, k in slots]
+    clean = parse_ranked_dataset("\n".join(["rank,cycle,value", *records]))
+    tail = st.one_of(st.just(""), st.builds(str.__add__, st.sampled_from(["", " "]), COMMENT))
+    lines = with_filler(data, [line + data.draw(tail) for line in ["rank,cycle,value", *records]],
+                        st.one_of(BLANK, COMMENT))
+    parsed = parse_ranked_dataset("\n".join(lines))
+    assert parsed.design == clean.design
+    assert parsed.values.tobytes() == clean.values.tobytes()
+
+    header = next(n for n, line in enumerate(lines) if line.startswith("rank"))
+    bad = data.draw(st.sampled_from(["1,1", "1,x,2.5", "0,1,2.5", "1,1,-2.5", "1,1,2.5,3"]))
+    rest, lineno = with_bad_line(data, lines[header:], bad)
+    with pytest.raises(DatasetParseError) as exc:
+        parse_ranked_dataset("\n".join([*lines[:header], *rest]))
+    assert exc.value.lineno == header + lineno
+
+
+@settings(max_examples=150, deadline=None)
+@given(STUDY_ROWS, st.data())
+def test_study_csv_with_blank_lines(rows, data):
+    text = emit_rows_csv(rows)
+    lines = with_filler(data, text.splitlines(), st.just(""))
+    assert parse_rows_csv("\n".join(lines) + "\n") == rows
+
+    header_line, first = text.splitlines()[:2]
+    header = lines.index(header_line)
+    bad = data.draw(st.sampled_from([first.rsplit(",", 1)[0], "nope," + first.split(",", 1)[1]]))
+    rest, lineno = with_bad_line(data, lines[header:], bad)
+    with pytest.raises(ConfigError, match=f"^study CSV line {header + lineno}: "):
+        parse_rows_csv("\n".join([*lines[:header], *rest]) + "\n")

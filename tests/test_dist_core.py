@@ -45,6 +45,33 @@ class TestDensity:
         x = np.array([0.01, 0.5, 3.0, 200.0])
         assert np.allclose(np.exp(d.logpdf(x)), d.pdf(x), rtol=1e-13)
 
+    @pytest.mark.filterwarnings("error")  # 1/x overflows below the smallest normal float
+    @pytest.mark.parametrize("alpha", [1000.0, 100.0, 1.0])
+    def test_subnormal_x_matches_mpmath(self, alpha):
+        x = np.array([5e-324, 1e-310, 2e-308, 0.5])
+        d = InverseLomax(alpha)
+        cdf, logpdf = d.cdf(x), d.logpdf(x)
+        with mpmath.workdps(40):
+            for k, xk in enumerate(x.tolist()):
+                t, a = mpmath.log1p(1 / mpmath.mpf(xk)), mpmath.mpf(alpha)
+                exact_cdf = mpmath.exp(-t / a)
+                exact_logpdf = -mpmath.log(a) - 2 * mpmath.log(xk) - (1 + 1 / a) * t
+                assert cdf[k] == pytest.approx(float(exact_cdf), rel=1e-12)
+                assert logpdf[k] == pytest.approx(float(exact_logpdf), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_pdf_above_the_float_range_is_inf(self):
+        # logpdf(5e-324) at alpha = 1000 is 736.8, above log(max float) = 709.8
+        d = InverseLomax(1000.0)
+        assert d.pdf(5e-324) == math.inf
+        assert d.pdf(1e-310) == pytest.approx(math.exp(d.logpdf(1e-310)), rel=1e-15)
+
+    def test_normal_x_keep_the_log1p_of_the_reciprocal(self):
+        x = np.array([np.finfo(float).tiny, 1e-300, 0.5, 3.0, 1e300, np.finfo(float).max])
+        d = InverseLomax(1.7)
+        assert d.cdf(x).tobytes() == np.exp(-np.log1p(1.0 / x) / 1.7).tobytes()
+        assert log_transform(x).tobytes() == np.log1p(1.0 / x).tobytes()
+
     def test_invalid_parameters_rejected(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ovlomax.dist_core import DomainError, InverseLomax
+from ovlomax.dist_core import DomainError, InverseLomax, log_transform
 from ovlomax.estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -549,3 +549,65 @@ class TestAssess:
         block = assess(grid, METHOD_SRS, SrsDesign(10), SrsDesign(8), source)
         for measure, a in block.items():
             assert a.point.tobytes() == overlap_value(measure, np.array(grid)).tobytes()
+
+
+
+# the float edges every public numeric entry point is swept over
+FLOAT_EDGES = [5e-324, 1e-310, float(np.finfo(float).tiny), 1e-300, 0.5, 1.0, 2.0, 1e300,
+               float(np.finfo(float).max)]
+EDGE_DESIGNS = {METHOD_SRS: (SrsDesign(8), SrsDesign(6)),
+                METHOD_BAYES: (SrsDesign(8), SrsDesign(6)),
+                METHOD_RSS: (RssDesign(2, 4), RssDesign(3, 2))}
+
+
+def assessed(x, method, d1, d2, source) -> list:
+    """The values of ``assess`` at ``x`` that must be finite: all but the
+    as-published bias and bias-corrected bounds, whose printed bias shapes
+    have no finite value at R = 1 and overflow far from it."""
+    out = []
+    for a in assess([x], method, d1, d2, source).values():
+        out += [a.point, a.variance, a.lo, a.hi]
+        if source == SOURCE_DERIVED:
+            out += [a.bias, a.lo_corrected, a.hi_corrected]
+    return out
+
+
+def edge_calls() -> dict:
+    """Each public numeric entry point as a call of one float."""
+    calls = {}
+    for alpha in (1e-3, 1.0, 1e3):
+        for name in ("cdf", "logpdf", "pdf", "quantile"):
+            calls[f"{name}-alpha={alpha:g}"] = getattr(InverseLomax(alpha), name)
+    calls["log_transform"] = log_transform
+    for measure in MEASURES:
+        calls[f"overlap_value-{measure}"] = lambda x, measure=measure: overlap_value(measure, x)
+    for method, (d1, d2) in EDGE_DESIGNS.items():
+        calls[f"shape_estimates-{method}"] = lambda x, method=method: shape_estimates(
+            method, np.full(4, x))
+        for source in SOURCES:
+            args = (method, d1, d2, source)
+            calls[f"corrected_ratio-{method}-{source}"] = lambda x, a=args: corrected_ratio(x, *a)
+            calls[f"assess-{method}-{source}"] = lambda x, a=args: assessed(x, *a)
+    return calls
+
+
+EDGE_CALLS = edge_calls()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", FLOAT_EDGES, ids=repr)
+@pytest.mark.parametrize("name", EDGE_CALLS)
+def test_float_edges_give_finite_values_or_domain_errors(name, x):
+    try:
+        out = np.asarray(EDGE_CALLS[name](x), dtype=float)
+    except DomainError:
+        return
+    if np.isfinite(out).all():
+        return
+    if name.startswith("pdf"):  # exp of a logpdf above the log of the largest float
+        alpha = float(name.split("=")[1])
+        assert out == math.inf and InverseLomax(alpha).logpdf(x) > math.log(np.finfo(float).max)
+    else:
+        # the raw ratio times each factor (at most 504 here) before the divisor,
+        # in the order the pinned outputs hold, overflows above max / 504
+        assert name.startswith("corrected_ratio") and out == math.inf and x * 504 == math.inf

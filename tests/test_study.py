@@ -899,9 +899,9 @@ class TestDiscrepancyReport:
         assert discrepancy_report() == discrepancy_report()
 
     def test_printed_values_match_fixture_spot_checks(self):
-        from ovlomax.study import _published_tables
+        from ovlomax.reports import _bundled_text
 
-        fixtures = _published_tables()
+        fixtures = json.loads(_bundled_text("published_tables.json"))
         out = discrepancy_report()
         cells = {
             (r[0], r[1]): (r[2], r[3])
