@@ -139,8 +139,6 @@ def _check_normal(x: np.ndarray, why: str) -> np.ndarray:
 def _log1p_recip(arr: np.ndarray) -> np.ndarray:
     """``log(1 + 1/x)`` of positive ``x``, as ``log1p(x) - log(x)`` below the
     smallest normal float, where 1/x may overflow."""
-    if (arr >= _TINY).all():
-        return np.log1p(1.0 / arr)
     with np.errstate(over="ignore"):  # the overflowing 1/x are not kept
         return np.where(arr < _TINY, np.log1p(arr) - np.log(arr), np.log1p(1.0 / arr))
 

@@ -92,6 +92,14 @@ def test_a_ranked_file_without_a_header_fails_at_line_one(text):
     assert str(exc.value) == "line 1: expected header 'rank,cycle,value'"
 
 
+def test_an_unclosed_quote_runs_to_the_last_physical_line():
+    # the open field takes in the blank and comment lines after it, so the
+    # record, and its error, end on the file's last line
+    with pytest.raises(DatasetParseError) as exc:
+        parse_ranked_dataset('rank,cycle,value\n1,1,"x\n\n# c')
+    assert str(exc.value) == "line 4: rank/cycle must be integers, value numeric (got '1,1,x')"
+
+
 COMMENT = st.text(string.printable.strip(), max_size=8).map("#".__add__)
 BLANK = st.sampled_from(["", " ", "\t  "])
 SIXG = st.floats(-1e3, 1e3).map(lambda x: float(f"{x:.6g}"))
