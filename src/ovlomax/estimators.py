@@ -154,7 +154,7 @@ def _design_constants(method: str, design1, design2, source: str) -> tuple:
     if method in (METHOD_SRS, METHOD_BAYES) and n2 < 3:
         raise DegenerateDesignError(f"n2 = {n2} < 3: srs/bayes variance formulas undefined")
     # a design with no corrected ratio has no assessment; this checks the method and source, too
-    corrected_ratio(1.0, method, design1, design2, source)
+    _correction(method, design1, design2, source)
     if method == METHOD_RSS:
         if not isinstance(design1, RssDesign) or not isinstance(design2, RssDesign):
             raise DomainError("rss variance requires ranked designs")
@@ -200,21 +200,13 @@ def ratio_variance_factor(
     return _design_constants(method, design1, design2, source)[0]
 
 
-def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DERIVED):
-    """Apply the method's mean correction to raw ratios (scalar or array).
-
-    ``rss`` publishes no correction; ``srs`` scales by ``(n2 - 1)/n2``; the
-    Bayes constants depend on the formula source, which must be one of
-    :data:`SOURCES` for every method.  A zero correction (n2 = 1 for ``srs``
-    and derived ``bayes``, n1 = 1 for as-published ``bayes``) raises
-    :class:`DegenerateDesignError`.
-    """
+def _correction(method: str, design1, design2, source: str) -> tuple:
+    """``(factors, divisor)`` of :func:`corrected_ratio`'s correction, none for ``rss``."""
     if source not in SOURCES:
         raise DomainError(f"unknown formula source {source!r}; expected one of {SOURCES}")
     n1, n2 = design1.n, design2.n
     if method == METHOD_RSS:
-        return raw
-    # raw times each factor in turn, then over the divisor: the order the pinned outputs hold
+        return (), 1
     if method == METHOD_SRS:
         factors, divisor, zero = (n2 - 1,), n2, "n2 = 1: the srs correction n2-1 is zero"
     elif method == METHOD_BAYES and source == SOURCE_DERIVED:
@@ -227,7 +219,29 @@ def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DER
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     if 0 in factors:
         raise DegenerateDesignError(zero)
-    return math.prod((raw, *factors)) / divisor
+    return factors, divisor
+
+
+def corrected_ratio(raw, method: str, design1, design2, source: str = SOURCE_DERIVED):
+    """Apply the method's mean correction to raw ratios (scalar or array).
+
+    ``rss`` publishes no correction; ``srs`` scales by ``(n2 - 1)/n2``; the
+    Bayes constants depend on the formula source, which must be one of
+    :data:`SOURCES` for every method.  A zero correction (n2 = 1 for ``srs``
+    and derived ``bayes``, n1 = 1 for as-published ``bayes``) raises
+    :class:`DegenerateDesignError`.
+    """
+    factors, divisor = _correction(method, design1, design2, source)
+    if not factors:
+        return raw
+    # raw times each factor in turn, then over the divisor: the order the pinned
+    # outputs hold; where that overflows, raw times the combined factor
+    with np.errstate(over="ignore"):
+        ratio = math.prod((raw, *factors)) / divisor
+        overflow = np.isinf(ratio)
+        if overflow.any():
+            ratio = np.where(overflow, raw * (math.prod(factors) / divisor), ratio)[()]
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +352,9 @@ def _assess_designs(blocks, source: str, level: float) -> tuple:
         bias = np.repeat(np.array(constants).T, sizes, 1) * shapes[:, 1]
     _check_variance(variance)
     half = z * np.sqrt(variance)
-    return (point, variance, bias, *_clamped_bounds(point, half),
-            *_clamped_bounds(point - bias, half))
+    finite = np.isfinite(bias)  # no corrected interval, and no clamp, where the bias has no value
+    lo_c, hi_c, clamped_c = _clamped_bounds(np.where(finite, point - bias, np.nan), half)
+    return (point, variance, bias, *_clamped_bounds(point, half), lo_c, hi_c, clamped_c & finite)
 
 
 def assess(

@@ -715,6 +715,8 @@ def parse_rows_csv(text: str) -> list:
     records = _csv_records(io.StringIO(text),
                            lambda lineno, why: ConfigError(f"study CSV line {lineno}: {why}"))
     _, header = next(records, (1, None))
+    if header is None:
+        raise ConfigError(f"study CSV line 1: no header; expected {','.join(STUDY_CSV_COLUMNS)}")
     if header != list(STUDY_CSV_COLUMNS):
         raise ConfigError(f"unexpected study CSV header: {header}")
     kinds = fields(StudyRow)

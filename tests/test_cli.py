@@ -522,54 +522,34 @@ class TestSimulate:
     def test_reruns_byte_identical(self, capsys, config, tmp_path):
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
         run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d1))
-        # a slab per design group: the study's three slabs and the figure
-        # grid's three run over one real pool of two workers
-        cfg = ovlomax.StudyConfig.from_json(Path(config).read_text())
+        # a slab per design group: the study's three and the figure grid's
+        # three run over one real pool of two workers
         with recorded_pools(1) as pools:
-            slabs = [len(ovlomax.study._slabs(cfg, ovlomax.study._design_groups(
-                cfg, ovlomax.study._enumerate_cells(cfg, figures))[0])) for figures in (False, True)]
             run_cli(capsys, "simulate", "--config", config, "--out-dir", str(d2),
                     "--workers", "2")
-        assert slabs == [3, 3] and pools == [2]
+        assert pools == [2]
         names = sorted(p.name for p in d1.iterdir())
         assert names == sorted(p.name for p in d2.iterdir()) and len(names) == 6
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
-    @pytest.mark.parametrize("flags, namespaces", [
-        ([], [0]), (["--out-dir", "OUT", "--no-figures"], [0]), (["--out-dir", "OUT"], [0, 1])],
+    @pytest.mark.parametrize("flags, figures", [
+        ([], False), (["--out-dir", "OUT", "--no-figures"], False), (["--out-dir", "OUT"], True)],
         ids=["stdout", "no-figures", "out-dir"])
-    def test_one_engine_pass_per_run(self, capsys, config, tmp_path, monkeypatch, flags,
-                                     namespaces):
+    def test_one_engine_pass_per_run(self, capsys, config, tmp_path, monkeypatch, flags, figures):
         # the figure grid joins the study's pass only when figure_data.csv is
-        # written; either way simulate makes one _cell_outcomes call
-        calls, real = [], ovlomax.study._cell_outcomes
+        # written; either way simulate makes one run_study call
+        calls, real = [], ovlomax.cli.run_study
 
-        def counted(cfg, grids, workers=1):
-            calls.append(sorted(grids))
-            return real(cfg, grids, workers)
+        def counted(cfg, workers=1, figures=False):
+            calls.append(figures)
+            return real(cfg, workers, figures)
 
-        monkeypatch.setattr(ovlomax.study, "_cell_outcomes", counted)
+        monkeypatch.setattr(ovlomax.cli, "run_study", counted)
         argv = [str(tmp_path / "out") if flag == "OUT" else flag for flag in flags]
         code, _out, _err = run_cli(capsys, "simulate", "--config", config, *argv)
-        assert code == 0 and calls == [namespaces]
-        assert (tmp_path / "out" / "figure_data.csv").exists() == (namespaces == [0, 1])
-
-    def test_paper_m8_at_ten_replications_starts_no_pool(self, capsys, tmp_path, monkeypatch):
-        # the study's 48 groups and the figure grid's 3 are 2970 replications,
-        # one slab: two workers run it here and start no process
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} workers started")
-
-        paper = str(SMOKE.with_name("paper_m8.json"))
-        one, two = tmp_path / "one", tmp_path / "two"
-        run_cli(capsys, "simulate", "--config", paper, "--reps", "10", "--out-dir", str(one))
-        monkeypatch.setattr(ovlomax.study, "ProcessPoolExecutor", no_pool)
-        code, _out, _err = run_cli(capsys, "simulate", "--config", paper, "--reps", "10",
-                                   "--workers", "2", "--out-dir", str(two))
-        assert code == 0
-        for p in one.iterdir():
-            assert p.read_bytes() == (two / p.name).read_bytes(), p.name
+        assert code == 0 and calls == [figures]
+        assert (tmp_path / "out" / "figure_data.csv").exists() == figures
 
     def test_overrides_recorded(self, capsys, config, tmp_path):
         out_dir = tmp_path / "ovr"
@@ -851,12 +831,15 @@ class TestTables:
         assert out == ""
         assert message in err
 
-    def test_rows_error_names_its_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("method,measure\nsrs,rho\n", "unexpected study CSV header: ['method', 'measure']"),
+        ("", f"study CSV line 1: no header; expected {','.join(STUDY_CSV_COLUMNS)}")])
+    def test_rows_error_names_its_file(self, capsys, tmp_path, text, message):
         saved = tmp_path / "study.csv"
-        saved.write_text("method,measure\nsrs,rho\n")
+        saved.write_text(text)
         code, out, err = run_cli(capsys, "tables", "--kind", "bias", "--rows", str(saved))
         assert (code, out) == (2, "")
-        assert err == f"error: {saved}: unexpected study CSV header: ['method', 'measure']\n"
+        assert err == f"error: {saved}: {message}\n"
 
     def test_bias_from_header_only_rows(self, capsys, tmp_path):
         saved = tmp_path / "study.csv"

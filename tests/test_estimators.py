@@ -122,6 +122,17 @@ class TestRatioEstimate:
         rhat = corrected_ratio(raw, METHOD_SRS, SrsDesign(12), SrsDesign(30))
         assert rhat == pytest.approx(29.0 / 30.0, rel=1e-14)
 
+    # max * 5/6 and max * 45/56, correctly rounded: the raw ratio times the
+    # correction's factors overflows before its divisor brings it back
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, want", [(METHOD_SRS, 1.4980776123852631e308),
+                                              (METHOD_BAYES, 1.4445748405143609e308)])
+    def test_near_the_largest_float_the_exact_ratio_is_kept(self, method, want):
+        big, d1, d2 = float(np.finfo(float).max), SrsDesign(8), SrsDesign(6)
+        assert corrected_ratio(big, method, d1, d2) == want
+        got = corrected_ratio(np.array([big, 0.5]), method, d1, d2)
+        assert got.tolist() == [want, corrected_ratio(0.5, method, d1, d2)]
+
     def test_rss_is_uncorrected(self):
         ranked = draw_rss(InverseLomax(1.0), RssDesign(2, 4), np.random.default_rng(0))
         ranked2 = draw_rss(InverseLomax(1.0), RssDesign(2, 4), np.random.default_rng(1))
@@ -506,16 +517,6 @@ class TestAssess:
                     iv = confidence_interval(a.point[k], var, bias, 0.9, corrected)
                     assert (iv.lo, iv.hi, iv.clamped) == (lo[k], hi[k], clamped[k])
 
-    def test_published_weitzman_bias_at_one_gives_nan_corrected_bounds(self):
-        d = SrsDesign(20)
-        block = assess([0.5, 1.0], METHOD_SRS, d, d, SOURCE_AS_PUBLISHED)
-        assert math.isnan(block["delta"].bias[1])
-        assert np.isnan(block["delta"].lo_corrected).tolist() == [False, True]
-        assert np.isnan(block["delta"].hi_corrected).tolist() == [False, True]
-        for a in block.values():
-            assert np.all(a.lo <= a.hi)
-        assert block["delta"].lo_corrected[0] <= block["delta"].hi_corrected[0]
-
     def test_rss_requires_ranked_designs(self):
         # a plain domain error, not a design refusal the study would skip
         with pytest.raises(DomainError) as err:
@@ -562,13 +563,18 @@ EDGE_DESIGNS = {METHOD_SRS: (SrsDesign(8), SrsDesign(6)),
 
 def assessed(x, method, d1, d2, source) -> list:
     """The values of ``assess`` at ``x`` that must be finite: all but the
-    as-published bias and bias-corrected bounds, whose printed bias shapes
-    have no finite value at R = 1 and overflow far from it."""
+    as-published bias, whose printed shapes have no finite value at R = 1 and
+    overflow far from it; its bias-corrected bounds are NaN, and unclamped,
+    exactly where it is not finite."""
     out = []
     for a in assess([x], method, d1, d2, source).values():
         out += [a.point, a.variance, a.lo, a.hi]
         if source == SOURCE_DERIVED:
             out += [a.bias, a.lo_corrected, a.hi_corrected]
+        else:
+            finite = np.isfinite(a.bias)
+            assert (np.isfinite([a.lo_corrected, a.hi_corrected]) == finite).all()
+            assert not a.clamped_corrected[~finite].any()
     return out
 
 
@@ -604,10 +610,13 @@ def test_float_edges_give_finite_values_or_domain_errors(name, x):
         return
     if np.isfinite(out).all():
         return
+    # only an exact value above the largest float may be inf
+    largest = np.finfo(float).max
     if name.startswith("pdf"):  # exp of a logpdf above the log of the largest float
         alpha = float(name.split("=")[1])
-        assert out == math.inf and InverseLomax(alpha).logpdf(x) > math.log(np.finfo(float).max)
-    else:
-        # the raw ratio times each factor (at most 504 here) before the divisor,
-        # in the order the pinned outputs hold, overflows above max / 504
-        assert name.startswith("corrected_ratio") and out == math.inf and x * 504 == math.inf
+        assert out == math.inf and InverseLomax(alpha).logpdf(x) > math.log(largest)
+    else:  # x times the correction, 2 for as-published bayes here
+        _, method, source = name.split("-", 2)
+        factor = corrected_ratio(1.0, method, *EDGE_DESIGNS[method], source)
+        assert name.startswith("corrected_ratio") and out == math.inf
+        assert mpmath.mpf(x) * factor > largest

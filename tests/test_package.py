@@ -186,3 +186,28 @@ def test_every_private_name_has_a_caller():
     # tests and perfbench do not count as callers: code with no caller in
     # the package is deleted, not kept for them
     assert _private_names_without_caller(_package_sources()) == []
+
+
+# seed layout 1's private names, each joined from two parts so that this file
+# does not name them itself
+LAYOUT_1_NAMES = [a + b for a, b in [
+    ("pcg64", "_states"), ("fill", "_uniforms"), ("_word", "_order"), ("_state", "_words"),
+    ("_run", "_group"), ("_run", "_slab"), ("_sl", "abs"), ("_BLOCK", "_BYTES")]]
+LAYOUT_1 = re.compile(r"\b(%s)\b" % "|".join(LAYOUT_1_NAMES))
+
+
+def test_layout_1_check_flags_only_whole_names():
+    slabs = LAYOUT_1_NAMES[6]
+    assert LAYOUT_1.findall(f"study.{slabs}(cfg), count{slabs}") == [slabs]
+
+
+# a seed-layout bump deletes the layout-1 classes of tests/test_seeds.py and
+# edits no other test; conftest.recorded_pools is the one seam besides them
+@pytest.mark.parametrize("path", sorted(
+    path for path in Path(__file__).parent.glob("*.py")
+    if path.name not in ("test_seeds.py", "conftest.py")), ids=lambda p: p.name)
+def test_only_the_seed_tests_name_seed_layout_1(path):
+    found = [f"line {k}: {match}"
+             for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             for match in LAYOUT_1.findall(line)]
+    assert found == []

@@ -1,26 +1,29 @@
-"""Seed derivation and the design-grouped study engine.
+"""Seed derivation, design groups, and seed layout 1 of the study engine.
 
-The engine's unit of work is a slab of design groups.  A slab derives every
-replication's seed and initial PCG64 state in one array pass, restarts one
-generator per stream by writing the state's words in place, draws in row
-blocks, ranks ranked sets on the uniforms and assesses all its groups in
-one call.  These tests hold it to the plain definition: the SplitMix64 fold
-written out on Python ints, a fresh ``np.random.PCG64(seed)`` per
-replication (``_seeds.stream``, which seeds through numpy), ranked sets
+``TestFold`` holds ``derive_seeds`` and ``stream`` to the SplitMix64 fold
+written out on Python ints.  Below the layout-1 rule lies seed layout 1
+(``metadata["seed_layout"]``) alone: the in-place PCG64 restart, draw
+blocks, slab seeding passes and pool tasks.  ``TestLayout1States`` and
+``TestLayout1Engine`` hold it to the plain definition: a fresh
+``np.random.PCG64(seed)`` per replication (``_seeds.stream``), ranked sets
 sorted by ``np.sort`` on each replication's own uniforms (never by the
 engine's comparator networks), ``T = -alpha * log(u)`` averaged inline, and
-one kernel call per cell, at every block size.
-Numpy scalar integer arithmetic warns on overflow, so every test here turns
-warnings into errors.
+one kernel call per cell, at every block size.  A seed-layout bump deletes
+everything below the rule; the engine's contract (``test_engine_contract.py``)
+holds whatever the layout.  Numpy scalar integer arithmetic warns on
+overflow, so every test here turns warnings into errors.
 """
 
+import json
+import math
 import pickle
 import re
+import sys
+from dataclasses import replace
+from importlib.resources import files
 
 import numpy as np
 import pytest
-
-from conftest import recorded_pools
 
 from ovlomax import StudyConfig, run_study, study
 from ovlomax import _seeds
@@ -31,7 +34,9 @@ from ovlomax.sampling import RssDesign, SrsDesign
 pytestmark = pytest.mark.filterwarnings("error")
 
 MASK = (1 << 64) - 1
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+# 12 design groups of 5 cells x 6 replications
+SEVERAL_R = dict(r_values=(0.1, 0.5, 0.9, 1.0, 1.7), set_sizes=((2, 2), (4, 3)), cycles=(2, 3),
+                 replications=6, master_seed=2**40 + 1, formula_source="as-published")
 
 
 def reference_seed(*parts):
@@ -70,6 +75,38 @@ class TestFold:
         assert _seeds.derive_seeds(-1) == _seeds.derive_seeds(2**64 - 1)
         assert _seeds.derive_seeds(2**64 + 5, 3) == _seeds.derive_seeds(5, 3)
 
+    @pytest.mark.parametrize("parts", [(0,), (-1,), (2**65 + 1,), (3, 0, 7, 2)])
+    def test_stream_draws_like_a_freshly_seeded_generator(self, parts):
+        want = np.random.Generator(np.random.PCG64(reference_seed(*parts)))
+        got = _seeds.stream(*parts)
+        assert np.array_equal(got.random(17), want.random(17))
+        assert np.array_equal(got.integers(0, 2**32, 5), want.integers(0, 2**32, 5))
+
+
+class TestDesignGroups:
+    def test_designs_are_derived_once_per_group(self, monkeypatch):
+        cfg = StudyConfig(**SEVERAL_R)
+        cells = study._enumerate_cells(cfg)
+        groups = [cells[indices[0]][1:] for _ns, indices, *_ in study._design_groups(cfg, cells)[0]]
+        calls, designs = [], study._designs
+
+        def counted(*design):
+            calls.append(design)
+            return designs(*design)
+
+        monkeypatch.setattr(study, "_designs", counted)
+        study._cell_outcomes(cfg, {0: cells})
+        assert calls == groups
+
+
+# ---------------------------------------------------------------------------
+# Seed layout 1: what a seed-layout bump deletes, from here to the end
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+SMOKE = files("ovlomax.data").joinpath("configs/smoke.json")
+TINY = np.finfo(float).tiny
+
 
 def public_state(bitgen):
     """``bitgen.state`` with its 128-bit words split like a row of ``pcg64_states``."""
@@ -79,7 +116,7 @@ def public_state(bitgen):
             state["has_uint32"], state["uinteger"])
 
 
-class TestPcg64States:
+class TestLayout1States:
     def test_states_equal_a_freshly_seeded_pcg64(self):
         rng = np.random.default_rng(20261018)
         seeds = rng.integers(0, 2**64, size=1000, dtype=np.uint64).tolist() + EDGE_SEEDS
@@ -96,12 +133,6 @@ class TestPcg64States:
         for row, seed in zip(words, seeds.reshape(-1).tolist()):
             assert np.array_equal(row, _seeds.pcg64_states(np.uint64(seed))[0])
 
-    @pytest.mark.parametrize("parts", [(0,), (-1,), (2**65 + 1,), (3, 0, 7, 2)])
-    def test_stream_draws_like_a_freshly_seeded_generator(self, parts):
-        want = np.random.Generator(np.random.PCG64(reference_seed(*parts)))
-        got = _seeds.stream(*parts)
-        assert np.array_equal(got.random(17), want.random(17))
-        assert np.array_equal(got.integers(0, 2**32, 5), want.integers(0, 2**32, 5))
 
     def test_fill_uniforms_restarts_every_row(self):
         states = _seeds.pcg64_states(_seeds.derive_seeds(4, 0, 2, np.arange(3)))
@@ -196,9 +227,7 @@ def reference_cell(cfg, namespace, cell_index, cell):
 CONFIGS = {
     "one_R": dict(r_values=(0.5,), set_sizes=((2, 3), (3, 2)), cycles=(2,),
                   replications=7, master_seed=3),
-    "several_R": dict(r_values=(0.1, 0.5, 0.9, 1.0, 1.7), set_sizes=((2, 2), (4, 3)),
-                      cycles=(2, 3), replications=6, master_seed=2**40 + 1,
-                      formula_source="as-published"),
+    "several_R": SEVERAL_R,
     "skipped_group": dict(r_values=(0.25, 0.8), set_sizes=((2, 1), (2, 2)), cycles=(2,),
                           replications=5, master_seed=9),
     # sets of 5 go through a comparator network, sets of 6 through the sort
@@ -271,17 +300,41 @@ def arrays_in(obj):
             yield from arrays_in(item)
 
 
-class TestGroupedEngine:
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    @pytest.mark.parametrize("namespace", [0, 1])
-    def test_groups_equal_per_cell_reference_bit_for_bit(self, name, namespace):
-        assert_cells_equal_reference(name, namespace)
 
-    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Bind ``study.ProcessPoolExecutor`` to a pool that runs each task here,
+    on pickled copies of what a worker process would receive and send back,
+    and return the lists of its sizes, tasks and results."""
+    sizes, tasks, results = [], [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                tasks.append(pickle.loads(pickle.dumps(args)))
+                results.append(fn(*tasks[-1]))
+                yield pickle.loads(pickle.dumps(results[-1]))
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
+    return sizes, tasks, results
+
+
+class TestLayout1Engine:
+    @pytest.mark.parametrize("budget", ["shipped", *sorted(BUDGETS)])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     @pytest.mark.parametrize("namespace", [0, 1])
     def test_every_block_budget_equals_reference(self, name, namespace, budget, monkeypatch):
-        monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
+        if budget in BUDGETS:
+            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
         assert_cells_equal_reference(name, namespace)
 
     # rows of each draw block, and groups of each _aggregate call: one call
@@ -322,46 +375,21 @@ class TestGroupedEngine:
             assert rows == [len(cfg.r_values) * cfg.replications] * groups
             assert stacks == [groups]
 
-    def test_designs_are_derived_once_per_group(self, monkeypatch):
-        cfg = StudyConfig(**CONFIGS["several_R"])
-        cells = study._enumerate_cells(cfg)
-        groups = [cells[indices[0]][1:] for _ns, indices, *_ in study._design_groups(cfg, cells)[0]]
-        calls, designs = [], study._designs
-
-        def counted(*design):
-            calls.append(design)
-            return designs(*design)
-
-        monkeypatch.setattr(study, "_designs", counted)
-        study._cell_outcomes(cfg, {0: cells})
-        assert calls == groups
-
-    # rows of each slab of the several_R study: 12 design groups of 5 cells
-    # x 6 replications, at the shipped budget, the small one and the minimum
-    @pytest.mark.parametrize("budget, slabs", [("shipped", [360]), ("small", [60] * 6),
-                                               ("minimum", [30] * 12)])
-    def test_seeding_is_one_pass_per_slab(self, budget, slabs, monkeypatch):
+    # rows of each slab of the several_R study (12 design groups of 5 cells x
+    # 6 replications) and, with figures, of its figure grid (3 groups of 19
+    # cells x 6): one slab at the shipped budget, whose cells of both
+    # namespaces take one fold and one hash; at the small budget (75
+    # replications) two study groups a slab, and each figure group alone
+    @pytest.mark.parametrize("figures, budget, slabs", [
+        (False, "shipped", [360]), (False, "small", [60] * 6), (False, "minimum", [30] * 12),
+        (True, "shipped", [702]), (True, "small", [60] * 6 + [114] * 3)])
+    def test_seeding_is_one_pass_per_slab(self, figures, budget, slabs, monkeypatch):
         if budget in BUDGETS:
             monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
         folds, hashes = count_seeding(monkeypatch)
         cfg = StudyConfig(**CONFIGS["several_R"])
-        cells = study._enumerate_cells(cfg)
-        study._cell_outcomes(cfg, {0: cells})
-        assert folds == hashes == slabs
-
-    # the several_R study (12 groups of 5 cells x 6 replications) and its
-    # figure grid (3 groups of 19 cells x 6): one slab at the shipped budget,
-    # whose cells of both namespaces take one fold and one hash; at the small
-    # budget (75 replications) two study groups a slab, and each figure group alone
-    @pytest.mark.parametrize("budget, slabs", [("shipped", [702]),
-                                               ("small", [60] * 6 + [114] * 3)])
-    def test_a_pass_of_both_grids_is_seeded_once_per_slab(self, budget, slabs, monkeypatch):
-        if budget in BUDGETS:
-            monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS[budget])
-        folds, hashes = count_seeding(monkeypatch)
-        cfg = StudyConfig(**CONFIGS["several_R"])
-        study._cell_outcomes(cfg, {0: study._enumerate_cells(cfg),
-                                   1: study._enumerate_cells(cfg, figures=True)})
+        study._cell_outcomes(cfg, {ns: study._enumerate_cells(cfg, bool(ns))
+                                   for ns in range(1 + figures)})
         assert folds == hashes == slabs
 
     @pytest.mark.parametrize("budget", ["shipped", "minimum"])
@@ -378,46 +406,10 @@ class TestGroupedEngine:
         accepted = len(cells) - len(skipped)
         assert sum(folds) == sum(hashes) == accepted * cfg.replications == 40
 
-    def test_skipped_group_reported_per_cell(self):
-        res = run_study(StudyConfig(**CONFIGS["skipped_group"]))
-        assert {(s["R"], s["method"], s["r2"]) for s in res.skipped} == {
-            (R, method, 1) for R in (0.25, 0.8) for method in ("srs", "bayes")
-        }
-        assert len(res.rows) == 3 * (2 * 3 + 2)
-
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_two_workers_equal_one(self, name):
-        # at the minimum budget every config has four or more slabs, run over
-        # a real pool of two workers
-        cfg = StudyConfig(**CONFIGS[name])
-        one = run_study(cfg, workers=1)
-        with recorded_pools(BUDGETS["minimum"]) as pools:
-            two = run_study(cfg, workers=2)
-        assert pools == [2]
-        assert one.rows == two.rows
-        assert one.csv_corrected == two.csv_corrected
-        assert one.skipped == two.skipped
-        assert one.metadata == two.metadata
-
     @pytest.mark.parametrize("workers", [2, 3, 64])
-    def test_pool_starts_no_more_workers_than_slabs(self, workers, monkeypatch):
-        # a pool that records its size and runs each task here: no process starts
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
+    def test_pool_starts_no_more_workers_than_slabs(self, workers, inline_pool, monkeypatch):
+        sizes, _tasks, _results = inline_pool  # no process starts
         monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["minimum"])  # a slab per group
-        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
         cfg = StudyConfig(**CONFIGS["several_R"])
         cells = study._enumerate_cells(cfg)
         assert len(study._slabs(cfg, study._design_groups(cfg, cells)[0])) == 12
@@ -425,10 +417,12 @@ class TestGroupedEngine:
         assert sizes == [min(workers, 12)]
         assert pooled.csv_corrected == run_study(cfg).csv_corrected
 
+    # the several_R study and paper_m8 at 10 replications (48 groups and 3
+    # figure groups, 2970 replications), each with its figure grid, fit in one
+    # slab at the shipped budget: they run here, whatever the worker count
     @pytest.mark.parametrize("workers", [2, 64])
-    def test_one_slab_starts_no_pool(self, workers, monkeypatch):
-        # the several_R study and its figure grid fit in one slab at the
-        # shipped budget: it runs here, whatever the worker count
+    @pytest.mark.parametrize("name", ["several_R", "paper_m8"])
+    def test_one_slab_starts_no_pool(self, name, workers, monkeypatch):
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} workers started")
 
@@ -438,7 +432,8 @@ class TestGroupedEngine:
             slabs.append(sorted({namespace for namespace, *_ in slab}))
             return run_slab(cfg, slab)
 
-        cfg = StudyConfig(**CONFIGS["several_R"])
+        cfg = StudyConfig(**SEVERAL_R) if name == "several_R" else replace(
+            StudyConfig.from_json(SMOKE.with_name("paper_m8.json").read_text()), replications=10)
         one = run_study(cfg, figures=True)
         monkeypatch.setattr(study, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(study, "_run_slab", counted)
@@ -447,34 +442,14 @@ class TestGroupedEngine:
         assert slabs == [[0, 1]]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, monkeypatch):
-        # a pool that runs each task here, on pickled copies of what a worker
-        # process would receive and send back
-        tasks, results, sizes = [], [], []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                for args in zip(*iterables):
-                    tasks.append(pickle.loads(pickle.dumps(args)))
-                    results.append(fn(*tasks[-1]))
-                    yield pickle.loads(pickle.dumps(results[-1]))
-
+    def test_pool_tasks_carry_indices_in_and_aggregates_out(self, name, inline_pool, monkeypatch):
+        sizes, tasks, results = inline_pool
         # a slab per design group: four or more slabs in every config, the
         # study's and the figure grid's groups over one pool
         monkeypatch.setattr(study, "_BLOCK_BYTES", BUDGETS["minimum"])
         cfg = StudyConfig(**CONFIGS[name])
         grids = {0: study._enumerate_cells(cfg), 1: study._enumerate_cells(cfg, figures=True)}
         one = study._cell_outcomes(cfg, grids)
-        monkeypatch.setattr(study, "ProcessPoolExecutor", InlinePool)
         two = study._cell_outcomes(cfg, grids, workers=2)
         for namespace in grids:
             assert two[namespace][0].tobytes() == one[namespace][0].tobytes()
@@ -501,13 +476,25 @@ class TestGroupedEngine:
             assert type(block) is np.ndarray
             assert block.shape == (sum(len(group[1]) for group in task[1]), *shape)
 
-    def test_seed_column_is_the_cell_seed(self):
-        cfg = StudyConfig(**CONFIGS["several_R"])
-        res = run_study(cfg)
+    # the first R lies just under the largest that smoke.json accepts: shape R
+    # times n = 6 times -log(tiny) is just below the float range; the second
+    # just over the smallest: the least T, at shape R and u = 1 - 2**-53, is
+    # just above the smallest normal float
+    @pytest.mark.parametrize("R", [0.999 * sys.float_info.max / (6 * -math.log(TINY)),
+                                   1.001 * TINY / -math.log1p(-(2.0**-53))])
+    def test_ratio_grid_edges_scale_the_ratios_exactly(self, R):
+        # a cell's seeds depend on its index, not on its R, so every corrected
+        # ratio at R is R times the one at 1; a sampler that clamps draws to
+        # the float range or loses their precision breaks this
+        data = json.loads(SMOKE.read_text(encoding="utf-8"))
+        cfg = StudyConfig.from_dict({**data, "r_values": [R]})
         cells = study._enumerate_cells(cfg)
-        seeds = {cell: int(_seeds.derive_seeds(cfg.master_seed, 0, idx)[0])
-                 for idx, cell in enumerate(cells)}
-        for row in res.rows:
-            cell = next(c for c in cells if c[1:] == (row.r1, row.r2, row.m, row.method)
-                        and study._round6(c[0]) == row.R)
-            assert row.seed == seeds[cell]
+        gen = np.random.Generator(np.random.PCG64(0))
+        for _ns, indices, r_values, method, designs in study._design_groups(cfg, cells)[0]:
+            words = _seeds.pcg64_states(_seeds.derive_seeds(
+                cfg.master_seed, 0, np.array(indices)[:, None], np.arange(cfg.replications)))
+            got = study._run_group(cfg, words, r_values, method, designs, gen)
+            want = study._run_group(cfg, words, (1.0,), method, designs, gen)
+            np.testing.assert_allclose(got / R, want, rtol=1e-12, atol=0.0)
+        aggs, skipped = study._cell_outcomes(cfg, {0: cells})[0]
+        assert not skipped and np.isfinite(aggs).all()

@@ -1,16 +1,12 @@
 """Property tests of the study engine and its config: the design groups
-partition the grid, seeds and state words travel from the parent process to
-the workers, and the result does not depend on how many workers there are; a
-valid config survives its JSON round trip."""
+partition the grid, and a valid config survives its JSON round trip."""
 
 import json
 from dataclasses import fields
 
 import pytest
 
-from conftest import recorded_pools
-
-from ovlomax import StudyConfig, run_study, study
+from ovlomax import StudyConfig, study
 from ovlomax.estimators import SOURCES, _refusal
 from ovlomax.study import DEFAULT_FIGURE_R_GRID, ConfigError
 
@@ -56,34 +52,6 @@ def test_design_groups_partition_the_grid(r_values, set_sizes, cycles, source, f
         else:
             assert [skipped[i] for i in indices] == [reason] * len(indices)
     assert groups == accepted
-
-
-@hypothesis.settings(max_examples=6, deadline=None)
-@hypothesis.given(
-    r_values=distinct_ratios,
-    set_sizes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
-                       min_size=1, max_size=2, unique=True),
-    m=st.integers(1, 3),
-    replications=st.integers(1, 4),
-    master_seed=st.integers(0, 2**64 - 1),
-    source=st.sampled_from(SOURCES),
-)
-def test_two_workers_equal_one(r_values, set_sizes, m, replications, master_seed, source):
-    cfg = StudyConfig(r_values=r_values, set_sizes=set_sizes, cycles=(m,),
-                      replications=replications, master_seed=master_seed,
-                      formula_source=source)
-    one = run_study(cfg, workers=1, figures=True)
-    # a slab per accepted design group of either grid: two or more run over
-    # one real pool of two
-    with recorded_pools(1) as pools:
-        two = run_study(cfg, workers=2, figures=True)
-    groups = sum(len(study._design_groups(cfg, study._enumerate_cells(cfg, figures))[0])
-                 for figures in (False, True))
-    assert pools == ([2] if groups > 1 else [])
-    assert one.rows == two.rows
-    assert one.csv_corrected == two.csv_corrected
-    assert one.figure_csv == two.figure_csv
-    assert one.skipped == two.skipped
 
 
 # ratios down to 1e-300 and up to 1e306 reach both of the config's range refusals
