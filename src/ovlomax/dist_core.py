@@ -8,9 +8,11 @@ the overlap coefficients of their standardized laws.  Under this convention
 every estimator in :mod:`ovlomax.estimators` tractable; the exact laws of
 its estimates are ``scipy.stats`` gamma and F laws, named there.
 The normal quantile of the intervals comes from the standard library, so
-the package needs numpy alone.  A draw lies below the smallest normal
-float with probability ``exp(-708.4/alpha)``; sampling, the quantile and
-``log_transform`` refuse such values, and the cdf and densities take them.
+the package needs numpy alone.  Draws, ``RankedSample`` and parsed data
+share one float range, smallest normal to largest float, and one refusal,
+:func:`_range_refusal`; a draw lies below it with probability
+``exp(-708.4/alpha)``.  The cdf and densities take any positive x.  The
+samplers and the study engine map uniforms to T by :func:`_t_of_uniform`.
 """
 from __future__ import annotations
 
@@ -28,7 +30,9 @@ __all__ = [
     "std_normal_quantile",
 ]
 
-_TINY = np.finfo(float).tiny
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# the bounds of -log(u) on the uniforms _t_of_uniform maps, u in [_TINY, 1 - 2**-53]
+_NEG_LOG_U_MAX, _NEG_LOG_U_MIN = -math.log(_TINY), -math.log1p(-(2.0**-53))
 _STD_NORMAL = NormalDist()
 
 
@@ -84,9 +88,9 @@ class InverseLomax:
 
     def logpdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
-        out = (-math.log(self.alpha) - 2.0 * np.log(arr)
-               - (1.0 + 1.0 / self.alpha) * _log1p_recip(arr))
-        return _as_input_shape(out, x)
+        t = _log1p_recip(arr)
+        with np.errstate(over="ignore"):  # -inf below -max, as pdf's inf lies above max
+            return _as_input_shape(-math.log(self.alpha) - 2.0 * np.log(arr) - (t + t / self.alpha), x)
 
     def pdf(self, x) -> float | np.ndarray:
         # exp of the log form: underflows cleanly to 0 in the far tail instead
@@ -96,14 +100,15 @@ class InverseLomax:
 
     def cdf(self, x) -> float | np.ndarray:
         arr = _positive_array("x", x)
-        out = np.exp(-_log1p_recip(arr) / self.alpha)
-        return _as_input_shape(out, x)
+        with np.errstate(over="ignore"):  # an overflowing t / alpha has cdf 0
+            return _as_input_shape(np.exp(-_log1p_recip(arr) / self.alpha), x)
 
     def quantile(self, u) -> float | np.ndarray:
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise DomainError("u must lie strictly inside (0, 1)")
-        return _as_input_shape(_from_t(-self.alpha * np.log(arr)), u)
+        with np.errstate(over="ignore", divide="ignore"):  # an x of 0 or inf is refused
+            return _as_input_shape(_from_t(-self.alpha * np.log(arr)), u)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` values by inverse transform of one uniform block.
@@ -114,26 +119,45 @@ class InverseLomax:
         return self.from_uniform(rng.random(_positive_int("n", n)))
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Inverse transform of a block of uniforms in [0, 1), any shape."""
-        # u == 0.0 has probability 2**-53 but would map to x = 0; nudge inside.
-        return _from_t(-self.alpha * np.log(np.maximum(u, _TINY)))
+        """Inverse transform of a block of uniforms in [0, 1), an array of any shape."""
+        with np.errstate(over="ignore", divide="ignore"):  # as in quantile
+            return _from_t(_t_of_uniform(u, self.alpha))
+
+
+def _t_of_uniform(u: np.ndarray, alpha) -> np.ndarray:
+    """``T = -alpha * log(u)``, a new array, of uniforms in [0, 1) and shapes ``alpha``."""
+    t = np.maximum(u, _TINY)  # u == 0.0 has probability 2**-53 but maps to x = 0
+    np.log(t, out=t)
+    t *= -alpha
+    return t
 
 
 def _from_t(t: np.ndarray) -> np.ndarray:
-    """``1 / expm1(t)``, the values with transforms ``t`` (at ``t = -alpha *
-    log(u)`` the quantile of u); DomainError if any is below the float range."""
-    with np.errstate(over="ignore"):  # an overflowing expm1 is counted below
-        x = 1.0 / np.expm1(t)
-    return _check_normal(x, "too large a shape for x")
+    """``1 / expm1(t)``, the values with transforms ``t``, if all lie in the float range;
+    the callers let an infinite t or x pass numpy's overflow and zero-division checks."""
+    return _in_range(1.0 / np.expm1(t), None, ("too large a shape for x", "too small a shape for x"))
 
 
-def _check_normal(x: np.ndarray, why: str) -> np.ndarray:
-    """``x``, or a DomainError counting its values below the smallest normal float."""
+def _range_refusal(x, name: str | None, why) -> str:
+    """Why ``x``, not all in ``[_TINY, _HUGE]``, is refused: ``name`` must be positive and
+    finite, or a count of values below, else above, the range and ``why`` (or ``why[0]``,
+    else ``why[1]``); with ``why`` None, ``x`` is one observation, a float."""
+    if name and not (np.isfinite(x) & (x > 0.0)).all():
+        return f"{name} must be positive and finite"
     below = np.count_nonzero(x < _TINY)
-    if below:
-        raise DomainError(f"{below} of {x.size} values lie below the smallest normal float "
-                          f"({_TINY:.4g}); {why}")
-    return x
+    side = (f"below the smallest normal float ({_TINY:.4g})" if below
+            else f"above the largest float ({_HUGE:.4g})")
+    if why is None:
+        return f"observation lies {side}"
+    why = why[not below] if isinstance(why, tuple) else why
+    return f"{below or np.count_nonzero(x > _HUGE)} of {x.size} values lie {side}; {why}"
+
+
+def _in_range(x: np.ndarray, name: str | None, why) -> np.ndarray:
+    """``x`` if every value lies in the float range, else a DomainError saying why not."""
+    if (x >= _TINY).all() and (x <= _HUGE).all():  # NaN fails both
+        return x
+    raise DomainError(_range_refusal(x, name, why))
 
 
 def _log1p_recip(arr: np.ndarray) -> np.ndarray:
@@ -144,12 +168,9 @@ def _log1p_recip(arr: np.ndarray) -> np.ndarray:
 
 
 def log_transform(x) -> float | np.ndarray:
-    """``log(1 + 1/x)`` elementwise; exponential with mean alpha when x is
-    a standardized inverse Lomax draw.  An x below the smallest normal float,
-    whose 1/x overflows, is a DomainError, as a draw there is."""
-    arr = np.asarray(x, dtype=float)
-    if not ((arr >= _TINY).all() and (arr < np.inf).all()):  # NaN fails both
-        _check_normal(_positive_array("x", arr), "1/x overflows")
+    """``log(1 + 1/x)`` elementwise; exponential with mean alpha when x is a standardized
+    inverse Lomax draw, and refused, as a draw is, outside the float range."""
+    arr = _in_range(np.asarray(x, dtype=float), "x", "1/x overflows")
     return _as_input_shape(_log1p_recip(arr), x)
 
 
@@ -161,10 +182,8 @@ def std_normal_quantile(p: float) -> float:
     negated lower half, so ``quantile(p) == -quantile(1 - p)`` holds exactly.
     """
     p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
+    if not 0.0 < p < 1.0:  # NaN and the infinities fail, too
         raise DomainError("p must lie strictly inside (0, 1)")
-    if p == 0.5:
-        return 0.0
     if p > 0.5:
         return -_STD_NORMAL.inv_cdf(1.0 - p)
     return _STD_NORMAL.inv_cdf(p)

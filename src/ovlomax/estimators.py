@@ -129,10 +129,13 @@ def shape_estimates(method: str, x) -> np.ndarray:
 
     ``srs`` and ``rss`` average the transforms (for ``rss`` the last axis
     holds the retained values rank-major, as in ``RankedSample.values``);
-    ``bayes`` divides their sum by ``n + 1``.  Values must be positive and
-    finite; the whole block is checked once.
+    ``bayes`` divides their sum by ``n + 1``.  Samples must not be empty, nor
+    values outside the float range of draws; the whole block is checked once.
     """
-    return _shape_from_t(method, np.asarray(log_transform(x)))
+    t = np.asarray(log_transform(x))
+    if t.ndim == 0 or t.shape[-1] == 0:
+        raise DomainError("each sample along the last axis must hold one value at least")
+    return _shape_from_t(method, t)
 
 
 def _shape_from_t(method: str, t: np.ndarray) -> np.ndarray:

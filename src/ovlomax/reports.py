@@ -10,7 +10,8 @@ Two input formats are understood:
 In both, ``#`` starts a comment running to the end of its line, and errors
 name the physical line, comment and blank lines counted: ranked files, like
 saved study CSVs, go through :func:`_csv_records`, whose ``csv`` module reads
-every physical line.
+every physical line.  Both refuse an observation outside the float range of
+draws, whose rule and refusal text live in :mod:`ovlomax.dist_core`.
 
 :func:`build_estimate_report` bundles everything a data analysis needs:
 shape estimates for both populations, raw and corrected ratio, the three
@@ -35,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dist_core import _TINY, ConfigError, DomainError
+from .dist_core import _HUGE, _TINY, ConfigError, DomainError, _range_refusal
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -88,17 +89,6 @@ class Dataset:
         return int(self.values.size)
 
 
-# an observation lies in [smallest normal float, inf), as a draw of the sampler does
-_SMALLEST = float(_TINY)
-
-
-def _observation_refusal(v: float) -> str:
-    """Why an observation outside ``[_SMALLEST, inf)`` is refused."""
-    if math.isfinite(v) and v > 0.0:
-        return f"observation lies below the smallest normal float ({_TINY:.4g})"
-    return "observations must be positive and finite"
-
-
 def parse_dataset(text: str, label: str = "") -> Dataset:
     """Parse a plain observation list (whitespace or comma separated)."""
     values = []
@@ -109,8 +99,8 @@ def parse_dataset(text: str, label: str = "") -> Dataset:
                 v = float(token)
             except ValueError:
                 raise DatasetParseError(lineno, token, "not a number") from None
-            if not _SMALLEST <= v < math.inf:
-                raise DatasetParseError(lineno, token, _observation_refusal(v))
+            if not _TINY <= v <= _HUGE:
+                raise DatasetParseError(lineno, token, _range_refusal(v, "observations", None))
             values.append(v)
     if not values:
         raise DatasetParseError(0, "", "no observations found")
@@ -152,8 +142,8 @@ def parse_ranked_dataset(text: str) -> RankedSample:
             raise DatasetParseError(lineno, ",".join(rec), "rank/cycle must be integers, value numeric") from None
         if rank < 1 or cycle < 1:
             raise DatasetParseError(lineno, ",".join(rec), "rank and cycle are 1-based")
-        if not _SMALLEST <= value < math.inf:
-            raise DatasetParseError(lineno, rec[2], _observation_refusal(value))
+        if not _TINY <= value <= _HUGE:
+            raise DatasetParseError(lineno, rec[2], _range_refusal(value, "observations", None))
         if (rank, cycle) in seen:
             raise DatasetParseError(lineno, ",".join(rec), f"duplicate slot rank={rank} cycle={cycle}")
         seen[(rank, cycle)] = value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DomainError, InverseLomax, _positive_array, _positive_int
+from .dist_core import DomainError, InverseLomax, _in_range, _positive_int
 
 __all__ = ["SrsDesign", "RssDesign", "RankedSample", "draw_srs", "draw_rss", "rss_retained"]
 
@@ -68,7 +68,7 @@ class RankedSample:
     """Retained order statistics of a ranked set draw.
 
     ``values[i, k]`` holds the (i+1)-th order statistic from cycle ``k``;
-    the array shape is ``(r, m)``.
+    the array shape is ``(r, m)``; each value lies in the float range of draws.
     """
 
     values: np.ndarray
@@ -81,7 +81,7 @@ class RankedSample:
                 f"values shape {arr.shape} does not match design "
                 f"(r={self.design.r}, m={self.design.m})"
             )
-        object.__setattr__(self, "values", _positive_array("ranked sample values", arr))
+        object.__setattr__(self, "values", _in_range(arr, "ranked sample values", "1/x overflows"))
 
 
 def draw_srs(d: InverseLomax, design: SrsDesign, rng: np.random.Generator) -> np.ndarray:

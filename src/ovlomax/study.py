@@ -68,7 +68,8 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__, _seeds
-from .dist_core import _TINY, ConfigError, DomainError
+from .dist_core import (_HUGE, _NEG_LOG_U_MAX, _NEG_LOG_U_MIN, _TINY, ConfigError, DomainError,
+                        _t_of_uniform)
 from .estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -233,15 +234,14 @@ class StudyConfig:
         grid = (1.0, *self.r_values, *figure)
         n = max(map(max, self.set_sizes)) * max(self.cycles)
         # an int compares with a float exactly: a count past the float range is refused, too
-        if n > sys.float_info.max / (max(grid) * -math.log(_TINY)):
-            size = f"up to {n:.6g}" if n <= sys.float_info.max else "more than 1.8e308"
+        if n > _HUGE / (max(grid) * _NEG_LOG_U_MAX):
+            size = f"up to {n:.6g}" if n <= _HUGE else "more than 1.8e308"
             raise ConfigError(
                 f"a sample of {size} values (set_sizes x cycles) at shape {max(grid):.6g} "
                 "(the largest R of r_values and figure_r_grid, or population 2's 1) is too "
                 "large: its sum of T = -alpha * log(u) overflows")
-        # and the least T, at the smallest shape and u = 1 - 2**-53, must be a
-        # normal float: a subnormal T keeps only a few significant bits
-        if min(grid) * -math.log1p(-(2.0**-53)) < _TINY:
+        # and the least T, at the smallest shape, must be normal: a subnormal T keeps few bits
+        if min(grid) * _NEG_LOG_U_MIN < _TINY:
             raise ConfigError(
                 f"r_values or figure_r_grid reaches R = {min(grid):.6g}, too small: "
                 "T = -alpha * log(u) at that shape falls below the smallest normal float")
@@ -475,10 +475,7 @@ def _run_group(cfg: StudyConfig, words: np.ndarray, r_values, method, designs, g
         for k, (alpha, d, u) in enumerate(populations):
             if method == METHOD_RSS:
                 u = rss_retained(u, d).reshape(hi - lo, d.n)
-            t = np.maximum(u, _TINY)  # T = -alpha * log(u), in place
-            np.log(t, out=t)
-            t *= -alpha
-            alphas[k, lo:hi] = _shape_from_t(method, t)
+            alphas[k, lo:hi] = _shape_from_t(method, _t_of_uniform(u, alpha))
     ratios = corrected_ratio(alphas[0] / alphas[1], method, *designs, cfg.formula_source)
     return ratios.reshape(len(r_values), cfg.replications)
 
@@ -854,16 +851,18 @@ def _emit_bias_table(rows, fmt):
         raise ConfigError(f"rows mix formula sources {sources}; a table takes one study")
     present = _index(rows, lambda r: (r.method, r.measure, r.R, r.r1, r.r2, r.m),
                      _describe_row, "row")
-    r_values, set_sizes, cycles = _expected_grid(rows)
+    r_values, set_sizes, cycles = _expected_grid(rows)  # raises for no rows
     # the cells a study skips have no rows: '-' in text, left out of csv and json
-    source = sources[0] if sources else SOURCE_DERIVED
+    source = sources[0]
+    run = {(m, r1, r2, method) for m in cycles for (r1, r2) in set_sizes for method in METHODS
+           if _refusal(method, *_designs(r1, r2, m, method), source) is None}
     expected = [
         (method, meas, R, r1, r2, m)
         for m in cycles
         for R in r_values
         for (r1, r2) in set_sizes
         for method in METHODS
-        if _refusal(method, *_designs(r1, r2, m, method), source) is None
+        if (m, r1, r2, method) in run
         for meas in MEASURES
     ]
     _check_grid(set(present), expected, _describe_row)
@@ -876,11 +875,10 @@ def _emit_bias_table(rows, fmt):
         return _json_text({"layout": "bias_table", "cells": records})
 
     lines = []
-    some = next(iter(present.values()))
     for m in cycles:
         for R in r_values:
             lines.append(
-                f"m={m}  R={R:.6g}  source={some.formula_source}  "
+                f"m={m}  R={R:.6g}  source={source}  "
                 "(ratio = empirical coverage of the nominal interval; "
                 "L = mean interval length)"
             )

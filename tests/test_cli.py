@@ -236,6 +236,18 @@ class TestSample:
         assert "below the smallest normal float" in proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("alpha, design, bound", [
+        ("1e-320", "srs:3", "above the largest float (1.798e+308)"),
+        ("1e-320", "rss:2,2", "above the largest float (1.798e+308)"),
+        ("5e-324", "srs:3", "above the largest float (1.798e+308)"),
+        ("1.7e308", "srs:3", "below the smallest normal float (2.225e-308)")])
+    def test_draws_beyond_either_end_of_the_float_range_fail_cleanly(self, alpha, design, bound):
+        proc = run_process("sample", "--alpha", alpha, "--design", design)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert bound in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
 
 class TestEstimate:
     @pytest.fixture

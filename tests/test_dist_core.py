@@ -7,8 +7,12 @@ import scipy.integrate
 import scipy.stats
 
 from ovlomax.dist_core import (
+    _NEG_LOG_U_MAX,
+    _NEG_LOG_U_MIN,
     DomainError,
     InverseLomax,
+    _from_t,
+    _t_of_uniform,
     log_transform,
     std_normal_quantile,
 )
@@ -164,6 +168,46 @@ class TestSampling:
         with pytest.raises(DomainError, match="1 of 2 values"):
             d.quantile(np.array([0.9, 0.1]))
 
+    @pytest.mark.filterwarnings("error")  # refused by name, with no overflow warning
+    @pytest.mark.parametrize("alpha, u", [(1e-310, 0.5), (5e-324, 1.0 - 2.0**-53),
+                                          (1e-300, 1.0 - 2.0**-53)])
+    def test_quantile_above_the_float_range_is_refused(self, alpha, u):
+        message = (r"^1 of 1 values lie above the largest float \(1.798e\+308\); "
+                   "too small a shape for x$")
+        with pytest.raises(DomainError, match=message):
+            InverseLomax(alpha).quantile(u)
+
+    @pytest.mark.filterwarnings("error")
+    def test_draws_at_the_largest_shape_are_refused_without_a_warning(self, rng):
+        # T = alpha * -log(u) overflows, and its x = 1 / expm1(inf) is 0
+        d = InverseLomax(float(np.finfo(float).max))
+        with pytest.raises(DomainError, match="^3 of 3 values lie below"):
+            d.sample(3, rng)
+        with pytest.raises(DomainError, match="^1 of 1 values lie below"):
+            d.quantile(1e-300)
+
+    def test_the_x_map_refuses_both_ends_of_the_float_range(self):
+        # its callers let t = 0 and an infinite t through numpy's checks
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(DomainError, match="^2 of 3 values lie above the largest float"):
+                _from_t(np.array([0.0, 1e-320, 1.0]))
+            with pytest.raises(DomainError, match="^1 of 2 values lie below the smallest"):
+                _from_t(np.array([np.inf, 1.0]))
+            assert _from_t(np.array([1.0])).tolist() == [1.0 / np.expm1(1.0)]
+
+    def test_one_draw_map_serves_the_samplers_and_the_study(self, rng):
+        u = rng.random((4, 6))
+        u[0, 0], u[1, 1] = 0.0, 1.0 - 2.0**-53
+        alpha = np.array([[0.5], [1.0], [3.0], [1e-3]])
+        t = _t_of_uniform(u, alpha)
+        assert t.tobytes() == (-alpha * np.log(np.maximum(u, np.finfo(float).tiny))).tobytes()
+        assert u[0, 0] == 0.0  # the uniforms are left as they were
+        expected = (1.0 / np.expm1(_t_of_uniform(u, 0.5))).tobytes()
+        assert InverseLomax(0.5).from_uniform(u).tobytes() == expected
+        # the bounds of -log(u) that StudyConfig checks are the map's at its extremes
+        ends = _t_of_uniform(np.array([0.0, 1.0 - 2.0**-53]), 1.0)
+        assert ends.tolist() == [_NEG_LOG_U_MAX, _NEG_LOG_U_MIN]
+
 
 class TestLogTransform:
     def test_roundtrip_with_quantile(self):
@@ -219,6 +263,12 @@ class TestStdNormalQuantile:
     def test_domain(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
+                std_normal_quantile(bad)
+
+    def test_half_is_positive_zero_and_non_finite_p_are_refused(self):
+        assert math.copysign(1.0, std_normal_quantile(0.5)) == 1.0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"^p must lie strictly inside \(0, 1\)$"):
                 std_normal_quantile(bad)
 
 

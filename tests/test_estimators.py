@@ -1,11 +1,12 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
-from ovlomax.dist_core import DomainError, InverseLomax, log_transform
+from ovlomax.dist_core import DomainError, InverseLomax, log_transform, std_normal_quantile
 from ovlomax.estimators import (
     METHOD_BAYES,
     METHOD_RSS,
@@ -26,7 +27,7 @@ from ovlomax.estimators import (
     shape_estimates,
 )
 from ovlomax.overlap import MEASURES, _terms, overlap_value
-from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss, rss_retained
+from ovlomax.sampling import RankedSample, RssDesign, SrsDesign, draw_rss, draw_srs, rss_retained
 from ovlomax.study import ConfigError, efficiency_grid
 
 
@@ -100,6 +101,16 @@ class TestAlphaEstimators:
                 shape_estimates(method, np.array([1.0, 1e-310, 2.0]))
         tiny = np.finfo(float).tiny
         assert float(shape_estimates(METHOD_SRS, np.array([tiny]))) == math.log1p(1.0 / tiny)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", [[], np.empty((3, 0)), 1.0], ids=["empty", "rows", "scalar"])
+    def test_samples_without_a_value_are_refused(self, method, x):
+        # no mean of nothing, and no bayes estimate of 0 from no data
+        message = "^each sample along the last axis must hold one value at least$"
+        with pytest.raises(DomainError, match=message):
+            shape_estimates(method, x)
+        assert shape_estimates(method, np.empty((0, 4))).shape == (0,)  # no samples is fine
 
     @pytest.mark.parametrize("layout", ["contiguous", "strided"])
     def test_mean_shape_is_np_mean_bit_for_bit(self, layout):
@@ -578,13 +589,28 @@ def assessed(x, method, d1, d2, source) -> list:
     return out
 
 
+# uniforms at the ends of the samplers' [0, 1): 0 is nudged to the smallest normal float
+EDGE_UNIFORMS = np.array([0.0, 5e-324, float(np.finfo(float).tiny), 0.5, 1.0 - 2.0**-53])
+
+
 def edge_calls() -> dict:
-    """Each public numeric entry point as a call of one float."""
+    """Each public numeric entry point as a call of one float: the law's
+    methods at each shape of FLOAT_EDGES and at 1e-3 and 1e3, and the
+    samplers as calls of the shape."""
     calls = {}
-    for alpha in (1e-3, 1.0, 1e3):
+    for alpha in (1e-3, 1.0, 1e3, *FLOAT_EDGES):
         for name in ("cdf", "logpdf", "pdf", "quantile"):
             calls[f"{name}-alpha={alpha:g}"] = getattr(InverseLomax(alpha), name)
+    calls["sample"] = lambda a: InverseLomax(a).sample(3, np.random.default_rng(0))
+    calls["from_uniform"] = lambda a: InverseLomax(a).from_uniform(EDGE_UNIFORMS)
+    calls["draw_srs"] = lambda a: draw_srs(InverseLomax(a), SrsDesign(3), np.random.default_rng(0))
+    calls["draw_rss"] = lambda a: draw_rss(
+        InverseLomax(a), RssDesign(2, 2), np.random.default_rng(0)).values
+    calls["rss_retained"] = lambda x: rss_retained(np.full(8, x), RssDesign(2, 2))
     calls["log_transform"] = log_transform
+    calls["std_normal_quantile"] = std_normal_quantile
+    calls["confidence_interval"] = lambda v: astuple(
+        confidence_interval(0.5, v, 0.1, bias_corrected=True))
     for measure in MEASURES:
         calls[f"overlap_value-{measure}"] = lambda x, measure=measure: overlap_value(measure, x)
     for method, (d1, d2) in EDGE_DESIGNS.items():
@@ -610,11 +636,17 @@ def test_float_edges_give_finite_values_or_domain_errors(name, x):
         return
     if np.isfinite(out).all():
         return
-    # only an exact value above the largest float may be inf
+    # only an exact value beyond the float range may be infinite
     largest = np.finfo(float).max
-    if name.startswith("pdf"):  # exp of a logpdf above the log of the largest float
-        alpha = float(name.split("=")[1])
-        assert out == math.inf and InverseLomax(alpha).logpdf(x) > math.log(largest)
+    if name.startswith(("pdf", "logpdf")):
+        law = EDGE_CALLS[name].__self__
+        with mpmath.workdps(40):
+            a, xk = mpmath.mpf(law.alpha), mpmath.mpf(x)
+            exact = -mpmath.log(a) - 2 * mpmath.log(xk) - (1 + 1 / a) * mpmath.log1p(1 / xk)
+        if name.startswith("pdf"):  # exp of a logpdf above the log of the largest float
+            assert out == math.inf and exact > math.log(largest)
+        else:  # a logpdf below -max, at a subnormal shape
+            assert out == -math.inf and exact < -largest
     else:  # x times the correction, 2 for as-published bayes here
         _, method, source = name.split("-", 2)
         factor = corrected_ratio(1.0, method, *EDGE_DESIGNS[method], source)

@@ -1,10 +1,13 @@
 """The package namespace: each public name is declared once, in its module,
 numpy is its one runtime dependency, and importing any module of it or
 running the CLI's one-worker or one-slab paths loads neither SciPy nor the
-process pool."""
+process pool.  The law's float range and its map from uniforms to T are
+decided in ``dist_core`` alone, and every public numeric entry point is in
+the float-edge sweep or exempt from it with a reason."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -211,3 +214,86 @@ def test_only_the_seed_tests_name_seed_layout_1(path):
              for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              for match in LAYOUT_1.findall(line)]
     assert found == []
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _attributes(tree: ast.Module) -> set:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _from_dist_core(tree: ast.Module) -> set:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dist_core"
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_float_range_is_read_from_dist_core_alone(path):
+    # numpy's and the interpreter's float limits are read once, as dist_core's
+    # _TINY and _HUGE, the range of every draw and observation
+    if path.stem != "dist_core":
+        assert not {"finfo", "float_info"} & _attributes(_tree(path.stem))
+
+
+def test_the_readers_keep_no_copy_of_the_observation_rule():
+    reports = _tree("reports")
+    defined = {target.id for node in reports.body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)}
+    defined |= {node.name for node in reports.body if isinstance(node, ast.FunctionDef)}
+    assert not {"_SMALLEST", "_observation_refusal"} & defined
+    assert {"_TINY", "_HUGE", "_range_refusal"} <= _from_dist_core(reports)
+
+
+def test_the_study_takes_its_draw_map_and_bounds_from_dist_core():
+    # no log of uniforms, and no bound on -log(u), is computed in study.py
+    study = _tree("study")
+    assert not {"log", "log1p", "maximum"} & _attributes(study)
+    assert {"_t_of_uniform", "_NEG_LOG_U_MAX", "_NEG_LOG_U_MIN"} <= _from_dist_core(study)
+
+
+# the public numeric entry points that the float-edge sweep of
+# tests/test_estimators.py leaves out, each with the reason
+EDGE_EXEMPT = {
+    "harmonic": "takes an integer set size, not a float",
+    "ratio_variance_factor": "takes designs and names, not a float",
+    "parse_dataset": "reads text; the readers' float range is tested with them",
+    "parse_ranked_dataset": "reads text; the readers' float range is tested with them",
+    "build_estimate_report": "is shape_estimates, corrected_ratio and assess, each swept",
+    "bundled_counts": "takes no argument",
+    "efficiency_grid": "not yet: at extreme ratios its MSE quotient is 0/0, NaN with a warning",
+    "run_study": "takes a StudyConfig, whose shapes are refused where T would leave the range",
+    "emit_rows_csv": "formats the numbers of study rows and computes none",
+    "parse_rows_csv": "reads text",
+    "emit_tables": "formats the numbers of study rows or cells and computes none",
+    "discrepancy_report": "takes a source name, not a float",
+}
+
+
+def _numeric_entry_points() -> list:
+    """The functions of ``ovlomax.__all__`` and the public methods of the law."""
+    names = [name for name in ovlomax.__all__ if inspect.isfunction(getattr(ovlomax, name))]
+    return names + [name for name, v in vars(ovlomax.InverseLomax).items()
+                    if inspect.isfunction(v) and not name.startswith("_")]
+
+
+def _unswept(names, calls) -> list:
+    swept = {key.split("-")[0] for key in calls}
+    return [name for name in names if name not in swept and name not in EDGE_EXEMPT]
+
+
+def test_unswept_check_flags_only_names_neither_swept_nor_exempt():
+    calls = {"cdf-alpha=1": None, "assess-srs-derived": None}
+    assert _unswept(["cdf", "assess", "harmonic", "planted_law"], calls) == ["planted_law"]
+
+
+def test_every_public_numeric_entry_point_is_swept_or_exempt():
+    from test_estimators import EDGE_CALLS
+
+    names = _numeric_entry_points()
+    assert {"quantile", "sample", "from_uniform", "log_transform"} <= set(names)
+    assert _unswept(names, EDGE_CALLS) == []
+    # an exemption names an entry point, and one that is not swept
+    assert set(EDGE_EXEMPT) <= set(names) - {key.split("-")[0] for key in EDGE_CALLS}

@@ -141,3 +141,24 @@ class TestRankedSample:
         vals[0, 0] = -1.0
         with pytest.raises(DomainError):
             RankedSample(values=vals, design=RssDesign(r=2, m=2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_values_that_are_not_positive_and_finite_are_named(self, bad):
+        vals = np.ones((2, 2))
+        vals[1, 1] = bad
+        with pytest.raises(DomainError, match="^ranked sample values must be positive and finite$"):
+            RankedSample(values=vals, design=RssDesign(r=2, m=2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_below_the_float_range_are_refused_when_built(self):
+        # as parsed data and draws are, before any estimate takes their 1/x
+        vals = np.ones((2, 2))
+        vals[1, 0] = 1e-320
+        message = (r"^1 of 4 values lie below the smallest normal float \(2.225e-308\); "
+                   "1/x overflows$")
+        with pytest.raises(DomainError, match=message):
+            RankedSample(values=vals, design=RssDesign(r=2, m=2))
+        vals[1, 0] = np.finfo(float).tiny  # both ends of the range are inside it
+        vals[0, 1] = np.finfo(float).max
+        assert RankedSample(values=vals, design=RssDesign(r=2, m=2)).values[1, 0] > 0.0
