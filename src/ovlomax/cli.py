@@ -144,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tables", help="efficiency, saved-study, or discrepancy tables")
     p.add_argument("--kind", choices=("efficiency", "bias", "discrepancy"),
                    default="efficiency")
-    p.add_argument("--cycles", type=_positive_count, nargs="+", default=[8, 40],
+    p.add_argument("--cycles", type=_positive_count, nargs="+",
                    help="cycle counts for efficiency tables (default 8 40)")
     p.add_argument("--rows", help="saved study.csv (required for --kind bias)")
     _common_flags(p)
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, source=None, fmt=None)  # None: _TABLE_FLAGS decides
 
     p = subs.add_parser("realdata", help="analysis of the bundled datasets")
     _common_flags(p, level=True)
@@ -315,6 +315,8 @@ def cmd_simulate(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)  # validated again by __post_init__
 
+    if args.no_figures and not args.out_dir:
+        raise ConfigError("--no-figures is read only with --out-dir: stdout gets study.csv alone")
     result = run_study(cfg, args.workers, figures=bool(args.out_dir) and not args.no_figures)
     if not args.out_dir:
         print(result.csv, end="")
@@ -340,7 +342,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# kind: ({flag it reads: value when not given, None if required}, formats, default first)
+_TABLE_FLAGS = {"efficiency": ({"cycles": [8, 40], "source": SOURCE_DERIVED}, FORMATS),
+                "bias": ({"rows": None}, FORMATS),  # the rows keep their own source
+                "discrepancy": ({"source": SOURCE_DERIVED}, ("csv",))}
+
+
 def cmd_tables(args) -> int:
+    reads, formats = _TABLE_FLAGS[args.kind]
+    for name in ("cycles", "rows", "source"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ConfigError(f"--kind {args.kind} does not read --{name}")
+        setattr(args, name, getattr(args, name) or reads.get(name))
+        if name in reads and getattr(args, name) is None:
+            raise ConfigError(f"--kind {args.kind} requires --{name}")
+    args.fmt = args.fmt or formats[0]
+    if args.fmt not in formats:
+        raise ConfigError(f"--kind {args.kind} does not write --format {args.fmt}")
     if args.kind == "efficiency":
         cells = efficiency_grid(cycles=tuple(args.cycles), source=args.source)
         print(emit_tables(cells, "eff_table", args.fmt), end="")
@@ -348,8 +366,6 @@ def cmd_tables(args) -> int:
     if args.kind == "discrepancy":
         print(discrepancy_report(args.source), end="")
         return EXIT_OK
-    if not args.rows:
-        raise ConfigError("--kind bias requires --rows with a saved study.csv")
     rows = _read_file(args.rows, parse_rows_csv)
     print(emit_tables(rows, "bias_table", args.fmt), end="")
     return EXIT_OK

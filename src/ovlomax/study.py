@@ -315,8 +315,8 @@ _CSV_CONVERSIONS = {"str": "%s", "int": "%d", "float": "%.6g", "float | None": "
 class EfficiencyCell:
     """Analytic (and optionally simulated) MSE ratio for one grid cell.
 
-    ``R`` is rounded to six significant digits like :attr:`StudyRow.R`;
-    ``analytic_eff`` is None where the estimators refuse the srs design.
+    ``R`` is rounded to six significant digits like :attr:`StudyRow.R`; ``analytic_eff``
+    is None, never NaN, where the srs design is refused or :func:`_efficiency` has no value.
 
     Not frozen, like :class:`StudyRow`: cells are never mutated or hashed."""
 
@@ -355,6 +355,12 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 
+def _efficiency(srs_mse: np.ndarray, rss_mse: np.ndarray) -> np.ndarray:
+    """MSE(srs) / MSE(rss) where both lie in ``[_TINY, _HUGE]``, else None (an object array)."""
+    normal = (srs_mse >= _TINY) & (srs_mse <= _HUGE) & (rss_mse >= _TINY) & (rss_mse <= _HUGE)
+    return np.where(normal, srs_mse / np.where(normal, rss_mse, 1.0), None)  # NaN fails both bounds
+
+
 def efficiency_grid(
     r_values=DEFAULT_R_VALUES,
     set_sizes=DEFAULT_SET_SIZES,
@@ -368,7 +374,7 @@ def efficiency_grid(
     to a simulated efficiency that is carried along in the cells.  The
     (cycle count, set sizes) whose srs design the estimators accept take one
     assessment of both methods over all their ratios, and each cell's
-    efficiency is srs over rss; the others get ``analytic_eff=None``.
+    efficiency is srs over rss (:func:`_efficiency`); the others get ``analytic_eff=None``.
     A grid that :class:`StudyConfig` would refuse raises its ConfigError.
     """
     r_values = _ratio_grid("r_values", r_values)
@@ -383,9 +389,10 @@ def efficiency_grid(
         _point, variance, bias, *_ = _assess_designs(
             [(r_values, method, *_designs(r1, r2, m, method))
              for method in (METHOD_SRS, METHOD_RSS) for m, r1, r2 in kept], source, 0.95)
-        mse = (variance + bias * bias).reshape(len(MEASURES), 2, len(kept), len(r_values))
+        with np.errstate(over="ignore"):  # an as-published bias may square past the range
+            mse = (variance + bias * bias).reshape(len(MEASURES), 2, len(kept), len(r_values))
         # srs over rss: each design's [[efficiency per R] per measure]
-        eff = dict(zip(kept, (mse[:, 0] / mse[:, 1]).transpose(1, 0, 2).tolist()))
+        eff = dict(zip(kept, _efficiency(mse[:, 0], mse[:, 1]).transpose(1, 0, 2).tolist()))
     return [
         EfficiencyCell(
             measure=measure,
@@ -595,29 +602,26 @@ def run_study(cfg: StudyConfig, workers: int = 1, figures: bool = False) -> Stud
     seeds = _seeds.derive_seeds(cfg.master_seed, 0, np.arange(len(cells))).tolist()
 
     # an rss cell's efficiency is the MSE of its srs sibling, the cell just
-    # before it (METHODS is srs, rss, bayes), over its own; a skipped srs's is NaN
-    mses = aggs[:, :, 1]
-    srs = np.roll(mses, 1, axis=0)
-    has_eff = np.array([[cell[4] == METHOD_RSS] for cell in cells]) & np.isfinite(srs) & (mses > 0)
-    effs = np.divide(srs, mses, out=np.zeros_like(mses), where=has_eff)
+    # before it (METHODS is srs, rss, bayes), over its own; a skipped srs's MSE is NaN
+    mses, is_rss = aggs[:, :, 1], np.array([[cell[4] == METHOD_RSS] for cell in cells])
+    effs = np.where(is_rss, _efficiency(np.roll(mses, 1, axis=0), mses), None)
     ran = [idx for idx in range(len(cells)) if idx not in skipped]
-    aggs, effs, has_eff = aggs[ran], effs[ran], has_eff[ran]  # the cells that ran
+    aggs, effs = aggs[ran], effs[ran]  # the cells that ran
     # each line from one %-template; the head (method ... mse) is formatted once
     # and shared by both files, which differ only in coverage and ci_length
     plain, corrected, efficiency = [], [], {}
-    for idx, cell_aggs, cell_effs, cell_has in zip(ran, aggs.tolist(), effs.tolist(),
-                                                    has_eff.tolist()):
+    for idx, cell_aggs, cell_effs in zip(ran, aggs.tolist(), effs.tolist()):
         R, r1, r2, m, method = cells[idx]
         r_text = "%.6g" % R
         design = "%s,%d,%d,%d,%d" % (r_text, r1, r2, m, cfg.replications)
         tail = "%s,%d\n" % (cfg.formula_source, seeds[idx])
-        for meas, (bias, mse, cov, length, cov_c, length_c), eff, has in zip(
-                MEASURES, cell_aggs, cell_effs, cell_has):
+        for meas, (bias, mse, cov, length, cov_c, length_c), eff in zip(
+                MEASURES, cell_aggs, cell_effs):
             head = "%s,%s,%s,%.6g,%.6g,%.6g," % (method, meas, design, abs(bias), bias, mse)
-            eff_text = "%.6g" % eff if has else ""
+            eff_text = "" if eff is None else "%.6g" % eff
             plain.append("%s%.6g,%.6g,%s,%s" % (head, cov, length, eff_text, tail))
             corrected.append("%s%.6g,%.6g,%s,%s" % (head, cov_c, length_c, eff_text, tail))
-            if has:
+            if eff is not None:
                 efficiency[meas, float(r_text), r1, r2, m] = float(eff_text)
 
     metadata = {
@@ -634,7 +638,7 @@ def run_study(cfg: StudyConfig, workers: int = 1, figures: bool = False) -> Stud
             "depends on the two shapes only through R",
             "coverage is the empirical coverage proportion of the nominal "
             "(1 - level_alpha0) interval (the 'ratio' column of the published layout)",
-            "efficiency = MSE(srs) / MSE(rss) at equal retained sample sizes",
+            "efficiency = MSE(srs) / MSE(rss) at equal retained sizes; blank unless both are normal floats",
             "interval variants: plain intervals in study.csv, bias-corrected in "
             "study_bias_corrected.csv",
         ],

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -595,6 +596,51 @@ class TestSimulate:
         assert {c["method"] for c in meta["skipped_cells"]} == {"srs", "bayes"}
         assert "skipped 2 cell(s)" in out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [
+        {"r_values": [1e-290, 0.5], "set_sizes": [[3, 3]], "cycles": [2]},
+        {"r_values": [1.0, 0.5], "set_sizes": [[2, 2]], "cycles": [4],
+         "formula_source": "as-published"}], ids=["subnormal-mse", "weitzman-bias-at-one"])
+    def test_an_efficiency_with_no_value_is_never_nan(self, capsys, tmp_path, grid):
+        # the delta and lambda MSEs at R = 1e-290 underflow, and the as-published
+        # delta at R = 1 has a NaN bias: blank in CSV, null in JSON, '-' in text,
+        # as for a refused srs design
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**grid, "replications": 4, "master_seed": 9}))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out-dir", str(out_dir))
+        assert code == 0, err
+        # discrepancy.csv is left out: its pinned bytes spell the real-data rss
+        # cells, which have no computed value, as nan
+        for name in set(os.listdir(out_dir)) - {"discrepancy.csv"}:
+            assert not re.search(r"\bnan\b", (out_dir / name).read_text(), re.I), name
+        tiny = grid["cycles"] == [2]
+        recs = list(csv.DictReader(io.StringIO((out_dir / "efficiency.csv").read_text())))
+        gone = {(r["measure"], r["R"]) for r in recs if r["analytic_eff"] == ""}
+        assert gone == ({("delta", "1e-290"), ("lambda", "1e-290")} if tiny else {("delta", "1")})
+        # the simulated efficiency, study.csv's column, by the same rule
+        simulated = {(r["measure"], r["R"]) for r in recs if r["empirical_eff"] == ""}
+        assert simulated == (gone if tiny else set())
+        rss = [r for r in parse_rows_csv((out_dir / "study.csv").read_text())
+               if r.method == "rss"]
+        assert {(r.measure, "%g" % r.R) for r in rss if r.efficiency is None} == simulated
+
+        cfg = ovlomax.StudyConfig.from_json(path.read_text())
+        cells = ovlomax.efficiency_grid(cfg.r_values, cfg.set_sizes, cfg.cycles,
+                                        cfg.formula_source)
+        assert sum(c.analytic_eff is None for c in cells) == len(gone)
+        text = ovlomax.emit_tables(cells, "eff_table", "text")
+        values = [v for line in text.splitlines() if line.startswith("    r1=")
+                  for v in line.split()[1:]]
+        assert values.count("-") == len(gone)
+        records = json.loads(ovlomax.emit_tables(cells, "eff_table", "json"))["cells"]
+        assert [r["analytic_eff"] for r in records].count(None) == len(gone)
+
+    def test_no_figures_without_out_dir_is_refused(self, capsys, config):
+        code, out, err = run_cli(capsys, "simulate", "--config", config, "--no-figures")
+        assert (code, out) == (2, "")
+        assert "--no-figures" in err and "--out-dir" in err
+
     def test_failure_leaves_no_output(self, capsys, config, tmp_path, monkeypatch):
         def broken(source):
             raise DomainError("discrepancy report failed")
@@ -735,6 +781,27 @@ class TestTables:
         lines = out.strip().splitlines()
         assert lines[0] == "table,cell,printed_value,computed_value,abs_diff"
         assert len(lines) == 1 + 288 + 42
+
+    @pytest.mark.parametrize("kind, flags, refused", [
+        ("bias", ["--source", "as-published", "--cycles", "3"], "--cycles"),
+        ("bias", ["--source", "as-published"], "--source"),
+        ("efficiency", ["--rows", "ROWS"], "--rows"),
+        ("discrepancy", ["--rows", "ROWS"], "--rows"),
+        ("discrepancy", ["--cycles", "8"], "--cycles"),
+        ("discrepancy", ["--format", "json"], "--format json"),
+        ("discrepancy", ["--format", "text"], "--format text")],
+        ids=["bias-cycles", "bias-source", "efficiency-rows", "discrepancy-rows",
+             "discrepancy-cycles", "discrepancy-json", "discrepancy-text"])
+    def test_a_flag_the_kind_does_not_read_is_refused(self, capsys, tmp_path, kind, flags,
+                                                      refused):
+        # refused before any file is read: the rows file does not exist
+        rows = str(tmp_path / "study.csv")
+        argv = [rows if flag == "ROWS" else flag for flag in flags]
+        if kind == "bias":
+            argv += ["--rows", rows]
+        code, out, err = run_cli(capsys, "tables", "--kind", kind, *argv)
+        assert (code, out) == (2, "")
+        assert f"--kind {kind}" in err and refused in err
 
     def test_bias_requires_rows(self, capsys):
         code, _, err = run_cli(capsys, "tables", "--kind", "bias")

@@ -595,8 +595,8 @@ EDGE_UNIFORMS = np.array([0.0, 5e-324, float(np.finfo(float).tiny), 0.5, 1.0 - 2
 
 def edge_calls() -> dict:
     """Each public numeric entry point as a call of one float: the law's
-    methods at each shape of FLOAT_EDGES and at 1e-3 and 1e3, and the
-    samplers as calls of the shape."""
+    methods at each shape of FLOAT_EDGES and at 1e-3 and 1e3, the samplers
+    as calls of the shape, and the efficiency grid as a call of the ratio."""
     calls = {}
     for alpha in (1e-3, 1.0, 1e3, *FLOAT_EDGES):
         for name in ("cdf", "logpdf", "pdf", "quantile"):
@@ -620,6 +620,10 @@ def edge_calls() -> dict:
             args = (method, d1, d2, source)
             calls[f"corrected_ratio-{method}-{source}"] = lambda x, a=args: corrected_ratio(x, *a)
             calls[f"assess-{method}-{source}"] = lambda x, a=args: assessed(x, *a)
+    for source in SOURCES:  # a cell whose MSEs are not both normal floats has no value
+        calls[f"efficiency_grid-{source}"] = lambda x, source=source: [
+            c.analytic_eff for c in efficiency_grid([x], ((2, 3),), (8,), source)
+            if c.analytic_eff is not None]
     return calls
 
 

@@ -62,9 +62,10 @@ def test_runtime_dependency_is_numpy_alone():
 
 
 # Every module of the package is imported and every subcommand runs in one
-# fresh interpreter; SciPy is for the tests alone, and the process pool
-# (multiprocessing, concurrent.futures) for two or more slabs at --workers > 1
-# alone: the smoke study and its figure grid are one slab each.
+# fresh interpreter, where a numpy RuntimeWarning is an error; SciPy is for the
+# tests alone, and the process pool (multiprocessing, concurrent.futures) for
+# two or more slabs at --workers > 1 alone: the smoke study and its figure grid
+# are one slab each.
 _NO_SCIPY_RUN = """
 import contextlib, importlib, io, json, os, pkgutil, sys
 import ovlomax, ovlomax.cli
@@ -101,8 +102,8 @@ def test_cli_paths_load_no_scipy(tmp_path):
     data1.write_text("0.8\n1.9\n0.4\n3.1\n1.2\n")
     data2.write_text("2.2\n0.7\n1.5\n4.0\n0.9\n2.6\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, str(smoke), str(tmp_path / "out"),
-         str(data1), str(data2)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_SCIPY_RUN, str(smoke),
+         str(tmp_path / "out"), str(data1), str(data2)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -263,7 +264,6 @@ EDGE_EXEMPT = {
     "parse_ranked_dataset": "reads text; the readers' float range is tested with them",
     "build_estimate_report": "is shape_estimates, corrected_ratio and assess, each swept",
     "bundled_counts": "takes no argument",
-    "efficiency_grid": "not yet: at extreme ratios its MSE quotient is 0/0, NaN with a warning",
     "run_study": "takes a StudyConfig, whose shapes are refused where T would leave the range",
     "emit_rows_csv": "formats the numbers of study rows and computes none",
     "parse_rows_csv": "reads text",

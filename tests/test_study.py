@@ -40,7 +40,7 @@ from ovlomax.study import (
 )
 
 SMOKE = files("ovlomax.data").joinpath("configs/smoke.json")
-TINY = np.finfo(float).tiny
+TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def annotated_cells(cfg, res):
@@ -306,7 +306,9 @@ def reference_rows(cfg, namespace=0):
             agg = outcomes[idx][meas]
             efficiency = None
             base = mse_srs.get((R, r1, r2, m, meas))
-            if method == "rss" and base is not None and agg["mse"] > 0.0:
+            # an efficiency only between two normal MSEs
+            if method == "rss" and base is not None and all(
+                    TINY <= v <= HUGE for v in (base, agg["mse"])):
                 efficiency = round6(base / agg["mse"])
             common = dict(method=method, measure=meas, R=round6(R), r1=r1, r2=r2, m=m,
                           reps=cfg.replications, abs_bias=round6(abs(agg["signed_bias"])),
@@ -481,6 +483,36 @@ def single_cell_efficiency(measure, R, r1, r2, m, source="derived"):
 
 
 class TestAnalyticEfficiency:
+    def test_the_quotient_needs_two_normal_mses(self):
+        normal, other = [TINY, 1.0, HUGE], [0.0, 5e-324, 1e-310, math.inf, math.nan]
+        srs, rss = np.array(normal + other + normal), np.array(normal + normal + other)
+        with np.errstate(all="raise"):
+            eff = study._efficiency(srs, rss)
+        assert eff.tolist() == [1.0] * 3 + [None] * 8
+
+    def test_both_tables_take_the_one_quotient(self, monkeypatch):
+        callers, real = [], study._efficiency
+
+        def recorded(srs_mse, rss_mse):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(srs_mse, rss_mse)
+
+        monkeypatch.setattr(study, "_efficiency", recorded)
+        run_study(tiny_config())
+        efficiency_grid((0.5,), ((2, 2),), (2,))
+        assert callers == ["run_study", "efficiency_grid"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_an_mse_outside_the_normal_floats_gives_no_value(self, source):
+        # the delta and lambda MSEs leave the float range at R = 1e300 (0 derived,
+        # inf as-published) and are subnormal, a quotient of wrong digits, at 1e-160
+        for R in (1e300, 1e-160):
+            cells = efficiency_grid(r_values=[R], set_sizes=((2, 3),), cycles=(8,), source=source)
+            effs = {c.measure: c.analytic_eff for c in cells}
+            assert effs["delta"] is None and effs["lambda"] is None
+            assert math.isfinite(effs["rho"])
+
     def test_frozen_reference_cell(self):
         cell = efficiency_grid(r_values=(0.1,), set_sizes=((2, 2),), cycles=(8,))[0]
         assert (cell.measure, cell.R, cell.r1, cell.r2, cell.m) == ("rho", 0.1, 2, 2, 8)
@@ -525,8 +557,9 @@ class TestAnalyticEfficiency:
 
     @pytest.mark.parametrize("source", ["derived", "as-published"])
     def test_stacked_grid_equals_single_cells(self, source):
-        # R = 1: the as-published Weitzman bias is NaN there; R = 1/3: rounded in
-        # the cells; r2 * m < 3: degenerate srs designs inside stacked blocks
+        # R = 1: the as-published Weitzman bias is NaN there, so the cell has no
+        # efficiency; R = 1/3: rounded in the cells; r2 * m < 3: degenerate srs
+        # designs inside stacked blocks
         r_values = (1.0, 1.0 / 3.0, 0.5, 2.5)
         set_sizes = ((2, 1), (1, 2), (2, 2), (3, 5), (1, 1))
         cycles = (1, 2, 8)
@@ -543,7 +576,7 @@ class TestAnalyticEfficiency:
                 continue
             want = single_cell_efficiency(c.measure, exact[c.R], c.r1, c.r2, c.m, source)
             if math.isnan(want):
-                assert math.isnan(c.analytic_eff), c
+                assert c.analytic_eff is None, c
                 nan += 1
             else:
                 assert c.analytic_eff == want, c
