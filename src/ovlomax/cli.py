@@ -38,6 +38,7 @@ from .reports import (
 from .sampling import RssDesign, SrsDesign, draw_rss, draw_srs
 from .study import (
     StudyConfig,
+    _write_csv,
     discrepancy_report,
     efficiency_grid,
     emit_tables,
@@ -175,9 +176,8 @@ def cmd_ovl(args) -> int:
     if args.fmt == "json":
         print(_json_text({"ratio": ratio, **values}), end="")
     elif args.fmt == "csv":
-        print("measure,value")
-        for meas, value in values.items():
-            print(f"{meas},{value:.10g}")
+        texts = [f"{value:.10g}" for value in values.values()]
+        print(_write_csv(("measure", "value"), [list(values), texts]), end="")
     else:
         print(f"shape ratio: {ratio:.10g}")
         for meas, value in values.items():
@@ -210,10 +210,10 @@ def cmd_sample(args) -> int:
             print(f"{x:.10g}")
     else:
         ranked = draw_rss(dist, design, rng)
-        print("rank,cycle,value")
-        for i in range(design.r):
-            for k in range(design.m):
-                print(f"{i + 1},{k + 1},{ranked.values[i, k]:.10g}")
+        print(_write_csv(("rank", "cycle", "value"), [
+            [str(i + 1) for i in range(design.r) for _ in range(design.m)],
+            [str(k + 1) for _ in range(design.r) for k in range(design.m)],
+            [f"{x:.10g}" for x in ranked.values.ravel()]]), end="")
     return EXIT_OK
 
 
@@ -252,12 +252,13 @@ def _print_report_text(rep) -> None:
         print(f"  note: {w}")
 
 
-def _print_report_csv(rep, header: bool = True) -> None:
-    if header:
-        print("method,source,measure,point,variance,bias,ci_lo,ci_hi,ci_corr_lo,ci_corr_hi")
-    for m in rep.measures:
-        cells = ("" if v is None else f"{v:.10g}" for v in _columns(m))
-        print(",".join((rep.method, rep.formula_source, m.measure, *cells)))
+def _print_report_csv(reports) -> None:
+    """One table of the reports' measures, numbers at ten significant digits, None blank."""
+    rows = [(rep.method, rep.formula_source, m.measure,
+             *("" if v is None else f"{v:.10g}" for v in _columns(m)))
+            for rep in reports for m in rep.measures]
+    print(_write_csv("method,source,measure,point,variance,bias,ci_lo,ci_hi,ci_corr_lo,ci_corr_hi"
+                     .split(","), list(zip(*rows))), end="")
 
 
 def cmd_estimate(args) -> int:
@@ -267,7 +268,7 @@ def cmd_estimate(args) -> int:
     if args.fmt == "json":
         print(rep.to_json(), end="")
     elif args.fmt == "csv":
-        _print_report_csv(rep)
+        _print_report_csv([rep])
     else:
         _print_report_text(rep)
     return EXIT_OK
@@ -381,8 +382,7 @@ def cmd_realdata(args) -> int:
         datasets = {d.label: {"n": d.n, "values": d.values.tolist()} for d in (d1, d2)}
         print(_json_text({"datasets": datasets, "reports": reports}), end="")
     elif args.fmt == "csv":
-        for k, rep in enumerate(reports):
-            _print_report_csv(rep, header=k == 0)
+        _print_report_csv(reports)
     else:
         print(f"bundled data: {d1.label} (n={d1.n}) vs {d2.label} (n={d2.n})")
         print()

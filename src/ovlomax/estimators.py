@@ -346,13 +346,13 @@ def _assess_designs(blocks, source: str, level: float) -> tuple:
         variance = factor * e * e
         bias = 0.5 * factor * c
     else:
-        # far from R = 1 the printed shapes overflow to non-finite values, which
-        # the checks below or the report notes name; numpy's warnings would
-        # only repeat them
+        # far from R = 1 the printed shapes, and the variance and bias they
+        # scale, overflow to non-finite values, which the checks below or the
+        # report notes name; numpy's warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore"):
             shapes = np.array([_PUBLISHED[measure](r) for measure in MEASURES])
-        variance = factor * shapes[:, 0]
-        bias = np.repeat(np.array(constants).T, sizes, 1) * shapes[:, 1]
+            variance = factor * shapes[:, 0]
+            bias = np.repeat(np.array(constants).T, sizes, 1) * shapes[:, 1]
     _check_variance(variance)
     half = z * np.sqrt(variance)
     finite = np.isfinite(bias)  # no corrected interval, and no clamp, where the bias has no value

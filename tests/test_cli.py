@@ -47,6 +47,25 @@ JSON_PINS = {
     ("bayes", "derived"): "4f10b0324461ea412151da213da2519eba058fd3a39a01a2b4dc595c88b3f5b9",
     ("bayes", "as-published"): "25847de562882c32806534ace91593bb108bf63b86498b5a8470f697eda83791",
 }
+# sha256 of the CSV that estimate and realdata print, as hand-built lines
+# wrote it before every CSV went through the one CSV writer: realdata's by
+# source; estimate's by method and source, of DATA1 and DATA2 for srs and
+# bayes, of RANKED and RANKED_2 for rss, and of RANKED twice ("rss-equal",
+# ratio 1, where the as-published corrected bounds are blank)
+CSV_PINS = {
+    ("realdata", "derived"): "0585daad29ab3c5912cdd9846b681bf8cf84c6ebe7427e3a92f114a2559c023a",
+    ("realdata", "as-published"):
+        "6ea44019ee8acecb095667cc042a4037944ef93dc671d5e12f361073a57492e3",
+    ("srs", "derived"): "1d458df7a51483a7a9ae2fd5acae9bdfc1bcd26bacf5b8064db1fc58ea66d012",
+    ("srs", "as-published"): "8b2b610d4d0fd5702604c69c550c85510e0602354322a209aca538d1d30c0d26",
+    ("bayes", "derived"): "11c6f8090d398ace7225a27b10419fe114c0f43b2e6b351b4d8af074449ebda4",
+    ("bayes", "as-published"): "327ff39ed867099ea3785a1f9646463765797081d545d707836bcba36d598b60",
+    ("rss", "derived"): "3397c130e01b165cf690a36bf194e9b0cf081ab2762c87d083a068c6e85e8733",
+    ("rss", "as-published"): "6630bb583740a8979b5fb6aafa6e31b7b93810b296b99e723fbedb556d189643",
+    ("rss-equal", "derived"): "bbc2effd20ee788a00a233a05cd97eb56bf1233d263d25738be4e9a4cbfcb010",
+    ("rss-equal", "as-published"):
+        "1575245aa6dc995d9f0cebbd7df28d381c969cb12cc16239fe75da09e43a9db2",
+}
 LEVELS_OUTSIDE = ["1.5", "nan", "0", "1", "-0.5", "inf", "x"]
 
 
@@ -71,6 +90,10 @@ def run_process(*argv):
 
 
 class TestOvl:
+    def test_csv_bytes_are_pinned(self, capsys):
+        assert run_cli(capsys, "ovl", "--ratio", "0.5", "--format", "csv") == (
+            0, "measure,value\nrho,0.9428090416\ndelta,0.75\nlambda,0.6666666667\n", "")
+
     def test_json_all_measures(self, capsys):
         code, out, _ = run_cli(capsys, "ovl", "--ratio", "0.5", "--format", "json")
         assert code == 0
@@ -197,6 +220,13 @@ class TestSample:
         slots = {(r[0], r[1]) for r in recs[1:]}
         assert slots == {(str(i), str(k)) for i in (1, 2) for k in (1, 2, 3)}
 
+    def test_rss_bytes_are_pinned(self, capsys):
+        assert run_cli(capsys, "sample", "--alpha", "1", "--design", "rss:2,3",
+                       "--seed", "5") == (0, "rank,cycle,value\n"
+                                             "1,1,1.295193264\n1,2,3.030930383\n1,3,4.24864747\n"
+                                             "2,1,10.31525236\n2,2,1.320205821\n2,3,2.119072868\n",
+                                          "")
+
     def test_rss_output_feeds_estimate(self, capsys, tmp_path):
         _, out1, _ = run_cli(capsys, "sample", "--alpha", "0.8", "--design", "rss:3,4",
                              "--seed", "5")
@@ -303,6 +333,19 @@ class TestEstimate:
         lines = out.strip().splitlines()
         assert lines[0].endswith("ci_corr_hi")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("source", ovlomax.SOURCES)
+    @pytest.mark.parametrize("method", ["srs", "bayes", "rss", "rss-equal"])
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, method, source):
+        texts = {"rss": (RANKED, RANKED_2), "rss-equal": (RANKED, RANKED)}.get(
+            method, (DATA1, DATA2))
+        paths = [tmp_path / "one.txt", tmp_path / "two.txt"]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        code, out, _ = run_cli(capsys, "estimate", *map(str, paths), "--format", "csv",
+                               "--method", method.removesuffix("-equal"), "--source", source)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CSV_PINS[method, source]
 
     def test_missing_file(self, capsys, tmp_path, files):
         code, _, err = run_cli(capsys, "estimate", files[0], str(tmp_path / "no.txt"))
@@ -977,6 +1020,12 @@ class TestRealdata:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 6  # one header, three measures per method
 
+    @pytest.mark.parametrize("source", ovlomax.SOURCES)
+    def test_csv_bytes_are_pinned(self, capsys, source):
+        code, out, _ = run_cli(capsys, "realdata", "--format", "csv", "--source", source)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CSV_PINS["realdata", source]
+
     def test_published_source(self, capsys):
         code, out, _ = run_cli(capsys, "realdata", "--source", "as-published")
         assert code == 0
@@ -985,6 +1034,7 @@ class TestRealdata:
 
 # a ranked set sample of two ranks and three cycles, and a one-cell study config
 RANKED = "rank,cycle,value\n1,1,0.41\n2,1,3.07\n1,2,0.88\n2,2,1.9\n1,3,0.3\n2,3,2.2\n"
+RANKED_2 = "rank,cycle,value\n1,1,0.2\n2,1,1.35\n1,2,0.62\n2,2,0.97\n1,3,0.15\n2,3,4.8\n"
 SMALL_CONFIG = json.dumps({"r_values": [0.5], "set_sizes": [[2, 2]], "cycles": [2],
                            "replications": 4, "master_seed": 9})
 

@@ -1,8 +1,9 @@
-"""Property tests of the package's text schemas.  Study CSV: template
+"""Property tests of the package's text schemas.  Study CSV: column
 emission equals formatting each value on its own, emission refuses exactly
-the rows parsing refuses and parsing inverts it, and the one writer writes
-what ``csv.writer`` writes or refuses a field that needs quoting.  Report
-JSON: the one writer writes what ``json.dumps(indent=2)`` writes."""
+the rows parsing refuses and parsing inverts it, and the one writer, of
+columns, writes what ``csv.writer`` writes of their rows or refuses a field
+that needs quoting.  Report JSON: the one writer writes what
+``json.dumps(indent=2)`` writes."""
 
 import csv
 import functools
@@ -151,13 +152,13 @@ def test_write_csv_equals_csv_writer(table):
     # the writer quotes nothing: it writes the join where csv.writer would quote
     # nothing and no bare carriage return splits a line, and refuses the rest
     header, rows = table
-    lines = [",".join(row) + "\n" for row in rows]
-    plain = ",".join(header) + "\n" + "".join(lines)
+    columns = [[row[k] for row in rows] for k in range(len(header))]
+    plain = "".join(",".join(row) + "\n" for row in [header, *rows])
     if len(header) > 1 and "\r" not in plain and plain == csv_writer_text(header, rows):
-        assert _write_csv(header, lines) == plain
+        assert _write_csv(header, columns) == plain
     else:
         with pytest.raises(ValueError, match="needs quoting"):
-            _write_csv(header, lines)
+            _write_csv(header, columns)
 
 
 def parse_refusal(row) -> str | None:
@@ -235,10 +236,28 @@ def test_percent_template_formats_like_format_anywhere(x):
 
 
 def test_write_csv_refuses_to_guess_unquoted_fields():
-    # the tables hold numbers and fixed names; a line whose commas do not
+    # the tables hold numbers and fixed names; a record whose commas do not
     # match its header would be ambiguous, so it is an error
     with pytest.raises(ValueError, match="needs quoting"):
-        _write_csv(["a", "b"], ["x,y,z\n"])
+        _write_csv(["a", "b"], [["x,y"], ["z"]])
+
+
+@pytest.mark.parametrize("columns", [[["1", "2"], ["3"]], [[], ["3"]], [["1"], ["3", "4"]]])
+def test_write_csv_refuses_columns_of_unequal_length(columns):
+    # plain zip would stop at the shortest column and drop the rest
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+        _write_csv(["a", "b"], columns)
+
+
+@pytest.mark.parametrize("columns", [[], [[]], [[], [], []], [["1"]], [["1"], ["2"], ["3"]]])
+def test_write_csv_refuses_a_column_count_off_the_header(columns):
+    with pytest.raises(ValueError, match="needs quoting"):
+        _write_csv(["a", "b"], columns)
+
+
+def test_write_csv_of_no_records_is_the_header_alone():
+    assert _write_csv(["a", "b"], [[], []]) == "a,b\n"
+    assert _write_csv(("a", "b", "c"), ((), (), ())) == "a,b,c\n"
 
 
 # text a report's names and warnings may hold: quotes, backslashes, control

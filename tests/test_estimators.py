@@ -402,6 +402,16 @@ class TestDeltaMethod:
                 halved = 2.0 if meas in ("rho", "delta") else 1.0
                 assert (halved * a.bias / factor).tolist() == pytest.approx(want, rel=1e-14), meas
 
+    @pytest.mark.filterwarnings("error")
+    def test_published_bias_past_the_largest_float_is_inf_without_a_warning(self):
+        # at the smallest srs designs the scaled lambda shape passes the largest
+        # float: its bias is inf and its corrected bounds NaN, and no MSE has a value
+        block = assess([1e308], METHOD_SRS, SrsDesign(2), SrsDesign(3), SOURCE_AS_PUBLISHED)
+        assert block["lambda"].bias.tolist() == [math.inf]
+        assert np.isnan([block["lambda"].lo_corrected, block["lambda"].hi_corrected]).all()
+        cells = efficiency_grid([1e308], ((2, 3),), (1,), SOURCE_AS_PUBLISHED)
+        assert [c.analytic_eff for c in cells] == [None] * len(MEASURES)
+
     def test_published_far_bias_is_its_form_in_w(self):
         # above R = 1e30 the bias shapes rewritten in w = 1/R, term for term,
         # round to their leading terms 3*sqrt(w), -R and 1/w
@@ -565,7 +575,7 @@ class TestAssess:
 
 
 # the float edges every public numeric entry point is swept over
-FLOAT_EDGES = [5e-324, 1e-310, float(np.finfo(float).tiny), 1e-300, 0.5, 1.0, 2.0, 1e300,
+FLOAT_EDGES = [5e-324, 1e-310, float(np.finfo(float).tiny), 1e-300, 0.5, 1.0, 2.0, 1e300, 1e308,
                float(np.finfo(float).max)]
 EDGE_DESIGNS = {METHOD_SRS: (SrsDesign(8), SrsDesign(6)),
                 METHOD_BAYES: (SrsDesign(8), SrsDesign(6)),
@@ -620,6 +630,9 @@ def edge_calls() -> dict:
             args = (method, d1, d2, source)
             calls[f"corrected_ratio-{method}-{source}"] = lambda x, a=args: corrected_ratio(x, *a)
             calls[f"assess-{method}-{source}"] = lambda x, a=args: assessed(x, *a)
+    # the smallest srs designs, whose as-published bias passes the largest float first
+    calls["assess-srs-as-published-(2,3)"] = lambda x: assessed(
+        x, METHOD_SRS, SrsDesign(2), SrsDesign(3), SOURCE_AS_PUBLISHED)
     for source in SOURCES:  # a cell whose MSEs are not both normal floats has no value
         calls[f"efficiency_grid-{source}"] = lambda x, source=source: [
             c.analytic_eff for c in efficiency_grid([x], ((2, 3),), (8,), source)
